@@ -120,7 +120,8 @@ EXPECTED_COMPLEXITIES = {
     "infect_watch_punish": 7,
 }
 
-# worst-case step counts (model, strategy, start, goal) -> count
+# worst-case step counts, row name -> published count; run_all computes
+# them in this order
 EXPECTED_STEPS = {
     "cast_verify to end (from has_ballot)": 9,
     "cast_verify_extra_checks to end (from has_ballot)": 13,
@@ -128,6 +129,10 @@ EXPECTED_STEPS = {
     "cast_verify_symbolwise, n=1 m=1": 15,
     "cast_verify_symbolwise, n=7 m=5": 35,
 }
+
+
+_SYMBOLWISE_GOAL = ("checked4 && wbb_checked_sn && receipt_checked_sn && checked4_1 "
+                    "&& wbb_checked_pr && receipt_checked_pr && checked4_2")
 
 
 def symbolwise_steps(n: int, m: int) -> int:
@@ -214,33 +219,23 @@ def run_all(state_cap: int = 200_000) -> list[TaskResult]:
     results.append(TaskResult("guard-length", "true", 1,
                               guard_length(ns1.rules[-1].guard)))
 
-    # Worst-case step counts.
+    # Worst-case step counts, in the order of EXPECTED_STEPS.
     def steps(bundle, strategy, goal_text, start=None):
         net = bundle.network
         q = net.state(locations=start) if start else None
         goal = parse_guard_text(goal_text, net)
         return steps_to_goal(net, q, {strategy.agent: strategy}, goal,
-                             state_cap=state_cap)
+                             state_cap=state_cap).value
 
-    results.append(TaskResult(
-        "steps", "cast_verify to end (from has_ballot)", 9,
-        steps(base, ns1, "end", {"Voter": "has_ballot"}).value))
-    results.append(TaskResult(
-        "steps", "cast_verify_extra_checks to end (from has_ballot)", 13,
-        steps(base, ns2, "end", {"Voter": "has_ballot"}).value))
-    results.append(TaskResult(
-        "steps", "cast_verify_split_check4 to full verification (from start)", 11,
-        steps(check4, ns3, "checked4 && checked4_1 && checked4_2").value))
-    results.append(TaskResult(
-        "steps", "cast_verify_symbolwise, n=1 m=1", symbolwise_steps(1, 1),
-        steps(full11, ns4_11,
-              "checked4 && wbb_checked_sn && receipt_checked_sn && checked4_1 "
-              "&& wbb_checked_pr && receipt_checked_pr && checked4_2").value))
-    results.append(TaskResult(
-        "steps", "cast_verify_symbolwise, n=7 m=5", symbolwise_steps(7, 5),
-        steps(full75, ns4_75,
-              "checked4 && wbb_checked_sn && receipt_checked_sn && checked4_1 "
-              "&& wbb_checked_pr && receipt_checked_pr && checked4_2").value))
+    step_runs = (
+        (base, ns1, "end", {"Voter": "has_ballot"}),
+        (base, ns2, "end", {"Voter": "has_ballot"}),
+        (check4, ns3, "checked4 && checked4_1 && checked4_2"),
+        (full11, ns4_11, _SYMBOLWISE_GOAL),
+        (full75, ns4_75, _SYMBOLWISE_GOAL),
+    )
+    for (name, expected), run in zip(EXPECTED_STEPS.items(), step_runs, strict=True):
+        results.append(TaskResult("steps", name, expected, steps(*run)))
 
     # Verification verdicts.
     def verdict(bundle, strategy, bound, goal_text):
@@ -271,9 +266,7 @@ def run_all(state_cap: int = 200_000) -> list[TaskResult]:
         True, verdict(check4, ns3, 17, "checked4 && checked4_1 && checked4_2")))
     results.append(TaskResult(
         "verdict", "complete_symbolwise_verification with cast_verify_symbolwise, bound 29",
-        True, verdict(full75, ns4_75, 29,
-                      "checked4 && wbb_checked_sn && receipt_checked_sn && checked4_1 "
-                      "&& wbb_checked_pr && receipt_checked_pr && checked4_2")))
+        True, verdict(full75, ns4_75, 29, _SYMBOLWISE_GOAL)))
 
     fixed = fix_strategy(base.network, {"Voter": ns1})
     og = outcomes(fixed, None, {}, state_cap=state_cap)

@@ -1,6 +1,10 @@
-"""Query evaluation: universal temporal checking over outcome graphs,
+"""Query evaluation: universal temporal labelling over outcome graphs,
 knowledge via observational indistinguishability, strategy verification
 against a bound, and bounded brute-force strategy synthesis.
+
+AX, AF, AG and A(U) are labelled at every state of an outcome graph at once,
+each by one backward pass of `outcome.backward_fixpoint`; a verdict at a
+state reads that state's label.
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -21,7 +25,7 @@ from .model import (
     DEFAULT_STATE_CAP, And, GlobalState, GuardExpr, LocAtom, Network, Not,
     Or, StateGraph, TrueConst, VarAtom, eval_guard, explore,
 )
-from .outcome import OutcomeGraph, outcomes
+from .outcome import OutcomeGraph, backward_fixpoint, outcomes, shortest_path
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
 )
@@ -49,87 +53,51 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Universal temporal checking on an outcome graph
+# Universal temporal labelling on an outcome graph
 
-def _af_states(og: OutcomeGraph, goal: set[int]) -> set[int]:
-    """States from which every maximal trace reaches `goal` (least fixpoint:
-    goal states, plus non-terminal states all of whose successors qualify)."""
-    good = set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(og.n_states):
-            if i in good or og.is_terminal(i):
-                continue
-            if all(t.target in good for t in og.out_edges(i)):
-                good.add(i)
-                changed = True
-    return good
-
-
-def _au_states(og: OutcomeGraph, hold: set[int], until: set[int]) -> set[int]:
-    """A(hold U until), strong until."""
-    good = set(until)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(og.n_states):
-            if i in good or i not in hold or og.is_terminal(i):
-                continue
-            if all(t.target in good for t in og.out_edges(i)):
-                good.add(i)
-                changed = True
-    return good
-
-
-def _reachable_from(og: OutcomeGraph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in og.successors(i):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+def label_universal(og: OutcomeGraph, op: str,
+                    subgoals: Sequence[set[int]]) -> set[int]:
+    """States of the outcome graph where AX/AF/AG/A(U) of the pre-labelled
+    state sets holds over every maximal trace, each in one backward pass:
+    AF g = A(true U g), and AG g is the complement of backward reachability
+    of the states outside g. A terminal state satisfies every AX."""
+    if op == "X":
+        return {i for i, outs in enumerate(og.succ)
+                if all(j in subgoals[0] for j in outs)}
+    if op == "F":
+        return backward_fixpoint(og.succ, subgoals[0])
+    if op == "G":
+        unsafe = [i for i in range(og.n_states) if i not in subgoals[0]]
+        return set(range(og.n_states)) - backward_fixpoint(og.succ, unsafe, some=True)
+    if op == "U":
+        return backward_fixpoint(og.succ, subgoals[1], allowed=subgoals[0])
+    raise DefinitionError(f"unknown temporal operator {op}")
 
 
 def _bad_witness(og: OutcomeGraph, start: int, good: set[int]) -> tuple[int, ...]:
     """Shortest path from start into the non-`good` region; extended to a
     terminal or around a cycle so the trace is recognizably maximal."""
-    from collections import deque
-    prev = {start: start}
-    dq = deque([start])
-    target = None
-    while dq:
-        i = dq.popleft()
-        if i not in good:
-            target = i
-            break
-        for j in sorted(og.successors(i)):
-            if j not in prev:
-                prev[j] = i
-                dq.append(j)
-    if target is None:
-        return ()
-    path = [target]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
+    bad = set(range(og.n_states)) - good
+    path = list(shortest_path(og.succ, start, bad))
     # extend within the bad region until a repeat or a terminal
     seen = set(path)
-    cur = target
-    while not og.is_terminal(cur):
-        nxt = min(j for j in og.successors(cur) if j not in good) \
-            if any(j not in good for j in og.successors(cur)) else None
+    while path:
+        nxt = next((j for j in og.succ[path[-1]] if j in bad), None)
         if nxt is None:
             break
         path.append(nxt)
         if nxt in seen:
             break
         seen.add(nxt)
-        cur = nxt
     return tuple(path)
+
+
+_FAILURE_REASONS = {
+    "X": "a successor falsifies the X-subformula",
+    "F": "a maximal trace avoids the goal",
+    "G": "a reachable state falsifies the G-subformula",
+    "U": "a maximal trace falsifies the until",
+}
 
 
 def check_temporal_universal(og: OutcomeGraph, op: str,
@@ -139,38 +107,17 @@ def check_temporal_universal(og: OutcomeGraph, op: str,
     of the outcome graph, from `start` (default: the graph's start state).
     Returns a counterexample path or lasso on failure."""
     q = og.initial if start is None else start
-    if op == "X":
-        goal = subgoals[0]
-        bad = [t.target for t in og.out_edges(q) if t.target not in goal]
-        if bad:
-            return CheckResult(False, witness_path=(q, bad[0]),
-                               reason="a successor falsifies the X-subformula")
+    good = label_universal(og, op, subgoals)
+    if q in good:
         return CheckResult(True)
-    if op == "F":
-        good = _af_states(og, subgoals[0])
-        if q in good:
-            return CheckResult(True)
-        return CheckResult(False, witness_path=_bad_witness(og, q, good),
-                           reason="a maximal trace avoids the goal")
-    if op == "G":
-        safe = subgoals[0]
-        reach = _reachable_from(og, q)
-        bad = reach - safe
-        if not bad:
-            return CheckResult(True)
-        return CheckResult(False, witness_path=_bad_witness(og, q, og_all(og) - bad),
-                           reason="a reachable state falsifies the G-subformula")
-    if op == "U":
-        good = _au_states(og, subgoals[0], subgoals[1])
-        if q in good:
-            return CheckResult(True)
-        return CheckResult(False, witness_path=_bad_witness(og, q, good),
-                           reason="a maximal trace falsifies the until")
-    raise DefinitionError(f"unknown temporal operator {op}")
-
-
-def og_all(og: OutcomeGraph) -> set[int]:
-    return set(range(og.n_states))
+    if op == "X":
+        path = (q, next(t.target for t in og.out_edges(q)
+                        if t.target not in subgoals[0]))
+    else:
+        # an AG counterexample runs to a state outside g, an AF or A(U) one
+        # stays outside the label
+        path = _bad_witness(og, q, subgoals[0] if op == "G" else good)
+    return CheckResult(False, witness_path=path, reason=_FAILURE_REASONS[op])
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +381,10 @@ class FormulaEvaluator:
 
     Knowledge accessibility always ranges over the full reachable state
     space: an observer cannot condition what it knows on strategies it does
-    not see. Strategic nodes are evaluated per state by verification (with
-    supplied strategies) or bounded synthesis.
+    not see. A universal node (empty coalition, bound 0) is labelled once,
+    at every state, over the explored graph; its counterexample is built
+    only when it is the node reported. Coalition nodes are evaluated per
+    state by verification (with supplied strategies) or bounded synthesis.
     """
 
     def __init__(self, net: Network, mode: str = "verify",
@@ -456,8 +405,25 @@ class FormulaEvaluator:
         self.graph = explore(net, state_cap=state_cap)
         self._classes: dict[str, dict] = {}
         self._memo: dict[tuple[int, int], object] = {}
+        # out(q, {}) is the part of this graph reachable from q
+        self._outcome_graph = OutcomeGraph(net=net, coalition=frozenset(),
+                                           strategies={}, graph=self.graph)
+        self._universal: dict[int, object] = {}  # id(node) -> label set
+        # the strategic node evaluated last: its result, or (node, state) for
+        # a universal node whose counterexample is not built yet
+        self._last: object = None
         self.stats = CheckStats(states_explored=self.graph.n_states)
-        self.last_witness: Optional[CheckResult] = None
+
+    @property
+    def last_witness(self) -> Optional[CheckResult]:
+        """Result of the strategic node evaluated last."""
+        if not isinstance(self._last, tuple):
+            return self._last
+        node, i = self._last
+        res = check_temporal_universal(self._outcome_graph, node.op,
+                                       self._goal_sets(node), start=i)
+        res.witness_strategy = {}
+        return res
 
     # -- helpers ------------------------------------------------------------
     def classes_for(self, agent: str) -> dict:
@@ -549,34 +515,42 @@ class FormulaEvaluator:
                 out.add(i)
         return out
 
-    def _goal_predicates(self, node: Strategic):
-        preds = []
+    def _goal_sets(self, node: Strategic):
+        sets = []
         for sub in node.subs:
             labels = self._label_set(sub)
             if labels is _UNKNOWN:
                 return _UNKNOWN
-            index = self.graph._index  # states shared between full + outcome graphs
-            def pred(state, labels=labels, index=index):
-                j = index.get(state)
-                return j is not None and j in labels
-            preds.append(pred)
-        return preds
+            sets.append(labels)
+        return sets
+
+    def _universal_labels(self, node: Strategic):
+        """Label a universal node at every state at once."""
+        if id(node) not in self._universal:
+            subgoals = self._goal_sets(node)
+            self._universal[id(node)] = _UNKNOWN if subgoals is _UNKNOWN else \
+                label_universal(self._outcome_graph, node.op, subgoals)
+        return self._universal[id(node)]
 
     def _eval_strategic(self, node: Strategic, i: int):
-        preds = self._goal_predicates(node)
-        if preds is _UNKNOWN:
-            return _UNKNOWN
-        q = self.graph.states[i]
         if node.is_universal and node.bound == 0:
-            res = verify_strategic(self.net, q, [], 0, node.op, preds, {},
-                                   state_cap=self.state_cap)
-            self.last_witness = res
-            return res.verdict
+            labels = self._universal_labels(node)
+            if labels is _UNKNOWN:
+                return _UNKNOWN
+            self._last = (node, i)
+            return i in labels
+        sets = self._goal_sets(node)
+        if sets is _UNKNOWN:
+            return _UNKNOWN
+        index = self.graph._index  # states shared between full + outcome graphs
+        preds = [lambda state, labels=labels: index.get(state) in labels
+                 for labels in sets]
+        q = self.graph.states[i]
         if self.mode == "verify" or node.witness:
             s_A = self._strategy_for(node)
             res = verify_strategic(self.net, q, node.coalition, node.bound,
                                    node.op, preds, s_A, state_cap=self.state_cap)
-            self.last_witness = res
+            self._last = res
             return res.verdict
         try:
             res = synthesize_strategic(
@@ -585,7 +559,7 @@ class FormulaEvaluator:
         except ResourceLimitError:
             return _UNKNOWN
         self.stats.strategies_enumerated += res.stats.strategies_enumerated
-        self.last_witness = res
+        self._last = res
         return res.verdict
 
 
@@ -616,7 +590,7 @@ def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
         reason = witness.reason
     return CheckResult(
         verdict,
-        witness_strategy=witness.witness_strategy if witness else None,
-        witness_path=witness.witness_path if witness else (),
+        witness_strategy=witness.witness_strategy if witness is not None else None,
+        witness_path=witness.witness_path if witness is not None else (),
         reason=reason,
         stats=stats)

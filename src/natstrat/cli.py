@@ -343,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def cli_main(argv: Optional[list[str]] = None) -> tuple[int, RunReport]:
+def _run(argv: Optional[list[str]]) -> tuple[int, RunReport, str]:
+    """Run one command; also return the output format argparse parsed
+    ('text' when the arguments do not parse)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         code = EXIT_USAGE if exc.code not in (0, None) else 0
-        return code, RunReport(command=argv, exit_status=code)
+        return code, RunReport(command=argv, exit_status=code), "text"
     report = RunReport(command=argv, seed=args.seed)
     t0 = time.perf_counter()
     try:
@@ -365,17 +367,15 @@ def cli_main(argv: Optional[list[str]] = None) -> tuple[int, RunReport]:
         code = EXIT_RESOURCE
     report.stats["wall_time"] = round(time.perf_counter() - t0, 6)
     report.exit_status = code
-    return code, report
+    return code, report, args.format
+
+
+def cli_main(argv: Optional[list[str]] = None) -> tuple[int, RunReport]:
+    return _run(argv)[:2]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    code, report = cli_main(argv)
-    fmt = "text"
-    source = list(sys.argv[1:] if argv is None else argv)
-    if "--format" in source:
-        fmt = source[source.index("--format") + 1]
-    elif any(a.startswith("--format=") for a in source):
-        fmt = next(a.split("=", 1)[1] for a in source if a.startswith("--format="))
+    code, report, fmt = _run(argv)
     print(report.to_json() if fmt == "json" else report.to_text())
     return code
 

@@ -9,12 +9,16 @@ fairness assumption (no agent idles forever while a productive move is
 enabled), which is realized by ignoring idle self-loops and treating states
 with no productive move as terminal. Idle transitions never count toward
 step totals.
+
+`backward_fixpoint` is the one fixpoint routine: the checker's temporal
+labels and the step metric's reachability test both run on it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Container, Iterable, Optional, Sequence
 
 from .model import (
     DEFAULT_STATE_CAP, GlobalState, GuardExpr, Internal, Move, Network,
@@ -42,6 +46,9 @@ class OutcomeGraph:
             [t for t in self.graph.out_edges(i) if not t.move.is_idle]
             for i in range(self.graph.n_states)
         ]
+        # distinct productive successors of each state, in index order
+        self.succ: list[list[int]] = [sorted({t.target for t in outs})
+                                      for outs in self._nonidle]
 
     @property
     def n_states(self) -> int:
@@ -59,7 +66,7 @@ class OutcomeGraph:
         return self._nonidle[i]
 
     def successors(self, i: int) -> set[int]:
-        return {t.target for t in self._nonidle[i]}
+        return set(self.succ[i])
 
     def is_terminal(self, i: int) -> bool:
         return not self._nonidle[i]
@@ -108,6 +115,41 @@ def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
 
 
 # ---------------------------------------------------------------------------
+# The backward fixpoint behind every temporal label
+
+def backward_fixpoint(succ: Sequence[Sequence[int]], seed: Iterable[int],
+                      allowed: Optional[Container[int]] = None,
+                      some: bool = False) -> set[int]:
+    """Least set that contains `seed` and every state of `allowed` (default:
+    every state) with a successor, all of whose successors are in it -- or,
+    with `some`, one of whose successors is. `succ[i]` lists the distinct
+    successors of state i.
+
+    One backward pass: each state counts its successors not yet in the set
+    and joins when the count reaches zero, so the cost is linear in the
+    number of edges. Over productive successors, the `all` form is A(h U g)
+    and the `some` form is backward reachability E(h U g).
+    """
+    preds: list[list[int]] = [[] for _ in succ]
+    for i, outs in enumerate(succ):
+        for j in outs:
+            preds[j].append(i)
+    missing = [1 if some else len(outs) for outs in succ]
+    good = set(seed)
+    stack = list(good)
+    while stack:
+        j = stack.pop()
+        for i in preds[j]:
+            if i in good or (allowed is not None and i not in allowed):
+                continue
+            missing[i] -= 1
+            if missing[i] == 0:
+                good.add(i)
+                stack.append(i)
+    return good
+
+
+# ---------------------------------------------------------------------------
 # Worst-case steps to a goal
 
 @dataclass
@@ -127,18 +169,17 @@ class StepsResult:
         return self.kind
 
 
-def _absorbing_region(og: OutcomeGraph, goal: set[int]) -> tuple[set[int], dict[int, list[int]]]:
+def _absorbing_region(og: OutcomeGraph, goal: set[int]) -> tuple[set[int], list[list[int]]]:
     """States reachable from the start before-or-at the first goal visit;
     goal states are absorbing sinks. Successors restricted to the region."""
     region = {og.initial}
-    succ: dict[int, list[int]] = {}
+    succ: list[list[int]] = [[] for _ in range(og.n_states)]
     stack = [og.initial]
     while stack:
         i = stack.pop()
         if i in goal:
-            succ[i] = []
             continue
-        outs = sorted(og.successors(i))
+        outs = og.succ[i]
         succ[i] = outs
         for j in outs:
             if j not in region:
@@ -147,8 +188,10 @@ def _absorbing_region(og: OutcomeGraph, goal: set[int]) -> tuple[set[int], dict[
     return region, succ
 
 
-def _path_to(succ: dict[int, list[int]], start: int, targets: set[int]) -> tuple[int, ...]:
-    from collections import deque
+def shortest_path(succ: Sequence[Sequence[int]], start: int,
+                  targets: Container[int]) -> tuple[int, ...]:
+    """Breadth-first path from `start` to the nearest target, taking
+    successors in list order; () when no target is reachable."""
     prev: dict[int, int] = {start: start}
     dq = deque([start])
     while dq:
@@ -158,7 +201,7 @@ def _path_to(succ: dict[int, list[int]], start: int, targets: set[int]) -> tuple
             while path[-1] != start:
                 path.append(prev[path[-1]])
             return tuple(reversed(path))
-        for j in succ.get(i, ()):
+        for j in succ[i]:
             if j not in prev:
                 prev[j] = i
                 dq.append(j)
@@ -177,7 +220,6 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     the goal but a pre-goal cycle makes the worst case infinite.
     """
     og = outcomes(net, q, s_A, state_cap=state_cap)
-    goal = goal  # GuardExpr
     goal_set = og.satisfying(goal)
     if og.initial in goal_set:
         return StepsResult("reached", 0, witness=(og.initial,))
@@ -185,23 +227,9 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     region, succ = _absorbing_region(og, goal_set)
     region_goals = region & goal_set
 
-    # Backward reachability of the goal inside the absorbed region.
-    preds: dict[int, list[int]] = {i: [] for i in region}
-    for i, outs in succ.items():
-        for j in outs:
-            preds[j].append(i)
-    can_reach = set(region_goals)
-    stack = list(region_goals)
-    while stack:
-        j = stack.pop()
-        for i in preds[j]:
-            if i not in can_reach:
-                can_reach.add(i)
-                stack.append(i)
-
-    dead = region - can_reach
+    dead = region - backward_fixpoint(succ, region_goals, some=True)
     if dead:
-        return StepsResult("unreachable", witness=_path_to(succ, og.initial, dead))
+        return StepsResult("unreachable", witness=shortest_path(succ, og.initial, dead))
 
     # Cycle check within the pre-goal region (goal states are sinks).
     color: dict[int, int] = {}
@@ -229,8 +257,8 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
         if cycle_node is not None:
             break
     if cycle_node is not None:
-        path = _path_to(succ, og.initial, {cycle_node})
-        loop = _path_to(succ, cycle_node, {cycle_node}) or (cycle_node,)
+        path = shortest_path(succ, og.initial, {cycle_node})
+        loop = shortest_path(succ, cycle_node, {cycle_node}) or (cycle_node,)
         return StepsResult("unbounded", witness=path + loop[1:],
                            lasso_start=len(path) - 1)
 

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from natstrat.checker import (
-    check_temporal_universal, eval_formula, verify_strategic,
+    FormulaEvaluator, check_temporal_universal, eval_formula, verify_strategic,
 )
 from natstrat.dsl import parse_formula, parse_guard_text, parse_network
 from natstrat.errors import DefinitionError
-from natstrat.model import eval_guard
+from natstrat.formula import FAtom, FNot, Strategic
+from natstrat.model import LocAtom, eval_guard, or_all
 from natstrat.outcome import outcomes
 
 
@@ -286,3 +287,99 @@ def test_temporal_matches_witness_search_large(data):
         _af_oracle_witness(succ, og.initial, goal)
     assert check_temporal_universal(og, "G", [goal]).verdict == \
         _ag_oracle(succ, og.initial, goal)
+
+
+# -- universal labelling against a fresh per-state check ----------------------------
+
+def _fresh(net, f, q, memo):
+    """Truth of `f` (atoms, negation and universal nodes) at state q, each
+    universal node checked by verify_strategic on its own outcome graph."""
+    if isinstance(f, FAtom):
+        return eval_guard(f.guard, q, net)
+    if isinstance(f, FNot):
+        return not _fresh(net, f.sub, q, memo)
+    key = (id(f), q)
+    if key not in memo:
+        preds = [lambda s, sub=sub: _fresh(net, sub, s, memo) for sub in f.subs]
+        memo[key] = verify_strategic(net, q, [], 0, f.op, preds, {}).verdict
+    return memo[key]
+
+
+def _assert_labels_match(net, formulas, stride=1):
+    ev = FormulaEvaluator(net)
+    memo = {}
+    for f in formulas:
+        for i in range(0, ev.graph.n_states, stride):
+            assert ev.holds(f, i) == _fresh(net, f, ev.graph.states[i], memo), (str(f), i)
+
+
+def _universal(op, *subs):
+    return Strategic(coalition=(), bound=0, op=op, subs=subs)
+
+
+def _at(locations):
+    return FAtom(or_all(LocAtom("G", f"s{i}") for i in sorted(locations)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_small_graph())
+def test_universal_labels_match_fresh_check(case):
+    n, edges, labels, labels2 = case
+    goal, hold = _at(labels), _at(labels2)
+    _assert_labels_match(_automaton(n, edges), [
+        _universal("X", goal), _universal("F", goal), _universal("G", goal),
+        _universal("U", hold, goal),
+        _universal("G", _universal("F", goal)),
+        _universal("F", FNot(_universal("U", hold, goal))),
+    ])
+
+
+def test_universal_labels_match_fresh_check_lazy_agents(punisher):
+    net = punisher.network
+    _assert_labels_match(net, [parse_formula(t, net) for t in (
+        "A X Voter@end", "A F Voter@end", "A G !(ca_v == 2)",
+        "A (!(punished_v == 1) U Voter@end)", "A G A F Voter@end",
+        "A G A F punished_v == 1")])
+
+
+def test_universal_labels_match_fresh_check_nested_voter(base):
+    net = base.network
+    _assert_labels_match(net, [parse_formula(t, net) for t in (
+        "A G A F end", "A G A F error", "A F A G end", "A (!end U A G !error)")])
+
+
+def test_universal_labels_match_fresh_check_channels(infra_net):
+    # every 11th state: a fresh check explores up to all 448 states
+    net = infra_net
+    _assert_labels_match(net, [parse_formula(t, net) for t in (
+        "A X Printer@start", "A F EBM@wait", "A G !EBM@error",
+        "A (!(has_account == 1) U Printer@start)")], stride=11)
+
+
+def test_nested_universal_formula_explores_once(base, monkeypatch):
+    import sys
+    import natstrat.model
+    real = natstrat.model.explore
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("natstrat") and getattr(module, "explore", None) is real:
+            monkeypatch.setattr(module, "explore", counting)
+    res = eval_formula(base.network, parse_formula("A G A F end", base.network))
+    assert res.verdict is False
+    assert len(calls) == 1
+
+
+def test_false_verdict_keeps_its_counterexample(base):
+    net = base.network
+    res = eval_formula(net, parse_formula("A F end", net))
+    assert res.verdict is False
+    assert res.witness_path == (0, 1, 2, 3, 5, 7, 3)
+    ev = FormulaEvaluator(net)
+    assert res.witness_path[0] == ev.graph.index_of(net.initial_state())
+    end = parse_guard_text("end", net)
+    assert not any(eval_guard(end, ev.graph.states[i], net) for i in res.witness_path)

@@ -139,3 +139,9 @@ def test_seed_never_changes_verdicts():
         reports.append([(t.kind, t.name, t.status, t.value)
                         for t in report.tasks])
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_format_without_value_is_a_usage_error(capsys):
+    from natstrat.cli import main
+    assert main(["--format"]) == EXIT_USAGE
+    assert main(["casestudy", "--list", "--format"]) == EXIT_USAGE
