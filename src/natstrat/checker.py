@@ -4,7 +4,9 @@ against a bound, and bounded brute-force strategy synthesis.
 
 AX, AF, AG and A(U) are labelled at every state of an outcome graph at once,
 each by one backward pass of `outcome.backward_fixpoint`; a verdict at a
-state reads that state's label.
+state reads that state's label. Natural strategies are memoryless, so a
+strategic operator whose strategy is fixed is labelled over one graph: the
+explored graph restricted to that strategy (`outcome.restrict`).
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -25,7 +27,9 @@ from .model import (
     DEFAULT_STATE_CAP, And, GlobalState, GuardExpr, LocAtom, Network, Not,
     Or, StateGraph, TrueConst, VarAtom, eval_guard, explore,
 )
-from .outcome import OutcomeGraph, backward_fixpoint, outcomes, shortest_path
+from .outcome import (
+    OutcomeGraph, backward_fixpoint, outcomes, restrict, shortest_path,
+)
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
 )
@@ -153,6 +157,18 @@ def eval_knows(graph: StateGraph, agent: str, state_set: set[int], i: int,
 # ---------------------------------------------------------------------------
 # Strategic verification
 
+def _complexity_gate(coalition: Iterable[str], k: int,
+                     s_A: CollectiveStrategy) -> Optional[CheckResult]:
+    """Strict gating of a supplied strategy: a strategy for another coalition
+    is a definition error, and one above the bound makes the operator false
+    (the returned result); None when the strategy may be checked."""
+    if frozenset(coalition) != frozenset(s_A):
+        raise DefinitionError(
+            f"strategy covers {sorted(s_A)} but the coalition is {sorted(coalition)}")
+    c = complexity(s_A)
+    return CheckResult(False, reason=f"complexity {c} exceeds bound {k}") if c > k else None
+
+
 def verify_strategic(net: Network, q: Optional[GlobalState], coalition: Iterable[str],
                      k: int, op: str, goal_predicates: Sequence[Callable[[GlobalState], bool]],
                      s_A: CollectiveStrategy,
@@ -160,15 +176,11 @@ def verify_strategic(net: Network, q: Optional[GlobalState], coalition: Iterable
     """<<coalition>>^<=k op(goals) with a supplied strategy: true iff the
     collective complexity is within the bound (strict gating) and the
     universal temporal check holds on the strategy's outcome graph."""
-    coalition = frozenset(coalition)
-    if coalition != frozenset(s_A):
-        raise DefinitionError(
-            f"strategy covers {sorted(s_A)} but the coalition is {sorted(coalition)}")
     t0 = time.perf_counter()
-    c = complexity(s_A)
-    if c > k:
-        return CheckResult(False, reason=f"complexity {c} exceeds bound {k}",
-                           stats=CheckStats(wall_time=time.perf_counter() - t0))
+    gated = _complexity_gate(coalition, k, s_A)
+    if gated is not None:
+        gated.stats = CheckStats(wall_time=time.perf_counter() - t0)
+        return gated
     og = outcomes(net, q, s_A, state_cap=state_cap)
     sets = [{i for i in range(og.n_states) if pred(og.state(i))}
             for pred in goal_predicates]
@@ -381,10 +393,11 @@ class FormulaEvaluator:
 
     Knowledge accessibility always ranges over the full reachable state
     space: an observer cannot condition what it knows on strategies it does
-    not see. A universal node (empty coalition, bound 0) is labelled once,
-    at every state, over the explored graph; its counterexample is built
-    only when it is the node reported. Coalition nodes are evaluated per
-    state by verification (with supplied strategies) or bounded synthesis.
+    not see. A strategic node whose strategy is fixed (an empty coalition,
+    verify mode, or named witness strategies) is labelled once, at every
+    state, over the explored graph restricted to that strategy; its
+    counterexample is built only when it is the node reported. Other
+    coalition nodes are decided per state by bounded synthesis.
     """
 
     def __init__(self, net: Network, mode: str = "verify",
@@ -405,12 +418,9 @@ class FormulaEvaluator:
         self.graph = explore(net, state_cap=state_cap)
         self._classes: dict[str, dict] = {}
         self._memo: dict[tuple[int, int], object] = {}
-        # out(q, {}) is the part of this graph reachable from q
-        self._outcome_graph = OutcomeGraph(net=net, coalition=frozenset(),
-                                           strategies={}, graph=self.graph)
-        self._universal: dict[int, object] = {}  # id(node) -> label set
+        self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
         # the strategic node evaluated last: its result, or (node, state) for
-        # a universal node whose counterexample is not built yet
+        # a fixed-strategy node whose counterexample is not built yet
         self._last: object = None
         self.stats = CheckStats(states_explored=self.graph.n_states)
 
@@ -420,9 +430,9 @@ class FormulaEvaluator:
         if not isinstance(self._last, tuple):
             return self._last
         node, i = self._last
-        res = check_temporal_universal(self._outcome_graph, node.op,
-                                       self._goal_sets(node), start=i)
-        res.witness_strategy = {}
+        s_A, og, subgoals, _, _ = self._fixed[id(node)]
+        res = check_temporal_universal(og, node.op, subgoals, start=i)
+        res.witness_strategy = dict(s_A)
         return res
 
     # -- helpers ------------------------------------------------------------
@@ -446,17 +456,17 @@ class FormulaEvaluator:
         for cand in self.supplied.values():
             if frozenset(cand) == key:
                 return cand
+        if not key:
+            return {}
         raise DefinitionError(
             f"verify mode: no strategy supplied for coalition {sorted(key)}")
 
     # -- evaluation -----------------------------------------------------------
     def holds(self, f: Formula, i: int):
         key = (id(f), i)
-        if key in self._memo:
-            return self._memo[key]
-        val = self._eval(f, i)
-        self._memo[key] = val
-        return val
+        if key not in self._memo:
+            self._memo[key] = self._eval(f, i)
+        return self._memo[key]
 
     def _eval(self, f: Formula, i: int):
         q = self.graph.states[i]
@@ -524,19 +534,36 @@ class FormulaEvaluator:
             sets.append(labels)
         return sets
 
-    def _universal_labels(self, node: Strategic):
-        """Label a universal node at every state at once."""
-        if id(node) not in self._universal:
-            subgoals = self._goal_sets(node)
-            self._universal[id(node)] = _UNKNOWN if subgoals is _UNKNOWN else \
-                label_universal(self._outcome_graph, node.op, subgoals)
-        return self._universal[id(node)]
+    def _label_fixed(self, node: Strategic):
+        """Label a node whose strategy is fixed at every state at once:
+        (strategy, restricted graph, goal sets, label set, tainted states),
+        the gate's CheckResult when the strategy exceeds the bound, or
+        _UNKNOWN. Tainted states reach a state where matching a rule fails."""
+        s_A = self._strategy_for(node)
+        gated = _complexity_gate(node.coalition, node.bound, s_A)
+        if gated is not None:
+            return gated
+        og, errors = restrict(self.graph, s_A)
+        subgoals = self._goal_sets(node)
+        if subgoals is _UNKNOWN:
+            return _UNKNOWN
+        tainted = backward_fixpoint(og.succ, errors, some=True) if errors else errors
+        return s_A, og, subgoals, label_universal(og, node.op, subgoals), tainted
 
     def _eval_strategic(self, node: Strategic, i: int):
-        if node.is_universal and node.bound == 0:
-            labels = self._universal_labels(node)
-            if labels is _UNKNOWN:
+        if node.is_universal or self.mode == "verify" or node.witness:
+            if id(node) not in self._fixed:
+                self._fixed[id(node)] = self._label_fixed(node)
+            fixed = self._fixed[id(node)]
+            if fixed is _UNKNOWN:
                 return _UNKNOWN
+            if isinstance(fixed, CheckResult):
+                self._last = fixed
+                return fixed.verdict
+            s_A, _, _, labels, tainted = fixed
+            if i in tainted:
+                # raises the StrategyError that verify_strategic raises here
+                outcomes(self.net, self.graph.states[i], s_A, state_cap=self.state_cap)
             self._last = (node, i)
             return i in labels
         sets = self._goal_sets(node)
@@ -546,12 +573,6 @@ class FormulaEvaluator:
         preds = [lambda state, labels=labels: index.get(state) in labels
                  for labels in sets]
         q = self.graph.states[i]
-        if self.mode == "verify" or node.witness:
-            s_A = self._strategy_for(node)
-            res = verify_strategic(self.net, q, node.coalition, node.bound,
-                                   node.op, preds, s_A, state_cap=self.state_cap)
-            self._last = res
-            return res.verdict
         try:
             res = synthesize_strategic(
                 self.net, q, node.coalition, node.bound, node.op, preds,
@@ -585,12 +606,8 @@ def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
                        wall_time=time.perf_counter() - t0)
     verdict: Verdict = None if v is _UNKNOWN else bool(v)
     witness = ev.last_witness
-    reason = "enumeration cap hit (unknown)" if verdict is None else ""
-    if witness is not None and witness.reason:
-        reason = witness.reason
-    return CheckResult(
-        verdict,
-        witness_strategy=witness.witness_strategy if witness is not None else None,
-        witness_path=witness.witness_path if witness is not None else (),
-        reason=reason,
-        stats=stats)
+    if witness is None:
+        witness = CheckResult(None)
+    reason = witness.reason or ("enumeration cap hit (unknown)" if verdict is None else "")
+    return CheckResult(verdict, witness_strategy=witness.witness_strategy,
+                       witness_path=witness.witness_path, reason=reason, stats=stats)

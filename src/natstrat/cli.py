@@ -6,14 +6,17 @@ voter_full, coercion_punisher, coercion_infector, coercion_watchdog,
 infrastructure); bundled models bring their strategies and formulas along.
 
 Exit codes: 0 all verdicts true / metrics computed, 1 a checked property is
-false, 2 usage or definition error, 3 a resource cap was exceeded.
+false, 2 a usage error or any other natstrat error (definition, strategy,
+bounds), 3 a resource cap was exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,17 +25,15 @@ from .checker import SynthesisConfig, eval_formula, synthesize_strategic
 from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
-from .errors import (
-    DefinitionError, ExportError, ParseError, ResourceLimitError,
-)
+from .errors import DefinitionError, NatStratError, ResourceLimitError
 from .formula import Strategic, strategic_nodes, Formula
 from .formula import FNot, FAnd, FOr, FImplies, Knows
-from .model import DEFAULT_STATE_CAP, Network, eval_guard
+from .model import DEFAULT_STATE_CAP, Network, eval_guard, explore
 from .outcome import outcomes, steps_to_goal
 from .report import (
     EXIT_OK, EXIT_PROPERTY, EXIT_RESOURCE, EXIT_USAGE, RunReport, TaskReport,
 )
-from .strategy import complexity
+from .strategy import collective, complexity
 from .uppaal import export_uppaal
 
 _BUNDLED = {
@@ -86,16 +87,12 @@ def _witness_detail(net: Network, res, graph_states=None) -> dict:
 
 def _override_bounds(f: Formula, bound: int) -> Formula:
     if isinstance(f, Strategic):
-        return Strategic(coalition=f.coalition, bound=bound, op=f.op,
-                         subs=tuple(_override_bounds(s, bound) for s in f.subs),
-                         witness=f.witness)
-    if isinstance(f, FNot):
-        return FNot(_override_bounds(f.sub, bound))
-    if isinstance(f, Knows):
-        return Knows(f.agent, _override_bounds(f.sub, bound))
+        return replace(f, bound=bound, subs=tuple(_override_bounds(s, bound) for s in f.subs))
+    if isinstance(f, (FNot, Knows)):
+        return replace(f, sub=_override_bounds(f.sub, bound))
     if isinstance(f, (FAnd, FOr, FImplies)):
-        return type(f)(_override_bounds(f.left, bound),
-                       _override_bounds(f.right, bound))
+        return replace(f, left=_override_bounds(f.left, bound),
+                       right=_override_bounds(f.right, bound))
     return f
 
 
@@ -138,24 +135,22 @@ def _cmd_check(args, report: RunReport) -> int:
         formula = _override_bounds(formula, args.bound)
     supplied = {}
     if args.use:
-        from .strategy import collective
-        chosen = []
         for name in args.use:
             if name not in bundle.strategies:
                 raise DefinitionError(f"unknown strategy {name}")
-            chosen.append(bundle.strategies[name])
-        coll = collective(*chosen)
-        for node in strategic_nodes(formula):
-            if frozenset(node.coalition) == frozenset(coll):
-                supplied[id(node)] = coll
+        coll = collective(*(bundle.strategies[name] for name in args.use))
+        supplied = {id(node): coll for node in strategic_nodes(formula)
+                    if frozenset(node.coalition) == frozenset(coll)}
     mode = "synthesize" if args.mode == "synth" else args.mode
     res = eval_formula(net, formula, mode=mode, supplied=supplied,
                        strategies_by_name=bundle.strategies,
                        synthesis=SynthesisConfig(state_cap=args.state_cap),
                        state_cap=args.state_cap)
     status = "ok" if res.verdict else ("error" if res.verdict is None else "fail")
+    # a witness path indexes the states explored from the initial state
+    states = explore(net, state_cap=args.state_cap).states if res.witness_path else None
     report.add(TaskReport("check", fname, status, value=res.verdict,
-                          detail=_witness_detail(net, res)))
+                          detail=_witness_detail(net, res, states)))
     if res.verdict is None:
         return EXIT_RESOURCE
     return EXIT_OK if res.verdict else EXIT_PROPERTY
@@ -170,12 +165,8 @@ def _cmd_steps(args, report: RunReport) -> int:
     s = bundle.strategies[args.strategy]
     goal = parse_guard_text(args.goal, net)
     start = None
-    if args.start:
-        locs = {}
-        for item in args.start:
-            agent, _, loc = item.partition("=")
-            locs[agent] = loc
-        start = net.state(locations=locs)
+    if args.start:  # AGENT=LOC items
+        start = net.state(locations=dict(item.partition("=")[::2] for item in args.start))
     res = steps_to_goal(net, start, {s.agent: s}, goal, state_cap=args.state_cap)
     detail = {}
     if not res.reached and res.witness:
@@ -357,14 +348,10 @@ def _run(argv: Optional[list[str]]) -> tuple[int, RunReport, str]:
     t0 = time.perf_counter()
     try:
         code = args.func(args, report)
-    except (ParseError, DefinitionError, ExportError) as exc:
+    except NatStratError as exc:
         report.add(TaskReport("error", args.command, "error",
                               detail={"error": str(exc)}))
-        code = EXIT_USAGE
-    except ResourceLimitError as exc:
-        report.add(TaskReport("error", args.command, "error",
-                              detail={"error": str(exc)}))
-        code = EXIT_RESOURCE
+        code = EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
     report.stats["wall_time"] = round(time.perf_counter() - t0, 6)
     report.exit_status = code
     return code, report, args.format
@@ -376,7 +363,13 @@ def cli_main(argv: Optional[list[str]] = None) -> tuple[int, RunReport]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     code, report, fmt = _run(argv)
-    print(report.to_json() if fmt == "json" else report.to_text())
+    try:
+        print(report.to_json() if fmt == "json" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is left, and the flush at exit, to
+        # the null device, as the `signal` module documentation recommends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -2,7 +2,9 @@
 
 The outcome of a collective strategy from a state is the reachable graph in
 which every coalition member only takes actions its strategy prescribes
-(first-match semantics), while all other agents behave freely.
+(first-match semantics), while all other agents behave freely. `outcomes`
+explores it from one state; `restrict` cuts it out of an explored graph for
+every state at once, with the same move filter.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
+from .errors import StrategyError
 from .model import (
     DEFAULT_STATE_CAP, GlobalState, GuardExpr, Internal, Move, Network,
     StateGraph, Transition, explore,
@@ -78,11 +81,12 @@ class OutcomeGraph:
         return any(a in self.coalition for a in t.move.actors)
 
 
-def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
-             state_cap: int = DEFAULT_STATE_CAP) -> OutcomeGraph:
-    """Build out(q, s_A) directly: at every state each coalition agent is
+def strategy_filter(net: Network,
+                    s_A: CollectiveStrategy) -> Callable[[GlobalState, Move], bool]:
+    """The move filter of s_A: at every state each coalition agent is
     restricted to its matched rule's action (every available action under the
-    wildcard, nothing when a partial strategy has no matching rule)."""
+    wildcard, nothing when a partial strategy has no matching rule). Raises
+    StrategyError at a state where matching a rule fails."""
     coalition = frozenset(s_A)
     for agent in coalition:
         net.agent(agent)
@@ -108,10 +112,37 @@ def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
             ok = move.recv_edge.action in allowed(move.receiver, state)
         return ok
 
+    return move_filter
+
+
+def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
+             state_cap: int = DEFAULT_STATE_CAP) -> OutcomeGraph:
+    """Build out(q, s_A) directly, exploring only the moves s_A allows."""
     graph = explore(net, start=q, state_cap=state_cap,
-                    move_filter=move_filter if coalition else None)
-    return OutcomeGraph(net=net, coalition=coalition, strategies=dict(s_A),
+                    move_filter=strategy_filter(net, s_A) if s_A else None)
+    return OutcomeGraph(net=net, coalition=frozenset(s_A), strategies=dict(s_A),
                         graph=graph)
+
+
+def restrict(graph: StateGraph, s_A: CollectiveStrategy) -> tuple[OutcomeGraph, set[int]]:
+    """out(q, s_A) for every state q of an explored graph at once: the graph
+    keeping the moves s_A allows, and the states where matching a rule
+    raises StrategyError. Strategies are memoryless, so out(q, s_A) is the
+    part reachable from q, and `outcomes` from q raises exactly when an error
+    state is reachable. With no coalition the graph itself is used."""
+    errors: set[int] = set()
+    if s_A:
+        move_filter = strategy_filter(graph.net, s_A)
+        kept: list[Transition] = []
+        for i, q in enumerate(graph.states):
+            try:
+                kept += [t for t in graph.out_edges(i) if move_filter(q, t.move)]
+            except StrategyError:
+                errors.add(i)
+        graph = StateGraph(net=graph.net, states=graph.states, transitions=kept,
+                           initial=graph.initial)
+    return OutcomeGraph(net=graph.net, coalition=frozenset(s_A),
+                        strategies=dict(s_A), graph=graph), errors
 
 
 # ---------------------------------------------------------------------------
@@ -169,25 +200,6 @@ class StepsResult:
         return self.kind
 
 
-def _absorbing_region(og: OutcomeGraph, goal: set[int]) -> tuple[set[int], list[list[int]]]:
-    """States reachable from the start before-or-at the first goal visit;
-    goal states are absorbing sinks. Successors restricted to the region."""
-    region = {og.initial}
-    succ: list[list[int]] = [[] for _ in range(og.n_states)]
-    stack = [og.initial]
-    while stack:
-        i = stack.pop()
-        if i in goal:
-            continue
-        outs = og.succ[i]
-        succ[i] = outs
-        for j in outs:
-            if j not in region:
-                region.add(j)
-                stack.append(j)
-    return region, succ
-
-
 def shortest_path(succ: Sequence[Sequence[int]], start: int,
                   targets: Container[int]) -> tuple[int, ...]:
     """Breadth-first path from `start` to the nearest target, taking
@@ -224,65 +236,40 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     if og.initial in goal_set:
         return StepsResult("reached", 0, witness=(og.initial,))
 
-    region, succ = _absorbing_region(og, goal_set)
-    region_goals = region & goal_set
+    # Goal states are sinks. One depth-first pass from the start visits the
+    # pre-goal region: a successor still on the stack closes a cycle, the
+    # stack from it up being the loop; without one, the reversed finishing
+    # order is a topological order of the region.
+    succ = [[] if i in goal_set else outs for i, outs in enumerate(og.succ)]
+    depth = {og.initial: 0}  # stack position of each node on the stack
+    stack = [(og.initial, iter(succ[og.initial]))]
+    order: list[int] = []
+    region: set[int] = set()
+    lasso: Optional[StepsResult] = None
+    while stack:
+        node, outs = stack[-1]
+        nxt = next(outs, None)
+        if nxt is None:
+            stack.pop()
+            del depth[node]
+            region.add(node)
+            order.append(node)
+        elif nxt in depth:
+            if lasso is None:
+                lasso = StepsResult("unbounded", witness=tuple(n for n, _ in stack) + (nxt,),
+                                    lasso_start=depth[nxt])
+        elif nxt not in region:
+            depth[nxt] = len(stack)
+            stack.append((nxt, iter(succ[nxt])))
 
+    region_goals = region & goal_set
     dead = region - backward_fixpoint(succ, region_goals, some=True)
     if dead:
         return StepsResult("unreachable", witness=shortest_path(succ, og.initial, dead))
-
-    # Cycle check within the pre-goal region (goal states are sinks).
-    color: dict[int, int] = {}
-    cycle_node: Optional[int] = None
-    for root in region:
-        if color.get(root):
-            continue
-        stack2: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack2 and cycle_node is None:
-            node, idx = stack2[-1]
-            outs = succ[node]
-            if idx < len(outs):
-                stack2[-1] = (node, idx + 1)
-                nxt = outs[idx]
-                c = color.get(nxt, 0)
-                if c == 0:
-                    color[nxt] = 1
-                    stack2.append((nxt, 0))
-                elif c == 1:
-                    cycle_node = nxt
-            else:
-                color[node] = 2
-                stack2.pop()
-        if cycle_node is not None:
-            break
-    if cycle_node is not None:
-        path = shortest_path(succ, og.initial, {cycle_node})
-        loop = shortest_path(succ, cycle_node, {cycle_node}) or (cycle_node,)
-        return StepsResult("unbounded", witness=path + loop[1:],
-                           lasso_start=len(path) - 1)
+    if lasso is not None:
+        return lasso
 
     # Acyclic pre-goal region: longest path to a goal state.
-    order: list[int] = []
-    mark: set[int] = set()
-    def topo(node: int):
-        stack3 = [(node, 0)]
-        while stack3:
-            n, idx = stack3[-1]
-            if idx == 0 and n in mark:
-                stack3.pop()
-                continue
-            mark.add(n)
-            outs = succ[n]
-            if idx < len(outs):
-                stack3[-1] = (n, idx + 1)
-                nxt = outs[idx]
-                if nxt not in mark:
-                    stack3.append((nxt, 0))
-            else:
-                order.append(n)
-                stack3.pop()
-    topo(og.initial)
     order.reverse()
     dist = {og.initial: 0}
     parent: dict[int, int] = {}

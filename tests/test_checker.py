@@ -4,11 +4,15 @@ from hypothesis import given, settings, strategies as st
 from natstrat.checker import (
     FormulaEvaluator, check_temporal_universal, eval_formula, verify_strategic,
 )
-from natstrat.dsl import parse_formula, parse_guard_text, parse_network
-from natstrat.errors import DefinitionError
+from natstrat.casestudy import build_voter
+from natstrat.dsl import (
+    parse_formula, parse_guard_text, parse_network, parse_strategy,
+)
+from natstrat.errors import DefinitionError, StrategyError
 from natstrat.formula import FAtom, FNot, Strategic
-from natstrat.model import LocAtom, eval_guard, or_all
+from natstrat.model import LocAtom, TrueConst, eval_guard, or_all
 from natstrat.outcome import outcomes
+from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
 
 
 # -- direct spec examples --------------------------------------------------------
@@ -356,7 +360,8 @@ def test_universal_labels_match_fresh_check_channels(infra_net):
         "A (!(has_account == 1) U Printer@start)")], stride=11)
 
 
-def test_nested_universal_formula_explores_once(base, monkeypatch):
+def _count_explore(monkeypatch) -> list:
+    """Record every call to `explore`, under every name natstrat imported it."""
     import sys
     import natstrat.model
     real = natstrat.model.explore
@@ -369,6 +374,11 @@ def test_nested_universal_formula_explores_once(base, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("natstrat") and getattr(module, "explore", None) is real:
             monkeypatch.setattr(module, "explore", counting)
+    return calls
+
+
+def test_nested_universal_formula_explores_once(base, monkeypatch):
+    calls = _count_explore(monkeypatch)
     res = eval_formula(base.network, parse_formula("A G A F end", base.network))
     assert res.verdict is False
     assert len(calls) == 1
@@ -383,3 +393,106 @@ def test_false_verdict_keeps_its_counterexample(base):
     assert res.witness_path[0] == ev.graph.index_of(net.initial_state())
     end = parse_guard_text("end", net)
     assert not any(eval_guard(end, ev.graph.states[i], net) for i in res.witness_path)
+
+
+# -- fixed-strategy coalition labelling against a fresh per-state check ------------
+
+def _outcome_at(check):
+    """(verdict, reason) of a check, or the message of its StrategyError."""
+    try:
+        return check()
+    except StrategyError as exc:
+        return f"StrategyError: {exc}"
+
+
+def _assert_coalition_labels_match(net, node, s_A):
+    """At every reachable state, the evaluator's value of `node` and the
+    reason it reports equal those of a fresh verify_strategic there, or both
+    raise the same StrategyError. Returns how many states raised."""
+    ev = FormulaEvaluator(net, supplied={id(node): s_A})
+    memo = {}
+    preds = [lambda q, sub=sub: _fresh(net, sub, q, memo) for sub in node.subs]
+
+    def evaluated(i):
+        verdict = ev.holds(node, i)
+        return verdict, ev.last_witness.reason
+
+    def fresh(q):
+        res = verify_strategic(net, q, node.coalition, node.bound, node.op, preds, s_A)
+        return res.verdict, res.reason
+
+    errors = 0
+    for i, q in enumerate(ev.graph.states):
+        got = _outcome_at(lambda: evaluated(i))
+        assert got == _outcome_at(lambda: fresh(q)), (str(node), i)
+        errors += isinstance(got, str)
+    return errors
+
+
+@st.composite
+def _graph_and_strategy(draw):
+    """A random automaton, a total or partial strategy for it over location
+    guards (concrete actions and the wildcard), and a coalition node."""
+    n, edges, labels, labels2 = draw(_small_graph())
+    actions = [f"e{k}" for k in range(len(edges))] + [WILDCARD]
+    rules = [Rule(_at(draw(st.frozensets(st.integers(0, n - 1)))).guard,
+                  draw(st.sampled_from(actions)))
+             for _ in range(draw(st.integers(0, 3)))]
+    if not rules or draw(st.booleans()):
+        rules.append(Rule(TrueConst(), draw(st.sampled_from(actions))))
+    op = draw(st.sampled_from("XFGU"))
+    subs = (_at(labels2), _at(labels)) if op == "U" else (_at(labels),)
+    node = Strategic(coalition=("G",), bound=draw(st.integers(1, 20)), op=op, subs=subs)
+    return _automaton(n, edges), node, NaturalStrategy(agent="G", rules=tuple(rules))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_graph_and_strategy())
+def test_coalition_labels_match_fresh_check(case):
+    net, node, s = case
+    _assert_coalition_labels_match(net, node, {"G": s})
+
+
+def test_coalition_labels_match_fresh_check_voter(base):
+    net = base.network
+    s_A = {"Voter": base.strategies["cast_verify"]}
+    for text in ("<<Voter>>^15 F end", "<<Voter>>^15 G !error", "<<Voter>>^15 X printing",
+                 "<<Voter>>^15 (!error U end)", "<<Voter>>^14 F end"):
+        assert _assert_coalition_labels_match(net, parse_formula(text, net), s_A) == 0
+
+
+def test_coalition_labels_match_fresh_check_errors_at_some_states(base):
+    net = base.network
+    # `enter` is unavailable once the voter has voted, so matching fails there
+    bad = parse_strategy("strategy bad for Voter { when !voted do *; when true do enter; }",
+                         net)
+    node = parse_formula("<<Voter>>^3 F end", net)
+    errors = _assert_coalition_labels_match(net, node, {"Voter": bad})
+    assert 0 < errors < FormulaEvaluator(net).graph.n_states
+
+
+def test_coalition_labels_match_fresh_check_lazy_agents(punisher):
+    net = punisher.network
+    s_A = {"Coercer": punisher.strategies["punish_disobedient"]}
+    for text in ("<<Coercer>>^16 F punished_v == 1", "<<Coercer>>^16 G !(ca_v == 2)",
+                 "<<Coercer>>^16 X Voter@voted", "<<Coercer>>^16 F A G Voter@end"):
+        _assert_coalition_labels_match(net, parse_formula(text, net), s_A)
+
+
+def test_nested_coalition_formula_explores_once(monkeypatch):
+    bundle = build_voter("full", 30, 20)
+    net = bundle.network
+    calls = _count_explore(monkeypatch)
+    res = eval_formula(net, parse_formula("A G <<Voter:cast_verify_symbolwise>>^29 F end", net),
+                       strategies_by_name=bundle.strategies)
+    assert res.verdict is False
+    assert len(calls) == 1
+
+
+def test_empty_coalition_with_a_bound_is_universal_in_verify_mode(base):
+    net = base.network
+    got = eval_formula(net, parse_formula("<<>>^3 F end", net))
+    want = eval_formula(net, parse_formula("A F end", net))
+    assert got.verdict is want.verdict is False
+    assert (got.reason, got.witness_path, got.witness_strategy) == \
+        (want.reason, want.witness_path, want.witness_strategy)

@@ -145,3 +145,43 @@ def test_format_without_value_is_a_usage_error(capsys):
     from natstrat.cli import main
     assert main(["--format"]) == EXIT_USAGE
     assert main(["casestudy", "--list", "--format"]) == EXIT_USAGE
+
+
+def test_strategy_error_exit_two(tmp_path):
+    f = tmp_path / "bad.nss"
+    f.write_text("strategy bad for Voter { when true do enter; }")
+    code, report = run("check", "--model", "voter_base", "--strategies", str(f),
+                       "--use", "bad", "--formula", "<<Voter>>^1 F end")
+    assert code == EXIT_USAGE
+    assert report.tasks[0].kind == "error"
+    assert "no rule matches" in report.tasks[0].detail["error"]
+
+
+def test_check_reports_counterexample_trace():
+    code, report = run("check", "--model", "voter_base",
+                       "--formula", "A G !Voter@error", "--format", "json")
+    assert code == EXIT_PROPERTY
+    path = json.loads(report.to_json())["tasks"][0]["detail"]["witness_path"]
+    assert path[0] == "(Voter@start)"
+    assert "Voter@error" in path[-1]
+
+
+def test_main_survives_a_closed_pipe(monkeypatch, tmp_path):
+    import io
+    import sys
+    from natstrat.cli import main
+
+    sink = open(tmp_path / "sink", "w")
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return sink.fileno()
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["casestudy", "--list", "--format=json"]) == EXIT_OK
+    finally:
+        sink.close()

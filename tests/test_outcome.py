@@ -99,6 +99,8 @@ agent T {
     res = steps_to_goal(net, None, {"T": s}, parse_guard_text("win", net))
     assert res.kind == "unbounded"
     assert res.lasso_start is not None
+    assert res.witness == (0, 1, 0)
+    assert res.lasso_start == 0
 
 
 def test_steps_idle_excluded(base):
