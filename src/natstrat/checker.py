@@ -6,7 +6,8 @@ AX, AF, AG and A(U) are labelled at every state of an outcome graph at once,
 each by one backward pass of `outcome.backward_fixpoint`; a verdict at a
 state reads that state's label. Natural strategies are memoryless, so a
 strategic operator whose strategy is fixed is labelled over one graph: the
-explored graph restricted to that strategy (`outcome.restrict`).
+explored graph restricted to that strategy (`outcome.restrict`), the way
+synthesis checks each candidate from the state in question.
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import DefinitionError, ResourceLimitError, StrategyError
+from .errors import DefinitionError, ResourceLimitError
 from .formula import (
     FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic,
 )
@@ -323,54 +324,60 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     to k (ties broken by rule count, then guard text) and return the first
     one whose outcome graph passes the universal temporal check. False means
     the enumeration was exhaustive; a cap raises ResourceLimitError so that
-    'unknown' is never conflated with 'false'."""
+    'unknown' is never conflated with 'false'. The network is explored once
+    from q, within `config.state_cap`, and each candidate restricts it."""
     t0 = time.perf_counter()
-    coalition = list(dict.fromkeys(coalition))
     if not coalition:
-        res = verify_strategic(net, q, [], k, op, goal_predicates, {},
-                               state_cap=config.state_cap)
-        return res
+        return verify_strategic(net, q, [], k, op, goal_predicates, {},
+                                state_cap=config.state_cap)
+    graph = explore(net, start=q, state_cap=config.state_cap)
+    subgoals = [{i for i, state in enumerate(graph.states) if pred(state)}
+                for pred in goal_predicates]
+    res = _synthesize(graph, graph.initial, coalition, k, op, subgoals, vocabulary, config)
+    res.stats.wall_time = time.perf_counter() - t0
+    return res
+
+
+def _candidates(net: Network, coalition: Sequence[str], k: int,
+                vocab: Sequence[GuardExpr]) -> Iterator[CollectiveStrategy]:
+    """Collective strategies of complexity up to k in canonical order
+    (complexity, rule count, text), each level built and sorted in full."""
+    for total in range(len(coalition), k + 1):
+        level = [{s.agent: s for s in combo}
+                 for split in _splits(total, len(coalition))
+                 for combo in itertools.product(*[_agent_strategies(net, a, b, vocab)
+                                                  for a, b in zip(coalition, split)])]
+        level.sort(key=lambda c: (sum(len(s.rules) for s in c.values()),
+                                  _strategy_text(c)))
+        yield from level
+
+
+def _synthesize(graph: StateGraph, start: int, coalition: Sequence[str], k: int,
+                op: str, subgoals: Sequence[set[int]],
+                vocabulary: Optional[Sequence[GuardExpr]],
+                config: SynthesisConfig) -> CheckResult:
+    """<<coalition>>^<=k op(subgoals) at state `start` of an explored graph:
+    the first candidate whose restriction from `start` visits no state where
+    matching a rule fails and labels `start`."""
+    coalition = list(dict.fromkeys(coalition))
+    stats = CheckStats(states_explored=graph.n_states)
     if k < len(coalition):
         # every member's strategy has at least the ⊤ rule, costing 1
-        return CheckResult(False, reason=f"bound {k} below coalition size",
-                           stats=CheckStats(wall_time=time.perf_counter() - t0))
-    vocab = list(vocabulary) if vocabulary is not None else default_vocabulary(net, coalition)
-    enumerated = 0
-    for total in range(len(coalition), k + 1):
-        candidates: list[CollectiveStrategy] = []
-        for split in _splits(total, len(coalition)):
-            pools = [list(_agent_strategies(net, a, b, vocab))
-                     for a, b in zip(coalition, split)]
-            for combo in itertools.product(*pools):
-                candidates.append({s.agent: s for s in combo})
-        candidates.sort(key=lambda c: (sum(len(s.rules) for s in c.values()),
-                                       _strategy_text(c)))
-        for cand in candidates:
-            enumerated += 1
-            if enumerated > config.enumeration_cap:
-                raise ResourceLimitError(
-                    f"synthesis cap {config.enumeration_cap} exceeded "
-                    f"(verdict unknown)", partial=enumerated)
-            try:
-                og = outcomes(net, q, cand, state_cap=config.state_cap)
-            except StrategyError:
-                continue
-            sets = [{i for i in range(og.n_states) if pred(og.state(i))}
-                    for pred in goal_predicates]
-            try:
-                res = check_temporal_universal(og, op, sets)
-            except StrategyError:
-                continue
-            if res.verdict:
-                return CheckResult(
-                    True, witness_strategy=cand,
-                    reason=f"witness of complexity {complexity(cand)}",
-                    stats=CheckStats(states_explored=og.n_states,
-                                     strategies_enumerated=enumerated,
-                                     wall_time=time.perf_counter() - t0))
-    return CheckResult(False, reason="exhaustive enumeration",
-                       stats=CheckStats(strategies_enumerated=enumerated,
-                                        wall_time=time.perf_counter() - t0))
+        return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
+    vocab = (list(vocabulary) if vocabulary is not None
+             else default_vocabulary(graph.net, coalition))
+    for cand in _candidates(graph.net, coalition, k, vocab):
+        stats.strategies_enumerated += 1
+        if stats.strategies_enumerated > config.enumeration_cap:
+            raise ResourceLimitError(
+                f"synthesis cap {config.enumeration_cap} exceeded "
+                f"(verdict unknown)", partial=stats.strategies_enumerated)
+        og, errors = restrict(graph, cand, start)
+        if not errors and start in label_universal(og, op, subgoals):
+            return CheckResult(True, witness_strategy=cand,
+                               reason=f"witness of complexity {complexity(cand)}",
+                               stats=stats)
+    return CheckResult(False, reason="exhaustive enumeration", stats=stats)
 
 
 def _strategy_text(c: CollectiveStrategy) -> str:
@@ -385,6 +392,8 @@ def _strategy_text(c: CollectiveStrategy) -> str:
 # Formula evaluation
 
 _UNKNOWN = object()
+# (left, right) child values that alone fix a connective; the right one is its result
+_FIXING_VALUES = {FAnd: (False, False), FOr: (True, True), FImplies: (False, True)}
 
 
 class FormulaEvaluator:
@@ -397,7 +406,7 @@ class FormulaEvaluator:
     verify mode, or named witness strategies) is labelled once, at every
     state, over the explored graph restricted to that strategy; its
     counterexample is built only when it is the node reported. Other
-    coalition nodes are decided per state by bounded synthesis.
+    coalition nodes are decided per state by bounded synthesis on that graph.
     """
 
     def __init__(self, net: Network, mode: str = "verify",
@@ -419,19 +428,40 @@ class FormulaEvaluator:
         self._classes: dict[str, dict] = {}
         self._memo: dict[tuple[int, int], object] = {}
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
-        # the strategic node evaluated last: its result, or (node, state) for
-        # a fixed-strategy node whose counterexample is not built yet
-        self._last: object = None
+        # (id(node), state) -> result of a node decided by synthesis
+        self._synthesized: dict[tuple[int, int], CheckResult] = {}
         self.stats = CheckStats(states_explored=self.graph.n_states)
 
-    @property
-    def last_witness(self) -> Optional[CheckResult]:
-        """Result of the strategic node evaluated last."""
-        if not isinstance(self._last, tuple):
-            return self._last
-        node, i = self._last
-        s_A, og, subgoals, _, _ = self._fixed[id(node)]
-        res = check_temporal_universal(og, node.op, subgoals, start=i)
+    def witness(self, f: Formula, i: int) -> Optional[CheckResult]:
+        """Result of the strategic node and state that decided the evaluated
+        formula f at state i (None if none did, or synthesis hit its cap).
+        The walk goes to the child whose value alone fixes the result (the
+        first evaluated one), else to the left child (∧ True, ∨ False) or the
+        consequent (→ False); K False goes to a state of the class where its
+        child is False, and unknown values to the first unknown child."""
+        v = self._memo[(id(f), i)]
+        if isinstance(f, FNot) or (isinstance(f, Knows) and v is True):
+            return self.witness(f.sub, i)
+        if isinstance(f, (FAnd, FOr, FImplies)):
+            l, r = (self._memo.get((id(sub), i)) for sub in (f.left, f.right))
+            fix_l, fix_r = _FIXING_VALUES[type(f)]
+            if l is (_UNKNOWN if v is _UNKNOWN else fix_l):
+                return self.witness(f.left, i)
+            if r is (_UNKNOWN if v is _UNKNOWN else fix_r):
+                return self.witness(f.right, i)
+            return self.witness(f.right if isinstance(f, FImplies) else f.left, i)
+        if isinstance(f, Knows):
+            states = (range(self.graph.n_states) if v is _UNKNOWN else self.classes_for(
+                f.agent)[observation(self.net, f.agent, self.graph.states[i])])
+            return self.witness(f.sub, min(
+                j for j in states if self._memo.get((id(f.sub), j)) is v))
+        fixed = self._fixed.get(id(f), _UNKNOWN)
+        if fixed is _UNKNOWN:  # an atom, or a node decided by synthesis or unknown
+            return self._synthesized.get((id(f), i))
+        if isinstance(fixed, CheckResult):
+            return fixed
+        s_A, og, subgoals, _, _ = fixed
+        res = check_temporal_universal(og, f.op, subgoals, start=i)
         res.witness_strategy = dict(s_A)
         return res
 
@@ -475,36 +505,15 @@ class FormulaEvaluator:
         if isinstance(f, FNot):
             v = self.holds(f.sub, i)
             return _UNKNOWN if v is _UNKNOWN else (not v)
-        if isinstance(f, FAnd):
+        if isinstance(f, (FAnd, FOr, FImplies)):
+            fix_l, fix_r = _FIXING_VALUES[type(f)]
             l = self.holds(f.left, i)
-            if l is False:
-                return False
+            if l is fix_l:
+                return fix_r
             r = self.holds(f.right, i)
-            if r is False:
-                return False
-            if l is _UNKNOWN or r is _UNKNOWN:
-                return _UNKNOWN
-            return True
-        if isinstance(f, FOr):
-            l = self.holds(f.left, i)
-            if l is True:
-                return True
-            r = self.holds(f.right, i)
-            if r is True:
-                return True
-            if l is _UNKNOWN or r is _UNKNOWN:
-                return _UNKNOWN
-            return False
-        if isinstance(f, FImplies):
-            l = self.holds(f.left, i)
-            if l is False:
-                return True
-            r = self.holds(f.right, i)
-            if r is True:
-                return True
-            if l is _UNKNOWN or r is _UNKNOWN:
-                return _UNKNOWN
-            return not (l and not r)
+            if r is fix_r:
+                return fix_r
+            return _UNKNOWN if l is _UNKNOWN or r is _UNKNOWN else not fix_r
         if isinstance(f, Knows):
             state_set = self._label_set(f.sub)
             if state_set is _UNKNOWN:
@@ -558,29 +567,22 @@ class FormulaEvaluator:
             if fixed is _UNKNOWN:
                 return _UNKNOWN
             if isinstance(fixed, CheckResult):
-                self._last = fixed
                 return fixed.verdict
             s_A, _, _, labels, tainted = fixed
             if i in tainted:
                 # raises the StrategyError that verify_strategic raises here
                 outcomes(self.net, self.graph.states[i], s_A, state_cap=self.state_cap)
-            self._last = (node, i)
             return i in labels
         sets = self._goal_sets(node)
         if sets is _UNKNOWN:
             return _UNKNOWN
-        index = self.graph._index  # states shared between full + outcome graphs
-        preds = [lambda state, labels=labels: index.get(state) in labels
-                 for labels in sets]
-        q = self.graph.states[i]
         try:
-            res = synthesize_strategic(
-                self.net, q, node.coalition, node.bound, node.op, preds,
-                vocabulary=self.vocabulary, config=self.synthesis)
+            res = _synthesize(self.graph, i, node.coalition, node.bound, node.op, sets,
+                              self.vocabulary, self.synthesis)
         except ResourceLimitError:
             return _UNKNOWN
         self.stats.strategies_enumerated += res.stats.strategies_enumerated
-        self._last = res
+        self._synthesized[(id(node), i)] = res
         return res.verdict
 
 
@@ -605,7 +607,7 @@ def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
                        strategies_enumerated=ev.stats.strategies_enumerated,
                        wall_time=time.perf_counter() - t0)
     verdict: Verdict = None if v is _UNKNOWN else bool(v)
-    witness = ev.last_witness
+    witness = ev.witness(f, ev.graph.index_of(q0))
     if witness is None:
         witness = CheckResult(None)
     reason = witness.reason or ("enumeration cap hit (unknown)" if verdict is None else "")

@@ -379,6 +379,11 @@ class Internal:
         return (self.agent,)
 
     @property
+    def actions(self) -> tuple[str, ...]:
+        """The action each actor takes, in the order of `actors`."""
+        return (self.edge.action,)
+
+    @property
     def is_idle(self) -> bool:
         return (self.edge.action == WAIT_ACTION and self.edge.source == self.edge.target
                 and not self.edge.updates)
@@ -398,6 +403,10 @@ class Synchronized:
     @property
     def actors(self) -> tuple[str, ...]:
         return (self.sender, self.receiver)
+
+    @property
+    def actions(self) -> tuple[str, ...]:
+        return (self.send_edge.action, self.recv_edge.action)
 
     @property
     def is_idle(self) -> bool:
@@ -569,17 +578,8 @@ def available_actions(net: Network, q: GlobalState, agent: str) -> set[str]:
     """Action labels the agent can take at q; an agent's side of an enabled
     synchronized move counts, and lazy agents can always `wait`."""
     net.agent(agent)  # raises DefinitionError on unknown agents
-    out: set[str] = set()
-    for move in enabled_moves(net, q):
-        if isinstance(move, Internal):
-            if move.agent == agent:
-                out.add(move.edge.action)
-        else:
-            if move.sender == agent:
-                out.add(move.send_edge.action)
-            if move.receiver == agent:
-                out.add(move.recv_edge.action)
-    return out
+    return {action for move in enabled_moves(net, q)
+            for actor, action in zip(move.actors, move.actions) if actor == agent}
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +622,6 @@ class StateGraph:
     def out_edges(self, i: int) -> list[Transition]:
         return self._succ[i]
 
-    def successors(self, i: int) -> set[int]:
-        return {t.target for t in self._succ[i]}
-
     def satisfying(self, guard: GuardExpr) -> set[int]:
         return {i for i, q in enumerate(self.states)
                 if eval_guard(guard, q, self.net)}
@@ -642,9 +639,10 @@ def explore(net: Network, start: Optional[GlobalState] = None,
             move_filter=None) -> StateGraph:
     """BFS over enabledMoves/applyMove from `start` (default: initial state).
 
-    `move_filter(q, move) -> bool` restricts the transition relation; it is
-    how strategy-constrained outcome graphs are built without materializing a
-    pruned network. Raises ResourceLimitError past `state_cap` states.
+    `move_filter(q, moves)`, called once per state with the moves enabled
+    there, returns the ones to keep; it is how strategy-constrained outcome
+    graphs are built without materializing a pruned network. Raises
+    ResourceLimitError past `state_cap` states.
     """
     q0 = net.initial_state() if start is None else start
     states = [q0]
@@ -654,9 +652,8 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     while queue:
         i = queue.popleft()
         q = states[i]
-        for move in enabled_moves(net, q):
-            if move_filter is not None and not move_filter(q, move):
-                continue
+        moves = enabled_moves(net, q)
+        for move in moves if move_filter is None else move_filter(q, moves):
             nxt = apply_move(net, q, move)
             j = index.get(nxt)
             if j is None:

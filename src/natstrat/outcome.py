@@ -3,8 +3,9 @@
 The outcome of a collective strategy from a state is the reachable graph in
 which every coalition member only takes actions its strategy prescribes
 (first-match semantics), while all other agents behave freely. `outcomes`
-explores it from one state; `restrict` cuts it out of an explored graph for
-every state at once, with the same move filter.
+explores it from one state; `restrict` cuts it out of an explored graph, for
+every state at once or from one `start`. Both take one step per state:
+`strategy.allowed_moves` over the moves enabled there.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
@@ -20,14 +21,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .errors import StrategyError
 from .model import (
-    DEFAULT_STATE_CAP, GlobalState, GuardExpr, Internal, Move, Network,
-    StateGraph, Transition, explore,
+    DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, StateGraph,
+    Transition, explore,
 )
-from .strategy import CollectiveStrategy, allowed_actions
+from .strategy import CollectiveStrategy, allowed_moves
 
 
 @dataclass
@@ -81,66 +82,45 @@ class OutcomeGraph:
         return any(a in self.coalition for a in t.move.actors)
 
 
-def strategy_filter(net: Network,
-                    s_A: CollectiveStrategy) -> Callable[[GlobalState, Move], bool]:
-    """The move filter of s_A: at every state each coalition agent is
-    restricted to its matched rule's action (every available action under the
-    wildcard, nothing when a partial strategy has no matching rule). Raises
-    StrategyError at a state where matching a rule fails."""
-    coalition = frozenset(s_A)
-    for agent in coalition:
-        net.agent(agent)
-    allowed_cache: dict[tuple[str, GlobalState], set[str]] = {}
-
-    def allowed(agent: str, state: GlobalState) -> set[str]:
-        key = (agent, state)
-        got = allowed_cache.get(key)
-        if got is None:
-            got = allowed_actions(net, state, s_A[agent])
-            allowed_cache[key] = got
-        return got
-
-    def move_filter(state: GlobalState, move: Move) -> bool:
-        if isinstance(move, Internal):
-            if move.agent in coalition:
-                return move.edge.action in allowed(move.agent, state)
-            return True
-        ok = True
-        if move.sender in coalition:
-            ok = move.send_edge.action in allowed(move.sender, state)
-        if ok and move.receiver in coalition:
-            ok = move.recv_edge.action in allowed(move.receiver, state)
-        return ok
-
-    return move_filter
-
-
 def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
              state_cap: int = DEFAULT_STATE_CAP) -> OutcomeGraph:
     """Build out(q, s_A) directly, exploring only the moves s_A allows."""
     graph = explore(net, start=q, state_cap=state_cap,
-                    move_filter=strategy_filter(net, s_A) if s_A else None)
+                    move_filter=(lambda state, moves: allowed_moves(net, state, moves, s_A))
+                    if s_A else None)
     return OutcomeGraph(net=net, coalition=frozenset(s_A), strategies=dict(s_A),
                         graph=graph)
 
 
-def restrict(graph: StateGraph, s_A: CollectiveStrategy) -> tuple[OutcomeGraph, set[int]]:
-    """out(q, s_A) for every state q of an explored graph at once: the graph
-    keeping the moves s_A allows, and the states where matching a rule
-    raises StrategyError. Strategies are memoryless, so out(q, s_A) is the
-    part reachable from q, and `outcomes` from q raises exactly when an error
-    state is reachable. With no coalition the graph itself is used."""
+def restrict(graph: StateGraph, s_A: CollectiveStrategy,
+             start: Optional[int] = None) -> tuple[OutcomeGraph, set[int]]:
+    """The explored graph keeping the moves s_A allows at every state (or at
+    those reachable from `start` under s_A), and the visited states where
+    matching a rule raises StrategyError. Strategies are memoryless, so
+    out(q, s_A) is the part reachable from q, and `outcomes` from q raises
+    exactly when an error state is reachable. With no coalition the graph
+    itself is used."""
     errors: set[int] = set()
     if s_A:
-        move_filter = strategy_filter(graph.net, s_A)
         kept: list[Transition] = []
-        for i, q in enumerate(graph.states):
-            try:
-                kept += [t for t in graph.out_edges(i) if move_filter(q, t.move)]
+        todo = list(range(graph.n_states)) if start is None else [start]
+        seen = set(todo)
+        while todo:
+            i = todo.pop()
+            outs = graph.out_edges(i)
+            try:  # by identity: every transition holds its own move object
+                keep = {id(m) for m in allowed_moves(graph.net, graph.states[i],
+                                                     [t.move for t in outs], s_A)}
             except StrategyError:
                 errors.add(i)
+                continue
+            kept_i = [t for t in outs if id(t.move) in keep]
+            kept += kept_i
+            new = {t.target for t in kept_i} - seen
+            seen |= new
+            todo += new
         graph = StateGraph(net=graph.net, states=graph.states, transitions=kept,
-                           initial=graph.initial)
+                           initial=graph.initial if start is None else start)
     return OutcomeGraph(net=graph.net, coalition=frozenset(s_A),
                         strategies=dict(s_A), graph=graph), errors
 

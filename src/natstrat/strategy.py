@@ -5,13 +5,13 @@ strategy fixing (pruning a network down to on-strategy behavior)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DefinitionError, StrategyError
 from .model import (
     FALSE, TRUE, WAIT_ACTION, And, Comparison, Edge, FalseConst,
-    GlobalState, GuardExpr, LocAtom, Network, Not, Or, TrueConst, VarAtom,
-    and_all, available_actions, eval_guard, or_all,
+    GlobalState, GuardExpr, LocAtom, Move, Network, Not, Or, TrueConst,
+    VarAtom, and_all, available_actions, eval_guard, or_all,
 )
 
 
@@ -125,7 +125,12 @@ def match_rule(net: Network, q: GlobalState, s: NaturalStrategy) -> Optional[int
     StrategyError when actions exist but a total strategy's final concrete
     action is not among them.
     """
-    avail = available_actions(net, q, s.agent)
+    return _first_match(net, q, s, available_actions(net, q, s.agent))
+
+
+def _first_match(net: Network, q: GlobalState, s: NaturalStrategy,
+                 avail: set[str]) -> Optional[int]:
+    """`match_rule` given the agent's available actions at q."""
     for i, rule in enumerate(s.rules, start=1):
         if not eval_guard(rule.guard, q, net):
             continue
@@ -143,16 +148,30 @@ def match_rule(net: Network, q: GlobalState, s: NaturalStrategy) -> Optional[int
     return None
 
 
-def allowed_actions(net: Network, q: GlobalState, s: NaturalStrategy) -> set[str]:
-    """Actions the strategy permits at q: the matched rule's action, or every
-    available action when the wildcard matches, or nothing on no-match."""
-    i = match_rule(net, q, s)
-    if i is None:
-        return set()
-    rule = s.rules[i - 1]
-    if rule.action is WILDCARD:
-        return available_actions(net, q, s.agent)
-    return {rule.action}
+def allowed_moves(net: Network, q: GlobalState, moves: Sequence[Move],
+                  s_A: CollectiveStrategy) -> list[Move]:
+    """The moves enabled at q (`moves`) that s_A allows: a coalition agent
+    takes only its matched rule's action, or any available one under the
+    wildcard; others act freely. An agent's rules are matched, against the
+    actions it has in `moves`, at the first move it takes part in (a sync
+    refused for its sender is not checked for its receiver)."""
+    for agent in s_A:
+        net.agent(agent)  # unknown coalition member -> DefinitionError
+    allowed: dict[str, set[str]] = {}
+
+    def permits(agent: str, action: str) -> bool:
+        s = s_A.get(agent)
+        if s is None:
+            return True
+        if agent not in allowed:
+            avail = {act for m in moves for a, act in zip(m.actors, m.actions) if a == agent}
+            i = _first_match(net, q, s, avail)
+            rule = s.rules[i - 1] if i is not None else None
+            allowed[agent] = (set() if rule is None else
+                              avail if rule.action is WILDCARD else {rule.action})
+        return action in allowed[agent]
+
+    return [m for m in moves if all(map(permits, m.actors, m.actions))]
 
 
 def audit_strategy(net: Network, s: NaturalStrategy, graph=None) -> None:

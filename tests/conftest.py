@@ -131,3 +131,20 @@ def leaky_net():
 @pytest.fixture(scope="session")
 def blind_net():
     return parse_network(BLIND_SRC, name="blind")
+
+
+def count_explore(monkeypatch) -> list:
+    """Record every call to `explore`, under every name natstrat imported it."""
+    import sys
+    import natstrat.model
+    real = natstrat.model.explore
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("natstrat") and getattr(module, "explore", None) is real:
+            monkeypatch.setattr(module, "explore", counting)
+    return calls

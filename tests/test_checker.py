@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from natstrat.checker import (
-    FormulaEvaluator, check_temporal_universal, eval_formula, verify_strategic,
+    FormulaEvaluator, SynthesisConfig, check_temporal_universal, eval_formula,
+    verify_strategic,
 )
 from natstrat.casestudy import build_voter
 from natstrat.dsl import (
@@ -13,6 +14,8 @@ from natstrat.formula import FAtom, FNot, Strategic
 from natstrat.model import LocAtom, TrueConst, eval_guard, or_all
 from natstrat.outcome import outcomes
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
+
+from conftest import count_explore
 
 
 # -- direct spec examples --------------------------------------------------------
@@ -360,25 +363,8 @@ def test_universal_labels_match_fresh_check_channels(infra_net):
         "A (!(has_account == 1) U Printer@start)")], stride=11)
 
 
-def _count_explore(monkeypatch) -> list:
-    """Record every call to `explore`, under every name natstrat imported it."""
-    import sys
-    import natstrat.model
-    real = natstrat.model.explore
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("natstrat") and getattr(module, "explore", None) is real:
-            monkeypatch.setattr(module, "explore", counting)
-    return calls
-
-
 def test_nested_universal_formula_explores_once(base, monkeypatch):
-    calls = _count_explore(monkeypatch)
+    calls = count_explore(monkeypatch)
     res = eval_formula(base.network, parse_formula("A G A F end", base.network))
     assert res.verdict is False
     assert len(calls) == 1
@@ -415,7 +401,7 @@ def _assert_coalition_labels_match(net, node, s_A):
 
     def evaluated(i):
         verdict = ev.holds(node, i)
-        return verdict, ev.last_witness.reason
+        return verdict, ev.witness(node, i).reason
 
     def fresh(q):
         res = verify_strategic(net, q, node.coalition, node.bound, node.op, preds, s_A)
@@ -482,7 +468,7 @@ def test_coalition_labels_match_fresh_check_lazy_agents(punisher):
 def test_nested_coalition_formula_explores_once(monkeypatch):
     bundle = build_voter("full", 30, 20)
     net = bundle.network
-    calls = _count_explore(monkeypatch)
+    calls = count_explore(monkeypatch)
     res = eval_formula(net, parse_formula("A G <<Voter:cast_verify_symbolwise>>^29 F end", net),
                        strategies_by_name=bundle.strategies)
     assert res.verdict is False
@@ -496,3 +482,28 @@ def test_empty_coalition_with_a_bound_is_universal_in_verify_mode(base):
     assert got.verdict is want.verdict is False
     assert (got.reason, got.witness_path, got.witness_strategy) == \
         (want.reason, want.witness_path, want.witness_strategy)
+
+
+def test_witness_comes_from_the_deciding_subformula(base):
+    net = base.network
+    supplied = {0: {"Voter": base.strategies["cast_verify"]}}
+    avoids = "a maximal trace avoids the goal"
+    gated = "complexity 15 exceeds bound 14"
+
+    def reported(text, **kwargs):
+        res = eval_formula(net, parse_formula(text, net), supplied=supplied, **kwargs)
+        return res.verdict, res.reason, len(res.witness_path)
+
+    assert reported("<<Voter>>^15 F end && A F end") == (False, avoids, 7)
+    assert reported("<<Voter>>^14 F end && A F end") == (False, gated, 0)
+    assert reported("<<Voter>>^15 F end && !<<Voter>>^14 F end") == (True, "", 0)
+    assert reported("A F end || <<Voter>>^14 F end") == (False, avoids, 7)
+    assert reported("A F end || <<Voter>>^15 F end") == (True, "", 0)
+    assert reported("<<Voter>>^14 F end -> A F end") == (True, gated, 0)
+    assert reported("<<Voter>>^15 F end -> A F end") == (False, avoids, 7)
+    assert reported("K[Voter] A F end") == (False, avoids, 7)
+    assert reported("K[Voter] <<Voter>>^15 F end") == (True, "", 0)
+    # the right child's synthesis hits the cap: the verdict is unknown
+    assert reported("A F end || <<Voter>>^2 F end", mode="synthesize",
+                    synthesis=SynthesisConfig(enumeration_cap=10)) == \
+        (None, "enumeration cap hit (unknown)", 0)

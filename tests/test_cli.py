@@ -185,3 +185,20 @@ def test_main_survives_a_closed_pipe(monkeypatch, tmp_path):
         assert main(["casestudy", "--list", "--format=json"]) == EXIT_OK
     finally:
         sink.close()
+
+
+def test_check_true_verdict_reports_no_failing_subformula():
+    # the strategic node holds at every state the voter cannot tell apart
+    # from the start; no subformula failed, so no reason and no path
+    code, report = run("check", "--model", "voter_base", "--formula",
+                       "K[Voter] <<Voter>>^15 F end", "--use", "cast_verify")
+    assert code == EXIT_OK and report.tasks[0].value is True
+    assert "reason" not in report.tasks[0].detail
+    assert "witness_path" not in report.tasks[0].detail
+
+
+def test_check_negation_reports_its_operand():
+    code, report = run("check", "--model", "voter_base", "--formula",
+                       "!<<Voter>>^14 F end", "--use", "cast_verify")
+    assert code == EXIT_OK and report.tasks[0].value is True
+    assert report.tasks[0].detail["reason"] == "complexity 15 exceeds bound 14"

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
-from natstrat.model import explore
-from natstrat.outcome import outcomes, steps_to_goal
+from natstrat.errors import StrategyError
+from natstrat.model import Internal, available_actions, enabled_moves, explore
+from natstrat.outcome import outcomes, restrict, steps_to_goal
+from natstrat.strategy import WILDCARD, allowed_moves, match_rule
 from natstrat.casestudy import build_voter, symbolwise_steps
 
 from conftest import two_state_net
@@ -263,3 +268,129 @@ def test_steps_lower_bounded_by_shortest_path(base):
                 dist[j] = dist[i] + 1
                 dq.append(j)
     assert shortest is not None and res.value >= shortest
+
+
+# -- allowed_moves against the per-move filter it replaces ---------------------
+
+@st.composite
+def _network_and_strategies(draw):
+    """Two agents, A lazy; a global v in [0,2] that edges guard and update; a
+    channel c on which A sends and B receives. Each coalition member gets a
+    total or partial strategy over its location and variable guards, with
+    concrete actions and the wildcard."""
+    def guard(loc):
+        return draw(st.sampled_from([f"{loc}0", f"{loc}1", "v == 0", "v < 2",
+                                     "!(v == 1)", f"{loc}2 || v == 2"]))
+
+    agents, actions = [], {}
+    for name, loc, sync in (("A", "a", "c!"), ("B", "b", "c?")):
+        edges = []
+        for k in range(draw(st.integers(1, 5))):
+            action = draw(st.sampled_from("xyz"))
+            actions.setdefault(name, {"*"}).add(action)
+            edge = (f"edge {loc}{draw(st.integers(0, 2))} -> {loc}{draw(st.integers(0, 2))}"
+                    f" on {action}")
+            if draw(st.booleans()):
+                edge += f" when {guard(loc)}"
+            if k == 0 or draw(st.booleans()):
+                edge += f" sync {sync}"
+            if draw(st.booleans()):
+                edge += f" do v := {draw(st.integers(0, 2))}"
+            edges.append(edge + ";")
+        agents.append(f"agent {name}{'(lazy)' if name == 'A' else ''} {{ init {loc}0; "
+                      f"loc {loc}1; loc {loc}2; " + " ".join(edges) + " }")
+    actions["A"].add("wait")
+    net = parse_network("channel c; global int[0,2] v = 0; " + " ".join(agents),
+                        name="random")
+    s_A = {}
+    for agent in draw(st.sampled_from([("A",), ("B",), ("A", "B")])):
+        loc, pool = agent.lower(), sorted(actions[agent])
+        rules = [f"when {guard(loc)} do {draw(st.sampled_from(pool))};"
+                 for _ in range(draw(st.integers(0, 3)))]
+        total = draw(st.booleans())
+        if total or not rules or draw(st.booleans()):
+            rules.append(f"when true do {draw(st.sampled_from(pool))};")
+        s_A[agent] = parse_strategy(f"{'' if total else 'partial '}strategy s{agent} "
+                                    f"for {agent} {{ " + " ".join(rules) + " }", net)
+    return net, s_A
+
+
+def _reference_allowed(net, q, moves, s_A):
+    """The per-move filter: each coalition agent's matched rule from
+    `match_rule` and `available_actions`, matched at the first move it takes
+    part in (a synchronized move rejected for its sender is not checked for
+    its receiver)."""
+    cache = {}
+
+    def allowed(agent):
+        if agent not in cache:
+            s = s_A[agent]
+            i = match_rule(net, q, s)
+            action = None if i is None else s.rules[i - 1].action
+            cache[agent] = (available_actions(net, q, agent) if action is WILDCARD
+                            else set() if action is None else {action})
+        return cache[agent]
+
+    def keep(move):
+        if isinstance(move, Internal):
+            return move.agent not in s_A or move.edge.action in allowed(move.agent)
+        return ((move.sender not in s_A or move.send_edge.action in allowed(move.sender))
+                and (move.receiver not in s_A
+                     or move.recv_edge.action in allowed(move.receiver)))
+
+    return [m for m in moves if keep(m)]
+
+
+def _raised(f):
+    try:
+        return f()
+    except StrategyError as exc:
+        return f"StrategyError: {exc}"
+
+
+def _edges(og, states):
+    return Counter((og.state(t.source), t.move.label(), og.state(t.target))
+                   for t in og.graph.transitions if t.source in states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_network_and_strategies())
+def test_allowed_moves_matches_per_move_filter(case):
+    net, s_A = case
+    graph = explore(net)
+    for q in graph.states:
+        moves = enabled_moves(net, q)
+        assert _raised(lambda: allowed_moves(net, q, moves, s_A)) == \
+            _raised(lambda: _reference_allowed(net, q, moves, s_A)), q
+    # outcomes explores out(q0, s_A); restrict cuts it out of explore(net)
+    og = _raised(lambda: outcomes(net, None, s_A))
+    restricted, errors = restrict(graph, s_A, start=graph.initial)
+    assert isinstance(og, str) == bool(errors)
+    if errors:
+        return
+    reached, todo = {graph.initial}, [graph.initial]
+    while todo:
+        for t in restricted.graph.out_edges(todo.pop()):
+            if t.target not in reached:
+                reached.add(t.target)
+                todo.append(t.target)
+    assert {restricted.state(i) for i in reached} == set(og.graph.states)
+    assert _edges(restricted, reached) == _edges(og, range(og.n_states))
+
+
+def test_allowed_moves_skips_a_receiver_whose_sender_refuses():
+    # B's only move is the sync that A's strategy refuses, so B's rules are
+    # never matched at the start, though its total strategy fails there
+    net = parse_network("""
+channel c;
+agent A(lazy) { init a0; loc a1; edge a0 -> a1 on x sync c!; }
+agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
+""", name="refused")
+    s_A = {"A": parse_strategy("strategy sA for A { when true do wait; }", net),
+           "B": parse_strategy("strategy sB for B { when true do z; }", net)}
+    q0 = net.initial_state()
+    moves = enabled_moves(net, q0)
+    with pytest.raises(StrategyError):
+        match_rule(net, q0, s_A["B"])
+    assert [m.label() for m in allowed_moves(net, q0, moves, s_A)] == ["A.wait"]
+    assert _reference_allowed(net, q0, moves, s_A) == allowed_moves(net, q0, moves, s_A)

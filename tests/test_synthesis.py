@@ -3,16 +3,16 @@ import itertools
 import pytest
 
 from natstrat.checker import (
-    SynthesisConfig, check_temporal_universal, synthesize_strategic,
-    verify_strategic,
+    FormulaEvaluator, SynthesisConfig, _candidates, check_temporal_universal,
+    default_vocabulary, eval_formula, synthesize_strategic, verify_strategic,
 )
-from natstrat.dsl import parse_guard_text, parse_network
+from natstrat.dsl import parse_guard_text, parse_network, print_strategy
 from natstrat.errors import ResourceLimitError, StrategyError
-from natstrat.model import And, LocAtom, Not, Or, TrueConst, eval_guard
+from natstrat.model import And, LocAtom, Not, Or, TrueConst, eval_guard, explore
 from natstrat.outcome import outcomes
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
 
-from conftest import trap_net, two_state_net
+from conftest import count_explore, trap_net, two_state_net
 
 
 def three_action_net():
@@ -171,3 +171,103 @@ def test_empty_coalition_synthesis_is_universal_check(base):
     og = outcomes(net, None, {})
     end = {i for i in range(og.n_states) if pred(og.state(i))}
     assert res.verdict == check_temporal_universal(og, "F", [end]).verdict
+
+
+# -- one explored graph against one outcome graph per candidate ----------------
+
+def reference_synthesis(net, q, coalition, k, op, preds, vocabulary=None):
+    """(verdict, reason, candidates enumerated, witness) of bounded synthesis
+    that explores each candidate's own outcome graph from q: the same
+    canonical order, then `outcomes` and `check_temporal_universal`, skipping
+    candidates whose outcome raises StrategyError."""
+    coalition = list(dict.fromkeys(coalition))
+    if k < len(coalition):
+        return False, f"bound {k} below coalition size", 0, None
+    vocab = vocabulary if vocabulary is not None else default_vocabulary(net, coalition)
+    enumerated = 0
+    for cand in _candidates(net, coalition, k, vocab):
+        enumerated += 1
+        try:
+            og = outcomes(net, q, cand)
+        except StrategyError:
+            continue
+        sets = [{i for i in range(og.n_states) if pred(og.state(i))} for pred in preds]
+        if check_temporal_universal(og, op, sets).verdict:
+            return (True, f"witness of complexity {complexity(cand)}", enumerated,
+                    _text(cand))
+    return False, "exhaustive enumeration", enumerated, None
+
+
+def _text(s_A):
+    return None if not s_A else [print_strategy(s) for _, s in sorted(s_A.items())]
+
+
+def _summary(res):
+    return (res.verdict, res.reason, res.stats.strategies_enumerated,
+            _text(res.witness_strategy))
+
+
+# the uncapped synthesis problems of the benchmark
+BENCH_SYNTH = [
+    ("voter_base", ("Voter",), 2, "F", "end"),
+    ("coercion_infector", ("Coercer",), 3, "G", "!(ca_v == 2)"),
+    ("coercion_watchdog", ("Coercer",), 4, "F", "punished_v == 1 && infected == 1"),
+]
+
+
+@pytest.mark.parametrize("model,coalition,k,op,goal", BENCH_SYNTH)
+def test_synthesis_matches_reference(model, coalition, k, op, goal,
+                                     base, infector, watchdog):
+    net = {"voter_base": base, "coercion_infector": infector,
+           "coercion_watchdog": watchdog}[model].network
+    pred = _goal_pred(net, goal)
+    states = explore(net).states
+    for idx in range(0, len(states), 7):
+        q = None if idx == 0 else states[idx]
+        got = synthesize_strategic(net, q, coalition, k, op, [pred])
+        assert _summary(got) == reference_synthesis(net, q, coalition, k, op, [pred]), idx
+
+
+@pytest.mark.parametrize("make_net,goal,vocab_locs", TOYS)
+def test_synthesis_matches_reference_toys(make_net, goal, vocab_locs):
+    net = make_net()
+    agent = net.agents[0].name
+    vocab = [LocAtom(agent, l) for l in vocab_locs]
+    pred = _goal_pred(net, goal)
+    for k in range(0, 4):
+        for op in ("F", "G"):
+            got = synthesize_strategic(net, None, [agent], k, op, [pred], vocabulary=vocab)
+            want = reference_synthesis(net, None, [agent], k, op, [pred], vocabulary=vocab)
+            assert _summary(got) == want, (net.name, k, op)
+
+
+def test_synthesis_mode_nodes_match_synthesize_strategic(punisher):
+    net = punisher.network
+    f = punisher.formulas["receipt_freeness"]
+    ev = FormulaEvaluator(net, mode="synthesize")
+    for node in (f.left.sub, f.right.sub):
+        goal = {i for i in range(ev.graph.n_states) if ev.holds(node.subs[0], i)}
+        pred = lambda q, goal=goal: ev.graph.index_of(q) in goal
+        for i, q in enumerate(ev.graph.states):
+            verdict = ev.holds(node, i)
+            want = synthesize_strategic(net, q, node.coalition, node.bound, node.op, [pred])
+            assert verdict is want.verdict
+            assert _summary(ev.witness(node, i)) == _summary(want), (str(node), i)
+
+
+def test_synthesis_explores_once(watchdog, monkeypatch):
+    net = watchdog.network
+    calls = count_explore(monkeypatch)
+    res = synthesize_strategic(net, None, ["Coercer"], 4, "F",
+                               [_goal_pred(net, "punished_v == 1 && infected == 1")])
+    assert res.verdict is True
+    assert len(calls) == 1
+    assert res.stats.states_explored == explore(net).n_states
+
+
+def test_synthesis_mode_formula_explores_once(punisher, monkeypatch):
+    calls = count_explore(monkeypatch)
+    res = eval_formula(punisher.network, punisher.formulas["receipt_freeness"],
+                       mode="synthesize")
+    assert res.verdict is False
+    assert len(calls) == 1
