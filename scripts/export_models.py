@@ -1,37 +1,30 @@
 #!/usr/bin/env python3
 """Export every bundled model to UPPAAL XML (plus query files), including the
-strategy-fixed voter model used for external cross-checking."""
+strategy-fixed voter model used for external cross-checking:
+`natstrat export-uppaal` once per model, into OUTDIR (default out/uppaal)."""
 
 import sys
-from pathlib import Path
 
-from natstrat.casestudy import build_coercer, build_voter, infrastructure_network
-from natstrat.uppaal import export_uppaal
+from natstrat import cli
+
+EXPORTS = (
+    ["--model", "voter_base", "--query", "reach_end"],
+    ["--model", "voter_base", "--fix-strategy", "cast_verify", "--query", "reach_end",
+     "--stem", "voter_base_fixed_cast_verify"],
+    ["--model", "voter_check4", "--query", "complete_split_verification"],
+    # the bundled voter_full declares n = 7, m = 5
+    ["--model", "voter_full", "--query", "complete_symbolwise_verification",
+     "--stem", "voter_full_7_5"],
+    ["--model", "coercion_punisher"],
+    ["--model", "coercion_infector"],
+    ["--model", "coercion_watchdog"],
+    ["--model", "infrastructure"],
+)
 
 
 def main() -> int:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/uppaal")
-    jobs = []
-    base = build_voter("base")
-    jobs.append(("voter_base", export_uppaal(
-        base.network, formulas=[base.formulas["reach_end"]])))
-    jobs.append(("voter_base_fixed_cast_verify", export_uppaal(
-        base.network, {"Voter": base.strategies["cast_verify"]},
-        [base.formulas["reach_end"]])))
-    check4 = build_voter("check4")
-    jobs.append(("voter_check4", export_uppaal(
-        check4.network, formulas=[check4.formulas["complete_split_verification"]])))
-    full = build_voter("full", 7, 5)
-    jobs.append(("voter_full_7_5", export_uppaal(
-        full.network, formulas=[full.formulas["complete_symbolwise_verification"]])))
-    for variant in ("punisher", "infector", "watchdog"):
-        bundle = build_coercer(variant)
-        jobs.append((f"coercion_{variant}", export_uppaal(bundle.network)))
-    jobs.append(("infrastructure", export_uppaal(infrastructure_network())))
-    for stem, doc in jobs:
-        xml_path, q_path = doc.write(out, stem=stem)
-        print(f"wrote {xml_path} ({q_path.stat().st_size} B of queries)")
-    return 0
+    out = sys.argv[1] if len(sys.argv) > 1 else "out/uppaal"
+    return max(cli.main(["export-uppaal", *args, "--out", out]) for args in EXPORTS)
 
 
 if __name__ == "__main__":

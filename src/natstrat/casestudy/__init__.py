@@ -1,9 +1,13 @@
 """Bundled voting case study: parameterized voter models, attacker models,
-election infrastructure, the strategies that drive them, and the expected
-metrics they must reproduce.
+election infrastructure, the strategies that drive them, and the table of
+published numbers they must reproduce.
 
-The .nsm/.nss/.nsq files under data/ are the ground truth; the constructors
-here only load them (with constant overrides for the parameterized model).
+The .nsm/.nss/.nsq files under data/ are the ground truth. Every .nsm stem
+there is a bundled model (`models()`), which `load` reads together with the
+.nss strategies and .nsq formulas of the same stem; the constructors below
+only name models (with constant overrides for the parameterized one).
+`TABLE` holds the case-study regression table, one row per published
+number, and `run_all` recomputes each row from the bundled files.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..checker import check_temporal_universal, verify_strategic
+from ..checker import verify_strategic
 from ..dsl import ParsedBundle, load_bundle, parse_guard_text
 from ..errors import DefinitionError
 from ..formula import FAtom, FImplies, FNot, FAnd, FOr, Formula, Knows, Strategic
-from ..model import AgentTemplate, Network
-from ..outcome import outcomes, steps_to_goal
+from ..model import AgentTemplate, Network, eval_guard
+from ..outcome import steps_to_goal
 from ..strategy import complexity, fix_strategy, guard_length
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -26,7 +30,16 @@ VOTER_LEVELS = ("base", "check4", "full")
 COERCER_VARIANTS = ("punisher", "infector", "watchdog")
 
 
-def _load(stem: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
+def models() -> tuple[str, ...]:
+    """Names of the bundled models: the .nsm stems under DATA_DIR."""
+    return tuple(sorted(p.stem for p in DATA_DIR.glob("*.nsm")))
+
+
+def load(stem: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
+    """The bundled model `stem` with the strategies and formulas of its
+    .nss/.nsq files; `consts` overrides declared constants."""
+    if stem not in models():
+        raise DefinitionError(f"no bundled model {stem!r}; pick from {models()}")
     nsm = DATA_DIR / f"{stem}.nsm"
     bundle = load_bundle(nsm, consts=consts)
     net = bundle.network
@@ -49,8 +62,8 @@ def build_voter(level: str = "base", n: int = 7, m: int = 5) -> ParsedBundle:
     if level == "full":
         if n < 1 or m < 1:
             raise DefinitionError("full voter model needs n >= 1 and m >= 1")
-        return _load("voter_full", consts={"n": n, "m": m})
-    return _load(f"voter_{level}")
+        return load("voter_full", consts={"n": n, "m": m})
+    return load(f"voter_{level}")
 
 
 def build_coercer(variant: str = "punisher") -> ParsedBundle:
@@ -60,7 +73,7 @@ def build_coercer(variant: str = "punisher") -> ParsedBundle:
     if variant not in COERCER_VARIANTS:
         raise DefinitionError(
             f"unknown coercer variant {variant!r}; pick from {COERCER_VARIANTS}")
-    return _load(f"coercion_{variant}")
+    return load(f"coercion_{variant}")
 
 
 def build_infrastructure() -> dict[str, AgentTemplate]:
@@ -72,7 +85,7 @@ def build_infrastructure() -> dict[str, AgentTemplate]:
 
 
 def infrastructure_network() -> Network:
-    return _load("infrastructure").network
+    return load("infrastructure").network
 
 
 def receipt_freeness(bound: int, candidates: tuple[int, ...] = (1, 2),
@@ -99,40 +112,27 @@ def receipt_freeness(bound: int, candidates: tuple[int, ...] = (1, 2),
 
 
 # ---------------------------------------------------------------------------
-# Catalog and expected metrics
+# Catalog and the regression table
 
 @dataclass
 class CaseStudyCatalog:
     networks: dict[str, Network] = field(default_factory=dict)
     strategies: dict = field(default_factory=dict)
     formulas: dict = field(default_factory=dict)
-    expected_metrics: tuple = ()
 
 
-# (strategy name, bundle) -> published complexity
-EXPECTED_COMPLEXITIES = {
-    "cast_verify": 15,
-    "cast_verify_extra_checks": 21,
-    "cast_verify_split_check4": 17,
-    "cast_verify_symbolwise": 29,
-    "punish_disobedient": 16,
-    "infect_replace": 6,
-    "infect_watch_punish": 7,
-}
-
-# worst-case step counts, row name -> published count; run_all computes
-# them in this order
-EXPECTED_STEPS = {
-    "cast_verify to end (from has_ballot)": 9,
-    "cast_verify_extra_checks to end (from has_ballot)": 13,
-    "cast_verify_split_check4 to full verification (from start)": 11,
-    "cast_verify_symbolwise, n=1 m=1": 15,
-    "cast_verify_symbolwise, n=7 m=5": 35,
-}
-
-
-_SYMBOLWISE_GOAL = ("checked4 && wbb_checked_sn && receipt_checked_sn && checked4_1 "
-                    "&& wbb_checked_pr && receipt_checked_pr && checked4_2")
+def catalog() -> CaseStudyCatalog:
+    """Every bundled model's network, strategies (by name, with the model)
+    and formulas (as `model:name`)."""
+    cat = CaseStudyCatalog()
+    for stem in models():
+        bundle = load(stem)
+        cat.networks[stem] = bundle.network
+        for name, s in bundle.strategies.items():
+            cat.strategies[name] = (stem, s)
+        for name, f in bundle.formulas.items():
+            cat.formulas[f"{stem}:{name}"] = (stem, f)
+    return cat
 
 
 def symbolwise_steps(n: int, m: int) -> int:
@@ -141,31 +141,78 @@ def symbolwise_steps(n: int, m: int) -> int:
     return 9 + (2 * n + 1) + (2 * m + 1)
 
 
-def catalog() -> CaseStudyCatalog:
-    bundles = {
-        "voter_base": build_voter("base"),
-        "voter_check4": build_voter("check4"),
-        "voter_full": build_voter("full"),
-        "coercion_punisher": build_coercer("punisher"),
-        "coercion_infector": build_coercer("infector"),
-        "coercion_watchdog": build_coercer("watchdog"),
-    }
-    networks = {name: b.network for name, b in bundles.items()}
-    networks["infrastructure"] = infrastructure_network()
-    strategies = {}
-    formulas = {}
-    for name, b in bundles.items():
-        for sname, s in b.strategies.items():
-            strategies[sname] = (name, s)
-        for fname, f in b.formulas.items():
-            formulas[f"{name}:{fname}"] = (name, f)
-    rows = tuple(
-        ("complexity", name, value) for name, value in EXPECTED_COMPLEXITIES.items()
-    ) + tuple(
-        ("steps", name, value) for name, value in EXPECTED_STEPS.items()
-    )
-    return CaseStudyCatalog(networks=networks, strategies=strategies,
-                            formulas=formulas, expected_metrics=rows)
+@dataclass(frozen=True)
+class Row:
+    """One published number and how to recompute it from a bundled model
+    (with constant overrides) and one of its strategies:
+    - complexity: the strategy's complexity;
+    - guard-length: the length of the guard of rule `rule` (1-based);
+    - steps: worst-case steps to the goal of `formula`, from the initial
+      state with `start` locations;
+    - verdict: `formula`'s operator and goal verified with the strategy
+      (minus rule `rule`, if given) under `bound` (default: the formula's);
+      bound 0 checks them under A on the model with the strategy fixed in.
+    """
+
+    kind: str
+    name: str
+    model: str
+    strategy: str
+    expected: object
+    formula: str = ""
+    consts: tuple[tuple[str, int], ...] = ()
+    bound: Optional[int] = None
+    start: tuple[tuple[str, str], ...] = ()
+    rule: Optional[int] = None
+
+
+_FULL_7_5 = (("n", 7), ("m", 5))
+_FROM_BALLOT = (("Voter", "has_ballot"),)
+
+TABLE = (
+    Row("complexity", "cast_verify", "voter_base", "cast_verify", 15),
+    Row("complexity", "cast_verify_extra_checks", "voter_base",
+        "cast_verify_extra_checks", 21),
+    Row("complexity", "cast_verify_split_check4", "voter_check4",
+        "cast_verify_split_check4", 17),
+    Row("complexity", "cast_verify_symbolwise", "voter_full", "cast_verify_symbolwise", 29,
+        consts=_FULL_7_5),
+    Row("complexity", "punish_disobedient", "coercion_punisher", "punish_disobedient", 16),
+    Row("complexity", "infect_replace", "coercion_infector", "infect_replace", 6),
+    Row("complexity", "infect_watch_punish", "coercion_watchdog", "infect_watch_punish", 7),
+    Row("guard-length", "check2_ok || check2_fail || out", "voter_base", "cast_verify", 5,
+        rule=4),
+    Row("guard-length", "punish guard of punish_disobedient", "coercion_punisher",
+        "punish_disobedient", 10, rule=3),
+    Row("guard-length", "true", "voter_base", "cast_verify", 1, rule=9),
+    Row("steps", "cast_verify to end (from has_ballot)", "voter_base", "cast_verify", 9,
+        formula="reach_end", start=_FROM_BALLOT),
+    Row("steps", "cast_verify_extra_checks to end (from has_ballot)", "voter_base",
+        "cast_verify_extra_checks", 13, formula="reach_end", start=_FROM_BALLOT),
+    Row("steps", "cast_verify_split_check4 to full verification (from start)",
+        "voter_check4", "cast_verify_split_check4", 11,
+        formula="complete_split_verification"),
+    Row("steps", "cast_verify_symbolwise, n=1 m=1", "voter_full", "cast_verify_symbolwise",
+        15, formula="complete_symbolwise_verification", consts=(("n", 1), ("m", 1))),
+    Row("steps", "cast_verify_symbolwise, n=7 m=5", "voter_full", "cast_verify_symbolwise",
+        35, formula="complete_symbolwise_verification", consts=_FULL_7_5),
+    Row("verdict", "reach_end with cast_verify, bound 15", "voter_base", "cast_verify",
+        True, formula="reach_end"),
+    Row("verdict", "reach_end with cast_verify, bound 14", "voter_base", "cast_verify",
+        False, formula="reach_end", bound=14),
+    Row("verdict", "receipt_checked with cast_verify minus its finish rule, bound 12",
+        "voter_base", "cast_verify", True, formula="receipt_checked", rule=8),
+    Row("verdict", "reach_end_all_checks with cast_verify_extra_checks, bound 21",
+        "voter_base", "cast_verify_extra_checks", True, formula="reach_end_all_checks"),
+    Row("verdict", "complete_split_verification with cast_verify_split_check4, bound 17",
+        "voter_check4", "cast_verify_split_check4", True,
+        formula="complete_split_verification"),
+    Row("verdict", "complete_symbolwise_verification with cast_verify_symbolwise, bound 29",
+        "voter_full", "cast_verify_symbolwise", True,
+        formula="complete_symbolwise_verification", consts=_FULL_7_5),
+    Row("verdict", "AF end on the cast_verify-fixed model", "voter_base", "cast_verify",
+        True, formula="reach_end", bound=0),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,96 +230,37 @@ class TaskResult:
         return self.expected == self.actual
 
 
+def _recompute(row: Row, bundle: ParsedBundle, state_cap: int):
+    s = bundle.strategies[row.strategy]
+    if row.kind == "complexity":
+        return complexity(s)
+    if row.kind == "guard-length":
+        return guard_length(s.rules[row.rule - 1].guard)
+    if row.rule is not None:
+        s = s.without_rule(row.rule)
+    net, f = bundle.network, bundle.formulas[row.formula]
+    s_A = {s.agent: s}
+    bound = f.bound if row.bound is None else row.bound
+    if bound == 0:
+        net, s_A = fix_strategy(net, s_A), {}
+    goal = parse_guard_text(str(f.subs[0]), net)
+    if row.kind == "steps":
+        q = net.state(locations=dict(row.start)) if row.start else None
+        return steps_to_goal(net, q, s_A, goal, state_cap=state_cap).value
+    return verify_strategic(net, None, list(s_A), bound, f.op,
+                            [lambda q: eval_guard(goal, q, net)], s_A,
+                            state_cap=state_cap).verdict
+
+
 def run_all(state_cap: int = 200_000) -> list[TaskResult]:
-    """Recompute every published number from the bundled files."""
-    results: list[TaskResult] = []
-    base = build_voter("base")
-    check4 = build_voter("check4")
-    full75 = build_voter("full", 7, 5)
-    full11 = build_voter("full", 1, 1)
-    punisher = build_coercer("punisher")
-    infector = build_coercer("infector")
-    watchdog = build_coercer("watchdog")
-
-    ns1 = base.strategies["cast_verify"]
-    ns2 = base.strategies["cast_verify_extra_checks"]
-    ns3 = check4.strategies["cast_verify_split_check4"]
-    ns4_75 = full75.strategies["cast_verify_symbolwise"]
-    ns4_11 = full11.strategies["cast_verify_symbolwise"]
-    cs1 = punisher.strategies["punish_disobedient"]
-    cs2 = infector.strategies["infect_replace"]
-    cs3 = watchdog.strategies["infect_watch_punish"]
-
-    for s, key in ((ns1, "cast_verify"), (ns2, "cast_verify_extra_checks"),
-                   (ns3, "cast_verify_split_check4"), (ns4_75, "cast_verify_symbolwise"),
-                   (cs1, "punish_disobedient"), (cs2, "infect_replace"),
-                   (cs3, "infect_watch_punish")):
-        results.append(TaskResult("complexity", key,
-                                  EXPECTED_COMPLEXITIES[key], complexity(s)))
-
-    results.append(TaskResult(
-        "guard-length", "check2_ok || check2_fail || out", 5,
-        guard_length(ns1.rules[3].guard)))
-    results.append(TaskResult(
-        "guard-length", "punish guard of punish_disobedient", 10,
-        guard_length(cs1.rules[2].guard)))
-    results.append(TaskResult("guard-length", "true", 1,
-                              guard_length(ns1.rules[-1].guard)))
-
-    # Worst-case step counts, in the order of EXPECTED_STEPS.
-    def steps(bundle, strategy, goal_text, start=None):
-        net = bundle.network
-        q = net.state(locations=start) if start else None
-        goal = parse_guard_text(goal_text, net)
-        return steps_to_goal(net, q, {strategy.agent: strategy}, goal,
-                             state_cap=state_cap).value
-
-    step_runs = (
-        (base, ns1, "end", {"Voter": "has_ballot"}),
-        (base, ns2, "end", {"Voter": "has_ballot"}),
-        (check4, ns3, "checked4 && checked4_1 && checked4_2"),
-        (full11, ns4_11, _SYMBOLWISE_GOAL),
-        (full75, ns4_75, _SYMBOLWISE_GOAL),
-    )
-    for (name, expected), run in zip(EXPECTED_STEPS.items(), step_runs, strict=True):
-        results.append(TaskResult("steps", name, expected, steps(*run)))
-
-    # Verification verdicts.
-    def verdict(bundle, strategy, bound, goal_text):
-        net = bundle.network
-        goal = parse_guard_text(goal_text, net)
-        res = verify_strategic(
-            net, None, [strategy.agent], bound, "F",
-            [lambda q, g=goal, n=net: _holds(g, q, n)],
-            {strategy.agent: strategy}, state_cap=state_cap)
-        return res.verdict
-
-    def _holds(g, q, n):
-        from ..model import eval_guard
-        return eval_guard(g, q, n)
-
-    results.append(TaskResult("verdict", "reach_end with cast_verify, bound 15",
-                              True, verdict(base, ns1, 15, "end")))
-    results.append(TaskResult("verdict", "reach_end with cast_verify, bound 14",
-                              False, verdict(base, ns1, 14, "end")))
-    results.append(TaskResult(
-        "verdict", "receipt_checked with cast_verify minus its finish rule, bound 12",
-        True, verdict(base, ns1.without_rule(8), 12, "check4_ok || check4_fail")))
-    results.append(TaskResult(
-        "verdict", "reach_end_all_checks with cast_verify_extra_checks, bound 21",
-        True, verdict(base, ns2, 21, "checked1 && checked3 && end")))
-    results.append(TaskResult(
-        "verdict", "complete_split_verification with cast_verify_split_check4, bound 17",
-        True, verdict(check4, ns3, 17, "checked4 && checked4_1 && checked4_2")))
-    results.append(TaskResult(
-        "verdict", "complete_symbolwise_verification with cast_verify_symbolwise, bound 29",
-        True, verdict(full75, ns4_75, 29, _SYMBOLWISE_GOAL)))
-
-    fixed = fix_strategy(base.network, {"Voter": ns1})
-    og = outcomes(fixed, None, {}, state_cap=state_cap)
-    end_set = og.satisfying(parse_guard_text("end", fixed))
-    results.append(TaskResult(
-        "verdict", "AF end on the cast_verify-fixed model", True,
-        check_temporal_universal(og, "F", [end_set]).verdict))
-
+    """Recompute every row of TABLE from the bundled files, loading each
+    model (with its constants) once."""
+    bundles: dict[tuple, ParsedBundle] = {}
+    results = []
+    for row in TABLE:
+        key = (row.model, row.consts)
+        if key not in bundles:
+            bundles[key] = load(row.model, dict(row.consts))
+        results.append(TaskResult(row.kind, row.name, row.expected,
+                                  _recompute(row, bundles[key], state_cap)))
     return results

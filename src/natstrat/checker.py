@@ -460,7 +460,7 @@ class FormulaEvaluator:
             return self._synthesized.get((id(f), i))
         if isinstance(fixed, CheckResult):
             return fixed
-        s_A, og, subgoals, _, _ = fixed
+        s_A, og, subgoals, _, _, _ = fixed
         res = check_temporal_universal(og, f.op, subgoals, start=i)
         res.witness_strategy = dict(s_A)
         return res
@@ -545,9 +545,10 @@ class FormulaEvaluator:
 
     def _label_fixed(self, node: Strategic):
         """Label a node whose strategy is fixed at every state at once:
-        (strategy, restricted graph, goal sets, label set, tainted states),
-        the gate's CheckResult when the strategy exceeds the bound, or
-        _UNKNOWN. Tainted states reach a state where matching a rule fails."""
+        (strategy, restricted graph, goal sets, label set, errors, tainted
+        states), the gate's CheckResult when the strategy exceeds the bound,
+        or _UNKNOWN. Tainted states reach a state where matching a rule fails
+        (a key of errors, which maps it to its StrategyError)."""
         s_A = self._strategy_for(node)
         gated = _complexity_gate(node.coalition, node.bound, s_A)
         if gated is not None:
@@ -557,7 +558,7 @@ class FormulaEvaluator:
         if subgoals is _UNKNOWN:
             return _UNKNOWN
         tainted = backward_fixpoint(og.succ, errors, some=True) if errors else errors
-        return s_A, og, subgoals, label_universal(og, node.op, subgoals), tainted
+        return s_A, og, subgoals, label_universal(og, node.op, subgoals), errors, tainted
 
     def _eval_strategic(self, node: Strategic, i: int):
         if node.is_universal or self.mode == "verify" or node.witness:
@@ -568,10 +569,13 @@ class FormulaEvaluator:
                 return _UNKNOWN
             if isinstance(fixed, CheckResult):
                 return fixed.verdict
-            s_A, _, _, labels, tainted = fixed
+            _, og, _, labels, errors, tainted = fixed
             if i in tainted:
-                # raises the StrategyError that verify_strategic raises here
-                outcomes(self.net, self.graph.states[i], s_A, state_cap=self.state_cap)
+                # the StrategyError that verify_strategic raises here: that of
+                # the first error state its exploration from i expands (with a
+                # fresh traceback, so raising it again keeps no frame alive)
+                succ = [[t.target for t in og.graph.out_edges(j)] for j in range(og.n_states)]
+                raise errors[shortest_path(succ, i, errors)[-1]].with_traceback(None)
             return i in labels
         sets = self._goal_sets(node)
         if sets is _UNKNOWN:

@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Subcommands: complexity, check, steps, synth, export-uppaal, casestudy.
-Models are .nsm paths or bundled case-study names (voter_base, voter_check4,
-voter_full, coercion_punisher, coercion_infector, coercion_watchdog,
-infrastructure); bundled models bring their strategies and formulas along.
+Models are .nsm paths or bundled case-study names (`casestudy.models()`:
+the .nsm stems under `casestudy.DATA_DIR`); bundled models bring their
+strategies and formulas along.
 
 Exit codes: 0 all verdicts true / metrics computed, 1 a checked property is
 false, 2 a usage error or any other natstrat error (definition, strategy,
@@ -26,8 +26,7 @@ from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
 from .errors import DefinitionError, NatStratError, ResourceLimitError
-from .formula import Strategic, strategic_nodes, Formula
-from .formula import FNot, FAnd, FOr, FImplies, Knows
+from .formula import Formula, Strategic, map_formula
 from .model import DEFAULT_STATE_CAP, Network, eval_guard, explore
 from .outcome import outcomes, steps_to_goal
 from .report import (
@@ -36,21 +35,10 @@ from .report import (
 from .strategy import collective, complexity
 from .uppaal import export_uppaal
 
-_BUNDLED = {
-    "voter_base": lambda: casestudy.build_voter("base"),
-    "voter_check4": lambda: casestudy.build_voter("check4"),
-    "voter_full": lambda: casestudy.build_voter("full"),
-    "coercion_punisher": lambda: casestudy.build_coercer("punisher"),
-    "coercion_infector": lambda: casestudy.build_coercer("infector"),
-    "coercion_watchdog": lambda: casestudy.build_coercer("watchdog"),
-    "infrastructure": lambda: ParsedBundle(network=casestudy.infrastructure_network()),
-}
-
-
-def _load_model(spec: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
-    if spec in _BUNDLED and not Path(spec).exists():
-        return _BUNDLED[spec]()
-    return load_bundle(Path(spec), consts=consts)
+def _load_model(spec: str) -> ParsedBundle:
+    if Path(spec).exists():
+        return load_bundle(Path(spec))
+    return casestudy.load(spec)
 
 
 def _merge_strategies(bundle: ParsedBundle, paths: list[str]) -> None:
@@ -83,17 +71,6 @@ def _witness_detail(net: Network, res, graph_states=None) -> dict:
         "wall_time": round(res.stats.wall_time, 6),
     }
     return detail
-
-
-def _override_bounds(f: Formula, bound: int) -> Formula:
-    if isinstance(f, Strategic):
-        return replace(f, bound=bound, subs=tuple(_override_bounds(s, bound) for s in f.subs))
-    if isinstance(f, (FNot, Knows)):
-        return replace(f, sub=_override_bounds(f.sub, bound))
-    if isinstance(f, (FAnd, FOr, FImplies)):
-        return replace(f, left=_override_bounds(f.left, bound),
-                       right=_override_bounds(f.right, bound))
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +109,22 @@ def _cmd_check(args, report: RunReport) -> int:
     else:
         raise DefinitionError("check needs --formula or --formula-name")
     if args.bound is not None:
-        formula = _override_bounds(formula, args.bound)
+        formula = map_formula(formula, lambda g: replace(g, bound=args.bound)
+                              if isinstance(g, Strategic) else g)
     supplied = {}
     if args.use:
         for name in args.use:
             if name not in bundle.strategies:
                 raise DefinitionError(f"unknown strategy {name}")
         coll = collective(*(bundle.strategies[name] for name in args.use))
-        supplied = {id(node): coll for node in strategic_nodes(formula)
-                    if frozenset(node.coalition) == frozenset(coll)}
+
+        def supply(g: Formula) -> Formula:
+            # a node that names its witnesses keeps them
+            if (isinstance(g, Strategic) and not g.witness
+                    and frozenset(g.coalition) == frozenset(coll)):
+                supplied[id(g)] = coll
+            return g
+        map_formula(formula, supply)
     mode = "synthesize" if args.mode == "synth" else args.mode
     res = eval_formula(net, formula, mode=mode, supplied=supplied,
                        strategies_by_name=bundle.strategies,

@@ -9,8 +9,8 @@ comparisons) evaluated per state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Callable, Union
 
 from .model import GuardExpr
 
@@ -113,18 +113,20 @@ def _paren(f: Formula) -> str:
     return str(f)
 
 
-def strategic_nodes(f: Formula):
-    if isinstance(f, Strategic):
-        yield f
-    for sub in subformulas(f):
-        yield from strategic_nodes(sub)
-
-
-def subformulas(f: Formula) -> tuple[Formula, ...]:
+def map_formula(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """f with each node g replaced by fn(g), bottom-up: g's subformulas are
+    mapped first, and g is rebuilt over them only when one changed. So an
+    fn that returns its argument visits every node and keeps every one."""
     if isinstance(f, (FNot, Knows)):
-        return (f.sub,)
-    if isinstance(f, (FAnd, FOr, FImplies)):
-        return (f.left, f.right)
-    if isinstance(f, Strategic):
-        return f.subs
-    return ()
+        sub = map_formula(f.sub, fn)
+        if sub is not f.sub:
+            f = replace(f, sub=sub)
+    elif isinstance(f, (FAnd, FOr, FImplies)):
+        left, right = map_formula(f.left, fn), map_formula(f.right, fn)
+        if left is not f.left or right is not f.right:
+            f = replace(f, left=left, right=right)
+    elif isinstance(f, Strategic):
+        subs = tuple(map_formula(sub, fn) for sub in f.subs)
+        if any(new is not old for new, old in zip(subs, f.subs)):
+            f = replace(f, subs=subs)
+    return fn(f)

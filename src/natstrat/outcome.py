@@ -93,14 +93,15 @@ def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
 
 
 def restrict(graph: StateGraph, s_A: CollectiveStrategy,
-             start: Optional[int] = None) -> tuple[OutcomeGraph, set[int]]:
+             start: Optional[int] = None) -> tuple[OutcomeGraph, dict[int, StrategyError]]:
     """The explored graph keeping the moves s_A allows at every state (or at
-    those reachable from `start` under s_A), and the visited states where
-    matching a rule raises StrategyError. Strategies are memoryless, so
-    out(q, s_A) is the part reachable from q, and `outcomes` from q raises
-    exactly when an error state is reachable. With no coalition the graph
-    itself is used."""
-    errors: set[int] = set()
+    those reachable from `start` under s_A), and the StrategyError that
+    matching a rule raises at each visited state where it does. Strategies
+    are memoryless, so out(q, s_A) is the part reachable from q, and
+    `outcomes` from q raises exactly when an error state is reachable: the
+    error of the first one a breadth-first walk over the kept edges, in
+    stored order, reaches. With no coalition the graph itself is used."""
+    errors: dict[int, StrategyError] = {}
     if s_A:
         kept: list[Transition] = []
         todo = list(range(graph.n_states)) if start is None else [start]
@@ -111,8 +112,8 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy,
             try:  # by identity: every transition holds its own move object
                 keep = {id(m) for m in allowed_moves(graph.net, graph.states[i],
                                                      [t.move for t in outs], s_A)}
-            except StrategyError:
-                errors.add(i)
+            except StrategyError as exc:
+                errors[i] = exc.with_traceback(None)  # keeps no frame alive
                 continue
             kept_i = [t for t in outs if id(t.move) in keep]
             kept += kept_i

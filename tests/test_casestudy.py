@@ -1,9 +1,10 @@
 import pytest
 
 from natstrat.casestudy import (
-    build_infrastructure, build_voter, catalog, run_all, symbolwise_steps,
+    DATA_DIR, build_infrastructure, build_voter, catalog, load, models, run_all,
+    symbolwise_steps,
 )
-from natstrat.dsl import parse_guard_text
+from natstrat.dsl import parse_guard_text, print_strategy
 from natstrat.errors import DefinitionError
 from natstrat.model import Internal, Synchronized, eval_guard, explore
 from natstrat.outcome import outcomes
@@ -24,6 +25,53 @@ def test_run_all_matches_every_expected_row():
     assert results, "empty regression table"
     for r in results:
         assert r.ok, f"{r.kind} {r.name}: expected {r.expected}, got {r.actual}"
+
+
+def test_run_all_rows_are_the_published_table():
+    assert [(r.kind, r.name, r.expected) for r in run_all()] == [
+        ("complexity", "cast_verify", 15),
+        ("complexity", "cast_verify_extra_checks", 21),
+        ("complexity", "cast_verify_split_check4", 17),
+        ("complexity", "cast_verify_symbolwise", 29),
+        ("complexity", "punish_disobedient", 16),
+        ("complexity", "infect_replace", 6),
+        ("complexity", "infect_watch_punish", 7),
+        ("guard-length", "check2_ok || check2_fail || out", 5),
+        ("guard-length", "punish guard of punish_disobedient", 10),
+        ("guard-length", "true", 1),
+        ("steps", "cast_verify to end (from has_ballot)", 9),
+        ("steps", "cast_verify_extra_checks to end (from has_ballot)", 13),
+        ("steps", "cast_verify_split_check4 to full verification (from start)", 11),
+        ("steps", "cast_verify_symbolwise, n=1 m=1", 15),
+        ("steps", "cast_verify_symbolwise, n=7 m=5", 35),
+        ("verdict", "reach_end with cast_verify, bound 15", True),
+        ("verdict", "reach_end with cast_verify, bound 14", False),
+        ("verdict", "receipt_checked with cast_verify minus its finish rule, bound 12", True),
+        ("verdict", "reach_end_all_checks with cast_verify_extra_checks, bound 21", True),
+        ("verdict", "complete_split_verification with cast_verify_split_check4, bound 17",
+         True),
+        ("verdict",
+         "complete_symbolwise_verification with cast_verify_symbolwise, bound 29", True),
+        ("verdict", "AF end on the cast_verify-fixed model", True),
+    ]
+
+
+def test_registry_is_the_bundled_model_files():
+    assert models() == tuple(sorted(p.stem for p in DATA_DIR.glob("*.nsm")))
+    assert set(catalog().networks) == set(models())
+    with pytest.raises(DefinitionError):
+        load("no_such_model")
+
+
+def test_load_without_constants_is_the_default_full_voter():
+    # the bundled voter_full declares n = 7, m = 5
+    loaded, built = load("voter_full"), build_voter("full")
+    assert str(loaded.network) == str(built.network)
+    assert ({n: print_strategy(s) for n, s in loaded.strategies.items()}
+            == {n: print_strategy(s) for n, s in built.strategies.items()})
+    assert ({n: str(f) for n, f in loaded.formulas.items()}
+            == {n: str(f) for n, f in built.formulas.items()})
+    assert explore(loaded.network).n_states == 158
 
 
 def test_exploration_regression_constant(base):

@@ -457,6 +457,16 @@ def test_coalition_labels_match_fresh_check_errors_at_some_states(base):
     assert 0 < errors < FormulaEvaluator(net).graph.n_states
 
 
+def test_error_reraised_is_the_first_one_exploration_expands():
+    # s2 lists its move to s4 before its move to s3, while s3 has the lower
+    # index; matching fails at both, so an exploration from s2 raises at s4
+    net = _automaton(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 3), (3, 5), (4, 5)])
+    s = NaturalStrategy(agent="G", rules=(Rule(_at({0, 1, 2}).guard, WILDCARD),
+                                          Rule(TrueConst(), "e0")))
+    node = Strategic(coalition=("G",), bound=20, op="F", subs=(_at({5}),))
+    assert _assert_coalition_labels_match(net, node, {"G": s}) == 5
+
+
 def test_coalition_labels_match_fresh_check_lazy_agents(punisher):
     net = punisher.network
     s_A = {"Coercer": punisher.strategies["punish_disobedient"]}

@@ -65,6 +65,20 @@ def test_check_dispute_resolution_via_witness_annotation():
     assert code == EXIT_OK and report.tasks[0].value is True
 
 
+def test_check_use_keeps_the_strategy_a_formula_names():
+    # dispute_resolution names <<Voter:signal_on_dispute>>; --use supplies
+    # strategies only to nodes that name none
+    code, report = run("check", "--model", "voter_base",
+                       "--formula-name", "dispute_resolution", "--use", "cast_verify")
+    assert code == EXIT_OK and report.tasks[0].value is True
+
+
+def test_unknown_model_is_a_usage_error():
+    code, report = run("check", "--model", "no_such_model", "--formula", "A G true")
+    assert code == EXIT_USAGE
+    assert "no bundled model 'no_such_model'" in report.tasks[0].detail["error"]
+
+
 def test_check_inline_formula_synthesize():
     code, report = run("check", "--model", "voter_base",
                        "--formula", "A G !(Voter@error && Voter@end)",

@@ -8,7 +8,7 @@ from natstrat.dsl import (
     parse_strategy, print_formula, print_network, print_strategy,
 )
 from natstrat.errors import ParseError
-from natstrat.formula import FAnd, FAtom, FNot, FOr, Knows, Strategic
+from natstrat.formula import FAnd, FAtom, FNot, FOr, Knows, Strategic, map_formula
 from natstrat.model import LocAtom, Or, TrueConst
 from natstrat.strategy import WILDCARD
 from natstrat.casestudy import DATA_DIR
@@ -274,3 +274,21 @@ def test_parsing_is_total(text):
         parse_bundle(text)
     except ParseError:
         pass  # rejected with a span; that's the contract
+
+
+def test_map_formula_visits_bottom_up_and_rebuilds_only_changed_paths(base):
+    net = base.network
+    f = parse_formula("A G (check4_fail -> <<Voter:signal_on_dispute>>^2 F error) "
+                      "&& K[Voter] end", net)
+    seen = []
+    assert map_formula(f, lambda g: seen.append(g) or g) is f
+    assert [str(g) for g in seen] == [
+        "check4_fail", "error", "<<Voter:signal_on_dispute>>^2 F error",
+        "check4_fail -> <<Voter:signal_on_dispute>>^2 F error",
+        "A G (check4_fail -> <<Voter:signal_on_dispute>>^2 F error)",
+        "end", "K[Voter] end", str(f)]
+    bounded = map_formula(f, lambda g: Strategic(g.coalition, 3, g.op, g.subs, g.witness)
+                          if isinstance(g, Strategic) else g)
+    assert str(bounded) == ("<<>>^3 G (check4_fail -> <<Voter:signal_on_dispute>>^3 F error)"
+                            " && K[Voter] end")
+    assert bounded.right is f.right

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
 from natstrat.model import Internal, available_actions, enabled_moves, explore
-from natstrat.outcome import outcomes, restrict, steps_to_goal
+from natstrat.outcome import outcomes, restrict, shortest_path, steps_to_goal
 from natstrat.strategy import WILDCARD, allowed_moves, match_rule
 from natstrat.casestudy import build_voter, symbolwise_steps
 
@@ -367,6 +367,12 @@ def test_allowed_moves_matches_per_move_filter(case):
     restricted, errors = restrict(graph, s_A, start=graph.initial)
     assert isinstance(og, str) == bool(errors)
     if errors:
+        # outcomes raises at the first error state its breadth-first
+        # exploration expands: the first one reached over the kept edges
+        succ = [[t.target for t in restricted.graph.out_edges(j)]
+                for j in range(restricted.n_states)]
+        first = shortest_path(succ, graph.initial, errors)[-1]
+        assert og == f"StrategyError: {errors[first]}"
         return
     reached, todo = {graph.initial}, [graph.initial]
     while todo:
