@@ -34,7 +34,7 @@ def main() -> int:
         s = bundle.strategies[sname]
         og = outcomes(net, None, {"Coercer": s})
         goal = parse_guard_text(achieved, net)
-        hit = any(eval_guard(goal, og.state(i), net) for i in range(og.n_states))
+        hit = any(eval_guard(goal, og.states[i], net) for i in range(og.n_states))
         print(f"{variant:9s} {sname:22s} complexity {complexity(s):2d}  "
               f"reaches [{achieved}]: {hit}  ({og.n_states} states)")
 

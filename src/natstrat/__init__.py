@@ -17,7 +17,7 @@ from .model import (
     AgentTemplate, Edge, GlobalState, Network, VarDecl, apply_move,
     available_actions, enabled_moves, eval_guard, explore,
 )
-from .outcome import OutcomeGraph, StepsResult, outcomes, steps_to_goal
+from .outcome import StepsResult, outcomes, steps_to_goal
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
     fix_strategy, guard_length, make_mutually_exclusive, match_rule,

@@ -1,13 +1,14 @@
-"""Query evaluation: universal temporal labelling over outcome graphs,
+"""Query evaluation: universal temporal labelling over successor lists,
 knowledge via observational indistinguishability, strategy verification
 against a bound, and bounded brute-force strategy synthesis.
 
-AX, AF, AG and A(U) are labelled at every state of an outcome graph at once,
-each by one backward pass of `outcome.backward_fixpoint`; a verdict at a
-state reads that state's label. Natural strategies are memoryless, so a
-strategic operator whose strategy is fixed is labelled over one graph: the
-explored graph restricted to that strategy (`outcome.restrict`), the way
-synthesis checks each candidate from the state in question.
+AX, AF, AG and A(U) are labelled at every state of an outcome at once, each
+by one backward pass of `outcome.backward_fixpoint` over its successor
+lists; a verdict at a state reads that state's label. Natural strategies are
+memoryless, so a strategic operator whose strategy is fixed is labelled over
+one outcome: the explored graph's successors restricted to that strategy
+(`outcome.restrict`), the way synthesis checks each candidate from the state
+in question.
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -28,9 +29,7 @@ from .model import (
     DEFAULT_STATE_CAP, And, GlobalState, GuardExpr, LocAtom, Network, Not,
     Or, StateGraph, TrueConst, VarAtom, eval_guard, explore,
 )
-from .outcome import (
-    OutcomeGraph, backward_fixpoint, outcomes, restrict, shortest_path,
-)
+from .outcome import backward_fixpoint, outcomes, restrict, shortest_path
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
 )
@@ -52,42 +51,46 @@ class CheckResult:
     witness_path: tuple[int, ...] = ()
     reason: str = ""
     stats: CheckStats = field(default_factory=CheckStats)
+    # the explored graph whose states witness_path indexes
+    graph: Optional[StateGraph] = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return bool(self.verdict)
 
 
 # ---------------------------------------------------------------------------
-# Universal temporal labelling on an outcome graph
+# Universal temporal labelling on successor lists
 
-def label_universal(og: OutcomeGraph, op: str,
+def label_universal(succ: Sequence[Sequence[int]], op: str,
                     subgoals: Sequence[set[int]]) -> set[int]:
-    """States of the outcome graph where AX/AF/AG/A(U) of the pre-labelled
-    state sets holds over every maximal trace, each in one backward pass:
-    AF g = A(true U g), and AG g is the complement of backward reachability
-    of the states outside g. A terminal state satisfies every AX."""
+    """States where AX/AF/AG/A(U) of the pre-labelled state sets holds over
+    every maximal trace of the successor lists (`succ[i]`: the productive
+    successors of state i), each in one backward pass: AF g = A(true U g),
+    and AG g is the complement of backward reachability of the states
+    outside g. A terminal state satisfies every AX."""
     if op == "X":
-        return {i for i, outs in enumerate(og.succ)
+        return {i for i, outs in enumerate(succ)
                 if all(j in subgoals[0] for j in outs)}
     if op == "F":
-        return backward_fixpoint(og.succ, subgoals[0])
+        return backward_fixpoint(succ, subgoals[0])
     if op == "G":
-        unsafe = [i for i in range(og.n_states) if i not in subgoals[0]]
-        return set(range(og.n_states)) - backward_fixpoint(og.succ, unsafe, some=True)
+        unsafe = [i for i in range(len(succ)) if i not in subgoals[0]]
+        return set(range(len(succ))) - backward_fixpoint(succ, unsafe, some=True)
     if op == "U":
-        return backward_fixpoint(og.succ, subgoals[1], allowed=subgoals[0])
+        return backward_fixpoint(succ, subgoals[1], allowed=subgoals[0])
     raise DefinitionError(f"unknown temporal operator {op}")
 
 
-def _bad_witness(og: OutcomeGraph, start: int, good: set[int]) -> tuple[int, ...]:
+def _bad_witness(succ: Sequence[Sequence[int]], start: int,
+                 good: set[int]) -> tuple[int, ...]:
     """Shortest path from start into the non-`good` region; extended to a
     terminal or around a cycle so the trace is recognizably maximal."""
-    bad = set(range(og.n_states)) - good
-    path = list(shortest_path(og.succ, start, bad))
+    bad = set(range(len(succ))) - good
+    path = list(shortest_path(succ, start, bad))
     # extend within the bad region until a repeat or a terminal
     seen = set(path)
     while path:
-        nxt = next((j for j in og.succ[path[-1]] if j in bad), None)
+        nxt = next((j for j in succ[path[-1]] if j in bad), None)
         if nxt is None:
             break
         path.append(nxt)
@@ -105,23 +108,22 @@ _FAILURE_REASONS = {
 }
 
 
-def check_temporal_universal(og: OutcomeGraph, op: str,
+def check_temporal_universal(succ: Sequence[Sequence[int]], op: str,
                              subgoals: Sequence[set[int]],
-                             start: Optional[int] = None) -> CheckResult:
+                             start: int = 0) -> CheckResult:
     """Check AX/AF/AG/A(U) of pre-labeled state sets over all maximal traces
-    of the outcome graph, from `start` (default: the graph's start state).
-    Returns a counterexample path or lasso on failure."""
-    q = og.initial if start is None else start
-    good = label_universal(og, op, subgoals)
-    if q in good:
+    of the successor lists from state `start`. Returns a counterexample
+    path or lasso on failure; an AX one goes to the first violating
+    successor in index order."""
+    good = label_universal(succ, op, subgoals)
+    if start in good:
         return CheckResult(True)
     if op == "X":
-        path = (q, next(t.target for t in og.out_edges(q)
-                        if t.target not in subgoals[0]))
+        path = (start, next(j for j in succ[start] if j not in subgoals[0]))
     else:
         # an AG counterexample runs to a state outside g, an AF or A(U) one
         # stays outside the label
-        path = _bad_witness(og, q, subgoals[0] if op == "G" else good)
+        path = _bad_witness(succ, start, subgoals[0] if op == "G" else good)
     return CheckResult(False, witness_path=path, reason=_FAILURE_REASONS[op])
 
 
@@ -176,18 +178,20 @@ def verify_strategic(net: Network, q: Optional[GlobalState], coalition: Iterable
                      state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:
     """<<coalition>>^<=k op(goals) with a supplied strategy: true iff the
     collective complexity is within the bound (strict gating) and the
-    universal temporal check holds on the strategy's outcome graph."""
+    universal temporal check holds on the strategy's outcome; a
+    counterexample path indexes the states of that outcome (`graph`)."""
     t0 = time.perf_counter()
     gated = _complexity_gate(coalition, k, s_A)
     if gated is not None:
         gated.stats = CheckStats(wall_time=time.perf_counter() - t0)
         return gated
-    og = outcomes(net, q, s_A, state_cap=state_cap)
-    sets = [{i for i in range(og.n_states) if pred(og.state(i))}
+    graph = outcomes(net, q, s_A, state_cap=state_cap)
+    sets = [{i for i, state in enumerate(graph.states) if pred(state)}
             for pred in goal_predicates]
-    res = check_temporal_universal(og, op, sets)
+    res = check_temporal_universal(graph.succ, op, sets)
     res.witness_strategy = dict(s_A)
-    res.stats = CheckStats(states_explored=og.n_states,
+    res.graph = graph
+    res.stats = CheckStats(states_explored=graph.n_states,
                            wall_time=time.perf_counter() - t0)
     return res
 
@@ -322,7 +326,7 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
                          config: SynthesisConfig = SynthesisConfig()) -> CheckResult:
     """Enumerate collective natural strategies in nondecreasing complexity up
     to k (ties broken by rule count, then guard text) and return the first
-    one whose outcome graph passes the universal temporal check. False means
+    one whose outcome passes the universal temporal check. False means
     the enumeration was exhaustive; a cap raises ResourceLimitError so that
     'unknown' is never conflated with 'false'. The network is explored once
     from q, within `config.state_cap`, and each candidate restricts it."""
@@ -372,8 +376,8 @@ def _synthesize(graph: StateGraph, start: int, coalition: Sequence[str], k: int,
             raise ResourceLimitError(
                 f"synthesis cap {config.enumeration_cap} exceeded "
                 f"(verdict unknown)", partial=stats.strategies_enumerated)
-        og, errors = restrict(graph, cand, start)
-        if not errors and start in label_universal(og, op, subgoals):
+        succ, errors = restrict(graph, cand, start)
+        if not errors and start in label_universal(succ, op, subgoals):
             return CheckResult(True, witness_strategy=cand,
                                reason=f"witness of complexity {complexity(cand)}",
                                stats=stats)
@@ -460,8 +464,8 @@ class FormulaEvaluator:
             return self._synthesized.get((id(f), i))
         if isinstance(fixed, CheckResult):
             return fixed
-        s_A, og, subgoals, _, _, _ = fixed
-        res = check_temporal_universal(og, f.op, subgoals, start=i)
+        s_A, succ, subgoals, _, _ = fixed
+        res = check_temporal_universal(succ, f.op, subgoals, start=i)
         res.witness_strategy = dict(s_A)
         return res
 
@@ -545,20 +549,20 @@ class FormulaEvaluator:
 
     def _label_fixed(self, node: Strategic):
         """Label a node whose strategy is fixed at every state at once:
-        (strategy, restricted graph, goal sets, label set, errors, tainted
+        (strategy, restricted successor lists, goal sets, label set, tainted
         states), the gate's CheckResult when the strategy exceeds the bound,
-        or _UNKNOWN. Tainted states reach a state where matching a rule fails
-        (a key of errors, which maps it to its StrategyError)."""
+        or _UNKNOWN. Tainted states reach a state where matching a rule
+        fails."""
         s_A = self._strategy_for(node)
         gated = _complexity_gate(node.coalition, node.bound, s_A)
         if gated is not None:
             return gated
-        og, errors = restrict(self.graph, s_A)
+        succ, errors = restrict(self.graph, s_A)
         subgoals = self._goal_sets(node)
         if subgoals is _UNKNOWN:
             return _UNKNOWN
-        tainted = backward_fixpoint(og.succ, errors, some=True) if errors else errors
-        return s_A, og, subgoals, label_universal(og, node.op, subgoals), errors, tainted
+        tainted = backward_fixpoint(succ, errors, some=True) if errors else errors
+        return s_A, succ, subgoals, label_universal(succ, node.op, subgoals), tainted
 
     def _eval_strategic(self, node: Strategic, i: int):
         if node.is_universal or self.mode == "verify" or node.witness:
@@ -569,13 +573,10 @@ class FormulaEvaluator:
                 return _UNKNOWN
             if isinstance(fixed, CheckResult):
                 return fixed.verdict
-            _, og, _, labels, errors, tainted = fixed
+            s_A, _, _, labels, tainted = fixed
             if i in tainted:
-                # the StrategyError that verify_strategic raises here: that of
-                # the first error state its exploration from i expands (with a
-                # fresh traceback, so raising it again keeps no frame alive)
-                succ = [[t.target for t in og.graph.out_edges(j)] for j in range(og.n_states)]
-                raise errors[shortest_path(succ, i, errors)[-1]].with_traceback(None)
+                # the StrategyError that verify_strategic raises here
+                raise next(iter(restrict(self.graph, s_A, start=i)[1].values()))
             return i in labels
         sets = self._goal_sets(node)
         if sets is _UNKNOWN:
@@ -616,4 +617,5 @@ def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
         witness = CheckResult(None)
     reason = witness.reason or ("enumeration cap hit (unknown)" if verdict is None else "")
     return CheckResult(verdict, witness_strategy=witness.witness_strategy,
-                       witness_path=witness.witness_path, reason=reason, stats=stats)
+                       witness_path=witness.witness_path, reason=reason, stats=stats,
+                       graph=ev.graph)

@@ -6,8 +6,9 @@ the .nsm stems under `casestudy.DATA_DIR`); bundled models bring their
 strategies and formulas along.
 
 Exit codes: 0 all verdicts true / metrics computed, 1 a checked property is
-false, 2 a usage error or any other natstrat error (definition, strategy,
-bounds), 3 a resource cap was exceeded.
+false, 2 a usage error, an unreadable or unwritable file, or any other
+natstrat error (definition, strategy, bounds), 3 a resource cap was
+exceeded.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .dsl import (
 )
 from .errors import DefinitionError, NatStratError, ResourceLimitError
 from .formula import Formula, Strategic, map_formula
-from .model import DEFAULT_STATE_CAP, Network, eval_guard, explore
-from .outcome import outcomes, steps_to_goal
+from .model import DEFAULT_STATE_CAP, Network, eval_guard
+from .outcome import steps_to_goal
 from .report import (
     EXIT_OK, EXIT_PROPERTY, EXIT_RESOURCE, EXIT_USAGE, RunReport, TaskReport,
 )
@@ -55,16 +56,16 @@ def _state_text(net: Network, state) -> str:
     return f"({locs}{'; ' + vals if vals else ''})"
 
 
-def _witness_detail(net: Network, res, graph_states=None) -> dict:
+def _witness_detail(net: Network, res, show_path: bool = False) -> dict:
     detail: dict = {}
     if res.reason:
         detail["reason"] = res.reason
     if res.witness_strategy:
         detail["witness_strategy"] = "\n".join(
             print_strategy(s) for s in res.witness_strategy.values())
-    if res.witness_path and graph_states is not None:
+    if res.witness_path and show_path:
         detail["witness_path"] = [
-            _state_text(net, graph_states[i]) for i in res.witness_path]
+            _state_text(net, res.graph.states[i]) for i in res.witness_path]
     detail["stats"] = {
         "states_explored": res.stats.states_explored,
         "strategies_enumerated": res.stats.strategies_enumerated,
@@ -131,10 +132,8 @@ def _cmd_check(args, report: RunReport) -> int:
                        synthesis=SynthesisConfig(state_cap=args.state_cap),
                        state_cap=args.state_cap)
     status = "ok" if res.verdict else ("error" if res.verdict is None else "fail")
-    # a witness path indexes the states explored from the initial state
-    states = explore(net, state_cap=args.state_cap).states if res.witness_path else None
     report.add(TaskReport("check", fname, status, value=res.verdict,
-                          detail=_witness_detail(net, res, states)))
+                          detail=_witness_detail(net, res, show_path=True)))
     if res.verdict is None:
         return EXIT_RESOURCE
     return EXIT_OK if res.verdict else EXIT_PROPERTY
@@ -154,8 +153,7 @@ def _cmd_steps(args, report: RunReport) -> int:
     res = steps_to_goal(net, start, {s.agent: s}, goal, state_cap=args.state_cap)
     detail = {}
     if not res.reached and res.witness:
-        og = outcomes(net, start, {s.agent: s}, state_cap=args.state_cap)
-        trace = [_state_text(net, og.state(i)) for i in res.witness]
+        trace = [_state_text(net, res.graph.states[i]) for i in res.witness]
         if res.lasso_start is not None:
             trace[res.lasso_start] += "  <- cycle entry"
         detail["witness_path"] = trace
@@ -332,7 +330,7 @@ def _run(argv: Optional[list[str]]) -> tuple[int, RunReport, str]:
     t0 = time.perf_counter()
     try:
         code = args.func(args, report)
-    except NatStratError as exc:
+    except (NatStratError, OSError) as exc:  # OSError: an unreadable or unwritable path
         report.add(TaskReport("error", args.command, "error",
                               detail={"error": str(exc)}))
         code = EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
+from .errors import DefinitionError
 from .model import GuardExpr
 
 TEMPORAL_OPS = ("X", "F", "G", "U")
@@ -74,9 +75,9 @@ class Strategic:
 
     def __post_init__(self):
         if self.op not in TEMPORAL_OPS:
-            raise ValueError(f"bad temporal operator {self.op}")
+            raise DefinitionError(f"bad temporal operator {self.op}")
         if self.bound < 0:
-            raise ValueError("complexity bound must be >= 0")
+            raise DefinitionError("complexity bound must be >= 0")
 
     @property
     def is_universal(self) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import BoundViolationError, DefinitionError, ResourceLimitError
@@ -598,7 +599,7 @@ class StateGraph:
 
     States are indexed in BFS discovery order (deterministic for a given
     network), transitions keep their full move labels. `wait` self-loops are
-    included; path-level analyses may filter them via Transition.move.is_idle.
+    included; path-level analyses read `succ`, which drops them.
     """
 
     net: Network
@@ -608,10 +609,10 @@ class StateGraph:
 
     def __post_init__(self):
         self._index = {q: i for i, q in enumerate(self.states)}
-        succ: list[list[Transition]] = [[] for _ in self.states]
+        out: list[list[Transition]] = [[] for _ in self.states]
         for t in self.transitions:
-            succ[t.source].append(t)
-        self._succ = succ
+            out[t.source].append(t)
+        self._out = out
 
     def index_of(self, q: GlobalState) -> int:
         return self._index[q]
@@ -620,7 +621,14 @@ class StateGraph:
         return q in self._index
 
     def out_edges(self, i: int) -> list[Transition]:
-        return self._succ[i]
+        return self._out[i]
+
+    @cached_property
+    def succ(self) -> list[list[int]]:
+        """The distinct productive (non-idle) successors of each state, in
+        index order."""
+        return [sorted({t.target for t in outs if not t.move.is_idle})
+                for outs in self._out]
 
     def satisfying(self, guard: GuardExpr) -> set[int]:
         return {i for i, q in enumerate(self.states)

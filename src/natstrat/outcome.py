@@ -1,17 +1,20 @@
-"""Outcome graphs of collective strategies and the worst-case step metric.
+"""Outcomes of collective strategies and the worst-case step metric.
 
 The outcome of a collective strategy from a state is the reachable graph in
 which every coalition member only takes actions its strategy prescribes
 (first-match semantics), while all other agents behave freely. `outcomes`
-explores it from one state; `restrict` cuts it out of an explored graph, for
-every state at once or from one `start`. Both take one step per state:
-`strategy.allowed_moves` over the moves enabled there.
+explores it from one state; `restrict` cuts it out of an explored graph as
+successor lists, for every state at once or from one `start`. Both take one
+step per state: `strategy.allowed_moves` over the moves enabled there.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
 enabled), which is realized by ignoring idle self-loops and treating states
 with no productive move as terminal. Idle transitions never count toward
-step totals.
+step totals. A state's successor list (`StateGraph.succ`, or what `restrict`
+returns) holds its distinct productive successors in index order; maximal
+traces are the infinite paths over these lists plus the finite ones ending
+in a state whose list is empty.
 
 `backward_fixpoint` is the one fixpoint routine: the checker's temporal
 labels and the step metric's reachability test both run on it.
@@ -20,110 +23,56 @@ labels and the step metric's reachability test both run on it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
 from .errors import StrategyError
 from .model import (
-    DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, StateGraph,
-    Transition, explore,
+    DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, StateGraph, explore,
 )
 from .strategy import CollectiveStrategy, allowed_moves
 
 
-@dataclass
-class OutcomeGraph:
-    """Reachable graph of out(q, s_A), with transitions tagged by the acting
-    agent(s) and whether a coalition member acts.
-
-    Maximal traces are the infinite paths plus the finite ones ending in a
-    state with no productive (non-idle) move.
-    """
-
-    net: Network
-    coalition: frozenset[str]
-    strategies: CollectiveStrategy
-    graph: StateGraph
-
-    def __post_init__(self):
-        self._nonidle: list[list[Transition]] = [
-            [t for t in self.graph.out_edges(i) if not t.move.is_idle]
-            for i in range(self.graph.n_states)
-        ]
-        # distinct productive successors of each state, in index order
-        self.succ: list[list[int]] = [sorted({t.target for t in outs})
-                                      for outs in self._nonidle]
-
-    @property
-    def n_states(self) -> int:
-        return self.graph.n_states
-
-    @property
-    def initial(self) -> int:
-        return self.graph.initial
-
-    def state(self, i: int) -> GlobalState:
-        return self.graph.states[i]
-
-    def out_edges(self, i: int) -> list[Transition]:
-        """Productive transitions from state i (idle self-loops dropped)."""
-        return self._nonidle[i]
-
-    def successors(self, i: int) -> set[int]:
-        return set(self.succ[i])
-
-    def is_terminal(self, i: int) -> bool:
-        return not self._nonidle[i]
-
-    def satisfying(self, guard: GuardExpr) -> set[int]:
-        return self.graph.satisfying(guard)
-
-    def coalition_acts(self, t: Transition) -> bool:
-        return any(a in self.coalition for a in t.move.actors)
-
-
 def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
-             state_cap: int = DEFAULT_STATE_CAP) -> OutcomeGraph:
-    """Build out(q, s_A) directly, exploring only the moves s_A allows."""
-    graph = explore(net, start=q, state_cap=state_cap,
-                    move_filter=(lambda state, moves: allowed_moves(net, state, moves, s_A))
-                    if s_A else None)
-    return OutcomeGraph(net=net, coalition=frozenset(s_A), strategies=dict(s_A),
-                        graph=graph)
+             state_cap: int = DEFAULT_STATE_CAP) -> StateGraph:
+    """Explore out(q, s_A) directly, following only the moves s_A allows."""
+    return explore(net, start=q, state_cap=state_cap,
+                   move_filter=(lambda state, moves: allowed_moves(net, state, moves, s_A))
+                   if s_A else None)
 
 
-def restrict(graph: StateGraph, s_A: CollectiveStrategy,
-             start: Optional[int] = None) -> tuple[OutcomeGraph, dict[int, StrategyError]]:
-    """The explored graph keeping the moves s_A allows at every state (or at
-    those reachable from `start` under s_A), and the StrategyError that
-    matching a rule raises at each visited state where it does. Strategies
-    are memoryless, so out(q, s_A) is the part reachable from q, and
-    `outcomes` from q raises exactly when an error state is reachable: the
-    error of the first one a breadth-first walk over the kept edges, in
-    stored order, reaches. With no coalition the graph itself is used."""
+def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = None
+             ) -> tuple[list[list[int]], dict[int, StrategyError]]:
+    """Successor lists of the explored graph keeping only the moves s_A
+    allows, at every state (or at those reachable from `start` under s_A; the
+    others get none), and the StrategyError that matching a rule raises at
+    each visited state where it does. With no coalition they are
+    `graph.succ`. Strategies are memoryless, so out(q, s_A) is the part
+    reachable from q. The walk from `start` is breadth-first over the stored
+    edges in stored order, as `outcomes` explores, so the first error it
+    records is the one `outcomes` from that state raises."""
+    if not s_A:
+        return graph.succ, {}
+    succ: list[list[int]] = [[] for _ in range(graph.n_states)]
     errors: dict[int, StrategyError] = {}
-    if s_A:
-        kept: list[Transition] = []
-        todo = list(range(graph.n_states)) if start is None else [start]
-        seen = set(todo)
-        while todo:
-            i = todo.pop()
-            outs = graph.out_edges(i)
-            try:  # by identity: every transition holds its own move object
-                keep = {id(m) for m in allowed_moves(graph.net, graph.states[i],
-                                                     [t.move for t in outs], s_A)}
-            except StrategyError as exc:
-                errors[i] = exc.with_traceback(None)  # keeps no frame alive
-                continue
-            kept_i = [t for t in outs if id(t.move) in keep]
-            kept += kept_i
-            new = {t.target for t in kept_i} - seen
-            seen |= new
-            todo += new
-        graph = StateGraph(net=graph.net, states=graph.states, transitions=kept,
-                           initial=graph.initial if start is None else start)
-    return OutcomeGraph(net=graph.net, coalition=frozenset(s_A),
-                        strategies=dict(s_A), graph=graph), errors
+    todo = deque(range(graph.n_states) if start is None else [start])
+    seen = set(todo)
+    while todo:
+        i = todo.popleft()
+        outs = graph.out_edges(i)
+        try:  # by identity: every transition holds its own move object
+            keep = {id(m) for m in allowed_moves(graph.net, graph.states[i],
+                                                 [t.move for t in outs], s_A)}
+        except StrategyError as exc:
+            errors[i] = exc.with_traceback(None)  # keeps no frame alive
+            continue
+        targets = [t.target for t in outs if id(t.move) in keep and not t.move.is_idle]
+        succ[i] = sorted(set(targets))
+        for j in targets:
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return succ, errors
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +119,8 @@ class StepsResult:
     value: Optional[int] = None    # worst-case first-occurrence index
     witness: tuple[int, ...] = ()  # state-index path (lasso: cycle appended)
     lasso_start: Optional[int] = None
+    # the outcome graph whose states the witness indexes
+    graph: Optional[StateGraph] = field(default=None, repr=False, compare=False)
 
     @property
     def reached(self) -> bool:
@@ -212,18 +163,18 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     (a trapped or terminal region). 'unbounded': every trace can still reach
     the goal but a pre-goal cycle makes the worst case infinite.
     """
-    og = outcomes(net, q, s_A, state_cap=state_cap)
-    goal_set = og.satisfying(goal)
-    if og.initial in goal_set:
-        return StepsResult("reached", 0, witness=(og.initial,))
+    graph = outcomes(net, q, s_A, state_cap=state_cap)
+    goal_set = graph.satisfying(goal)
+    if graph.initial in goal_set:
+        return StepsResult("reached", 0, witness=(graph.initial,), graph=graph)
 
     # Goal states are sinks. One depth-first pass from the start visits the
     # pre-goal region: a successor still on the stack closes a cycle, the
     # stack from it up being the loop; without one, the reversed finishing
     # order is a topological order of the region.
-    succ = [[] if i in goal_set else outs for i, outs in enumerate(og.succ)]
-    depth = {og.initial: 0}  # stack position of each node on the stack
-    stack = [(og.initial, iter(succ[og.initial]))]
+    succ = [[] if i in goal_set else outs for i, outs in enumerate(graph.succ)]
+    depth = {graph.initial: 0}  # stack position of each node on the stack
+    stack = [(graph.initial, iter(succ[graph.initial]))]
     order: list[int] = []
     region: set[int] = set()
     lasso: Optional[StepsResult] = None
@@ -238,7 +189,7 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
         elif nxt in depth:
             if lasso is None:
                 lasso = StepsResult("unbounded", witness=tuple(n for n, _ in stack) + (nxt,),
-                                    lasso_start=depth[nxt])
+                                    lasso_start=depth[nxt], graph=graph)
         elif nxt not in region:
             depth[nxt] = len(stack)
             stack.append((nxt, iter(succ[nxt])))
@@ -246,13 +197,14 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     region_goals = region & goal_set
     dead = region - backward_fixpoint(succ, region_goals, some=True)
     if dead:
-        return StepsResult("unreachable", witness=shortest_path(succ, og.initial, dead))
+        return StepsResult("unreachable", witness=shortest_path(succ, graph.initial, dead),
+                           graph=graph)
     if lasso is not None:
         return lasso
 
     # Acyclic pre-goal region: longest path to a goal state.
     order.reverse()
-    dist = {og.initial: 0}
+    dist = {graph.initial: 0}
     parent: dict[int, int] = {}
     for i in order:
         if i not in dist or i in goal_set:
@@ -263,6 +215,6 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
                 parent[j] = i
     worst = max(region_goals, key=lambda g: dist.get(g, -1))
     path = [worst]
-    while path[-1] != og.initial:
+    while path[-1] != graph.initial:
         path.append(parent[path[-1]])
-    return StepsResult("reached", dist[worst], witness=tuple(reversed(path)))
+    return StepsResult("reached", dist[worst], witness=tuple(reversed(path)), graph=graph)

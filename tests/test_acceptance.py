@@ -94,7 +94,7 @@ def test_criterion_3_verification_regression():
     fixed = fix_strategy(base.network, {"Voter": ns1})
     og = outcomes(fixed, None, {})
     end = og.satisfying(parse_guard_text("end", fixed))
-    assert check_temporal_universal(og, "F", [end]).verdict is True
+    assert check_temporal_universal(og.succ, "F", [end]).verdict is True
     assert time.perf_counter() - t0 < 10.0
     _passed(3, "verification regression")
 
@@ -179,7 +179,7 @@ def test_criterion_5_transformation_properties():
     pairs += exact_pairs + [(full.network, ns4)]
     for net, s in pairs:
         fixed_graph = explore(fix_strategy(net, {s.agent: s}))
-        direct = outcomes(net, None, {s.agent: s}).graph
+        direct = outcomes(net, None, {s.agent: s})
         assert fixed_graph.n_states <= 10_000
         assert {(q.locations, q.values) for q in fixed_graph.states} == \
             {(q.locations, q.values) for q in direct.states}
@@ -209,10 +209,10 @@ def test_criterion_6_checker_oracle_equivalence():
             # independent witness search (terminal/cycle in the bad region)
             af_oracle = _af_oracle_witness(succ, og.initial, goal)
             au_oracle = _au_oracle_witness(succ, og.initial, hold, goal)
-        assert check_temporal_universal(og, "F", [goal]).verdict == af_oracle
-        assert check_temporal_universal(og, "G", [goal]).verdict == \
+        assert check_temporal_universal(og.succ, "F", [goal]).verdict == af_oracle
+        assert check_temporal_universal(og.succ, "G", [goal]).verdict == \
             _ag_oracle(succ, og.initial, goal)
-        assert check_temporal_universal(og, "U", [hold, goal]).verdict == au_oracle
+        assert check_temporal_universal(og.succ, "U", [hold, goal]).verdict == au_oracle
         cases += 1
     assert cases >= 100
 

@@ -119,7 +119,7 @@ def test_latches_stay_set(check4):
     done = parse_guard_text("checked4 && checked4_1 && checked4_2", net)
     end = parse_guard_text("end", net)
     for i in range(og.n_states):
-        q = og.state(i)
+        q = og.states[i]
         if eval_guard(end, q, net):
             assert eval_guard(done, q, net)
 
@@ -153,7 +153,7 @@ def test_cast_verify_survives_refined_models():
         net = bundle.network
         og = outcomes(net, None, {"Voter": ns1})
         end = og.satisfying(parse_guard_text("end", net))
-        assert check_temporal_universal(og, "F", [end]).verdict is True, level
+        assert check_temporal_universal(og.succ, "F", [end]).verdict is True, level
 
 
 # -- coercion models --------------------------------------------------------------

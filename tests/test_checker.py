@@ -22,7 +22,7 @@ from conftest import count_explore
 
 def test_ag_true_everywhere(base):
     og = outcomes(base.network, None, {})
-    assert check_temporal_universal(og, "G", [set(range(og.n_states))]).verdict
+    assert check_temporal_universal(og.succ, "G", [set(range(og.n_states))]).verdict
 
 
 def test_af_end_on_fixed_model(base):
@@ -30,14 +30,14 @@ def test_af_end_on_fixed_model(base):
     fixed = fix_strategy(base.network, {"Voter": base.strategies["cast_verify"]})
     og = outcomes(fixed, None, {})
     end = og.satisfying(parse_guard_text("end", fixed))
-    assert check_temporal_universal(og, "F", [end]).verdict is True
+    assert check_temporal_universal(og.succ, "F", [end]).verdict is True
 
 
 def test_af_error_false_with_counterexample(base):
     net = base.network
     og = outcomes(net, None, {"Voter": base.strategies["cast_verify"]})
     err = og.satisfying(parse_guard_text("error", net))
-    res = check_temporal_universal(og, "F", [err])
+    res = check_temporal_universal(og.succ, "F", [err])
     assert res.verdict is False
     assert res.witness_path
     assert all(i not in err for i in res.witness_path)
@@ -100,7 +100,7 @@ def test_universal_quantifier_identity(base):
     for goal_text in ("end", "error", "has_ballot", "true"):
         goal = parse_guard_text(goal_text, net)
         goal_set = og.satisfying(goal)
-        direct = check_temporal_universal(og, "F", [goal_set]).verdict
+        direct = check_temporal_universal(og.succ, "F", [goal_set]).verdict
         via_formula = eval_formula(net, parse_formula(f"A F {goal_text}", net))
         assert via_formula.verdict == direct
 
@@ -124,8 +124,8 @@ def test_ax_and_au(base):
     printing = og.satisfying(parse_guard_text("printing", net))
     start_or_printing = og.satisfying(parse_guard_text("start || printing", net))
     # from start, the only productive move is enter -> printing
-    assert check_temporal_universal(og, "X", [printing]).verdict is True
-    assert check_temporal_universal(og, "U", [start_or_printing, printing]).verdict
+    assert check_temporal_universal(og.succ, "X", [printing]).verdict is True
+    assert check_temporal_universal(og.succ, "U", [start_or_printing, printing]).verdict
 
 
 # -- random-graph oracle ----------------------------------------------------------
@@ -140,7 +140,7 @@ def _automaton(n, edges):
 
 
 def _adjacency(og):
-    return {i: sorted(og.successors(i)) for i in range(og.n_states)}
+    return {i: sorted(set(og.succ[i])) for i in range(og.n_states)}
 
 
 def _af_oracle_paths(succ, start, goal):
@@ -265,15 +265,15 @@ def test_temporal_matches_path_enumeration(case):
     og = outcomes(net, None, {})
     # hypothesis labels index locations; map to reachable state indices
     goal = {i for i in range(og.n_states)
-            if int(og.state(i).locations[0][1:]) in labels}
+            if int(og.states[i].locations[0][1:]) in labels}
     hold = {i for i in range(og.n_states)
-            if int(og.state(i).locations[0][1:]) in labels2}
+            if int(og.states[i].locations[0][1:]) in labels2}
     succ = _adjacency(og)
-    assert check_temporal_universal(og, "F", [goal]).verdict == \
+    assert check_temporal_universal(og.succ, "F", [goal]).verdict == \
         _af_oracle_paths(succ, og.initial, goal)
-    assert check_temporal_universal(og, "G", [goal]).verdict == \
+    assert check_temporal_universal(og.succ, "G", [goal]).verdict == \
         _ag_oracle(succ, og.initial, goal)
-    assert check_temporal_universal(og, "U", [hold, goal]).verdict == \
+    assert check_temporal_universal(og.succ, "U", [hold, goal]).verdict == \
         _au_oracle_paths(succ, og.initial, hold, goal)
 
 
@@ -288,11 +288,11 @@ def test_temporal_matches_witness_search_large(data):
     net = _automaton(n, edges)
     og = outcomes(net, None, {})
     goal = {i for i in range(og.n_states)
-            if int(og.state(i).locations[0][1:]) in goal_locs}
+            if int(og.states[i].locations[0][1:]) in goal_locs}
     succ = _adjacency(og)
-    assert check_temporal_universal(og, "F", [goal]).verdict == \
+    assert check_temporal_universal(og.succ, "F", [goal]).verdict == \
         _af_oracle_witness(succ, og.initial, goal)
-    assert check_temporal_universal(og, "G", [goal]).verdict == \
+    assert check_temporal_universal(og.succ, "G", [goal]).verdict == \
         _ag_oracle(succ, og.initial, goal)
 
 
@@ -517,3 +517,21 @@ def test_witness_comes_from_the_deciding_subformula(base):
     assert reported("A F end || <<Voter>>^2 F end", mode="synthesize",
                     synthesis=SynthesisConfig(enumeration_cap=10)) == \
         (None, "enumeration cap hit (unknown)", 0)
+
+
+def test_ax_counterexample_takes_the_first_violating_successor_by_index():
+    # a's stored edges go to c (index 3) before b (index 2); the reported
+    # successor is the first in index order
+    net = parse_network("""
+agent T {
+  init s0; loc a; loc b; loc c;
+  edge s0 -> a on x;
+  edge s0 -> b on y;
+  edge a -> c on p;
+  edge a -> b on q;
+}""", name="ax_order")
+    a = net.state(locations={"T": "a"})
+    res = eval_formula(net, parse_formula("A X T@s0", net), q=a)
+    assert res.verdict is False
+    assert [res.graph.states[i].locations for i in res.witness_path] == [("a",), ("b",)]
+    assert [t.target for t in res.graph.out_edges(res.witness_path[0])] == [3, 2]

@@ -6,6 +6,8 @@ from natstrat.report import (
 )
 from natstrat.casestudy import DATA_DIR
 
+from conftest import count_explore
+
 
 def run(*argv):
     return cli_main(list(argv))
@@ -216,3 +218,52 @@ def test_check_negation_reports_its_operand():
                        "!<<Voter>>^14 F end", "--use", "cast_verify")
     assert code == EXIT_OK and report.tasks[0].value is True
     assert report.tasks[0].detail["reason"] == "complexity 15 exceeds bound 14"
+
+
+def test_unreadable_files_are_usage_errors(tmp_path):
+    for argv in (("complexity", str(tmp_path / "missing.nss")),
+                 ("check", "--model", "voter_base", "--strategies",
+                  str(tmp_path / "missing.nss"), "--formula", "A F end"),
+                 ("complexity", str(DATA_DIR / "voter_base.nss"), "--model", str(tmp_path))):
+        code, report = run(*argv)
+        assert code == EXIT_USAGE, argv
+        assert report.tasks[0].kind == "error", argv
+        assert "Errno" in report.tasks[0].detail["error"], argv
+
+
+def test_negative_bound_is_a_usage_error():
+    code, report = run("check", "--model", "voter_base", "--formula-name", "reach_end",
+                       "--use", "cast_verify", "--bound", "-3")
+    assert code == EXIT_USAGE
+    assert report.tasks[0].kind == "error"
+    assert "bound must be >= 0" in report.tasks[0].detail["error"]
+
+
+def test_check_counterexample_explores_once(monkeypatch):
+    calls = count_explore(monkeypatch)
+    code, report = run("check", "--model", "voter_base", "--formula", "A F end")
+    assert code == EXIT_PROPERTY
+    assert report.tasks[0].detail["witness_path"][0] == "(Voter@start)"
+    assert len(calls) == 1
+
+
+def test_steps_witness_explores_once(monkeypatch, tmp_path):
+    # the witness of an unreachable or unbounded result is rendered from the
+    # outcome graph steps_to_goal explored
+    spin = tmp_path / "spin.nsm"
+    spin.write_text("agent T { init s0; loc spin; loc win; edge s0 -> spin on a; "
+                    "edge spin -> s0 on a; edge s0 -> win on b; }")
+    spin_s = tmp_path / "spin.nss"
+    spin_s.write_text("strategy any for T { when true do *; }")
+    cases = ((("--model", "voter_base", "--strategy", "signal_on_dispute"), "end",
+              "unreachable", 7),
+             (("--model", str(spin), "--strategies", str(spin_s), "--strategy", "any"), "win",
+              "unbounded", 3))
+    for args, goal, kind, length in cases:
+        calls = count_explore(monkeypatch)
+        code, report = run("steps", *args, "--goal", goal)
+        assert (code, report.tasks[0].value) == (EXIT_OK, kind)
+        assert len(report.tasks[0].detail["witness_path"]) == length
+        assert len(calls) == 1, kind
+    assert report.tasks[0].detail["witness_path"] == [
+        "(T@s0)  <- cycle entry", "(T@spin)", "(T@s0)"]

@@ -1,12 +1,10 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
 from natstrat.model import Internal, available_actions, enabled_moves, explore
-from natstrat.outcome import outcomes, restrict, shortest_path, steps_to_goal
+from natstrat.outcome import outcomes, restrict, steps_to_goal
 from natstrat.strategy import WILDCARD, allowed_moves, match_rule
 from natstrat.casestudy import build_voter, symbolwise_steps
 
@@ -17,8 +15,8 @@ def test_empty_coalition_gives_full_graph(base):
     net = base.network
     og = outcomes(net, None, {})
     full = explore(net)
-    assert og.graph.states == full.states
-    assert len(og.graph.transitions) == len(full.transitions)
+    assert og.states == full.states
+    assert len(og.transitions) == len(full.transitions)
 
 
 def test_two_state_toy_single_path():
@@ -26,7 +24,7 @@ def test_two_state_toy_single_path():
     s = parse_strategy("strategy s for T { when true do a; }", net)
     og = outcomes(net, None, {"T": s})
     assert og.n_states == 2
-    assert og.is_terminal(1)
+    assert not og.succ[1]
 
 
 def test_ns1_every_maximal_path_visits_end(base):
@@ -34,14 +32,7 @@ def test_ns1_every_maximal_path_visits_end(base):
     og = outcomes(net, None, {"Voter": base.strategies["cast_verify"]})
     end = og.satisfying(parse_guard_text("end", net))
     from natstrat.checker import check_temporal_universal
-    assert check_temporal_universal(og, "F", [end]).verdict is True
-
-
-def test_outcome_transition_tags(base):
-    net = base.network
-    og = outcomes(net, None, {"Voter": base.strategies["cast_verify"]})
-    for t in og.graph.transitions:
-        assert og.coalition_acts(t) == ("Voter" in t.move.actors)
+    assert check_temporal_universal(og.succ, "F", [end]).verdict is True
 
 
 def test_steps_goal_already_holds(base):
@@ -135,7 +126,7 @@ def test_steps_layer_certification(base):
             hit_at.append(depth)
             return
         assert depth <= T, "a trace exceeded the reported worst case"
-        succs = og.successors(i)
+        succs = set(og.succ[i])
         assert succs, "a maximal trace missed the goal"
         for j in succs:
             walk(j, depth + 1, seen | {j})
@@ -185,7 +176,7 @@ def test_strategy_drives_sync_action():
     got = og.satisfying(parse_guard_text("Receiver@got", net))
     assert got
     # chatter is pruned: only synchronized sends and (post-sync) idling remain
-    for t in og.graph.transitions:
+    for t in og.transitions:
         assert t.move.is_idle or t.move.label().startswith("Sender.send")
 
 
@@ -239,7 +230,7 @@ def test_steps_count_adversary_moves(punisher):
             worst[0] = max(worst[0], depth)
             return
         assert depth <= res.value
-        for j in og.successors(i):
+        for j in set(og.succ[i]):
             walk(j, depth + 1)
 
     walk(og.initial, 0)
@@ -263,7 +254,7 @@ def test_steps_lower_bounded_by_shortest_path(base):
         if i in goal_set:
             shortest = dist[i]
             break
-        for j in sorted(og.successors(i)):
+        for j in sorted(set(og.succ[i])):
             if j not in dist:
                 dist[j] = dist[i] + 1
                 dq.append(j)
@@ -348,9 +339,8 @@ def _raised(f):
         return f"StrategyError: {exc}"
 
 
-def _edges(og, states):
-    return Counter((og.state(t.source), t.move.label(), og.state(t.target))
-                   for t in og.graph.transitions if t.source in states)
+def _state_pairs(graph, succ):
+    return {(graph.states[i], graph.states[j]) for i, outs in enumerate(succ) for j in outs}
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,24 +354,14 @@ def test_allowed_moves_matches_per_move_filter(case):
             _raised(lambda: _reference_allowed(net, q, moves, s_A)), q
     # outcomes explores out(q0, s_A); restrict cuts it out of explore(net)
     og = _raised(lambda: outcomes(net, None, s_A))
-    restricted, errors = restrict(graph, s_A, start=graph.initial)
+    succ, errors = restrict(graph, s_A, start=graph.initial)
     assert isinstance(og, str) == bool(errors)
     if errors:
         # outcomes raises at the first error state its breadth-first
-        # exploration expands: the first one reached over the kept edges
-        succ = [[t.target for t in restricted.graph.out_edges(j)]
-                for j in range(restricted.n_states)]
-        first = shortest_path(succ, graph.initial, errors)[-1]
-        assert og == f"StrategyError: {errors[first]}"
+        # exploration expands: the first one restrict's walk records
+        assert og == f"StrategyError: {next(iter(errors.values()))}"
         return
-    reached, todo = {graph.initial}, [graph.initial]
-    while todo:
-        for t in restricted.graph.out_edges(todo.pop()):
-            if t.target not in reached:
-                reached.add(t.target)
-                todo.append(t.target)
-    assert {restricted.state(i) for i in reached} == set(og.graph.states)
-    assert _edges(restricted, reached) == _edges(og, range(og.n_states))
+    assert _state_pairs(graph, succ) == _state_pairs(og, og.succ)
 
 
 def test_allowed_moves_skips_a_receiver_whose_sender_refuses():

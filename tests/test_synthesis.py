@@ -8,7 +8,9 @@ from natstrat.checker import (
 )
 from natstrat.dsl import parse_guard_text, parse_network, print_strategy
 from natstrat.errors import ResourceLimitError, StrategyError
-from natstrat.model import And, LocAtom, Not, Or, TrueConst, eval_guard, explore
+from natstrat.model import (
+    And, LocAtom, Not, Or, StateGraph, TrueConst, eval_guard, explore,
+)
 from natstrat.outcome import outcomes
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
 
@@ -73,8 +75,8 @@ def brute_force_exists(net, agent, k, op, pred, vocab):
                     og = outcomes(net, None, {agent: cand})
                 except StrategyError:
                     continue
-                goal = {i for i in range(og.n_states) if pred(og.state(i))}
-                if check_temporal_universal(og, op, [goal]).verdict:
+                goal = {i for i in range(og.n_states) if pred(og.states[i])}
+                if check_temporal_universal(og.succ, op, [goal]).verdict:
                     found.append(cand)
     return found
 
@@ -169,8 +171,8 @@ def test_empty_coalition_synthesis_is_universal_check(base):
     pred = _goal_pred(net, "end")
     res = synthesize_strategic(net, None, [], 0, "F", [pred])
     og = outcomes(net, None, {})
-    end = {i for i in range(og.n_states) if pred(og.state(i))}
-    assert res.verdict == check_temporal_universal(og, "F", [end]).verdict
+    end = {i for i in range(og.n_states) if pred(og.states[i])}
+    assert res.verdict == check_temporal_universal(og.succ, "F", [end]).verdict
 
 
 # -- one explored graph against one outcome graph per candidate ----------------
@@ -191,8 +193,8 @@ def reference_synthesis(net, q, coalition, k, op, preds, vocabulary=None):
             og = outcomes(net, q, cand)
         except StrategyError:
             continue
-        sets = [{i for i in range(og.n_states) if pred(og.state(i))} for pred in preds]
-        if check_temporal_universal(og, op, sets).verdict:
+        sets = [{i for i in range(og.n_states) if pred(og.states[i])} for pred in preds]
+        if check_temporal_universal(og.succ, op, sets).verdict:
             return (True, f"witness of complexity {complexity(cand)}", enumerated,
                     _text(cand))
     return False, "exhaustive enumeration", enumerated, None
@@ -271,3 +273,19 @@ def test_synthesis_mode_formula_explores_once(punisher, monkeypatch):
                        mode="synthesize")
     assert res.verdict is False
     assert len(calls) == 1
+
+
+def test_synthesis_builds_one_state_graph(base, monkeypatch):
+    # every candidate restricts the one explored graph to successor lists
+    net = base.network
+    built = []
+    real = StateGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(StateGraph, "__post_init__", counting)
+    res = synthesize_strategic(net, None, ["Voter"], 2, "F", [_goal_pred(net, "end")])
+    assert (res.verdict, res.stats.strategies_enumerated) == (False, 4368)
+    assert len(built) == 1
