@@ -10,24 +10,37 @@ one outcome: the explored graph's successors restricted to that strategy
 (`outcome.restrict`), the way synthesis checks each candidate from the state
 in question.
 
+Bounded synthesis enumerates candidates lazily, in canonical order, and
+checks behaviours rather than candidates. On the one explored graph, a
+candidate's behaviour is, for each coalition member and action, the states
+where its matched rule allows that action, and the states where matching
+fails, all int bitsets. Strategies are memoryless, so two exact prunings
+hold: a rule other than the last that fires nowhere makes every candidate
+under its prefix equal to a cheaper one, already checked, so that subtree
+is skipped; and a candidate whose behaviour was already checked is skipped.
+The enumeration cap counts canonical positions, skipped ones included, so
+it fires where a full enumeration would.
+
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DefinitionError, ResourceLimitError
 from .formula import (
     FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic,
 )
 from .model import (
-    DEFAULT_STATE_CAP, And, GlobalState, GuardExpr, LocAtom, Network, Not,
-    Or, StateGraph, TrueConst, VarAtom, eval_guard, explore,
+    DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, GlobalState, GuardExpr, LocAtom,
+    Network, Not, Or, StateGraph, VarAtom, eval_guard, explore,
 )
 from .outcome import backward_fixpoint, outcomes, restrict, shortest_path
 from .strategy import (
@@ -41,6 +54,7 @@ Verdict = Optional[bool]
 class CheckStats:
     states_explored: int = 0
     strategies_enumerated: int = 0
+    strategies_checked: int = 0
     wall_time: float = 0.0
 
 
@@ -205,86 +219,40 @@ class SynthesisConfig:
     state_cap: int = DEFAULT_STATE_CAP
 
 
-def _guards_of_cost(vocab: Sequence[GuardExpr], cost: int,
-                    memo: dict) -> list[GuardExpr]:
-    """All guards of exactly `cost` symbols over the vocabulary: atoms cost 1,
-    negation adds 1, each binary connective adds 1. Deduplicated by printed
-    form; double negation skipped."""
+def _guards_of_cost(graph: StateGraph, vocab: Sequence[GuardExpr], cost: int,
+                    memo: dict) -> list[tuple[str, GuardExpr, int]]:
+    """All guards of exactly `cost` symbols over the vocabulary, each with
+    its printed form and its truth set over the graph's states (an int
+    bitset, bit i for state i): atoms cost 1, negation adds 1, each binary
+    connective adds 1. Deduplicated by printed form; double negation
+    skipped. Only atoms are evaluated; every other truth set is built from
+    its parts'."""
     if cost in memo:
         return memo[cost]
-    out: list[GuardExpr] = []
+    out: list[tuple[str, GuardExpr, int]] = []
     seen: set[str] = set()
+
+    def add(g: GuardExpr, truth: int):
+        txt = str(g)
+        if txt not in seen:
+            seen.add(txt)
+            out.append((txt, g, truth))
+
     if cost == 1:
         for atom in vocab:
-            txt = str(atom)
-            if txt not in seen:
-                seen.add(txt)
-                out.append(atom)
+            add(atom, sum(1 << i for i in graph.satisfying(atom)))
     elif cost >= 2:
-        for sub in _guards_of_cost(vocab, cost - 1, memo):
+        full = (1 << graph.n_states) - 1
+        for _, sub, truth in _guards_of_cost(graph, vocab, cost - 1, memo):
             if not isinstance(sub, Not):
-                g = Not(sub)
-                txt = str(g)
-                if txt not in seen:
-                    seen.add(txt)
-                    out.append(g)
+                add(Not(sub), full & ~truth)
         for lc in range(1, cost - 1):
-            rc = cost - 1 - lc
-            for left in _guards_of_cost(vocab, lc, memo):
-                for right in _guards_of_cost(vocab, rc, memo):
-                    for ctor in (And, Or):
-                        g = ctor(left, right)
-                        txt = str(g)
-                        if txt not in seen:
-                            seen.add(txt)
-                            out.append(g)
+            for _, left, lt in _guards_of_cost(graph, vocab, lc, memo):
+                for _, right, rt in _guards_of_cost(graph, vocab, cost - 1 - lc, memo):
+                    add(And(left, right), lt & rt)
+                    add(Or(left, right), lt | rt)
     memo[cost] = out
     return out
-
-
-def _agent_strategies(net: Network, agent: str, budget: int,
-                      vocab: Sequence[GuardExpr]) -> Iterator[NaturalStrategy]:
-    """Strategies for one agent of total complexity exactly `budget`:
-    a prefix of guarded rules (guards over `vocab`, total cost budget-1)
-    followed by the mandatory ⊤ rule. Mid-list ⊤ guards are skipped: any such
-    list behaves like its cheaper truncation, which is enumerated earlier."""
-    tpl = net.agent(agent)
-    actions: list = sorted({e.action for e in tpl.edges})
-    if tpl.lazy:
-        from .model import WAIT_ACTION
-        actions.append(WAIT_ACTION)
-        actions.sort()
-    action_specs: list = actions + [WILDCARD]
-    memo: dict = {}
-    prefix_budget = budget - 1
-    if prefix_budget < 0:
-        return
-
-    def cost_splits(total: int) -> Iterator[tuple[int, ...]]:
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in cost_splits(total - first):
-                yield (first,) + rest
-
-    for split in cost_splits(prefix_budget):
-        guard_pools = [_guards_of_cost(vocab, c, memo) for c in split]
-        for guards in itertools.product(*guard_pools):
-            for acts in itertools.product(action_specs, repeat=len(split)):
-                for last in action_specs:
-                    rules = tuple(Rule(g, a) for g, a in zip(guards, acts))
-                    rules += (Rule(TrueConst(), last),)
-                    yield NaturalStrategy(agent=agent, rules=rules)
-
-
-def _splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _splits(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def default_vocabulary(net: Network, coalition: Sequence[str]) -> list[GuardExpr]:
@@ -319,18 +287,246 @@ def default_vocabulary(net: Network, coalition: Sequence[str]) -> list[GuardExpr
     return vocab
 
 
+class _Option(NamedTuple):
+    """A rule that one member's list may hold: its text as canonical order
+    compares it ('~' for the wildcard), whether it is the final ⊤ rule, its
+    guard's cost, and `live`, the states where its guard holds and its
+    action is available."""
+    text: str
+    final: bool
+    cost: int
+    rule: Rule
+    live: int
+
+
+def _canonical(options: Callable[[int], Sequence[Sequence[_Option]]], k: int,
+               extend: Callable[[object, int, _Option], object],
+               root: object) -> Iterator[tuple[int, object]]:
+    """Collective strategies of complexity up to k, lazily, in canonical
+    order: by complexity, then rule count, then the members' rule texts in
+    turn (members in name order; `options(c)[m]` holds member m's options
+    with guards of cost at most c, sorted by text). One depth-first search
+    over rule slots per (complexity, rule count) bucket; a slot offers an
+    option only if the slots still to fill can take the budget left.
+
+    `extend(state, m, option)` folds a member's next rule into the state of
+    a candidate prefix (`root` for the empty one), or returns None to skip
+    every candidate under the prefix. Yields (position, state) for each
+    candidate, with its 1-based canonical position and its full state, and
+    for each skipped subtree, with None and the position of its last
+    candidate; so the last position yielded is the number of candidates.
+    The guards of a complexity level are built when the search reaches it."""
+    n = len(options(0))
+    position = 0
+    for total in range(n, k + 1):
+        position = yield from _level(options(total - n), total, extend, root, position)
+
+
+def _level(options: Sequence[Sequence[_Option]], total: int,
+           extend: Callable[[object, int, _Option], object], root: object,
+           position: int):
+    """`_canonical` over the candidates of complexity `total`, after the
+    first `position`; returns the position of the last one."""
+    n = len(options)
+
+    def after(m: int, c: int, r: int, opt: _Option) -> tuple[int, int, int]:
+        return (m + 1, c - 1, r - 1) if opt.final else (m, c - opt.cost, r - 1)
+
+    @functools.cache
+    def count(m: int, c: int, r: int) -> int:  # completions of a prefix
+        if m == n:
+            return int(c == r == 0)
+        if c < 1 or r < 1:
+            return 0
+        return sum(count(*after(m, c, r, opt)) for opt in options[m])
+
+    @functools.cache
+    def slot(m: int, c: int, r: int) -> list[tuple[_Option, tuple[int, int, int], int]]:
+        return [(opt, nxt, size) for opt in options[m]
+                for nxt in [after(m, c, r, opt)] if (size := count(*nxt))]
+
+    def search(m: int, c: int, r: int, state: object):
+        nonlocal position
+        for opt, nxt, size in slot(m, c, r):
+            state2 = extend(state, m, opt)
+            if state2 is None or nxt[0] == n:
+                position += size
+                yield position, state2
+            else:
+                yield from search(*nxt, state2)
+
+    for rules in range(n, total + 1):
+        yield from search(0, total, rules, root)
+    return position
+
+
+class _Behaviours:
+    """The candidates of one synthesis problem and what they do on one
+    explored graph, as int bitsets over its state indices (bit i for
+    state i).
+
+    A member's rule fires at the states where its guard holds, its action
+    (any action, for the wildcard) is available, and no earlier rule
+    fired. A member's behaviour is, for each action it has, the states where
+    a fired rule allows it, and its error set: the states where it has an
+    action and no rule fired. A candidate's behaviour is its members'.
+    Natural strategies are memoryless, so candidates with equal behaviours
+    restrict the graph alike."""
+
+    ROOT = ((), 0, (), ())
+
+    def __init__(self, graph: StateGraph, coalition: Sequence[str],
+                 vocab: Sequence[GuardExpr]):
+        self.graph = graph
+        self.coalition = coalition
+        self.vocab = vocab
+        self.agents = sorted(coalition)  # the order of a candidate's text
+        member = {a: m for m, a in enumerate(self.agents)}
+        # per member: action -> the states where it has that action in the
+        # stored moves; `acts` lists those actions in order
+        self.avail: list[dict[str, int]] = [{} for _ in self.agents]
+        for i in range(graph.n_states):
+            for t in graph.out_edges(i):
+                for actor, action in zip(t.move.actors, t.move.actions):
+                    if actor in member:
+                        av = self.avail[member[actor]]
+                        av[action] = av.get(action, 0) | 1 << i
+        self.acts = [sorted(av) for av in self.avail]
+        index = [{a: j for j, a in enumerate(acts)} for acts in self.acts]
+        self.any = [functools.reduce(operator.or_, av.values(), 0) for av in self.avail]
+        # each state's stored moves as (target, idle, checks), checks pairing
+        # each coalition actor, in actor order, with its action's index
+        self.moves = [[(t.target, t.move.is_idle,
+                        tuple((member[a], index[member[a]][act])
+                              for a, act in zip(t.move.actors, t.move.actions)
+                              if a in member))
+                       for t in graph.out_edges(i)] for i in range(graph.n_states)]
+        self._guards: dict = {}  # the memo of _guards_of_cost
+
+    def options(self, max_cost: int) -> list[list[_Option]]:
+        """Each member's options, sorted by text, with guards of cost at most
+        `max_cost`."""
+        guards = [(cost, txt, g, truth) for cost in range(1, max_cost + 1)
+                  for txt, g, truth in _guards_of_cost(self.graph, self.vocab, cost,
+                                                       self._guards)]
+        return [self._options(m, guards) for m in range(len(self.agents))]
+
+    def _options(self, m: int, guards) -> list[_Option]:
+        """Member m's options: every guarded rule over the guards and every
+        final ⊤ rule, each action being one of the agent's edge actions (and
+        `wait` for a lazy agent) or the wildcard."""
+        tpl = self.graph.net.agent(self.agents[m])
+        actions: list = sorted({e.action for e in tpl.edges})
+        if tpl.lazy:
+            actions = sorted(actions + [WAIT_ACTION])
+        actions.append(WILDCARD)
+        live = [self.any[m] if a is WILDCARD else self.avail[m].get(a, 0) for a in actions]
+        heads = [(False, cost, txt, g, truth) for cost, txt, g, truth in guards]
+        heads.append((True, 1, str(TRUE), TRUE, (1 << self.graph.n_states) - 1))
+        out = [_Option(f"when {txt} do {'~' if a is WILDCARD else a};", final, cost,
+                       Rule(g, a), truth & av)
+               for final, cost, txt, g, truth in heads for a, av in zip(actions, live)]
+        out.sort(key=lambda opt: (opt.text, opt.final))
+        return out
+
+    def extend(self, state, m: int, opt: _Option):
+        """A candidate prefix's state (behaviour of the members done, states
+        covered and rules fired by member m so far, options taken) with
+        `opt` next in member m's list; None when `opt` is not final and
+        fires nowhere, as then dropping it gives a cheaper candidate with the
+        same behaviour."""
+        done, covered, fired, path = state
+        fire = opt.live & ~covered
+        if not opt.final:
+            return None if not fire else (done, covered | fire,
+                                          fired + ((opt.rule.action, fire),), path + (opt,))
+        allowed = dict.fromkeys(self.acts[m], 0)
+        for action, bits in fired + ((opt.rule.action, fire),):
+            if action is WILDCARD:
+                for a, av in self.avail[m].items():
+                    allowed[a] |= bits & av
+            elif bits:
+                allowed[action] |= bits
+        behaviour = (tuple(allowed.values()), self.any[m] & ~(covered | fire))
+        return done + (behaviour,), 0, (), path + (opt,)
+
+    def walk(self, start: int, behaviour) -> tuple[list[list[int]], list[int]]:
+        """What `outcome.restrict(graph, s_A, start)` gives for a candidate
+        s_A with this behaviour: the successor lists of the states reachable
+        from `start` and the visited states where matching fails, in the
+        same breadth-first order over the stored edges. Stored moves are
+        filtered as `strategy.allowed_moves` does: in actor order, the first
+        coalition actor that refuses its action rejects the move, and a
+        member's error counts only where one of its moves is checked."""
+        succ: list[list[int]] = [[] for _ in range(self.graph.n_states)]
+        errors: list[int] = []
+        todo = deque([start])
+        seen = {start}
+        while todo:
+            i = todo.popleft()
+            bit = 1 << i
+            targets: Optional[list[int]] = []
+            for target, idle, checks in self.moves[i]:
+                for m, act in checks:
+                    allowed, err = behaviour[m]
+                    if err & bit:
+                        targets = None
+                        break
+                    if not allowed[act] & bit:
+                        break
+                else:
+                    if not idle:
+                        targets.append(target)
+                if targets is None:
+                    break
+            if targets is None:
+                errors.append(i)
+                continue
+            succ[i] = sorted(set(targets))
+            for j in targets:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        return succ, errors
+
+    def strategy(self, path: Sequence[_Option]) -> CollectiveStrategy:
+        """The candidate whose options, member after member, are `path`."""
+        rules: list[Rule] = []
+        members = iter(self.agents)
+        out = {}
+        for opt in path:
+            rules.append(opt.rule)
+            if opt.final:
+                agent = next(members)
+                out[agent] = NaturalStrategy(agent=agent, rules=tuple(rules))
+                rules = []
+        return {a: out[a] for a in self.coalition}
+
+
 def synthesize_strategic(net: Network, q: Optional[GlobalState],
                          coalition: Sequence[str], k: int, op: str,
                          goal_predicates: Sequence[Callable[[GlobalState], bool]],
                          vocabulary: Optional[Sequence[GuardExpr]] = None,
                          config: SynthesisConfig = SynthesisConfig()) -> CheckResult:
-    """Enumerate collective natural strategies in nondecreasing complexity up
-    to k (ties broken by rule count, then guard text) and return the first
-    one whose outcome passes the universal temporal check. False means
-    the enumeration was exhaustive; a cap raises ResourceLimitError so that
-    'unknown' is never conflated with 'false'. The network is explored once
-    from q, within `config.state_cap`, and each candidate restricts it."""
+    """Enumerate collective natural strategies lazily in canonical order --
+    nondecreasing complexity up to k, then rule count, then the members'
+    rule texts, members in name order and '~' for the wildcard -- and
+    return the first one whose outcome passes the universal temporal check.
+    False means the enumeration was exhaustive; a cap raises
+    ResourceLimitError so that 'unknown' is never conflated with 'false'.
+    A negative k is a DefinitionError; a k below the coalition size is
+    False. The network is explored once from q, within `config.state_cap`.
+
+    Only the first candidate of each behaviour is checked, by a walk of that
+    graph; a rule other than the last that fires nowhere skips every
+    candidate under its prefix (see the module docstring). The result's
+    `stats.strategies_enumerated` is the canonical position reached, skipped
+    candidates included, and `config.enumeration_cap` caps it;
+    `stats.strategies_checked` counts the behaviours walked. `<<Voter>>^3 F
+    end` on voter_base enumerates 1,192,464 candidates and checks 17,747."""
     t0 = time.perf_counter()
+    if k < 0:
+        raise DefinitionError("complexity bound must be >= 0")
     if not coalition:
         return verify_strategic(net, q, [], k, op, goal_predicates, {},
                                 state_cap=config.state_cap)
@@ -342,27 +538,14 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     return res
 
 
-def _candidates(net: Network, coalition: Sequence[str], k: int,
-                vocab: Sequence[GuardExpr]) -> Iterator[CollectiveStrategy]:
-    """Collective strategies of complexity up to k in canonical order
-    (complexity, rule count, text), each level built and sorted in full."""
-    for total in range(len(coalition), k + 1):
-        level = [{s.agent: s for s in combo}
-                 for split in _splits(total, len(coalition))
-                 for combo in itertools.product(*[_agent_strategies(net, a, b, vocab)
-                                                  for a, b in zip(coalition, split)])]
-        level.sort(key=lambda c: (sum(len(s.rules) for s in c.values()),
-                                  _strategy_text(c)))
-        yield from level
-
-
 def _synthesize(graph: StateGraph, start: int, coalition: Sequence[str], k: int,
                 op: str, subgoals: Sequence[set[int]],
                 vocabulary: Optional[Sequence[GuardExpr]],
                 config: SynthesisConfig) -> CheckResult:
     """<<coalition>>^<=k op(subgoals) at state `start` of an explored graph:
-    the first candidate whose restriction from `start` visits no state where
-    matching a rule fails and labels `start`."""
+    the first candidate in canonical order whose restriction from `start`
+    visits no state where matching a rule fails and labels `start`. Only
+    the first candidate of each behaviour is walked and labelled."""
     coalition = list(dict.fromkeys(coalition))
     stats = CheckStats(states_explored=graph.n_states)
     if k < len(coalition):
@@ -370,26 +553,26 @@ def _synthesize(graph: StateGraph, start: int, coalition: Sequence[str], k: int,
         return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
     vocab = (list(vocabulary) if vocabulary is not None
              else default_vocabulary(graph.net, coalition))
-    for cand in _candidates(graph.net, coalition, k, vocab):
-        stats.strategies_enumerated += 1
-        if stats.strategies_enumerated > config.enumeration_cap:
+    space = _Behaviours(graph, coalition, vocab)
+    walked: set = set()
+    for position, state in _canonical(space.options, k, space.extend, space.ROOT):
+        stats.strategies_enumerated = position
+        if position > config.enumeration_cap:
             raise ResourceLimitError(
                 f"synthesis cap {config.enumeration_cap} exceeded "
-                f"(verdict unknown)", partial=stats.strategies_enumerated)
-        succ, errors = restrict(graph, cand, start)
+                f"(verdict unknown)", partial=config.enumeration_cap + 1)
+        if state is None or state[0] in walked:
+            continue
+        behaviour, _, _, path = state
+        walked.add(behaviour)
+        stats.strategies_checked += 1
+        succ, errors = space.walk(start, behaviour)
         if not errors and start in label_universal(succ, op, subgoals):
+            cand = space.strategy(path)
             return CheckResult(True, witness_strategy=cand,
                                reason=f"witness of complexity {complexity(cand)}",
                                stats=stats)
     return CheckResult(False, reason="exhaustive enumeration", stats=stats)
-
-
-def _strategy_text(c: CollectiveStrategy) -> str:
-    # '~' sorts after alphanumerics, so wildcard rules come after concrete
-    # actions among candidates of equal complexity and rule count
-    return " | ".join(
-        f"{a}: " + " ".join(str(r) for r in s.rules)
-        for a, s in sorted(c.items())).replace("do *;", "do ~;")
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +770,7 @@ class FormulaEvaluator:
         except ResourceLimitError:
             return _UNKNOWN
         self.stats.strategies_enumerated += res.stats.strategies_enumerated
+        self.stats.strategies_checked += res.stats.strategies_checked
         self._synthesized[(id(node), i)] = res
         return res.verdict
 
@@ -610,6 +794,7 @@ def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
     v = ev.holds(f, ev.graph.index_of(q0))
     stats = CheckStats(states_explored=ev.graph.n_states,
                        strategies_enumerated=ev.stats.strategies_enumerated,
+                       strategies_checked=ev.stats.strategies_checked,
                        wall_time=time.perf_counter() - t0)
     verdict: Verdict = None if v is _UNKNOWN else bool(v)
     witness = ev.witness(f, ev.graph.index_of(q0))

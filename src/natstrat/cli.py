@@ -69,6 +69,7 @@ def _witness_detail(net: Network, res, show_path: bool = False) -> dict:
     detail["stats"] = {
         "states_explored": res.stats.states_explored,
         "strategies_enumerated": res.stats.strategies_enumerated,
+        "strategies_checked": res.stats.strategies_checked,
         "wall_time": round(res.stats.wall_time, 6),
     }
     return detail

@@ -64,6 +64,9 @@ class RunReport:
                         lines.extend(f"      {ln}" for ln in str(val).splitlines())
                     else:
                         lines.append(f"    {key}: {val}")
+            if t.detail.get("stats"):
+                lines.append("    stats: " + ", ".join(
+                    f"{k}={v}" for k, v in sorted(t.detail["stats"].items())))
         if self.stats:
             lines.append("stats: " + ", ".join(f"{k}={v}" for k, v in sorted(self.stats.items())))
         lines.append(f"exit: {self.exit_status}")

@@ -267,3 +267,31 @@ def test_steps_witness_explores_once(monkeypatch, tmp_path):
         assert len(calls) == 1, kind
     assert report.tasks[0].detail["witness_path"] == [
         "(T@s0)  <- cycle entry", "(T@spin)", "(T@s0)"]
+
+
+def test_negative_synth_bound_is_a_usage_error():
+    code, report = run("synth", "--model", "voter_base", "--coalition", "Voter",
+                       "--bound", "-1", "--goal", "F end")
+    assert code == EXIT_USAGE
+    assert report.tasks[0].kind == "error"
+    assert "bound must be >= 0" in report.tasks[0].detail["error"]
+    code, report = run("synth", "--model", "voter_base", "--coalition", "Voter",
+                       "--bound", "0", "--goal", "F end")
+    assert code == EXIT_PROPERTY
+    assert report.tasks[0].detail["reason"] == "bound 0 below coalition size"
+
+
+def test_synth_reports_candidates_enumerated_and_checked():
+    code, report = run("--format", "json", "synth", "--model", "voter_base",
+                       "--coalition", "Voter", "--bound", "2", "--goal", "F end")
+    assert code == EXIT_PROPERTY
+    stats = report.tasks[0].detail["stats"]
+    assert stats["strategies_enumerated"] == 4368
+    assert 0 < stats["strategies_checked"] < 4368
+    text = report.to_json()
+    assert RunReport.from_json(text).to_json() == text
+    assert f"strategies_checked={stats['strategies_checked']}" in report.to_text()
+    code, report = run("check", "--model", "voter_base", "--mode", "synth",
+                       "--formula", "<<Voter>>^1 F Voter@printing")
+    assert code == EXIT_OK
+    assert report.tasks[0].detail["stats"]["strategies_checked"] >= 1

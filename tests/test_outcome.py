@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from natstrat.checker import _Behaviours, _Option
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
 from natstrat.model import Internal, available_actions, enabled_moves, explore
@@ -9,6 +10,7 @@ from natstrat.strategy import WILDCARD, allowed_moves, match_rule
 from natstrat.casestudy import build_voter, symbolwise_steps
 
 from conftest import two_state_net
+from test_synthesis import _matched_behaviour
 
 
 def test_empty_coalition_gives_full_graph(base):
@@ -380,3 +382,48 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
         match_rule(net, q0, s_A["B"])
     assert [m.label() for m in allowed_moves(net, q0, moves, s_A)] == ["A.wait"]
     assert _reference_allowed(net, q0, moves, s_A) == allowed_moves(net, q0, moves, s_A)
+
+
+# -- synthesis's behaviour walk against restrict ---------------------------------
+
+def _option(space, m, rule, final):
+    """Member m's synthesis option for a rule of a supplied strategy."""
+    truth = sum(1 << i for i in space.graph.satisfying(rule.guard))
+    live = space.any[m] if rule.action is WILDCARD else space.avail[m].get(rule.action, 0)
+    return _Option(str(rule), final, 1, rule, truth & live)
+
+
+def _walk_matches_restrict(net, s_A):
+    graph = explore(net)
+    space = _Behaviours(graph, list(s_A), [])
+    behaviour = _matched_behaviour(space, s_A)
+    if all(s.is_total for s in s_A.values()):
+        # folding the rules gives the same behaviour, also when a rule that
+        # fires nowhere is dropped
+        state = space.ROOT
+        for m, agent in enumerate(space.agents):
+            rules = s_A[agent].rules
+            for n, rule in enumerate(rules, start=1):
+                state = space.extend(state, m, _option(space, m, rule, n == len(rules))) or state
+        assert state[0] == behaviour
+    for start in range(graph.n_states):
+        succ, errors = restrict(graph, s_A, start)
+        assert space.walk(start, behaviour) == (succ, list(errors)), start
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_network_and_strategies())
+def test_behaviour_walk_matches_restrict(case):
+    _walk_matches_restrict(*case)
+
+
+def test_behaviour_walk_skips_a_receiver_whose_sender_refuses():
+    net = parse_network("""
+channel c;
+agent A(lazy) { init a0; loc a1; edge a0 -> a1 on x sync c!; }
+agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
+""", name="refused")
+    s_A = {"A": parse_strategy("strategy sA for A { when true do wait; }", net),
+           "B": parse_strategy("strategy sB for B { when true do z; }", net)}
+    _walk_matches_restrict(net, s_A)
+    assert restrict(explore(net), s_A, 0)[1] == {}  # B is never matched at the start

@@ -3,17 +3,19 @@ import itertools
 import pytest
 
 from natstrat.checker import (
-    FormulaEvaluator, SynthesisConfig, _candidates, check_temporal_universal,
-    default_vocabulary, eval_formula, synthesize_strategic, verify_strategic,
+    FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical,
+    check_temporal_universal, default_vocabulary, eval_formula,
+    synthesize_strategic, verify_strategic,
 )
 from natstrat.dsl import parse_guard_text, parse_network, print_strategy
-from natstrat.errors import ResourceLimitError, StrategyError
+from natstrat.errors import DefinitionError, ResourceLimitError, StrategyError
 from natstrat.model import (
     And, LocAtom, Not, Or, StateGraph, TrueConst, eval_guard, explore,
 )
 from natstrat.outcome import outcomes
-from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
+from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, _first_match, complexity
 
+import synthesis_oracle as oracle
 from conftest import count_explore, trap_net, two_state_net
 
 
@@ -187,7 +189,7 @@ def reference_synthesis(net, q, coalition, k, op, preds, vocabulary=None):
         return False, f"bound {k} below coalition size", 0, None
     vocab = vocabulary if vocabulary is not None else default_vocabulary(net, coalition)
     enumerated = 0
-    for cand in _candidates(net, coalition, k, vocab):
+    for cand in oracle.candidates(net, coalition, k, vocab):
         enumerated += 1
         try:
             og = outcomes(net, q, cand)
@@ -289,3 +291,140 @@ def test_synthesis_builds_one_state_graph(base, monkeypatch):
     res = synthesize_strategic(net, None, ["Voter"], 2, "F", [_goal_pred(net, "end")])
     assert (res.verdict, res.stats.strategies_enumerated) == (False, 4368)
     assert len(built) == 1
+
+
+# -- the lazy canonical order against the eager oracle -------------------------
+
+def _lazy_candidates(net, coalition, k, vocab):
+    """(position, candidate) in the order synthesis enumerates them, with no
+    pruning."""
+    space = _Behaviours(explore(net), coalition, vocab)
+    for position, path in _canonical(space.options, k, lambda path, m, opt: path + (opt,), ()):
+        yield position, space.strategy(path)
+
+
+ORDER_CASES = [
+    ("voter_base", ("Voter",), 2),
+    ("coercion_infector", ("Coercer",), 3),
+    ("coercion_watchdog", ("Coercer",), 4),
+    ("coercion_punisher", ("Voter", "Coercer"), 3),
+]
+
+
+@pytest.mark.parametrize("model,coalition,k", ORDER_CASES)
+def test_lazy_order_matches_oracle(model, coalition, k, base, infector, watchdog, punisher):
+    net = {"voter_base": base, "coercion_infector": infector,
+           "coercion_watchdog": watchdog, "coercion_punisher": punisher}[model].network
+    vocab = default_vocabulary(net, coalition)
+    n = 0
+    for n, (lazy, eager) in enumerate(itertools.zip_longest(
+            _lazy_candidates(net, coalition, k, vocab),
+            oracle.candidates(net, coalition, k, vocab)), start=1):
+        assert lazy is not None and eager is not None, n
+        assert lazy == (n, eager), n
+        assert list(lazy[1]) == list(dict.fromkeys(coalition))  # members in coalition order
+    assert n == {"voter_base": 4368, "coercion_infector": 1156,
+                 "coercion_watchdog": 180_366}.get(model, n)
+
+
+@pytest.mark.parametrize("make_net,goal,vocab_locs", TOYS)
+def test_lazy_order_matches_oracle_toys(make_net, goal, vocab_locs):
+    net = make_net()
+    agent = net.agents[0].name
+    for vocab in ([LocAtom(agent, l) for l in vocab_locs],
+                  default_vocabulary(net, [agent])):
+        lazy = [cand for _, cand in _lazy_candidates(net, [agent], 3, vocab)]
+        assert lazy == list(oracle.candidates(net, [agent], 3, vocab)), net.name
+
+
+# -- the two prunings ----------------------------------------------------------
+
+def _matched_behaviour(space, s_A):
+    """Each member's behaviour, state by state: the actions its first
+    matching rule allows among those it has in the stored moves, and the
+    states where matching fails."""
+    graph = space.graph
+    out = []
+    for m, agent in enumerate(space.agents):
+        allowed, err = dict.fromkeys(space.acts[m], 0), 0
+        for i, q in enumerate(graph.states):
+            avail = {act for t in graph.out_edges(i)
+                     for a, act in zip(t.move.actors, t.move.actions) if a == agent}
+            try:
+                r = _first_match(graph.net, q, s_A[agent], avail)
+            except StrategyError:
+                err |= 1 << i
+                continue
+            if r is not None:
+                action = s_A[agent].rules[r - 1].action
+                for a in avail if action is WILDCARD else {action}:
+                    allowed[a] |= 1 << i
+        out.append((tuple(allowed.values()), err))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("model,coalition,k,op,goal", BENCH_SYNTH[:2])
+def test_one_check_per_behaviour(model, coalition, k, op, goal, base, infector):
+    # exhaustive searches walk each distinct behaviour of the candidates once
+    net = {"voter_base": base, "coercion_infector": infector}[model].network
+    res = synthesize_strategic(net, None, coalition, k, op, [_goal_pred(net, goal)])
+    assert res.verdict is False
+    space = _Behaviours(explore(net), coalition, default_vocabulary(net, coalition))
+    behaviours = {_matched_behaviour(space, cand) for _, cand in _lazy_candidates(
+        net, coalition, k, default_vocabulary(net, coalition))}
+    assert res.stats.strategies_checked == len(behaviours) < res.stats.strategies_enumerated
+
+
+def test_cap_inside_a_skipped_subtree(base):
+    # the cap counts canonical positions, so it fires inside a subtree of
+    # dead-rule candidates that is never generated
+    net = base.network
+    space = _Behaviours(explore(net), ["Voter"], default_vocabulary(net, ["Voter"]))
+    last = 0
+    for position, state in _canonical(space.options, 2, space.extend, space.ROOT):
+        if state is None and position - last > 1:
+            break
+        last = position
+    cap = last + 1  # candidate cap + 1 is the second of the skipped subtree
+    pred = _goal_pred(net, "end")
+    with pytest.raises(ResourceLimitError) as exc:
+        synthesize_strategic(net, None, ["Voter"], 2, "F", [pred],
+                             config=SynthesisConfig(enumeration_cap=cap))
+    assert exc.value.partial == cap + 1
+
+
+# the verdict of one run of reference_synthesis with no cap, which explored
+# the outcome of each of the 1,192,464 candidates
+VOTER_LEVEL_3 = (False, "exhaustive enumeration", 1_192_464, None)
+
+
+def test_voter_level_three_is_exhaustive(base):
+    net = base.network
+    pred = _goal_pred(net, "end")
+    res = synthesize_strategic(net, None, ["Voter"], 3, "F", [pred],
+                               config=SynthesisConfig(enumeration_cap=1_192_464))
+    assert _summary(res) == VOTER_LEVEL_3
+    with pytest.raises(ResourceLimitError) as exc:
+        synthesize_strategic(net, None, ["Voter"], 3, "F", [pred],
+                             config=SynthesisConfig(enumeration_cap=1_192_463))
+    assert exc.value.partial == 1_192_464
+
+
+def test_a_large_bound_builds_only_the_levels_it_reaches(base):
+    # the guards of a complexity level are built when the search reaches it,
+    # so the default cap fires at complexity 3 and costs about as much as a
+    # bound of 3
+    net = base.network
+    with pytest.raises(ResourceLimitError) as exc:
+        synthesize_strategic(net, None, ["Voter"], 29, "F", [_goal_pred(net, "end")])
+    assert exc.value.partial == SynthesisConfig().enumeration_cap + 1
+
+
+def test_negative_bound_is_a_definition_error(base):
+    net = base.network
+    pred = _goal_pred(net, "end")
+    for coalition in (["Voter"], []):
+        with pytest.raises(DefinitionError):
+            synthesize_strategic(net, None, coalition, -1, "F", [pred])
+    res = synthesize_strategic(net, None, ["Voter"], 0, "F", [pred])
+    assert (res.verdict, res.reason) == (False, "bound 0 below coalition size")
