@@ -371,16 +371,18 @@ class _Behaviours:
     a fired rule allows it, and its error set: the states where it has an
     action and no rule fired. A candidate's behaviour is its members'.
     Natural strategies are memoryless, so candidates with equal behaviours
-    restrict the graph alike."""
+    restrict the graph alike. Nothing here depends on the state synthesis
+    starts from, so one space serves every start (see `walk`)."""
 
     ROOT = ((), 0, (), ())
 
     def __init__(self, graph: StateGraph, coalition: Sequence[str],
-                 vocab: Sequence[GuardExpr]):
+                 vocab: Optional[Sequence[GuardExpr]] = None):
         self.graph = graph
-        self.coalition = coalition
-        self.vocab = vocab
-        self.agents = sorted(coalition)  # the order of a candidate's text
+        self.coalition = list(dict.fromkeys(coalition))
+        # None: the coalition's default vocabulary, built when first needed
+        self.vocab = None if vocab is None else list(vocab)
+        self.agents = sorted(self.coalition)  # the order of a candidate's text
         member = {a: m for m, a in enumerate(self.agents)}
         # per member: action -> the states where it has that action in the
         # stored moves; `acts` lists those actions in order
@@ -402,14 +404,20 @@ class _Behaviours:
                               if a in member))
                        for t in graph.out_edges(i)] for i in range(graph.n_states)]
         self._guards: dict = {}  # the memo of _guards_of_cost
+        self._options_memo: dict[int, list[list[_Option]]] = {}
 
     def options(self, max_cost: int) -> list[list[_Option]]:
         """Each member's options, sorted by text, with guards of cost at most
         `max_cost`."""
-        guards = [(cost, txt, g, truth) for cost in range(1, max_cost + 1)
-                  for txt, g, truth in _guards_of_cost(self.graph, self.vocab, cost,
-                                                       self._guards)]
-        return [self._options(m, guards) for m in range(len(self.agents))]
+        if self.vocab is None:
+            self.vocab = default_vocabulary(self.graph.net, self.coalition)
+        if max_cost not in self._options_memo:
+            guards = [(cost, txt, g, truth) for cost in range(1, max_cost + 1)
+                      for txt, g, truth in _guards_of_cost(self.graph, self.vocab, cost,
+                                                           self._guards)]
+            self._options_memo[max_cost] = [self._options(m, guards)
+                                            for m in range(len(self.agents))]
+        return self._options_memo[max_cost]
 
     def _options(self, m: int, guards) -> list[_Option]:
         """Member m's options: every guarded rule over the guards and every
@@ -533,27 +541,23 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     graph = explore(net, start=q, state_cap=config.state_cap)
     subgoals = [{i for i, state in enumerate(graph.states) if pred(state)}
                 for pred in goal_predicates]
-    res = _synthesize(graph, graph.initial, coalition, k, op, subgoals, vocabulary, config)
+    res = _synthesize(_Behaviours(graph, coalition, vocabulary), graph.initial, k, op,
+                      subgoals, config)
     res.stats.wall_time = time.perf_counter() - t0
     return res
 
 
-def _synthesize(graph: StateGraph, start: int, coalition: Sequence[str], k: int,
-                op: str, subgoals: Sequence[set[int]],
-                vocabulary: Optional[Sequence[GuardExpr]],
-                config: SynthesisConfig) -> CheckResult:
-    """<<coalition>>^<=k op(subgoals) at state `start` of an explored graph:
-    the first candidate in canonical order whose restriction from `start`
-    visits no state where matching a rule fails and labels `start`. Only
-    the first candidate of each behaviour is walked and labelled."""
-    coalition = list(dict.fromkeys(coalition))
-    stats = CheckStats(states_explored=graph.n_states)
-    if k < len(coalition):
+def _synthesize(space: _Behaviours, start: int, k: int, op: str,
+                subgoals: Sequence[set[int]], config: SynthesisConfig) -> CheckResult:
+    """<<coalition>>^<=k op(subgoals) at state `start` of the space's
+    explored graph: the first candidate in canonical order whose restriction
+    from `start` visits no state where matching a rule fails and labels
+    `start`. Only the first candidate of each behaviour is walked and
+    labelled."""
+    stats = CheckStats(states_explored=space.graph.n_states)
+    if k < len(space.coalition):
         # every member's strategy has at least the ⊤ rule, costing 1
         return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
-    vocab = (list(vocabulary) if vocabulary is not None
-             else default_vocabulary(graph.net, coalition))
-    space = _Behaviours(graph, coalition, vocab)
     walked: set = set()
     for position, state in _canonical(space.options, k, space.extend, space.ROOT):
         stats.strategies_enumerated = position
@@ -615,6 +619,7 @@ class FormulaEvaluator:
         self._classes: dict[str, dict] = {}
         self._memo: dict[tuple[int, int], object] = {}
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
+        self._spaces: dict[int, _Behaviours] = {}  # id(node) -> its synthesis space
         # (id(node), state) -> result of a node decided by synthesis
         self._synthesized: dict[tuple[int, int], CheckResult] = {}
         self.stats = CheckStats(states_explored=self.graph.n_states)
@@ -764,9 +769,12 @@ class FormulaEvaluator:
         sets = self._goal_sets(node)
         if sets is _UNKNOWN:
             return _UNKNOWN
+        space = self._spaces.get(id(node))
+        if space is None:
+            space = self._spaces[id(node)] = _Behaviours(self.graph, node.coalition,
+                                                         self.vocabulary)
         try:
-            res = _synthesize(self.graph, i, node.coalition, node.bound, node.op, sets,
-                              self.vocabulary, self.synthesis)
+            res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis)
         except ResourceLimitError:
             return _UNKNOWN
         self.stats.strategies_enumerated += res.stats.strategies_enumerated

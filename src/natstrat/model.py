@@ -8,15 +8,21 @@ variables. Moves are either internal (one agent fires a non-sync edge) or
 synchronized (a matching send/receive pair on a channel, fired jointly).
 All operations here are pure; built networks and state graphs are immutable
 and safe to share.
+
+A network is compiled on its first exploration, or its first `enabled_moves`
+or `apply_move` call (`_CompiledNetwork`), and keeps that form: states become
+flat int tuples, guards and updates closures over them with constants
+inlined, and every move one shared object. `explore`, `enabled_moves` and
+`apply_move` all run on it; `eval_guard` interprets a guard over a
+`GlobalState` for strategies and formula atoms.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import BoundViolationError, DefinitionError, ResourceLimitError
 
@@ -248,6 +254,8 @@ class Network:
             for e in a.edges:
                 by_src.setdefault((a.name, e.source), []).append(e)
         object.__setattr__(self, "_edges_from", by_src)
+        # reversed, so that the first of two equal names wins, as in a scan
+        object.__setattr__(self, "_constants", dict(reversed(self.constants)))
         self._validate()
 
     def _validate(self):
@@ -259,7 +267,7 @@ class Network:
             if key in seen_vars:
                 raise DefinitionError(f"duplicate variable {v.name} (owner {owner})")
             seen_vars[key] = v
-        consts = dict(self.constants)
+        consts = self._constants
         for a in self.agents:
             locs = set(a.locations)
             if len(locs) != len(a.locations):
@@ -318,10 +326,10 @@ class Network:
         return self._var_order
 
     def constant(self, name: str) -> int:
-        for n, v in self.constants:
-            if n == name:
-                return v
-        raise DefinitionError(f"unknown constant {name}")
+        try:
+            return self._constants[name]
+        except KeyError:
+            raise DefinitionError(f"unknown constant {name}") from None
 
     def initial_state(self) -> "GlobalState":
         return GlobalState(
@@ -421,10 +429,6 @@ class Synchronized:
 Move = Union[Internal, Synchronized]
 
 
-def _wait_edge(location: str) -> Edge:
-    return Edge(source=location, target=location, action=WAIT_ACTION)
-
-
 # ---------------------------------------------------------------------------
 # Guard evaluation
 
@@ -462,32 +466,16 @@ def int_expr_refs(e: IntExpr) -> Iterator[VarRef]:
 
 def _ref_value(net: Network, q: GlobalState, ref: VarRef) -> int:
     if ref.owner is None:
-        for n, v in net.constants:
-            if n == ref.name:
-                return v
+        value = net._constants.get(ref.name)
+        if value is not None:
+            return value
     return q.values[net.var_pos(ref.owner, ref.name)]
 
 
-def eval_int(net: Network, q: GlobalState, e: IntExpr) -> int:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, IntVar):
-        return _ref_value(net, q, e.var)
-    if isinstance(e, IntBin):
-        l = eval_int(net, q, e.left)
-        r = eval_int(net, q, e.right)
-        return l + r if e.op == "+" else l - r
-    raise TypeError(f"not an int expression: {e!r}")
-
-
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+# The comparison operators guards may use. Compiled guards call these and
+# nothing else: no source text is generated or evaluated.
+_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def eval_guard(g: GuardExpr, q: GlobalState, net: Network) -> bool:
@@ -514,65 +502,249 @@ def eval_guard(g: GuardExpr, q: GlobalState, net: Network) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Transition relation
+# The compiled network: the transition relation
+
+# A compiled guard is a function of the state tuple; a compiled int
+# expression is an int when it is a literal or a constant, else a function of
+# the state (as a list while updates run).
+_Code = Union[int, Callable]
+
+
+def _fn(code: _Code) -> Callable:
+    """A compiled int expression as a function of the state."""
+    return code if callable(code) else (lambda s: code)
+
+
+class _Sync(NamedTuple):
+    """One side of a synchronizing edge, to be paired at a state."""
+
+    key: int  # the edge's declared position in the network
+    agent: str
+    edge: Edge
+
+
+def _identity(s: tuple) -> tuple:
+    return s
+
+
+class _CompiledNetwork:
+    """A network compiled for exploration.
+
+    A state is one flat tuple of ints: each agent's location, numbered by its
+    position in the agent's `locations`, then the variable values in
+    `var_decls` order. Guards and update expressions are closures over that
+    tuple, with constants inlined. Each agent has, per location, its edges in
+    declaration order. Moves are interned by declared position: one move
+    object per internal edge, per location of a lazy agent (its `wait`) and
+    per (send edge, receive edge) pair, each with its successor function.
+    It keeps no reference to its network, which keeps it; the methods that
+    need the network's declarations take it.
+    """
+
+    def __init__(self, net: Network):
+        self.n = len(net.agents)
+        self.n_values = len(net.var_decls())
+        self.names = tuple(a.locations for a in net.agents)
+        self.numbers = tuple({loc: k for k, loc in enumerate(a.locations)}
+                             for a in net.agents)
+        self.pairs: dict[tuple[int, int], tuple[Move, Callable]] = {}
+        guards: dict[GuardExpr, Callable] = {}
+        table, waits, key = [], [], 0
+        for pos, agent in enumerate(net.agents):
+            by_loc: list[list] = [[] for _ in agent.locations]
+            for e in agent.edges:
+                guard = None if isinstance(e.guard, TrueConst) else \
+                    self.guard(net, e.guard, guards)
+                if e.sync is None:
+                    chan, side = None, None
+                    item = self.interned(net, Internal(agent.name, e))
+                else:
+                    (chan, side), item = e.sync, _Sync(key, agent.name, e)
+                by_loc[self.numbers[pos][e.source]].append((guard, chan, side, item))
+                key += 1
+            table.append(tuple(map(tuple, by_loc)))
+            waits.append(tuple(self.interned(net, Internal(agent.name, Edge(loc, loc, WAIT_ACTION)))
+                               for loc in agent.locations) if agent.lazy else None)
+        self.table = tuple(table)
+        self.waits = tuple(waits)
+
+    # -- compiling ------------------------------------------------------------
+    def ref(self, net: Network, ref: VarRef) -> _Code:
+        """A constant's value, or the getter of the variable's slot in a state."""
+        if ref.owner is None and ref.name in net._constants:
+            return net._constants[ref.name]
+        return operator.itemgetter(self.n + net.var_pos(ref.owner, ref.name))
+
+    def guard(self, net: Network, g: GuardExpr, memo: dict) -> Callable:
+        """The closure of a guard; equal guards share one (`memo`). A strategy
+        fixed into a network repeats its rules' conditions on every edge: in
+        voter_base under cast_verify, 922 guard nodes are 56 distinct ones."""
+        code = memo.get(g)
+        if code is None:
+            code = memo[g] = self.new_guard(net, g, memo)
+        return code
+
+    def new_guard(self, net: Network, g: GuardExpr, memo: dict) -> Callable:
+        if isinstance(g, (TrueConst, FalseConst)):
+            value = isinstance(g, TrueConst)
+            return lambda s: value
+        if isinstance(g, LocAtom):
+            if g.agent not in net._agent_index:
+                def unknown(s, msg=f"unknown agent {g.agent}"):
+                    raise DefinitionError(msg)
+                return unknown
+            pos = net.agent_pos(g.agent)
+            number = self.numbers[pos].get(g.location)  # None: never equal
+            return lambda s: s[pos] == number
+        if isinstance(g, VarAtom):
+            value = _fn(self.ref(net, g.var))
+            return lambda s: value(s) != 0
+        if isinstance(g, Comparison):
+            cmp = _CMP[g.op]
+            lhs = _fn(self.ref(net, g.lhs))
+            rhs = g.rhs if isinstance(g.rhs, int) else self.ref(net, g.rhs)
+            if isinstance(rhs, int):
+                return lambda s: cmp(lhs(s), rhs)
+            return lambda s: cmp(lhs(s), rhs(s))
+        if isinstance(g, Not):
+            sub = self.guard(net, g.sub, memo)
+            return lambda s: not sub(s)
+        if isinstance(g, (And, Or)):
+            left, right = self.guard(net, g.left, memo), self.guard(net, g.right, memo)
+            if isinstance(g, Or):
+                return lambda s: left(s) or right(s)
+            return lambda s: left(s) and right(s)
+        raise TypeError(f"not a guard expression: {g!r}")
+
+    def int_expr(self, net: Network, e: IntExpr) -> _Code:
+        if isinstance(e, IntLit):
+            return e.value
+        if isinstance(e, IntVar):
+            return self.ref(net, e.var)
+        if isinstance(e, IntBin):
+            op = operator.add if e.op == "+" else operator.sub
+            left, right = _fn(self.int_expr(net, e.left)), self.int_expr(net, e.right)
+            if isinstance(right, int):
+                return lambda v: op(left(v), right)
+            return lambda v: op(left(v), right(v))
+        raise TypeError(f"not an int expression: {e!r}")
+
+    def updates(self, net: Network, assignments: Iterable[Assignment]) -> tuple:
+        out = []
+        for asg in assignments:
+            idx = net.var_pos(asg.target.owner, asg.target.name)
+            decl = net.var_decls()[idx][1]
+            out.append((self.n + idx, self.int_expr(net, asg.expr), decl.lo, decl.hi, asg,
+                        decl.name))
+        return tuple(out)
+
+    def step(self, net: Network, move: Move) -> Callable:
+        """The successor function of a move enabled at a state: it installs
+        the target locations, then runs the updates (the sender's before the
+        receiver's) left to right over the progressively updated valuation,
+        checking each against its variable's bounds."""
+        if isinstance(move, Internal):
+            ends = ((move.agent, move.edge),)
+        else:
+            ends = ((move.sender, move.send_edge), (move.receiver, move.recv_edge))
+        changes = []
+        for agent, e in ends:
+            pos = net.agent_pos(agent)
+            changes.append((pos, self.numbers[pos][e.target]))
+        updates = self.updates(net, [asg for _, e in ends for asg in e.updates])
+        if not updates and all(e.source == e.target for _, e in ends):
+            return _identity
+
+        def step(s):
+            v = list(s)
+            for pos, target in changes:
+                v[pos] = target
+            for idx, expr, lo, hi, asg, name in updates:
+                value = expr if isinstance(expr, int) else expr(v)
+                if not lo <= value <= hi:
+                    raise BoundViolationError(
+                        f"assignment {asg} yields {value}, outside [{lo},{hi}] "
+                        f"of variable {name}")
+                v[idx] = value
+            return tuple(v)
+        return step
+
+    def interned(self, net: Network, move: Move) -> tuple[Move, Callable]:
+        return move, self.step(net, move)
+
+    def pair(self, net: Network, snd: _Sync, rcv: _Sync) -> tuple[Move, Callable]:
+        hit = self.pairs.get((snd.key, rcv.key))
+        if hit is None:
+            hit = self.pairs[(snd.key, rcv.key)] = self.interned(net, Synchronized(
+                snd.agent, snd.edge, rcv.agent, rcv.edge, snd.edge.sync[0]))
+        return hit
+
+    # -- running ----------------------------------------------------------------
+    def encode(self, net: Network, q: GlobalState) -> tuple:
+        if len(q.locations) != self.n or len(q.values) != self.n_values:
+            raise DefinitionError(
+                f"a state of network {net.name} has {self.n} locations "
+                f"and {self.n_values} values")
+        locs = []
+        for agent, numbers, loc in zip(net.agents, self.numbers, q.locations):
+            number = numbers.get(loc)
+            if number is None:
+                raise DefinitionError(f"agent {agent.name}: no location {loc}")
+            locs.append(number)
+        return tuple(locs) + tuple(q.values)
+
+    def decode(self, s: tuple) -> GlobalState:
+        return GlobalState(tuple(map(operator.getitem, self.names, s)), s[self.n:])
+
+    def enabled(self, net: Network, s: tuple) -> list[tuple[Move, Callable]]:
+        """The moves enabled at s with their successor functions, in the
+        order `enabled_moves` documents."""
+        out = []
+        senders: dict[str, list[_Sync]] = {}
+        receivers: dict[str, list[_Sync]] = {}
+        for edges, loc, waits in zip(self.table, s, self.waits):
+            for guard, chan, side, item in edges[loc]:
+                if guard is not None and not guard(s):
+                    continue
+                if chan is None:
+                    out.append(item)
+                else:
+                    (senders if side == "!" else receivers).setdefault(chan, []).append(item)
+            if waits is not None:
+                out.append(waits[loc])
+        for chan, snd in senders.items():
+            rcv = receivers.get(chan, ())
+            for a in snd:
+                for b in rcv:
+                    if a.agent != b.agent:
+                        out.append(self.pair(net, a, b))
+        return out
+
+
+def _compiled(net: Network) -> _CompiledNetwork:
+    """The network's compiled form, built at its first use and kept on it."""
+    comp = net.__dict__.get("_compiled")
+    if comp is None:
+        comp = _CompiledNetwork(net)
+        object.__setattr__(net, "_compiled", comp)
+    return comp
+
 
 def enabled_moves(net: Network, q: GlobalState) -> list[Move]:
-    """All moves enabled at q: internal edges with true guards (plus the
-    implicit `wait` self-loop of lazy agents), and every send/receive pair
-    on a common channel between distinct agents."""
-    moves: list[Move] = []
-    senders: dict[str, list[tuple[str, Edge]]] = {}
-    receivers: dict[str, list[tuple[str, Edge]]] = {}
-    for pos, agent in enumerate(net.agents):
-        loc = q.locations[pos]
-        for e in net.edges_from(agent.name, loc):
-            if not eval_guard(e.guard, q, net):
-                continue
-            if e.sync is None:
-                moves.append(Internal(agent.name, e))
-            elif e.sync[1] == "!":
-                senders.setdefault(e.sync[0], []).append((agent.name, e))
-            else:
-                receivers.setdefault(e.sync[0], []).append((agent.name, e))
-        if agent.lazy:
-            moves.append(Internal(agent.name, _wait_edge(loc)))
-    for chan, snd in senders.items():
-        for (sa, se), (ra, re) in itertools.product(snd, receivers.get(chan, ())):
-            if sa != ra:
-                moves.append(Synchronized(sa, se, ra, re, chan))
-    return moves
-
-
-def _apply_updates(net: Network, values: list[int], updates: tuple[Assignment, ...],
-                   q_view: GlobalState) -> None:
-    # Assignments are evaluated left to right over the progressively updated
-    # valuation, mirroring the exported semantics.
-    for asg in updates:
-        current = GlobalState(q_view.locations, tuple(values))
-        val = eval_int(net, current, asg.expr)
-        idx = net.var_pos(asg.target.owner, asg.target.name)
-        decl = net.var_decls()[idx][1]
-        if not decl.lo <= val <= decl.hi:
-            raise BoundViolationError(
-                f"assignment {asg} yields {val}, outside [{decl.lo},{decl.hi}] "
-                f"of variable {decl.name}")
-        values[idx] = val
+    """All moves enabled at q: per agent in declaration order, its internal
+    edges with true guards and then the implicit `wait` self-loop of a lazy
+    agent; then every send/receive pair on a common channel between distinct
+    agents, channels in the order their first enabled sender appears. The
+    same edge always gives the same move object."""
+    comp = _compiled(net)
+    return [move for move, _ in comp.enabled(net, comp.encode(net, q))]
 
 
 def apply_move(net: Network, q: GlobalState, move: Move) -> GlobalState:
     """Deterministic successor: install target locations, run updates in edge
     order (sender's before receiver's on synchronized moves)."""
-    locs = list(q.locations)
-    vals = list(q.values)
-    if isinstance(move, Internal):
-        locs[net.agent_pos(move.agent)] = move.edge.target
-        _apply_updates(net, vals, move.edge.updates, q)
-    else:
-        locs[net.agent_pos(move.sender)] = move.send_edge.target
-        locs[net.agent_pos(move.receiver)] = move.recv_edge.target
-        _apply_updates(net, vals, move.send_edge.updates, q)
-        _apply_updates(net, vals, move.recv_edge.updates, q)
-    return GlobalState(tuple(locs), tuple(vals))
+    comp = _compiled(net)
+    return comp.decode(comp.step(net, move)(comp.encode(net, q)))
 
 
 def available_actions(net: Network, q: GlobalState, agent: str) -> set[str]:
@@ -586,7 +758,7 @@ def available_actions(net: Network, q: GlobalState, agent: str) -> set[str]:
 # ---------------------------------------------------------------------------
 # Exploration
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     source: int
     move: Move
@@ -645,24 +817,32 @@ DEFAULT_STATE_CAP = 200_000
 def explore(net: Network, start: Optional[GlobalState] = None,
             state_cap: int = DEFAULT_STATE_CAP,
             move_filter=None) -> StateGraph:
-    """BFS over enabledMoves/applyMove from `start` (default: initial state).
+    """Breadth-first search over the enabled moves from `start` (default: the
+    initial state), on the network's compiled form.
 
     `move_filter(q, moves)`, called once per state with the moves enabled
-    there, returns the ones to keep; it is how strategy-constrained outcome
-    graphs are built without materializing a pruned network. Raises
-    ResourceLimitError past `state_cap` states.
+    there, returns the ones to keep (the same objects); it is how
+    strategy-constrained outcome graphs are built without materializing a
+    pruned network. Raises
+    ResourceLimitError past `state_cap` states, and DefinitionError when
+    `start` is at a location its agent does not declare.
     """
+    comp = _compiled(net)
     q0 = net.initial_state() if start is None else start
+    keys = [comp.encode(net, q0)]  # the int tuple of each state, by index
     states = [q0]
-    index = {q0: 0}
+    index = {keys[0]: 0}
     transitions: list[Transition] = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        q = states[i]
-        moves = enabled_moves(net, q)
-        for move in moves if move_filter is None else move_filter(q, moves):
-            nxt = apply_move(net, q, move)
+    i = 0
+    while i < len(keys):  # states are expanded in discovery order
+        s = keys[i]
+        enabled = comp.enabled(net, s)
+        if move_filter is not None:
+            steps = {id(move): step for move, step in enabled}
+            enabled = [(move, steps[id(move)])
+                       for move in move_filter(states[i], [move for move, _ in enabled])]
+        for move, step in enabled:
+            nxt = step(s)
             j = index.get(nxt)
             if j is None:
                 if len(states) >= state_cap:
@@ -670,7 +850,8 @@ def explore(net: Network, start: Optional[GlobalState] = None,
                         f"state cap {state_cap} exceeded", partial=len(states))
                 j = len(states)
                 index[nxt] = j
-                states.append(nxt)
-                queue.append(j)
+                keys.append(nxt)
+                states.append(comp.decode(nxt))
             transitions.append(Transition(i, move, j))
+        i += 1
     return StateGraph(net=net, states=states, transitions=transitions, initial=0)

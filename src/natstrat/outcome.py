@@ -60,7 +60,7 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = 
     while todo:
         i = todo.popleft()
         outs = graph.out_edges(i)
-        try:  # by identity: every transition holds its own move object
+        try:  # by identity: the moves of one state's out-edges are distinct objects
             keep = {id(m) for m in allowed_moves(graph.net, graph.states[i],
                                                  [t.move for t in outs], s_A)}
         except StrategyError as exc:

@@ -1,0 +1,236 @@
+"""The compiled explorer against the syntax-tree semantics it replaced
+(`explore_oracle`): the same states in the same breadth-first order, the
+same transitions, the same enabled moves and successors at every reached
+state, and the same errors at the same points."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+
+import explore_oracle as oracle
+from natstrat import casestudy
+from natstrat.dsl import parse_network, parse_strategy
+from natstrat.errors import (
+    BoundViolationError, DefinitionError, ResourceLimitError, StrategyError,
+)
+from natstrat.model import Edge, GlobalState, Internal, apply_move, enabled_moves, explore
+from natstrat.outcome import restrict
+from natstrat.strategy import allowed_moves, fix_strategy
+
+from test_outcome import _network_and_strategies
+
+
+def _run(f):
+    """f's result, or the type, text and `partial` of the error it raised."""
+    try:
+        return f()
+    except (BoundViolationError, ResourceLimitError, StrategyError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "partial", None)
+
+
+def _shape(graph):
+    return graph.states, [(t.source, t.move.label(), t.move, t.target)
+                          for t in graph.transitions]
+
+
+def assert_matches_oracle(net, s_A=None, **kwargs):
+    keep = None if s_A is None else (lambda q, moves: allowed_moves(net, q, moves, s_A))
+    got = _run(lambda: explore(net, move_filter=keep, **kwargs))
+    want = _run(lambda: oracle.explore(net, move_filter=keep, **kwargs))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert _shape(got) == _shape(want)
+    for q in got.states:
+        moves = enabled_moves(net, q)
+        assert moves == oracle.enabled_moves(net, q), q
+        for m in moves:
+            assert _run(lambda: apply_move(net, q, m)) == \
+                _run(lambda: oracle.apply_move(net, q, m)), (q, m.label())
+
+
+def _bundled_cases():
+    """(name, network, strategy or None): every bundled model unfiltered and
+    under each of its strategies, and voter_full(7,5)."""
+    cases = []
+    bundles = [(stem, casestudy.load(stem)) for stem in casestudy.models()]
+    bundles.append(("voter_full(7,5)", casestudy.build_voter("full", 7, 5)))
+    for name, bundle in bundles:
+        net = bundle.network
+        cases.append((name, net, None))
+        for s in bundle.strategies.values():
+            cases.append((f"{name}/{s.name}", net, {s.agent: s}))
+        if not bundle.strategies:
+            s = parse_strategy("strategy printing for PollWorker { when true do request_print; "
+                               "when true do *; }", net)
+            cases.append((f"{name}/printing", net, {s.agent: s}))
+    return cases
+
+
+@pytest.mark.parametrize("name,net,s_A", _bundled_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_bundled_models_match_oracle(name, net, s_A):
+    assert_matches_oracle(net, s_A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_network_and_strategies())
+def test_random_networks_match_oracle(case):
+    net, s_A = case
+    assert_matches_oracle(net)
+    assert_matches_oracle(net, s_A)
+
+
+GUARDS_SRC = """
+const top = 2;
+const off = 0;
+channel c;
+global int[0,3] g = 0;
+agent A(lazy) {
+  var int[0,2] x = 0;
+  init a0; loc a1; loc a2;
+  edge a0 -> a1 on up when top > 1 && x < top do x := x + 1;
+  edge a1 -> a0 on back when !(x == top) || off != 0 do g := top - x;
+  edge a1 -> a2 on send when B@b0 || false sync c!;
+  edge a2 -> a0 on never when top < 1 || false do x := 0;
+  edge a2 -> a0 on reset when g >= x && true do x := off, g := g - g + x;
+  edge a2 -> a2 on stay;
+  edge a0 -> a2 on blocked when top < 1 && x == 0;
+  edge a0 -> a0 on nope when x < 1 && off == 1;
+  edge a2 -> a1 on open when top > 1 || x == 2;
+  edge a1 -> a1 on always when x > 5 || top == 2;
+}
+agent B {
+  init b0; loc b1;
+  edge b0 -> b1 on recv sync c? do g := top + 1;
+  edge b1 -> b0 on ret when A@a2 && !(g < off);
+}
+"""
+
+
+def test_constant_guards_and_cross_agent_atoms_match_oracle():
+    net = parse_network(GUARDS_SRC, name="guards")
+    assert_matches_oracle(net)
+    labels = {t.move.label() for t in explore(net).transitions}
+    assert not {"A.never", "A.blocked", "A.nope"} & labels
+    assert {"A.stay", "A.open", "A.always", "A.send!c / B.recv", "B.ret"} <= labels
+
+
+def test_a_fixed_strategy_network_matches_oracle(base):
+    # its edges repeat the strategy's conditions, which share closures
+    s = base.strategies["cast_verify"]
+    assert_matches_oracle(fix_strategy(base.network, {s.agent: s}))
+
+
+PAIRS_SRC = """
+channel c; channel d;
+agent A { init a0; loc a1;
+  edge a0 -> a1 on s1 sync d!; edge a0 -> a1 on s2 sync c!; edge a0 -> a0 on s3 sync c!; }
+agent B { init b0; loc b1;
+  edge b0 -> b1 on r1 sync c?; edge b0 -> b0 on s4 sync c!; edge b0 -> b0 on r2 sync c?;
+  edge b0 -> b1 on r3 sync d?; }
+agent C(lazy) { init c0; edge c0 -> c0 on r4 sync c?; }
+"""
+
+
+def test_sync_pairs_come_sender_by_sender_per_channel():
+    net = parse_network(PAIRS_SRC, name="pairs")
+    q0 = net.initial_state()
+    assert [m.label() for m in enabled_moves(net, q0)] == [
+        "C.wait",
+        "A.s1!d / B.r3",
+        "A.s2!c / B.r1", "A.s2!c / B.r2", "A.s2!c / C.r4",
+        "A.s3!c / B.r1", "A.s3!c / B.r2", "A.s3!c / C.r4",
+        "B.s4!c / C.r4",
+    ]
+    assert_matches_oracle(net)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("const top = 2; agent A { var int[0,2] x = 1; init a0; loc a1; "
+     "edge a0 -> a1 on up do x := x + top; }",
+     "assignment x := x + top yields 3, outside [0,2] of variable x"),
+    # the receiver's update overflows after the sender's ran
+    ("channel c; global int[0,1] g = 0; "
+     "agent A { init a0; loc a1; edge a0 -> a1 on s sync c! do g := g + 1; } "
+     "agent B { init b0; loc b1; edge b0 -> b1 on r sync c? do g := g + 1; }",
+     "assignment g := g + 1 yields 2, outside [0,1] of variable g"),
+    # a later assignment of the same edge reads the earlier one's value
+    ("agent A { var int[0,3] x = 0; var int[0,1] y = 0; init a0; loc a1; "
+     "edge a0 -> a1 on up do x := 3, y := x - 1; }",
+     "assignment y := x - 1 yields 2, outside [0,1] of variable y"),
+])
+def test_overflow_raises_the_oracles_error(src, message):
+    net = parse_network(src, name="overflow")
+    q0 = net.initial_state()
+    move = next(m for m in enabled_moves(net, q0) if not m.is_idle)
+    with pytest.raises(BoundViolationError, match=f"^{re.escape(message)}$"):
+        explore(net)
+    assert _run(lambda: apply_move(net, q0, move)) == \
+        _run(lambda: oracle.apply_move(net, q0, move)) == ("BoundViolationError", message, None)
+    assert_matches_oracle(net)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 10, 157])
+def test_state_cap_raises_with_the_oracles_partial(full75, cap):
+    net = full75.network
+    got = _run(lambda: explore(net, state_cap=cap))
+    assert got == _run(lambda: oracle.explore(net, state_cap=cap))
+    assert got == ("ResourceLimitError", f"state cap {cap} exceeded", cap)
+    assert_matches_oracle(net, state_cap=158)
+
+
+def test_a_repeated_edge_gives_two_transitions_that_restrict_keeps():
+    # moves are interned by declared position, so the two equal edges stay
+    # two moves, distinct within the state's out-edges
+    net = parse_network("agent T { init s0; loc s1; loc s2; "
+                        "edge s0 -> s1 on a; edge s0 -> s1 on a; edge s0 -> s2 on b; }",
+                        name="twice")
+    graph = explore(net)
+    first, second, other = graph.out_edges(0)
+    assert first.move == second.move and first.move is not second.move
+    assert (first.target, second.target) == (1, 1)
+    assert_matches_oracle(net)
+    s_A = {"T": parse_strategy("strategy sa for T { when true do a; }", net)}
+    q0 = graph.states[0]
+    kept = allowed_moves(net, q0, [t.move for t in graph.out_edges(0)], s_A)
+    assert [m is t.move for m, t in zip(kept, (first, second))] == [True, True]
+    assert len(kept) == 2
+    assert restrict(graph, s_A)[0][0] == [1]
+    s_B = {"T": parse_strategy("strategy sb for T { when true do b; }", net)}
+    assert restrict(graph, s_B)[0][0] == [2]
+
+
+def test_an_interned_move_is_shared_across_states(base):
+    graph = explore(base.network)
+    by_edge: dict = {}  # the wait edges are interned too: one per location
+    for t in graph.transitions:
+        key = (t.move.edge.source, t.move.label()) if t.move.is_idle else id(t.move.edge)
+        by_edge.setdefault(key, set()).add(id(t.move))
+    assert all(len(ids) == 1 for ids in by_edge.values())
+    assert len(graph.transitions) > len(by_edge)  # some move recurs
+    q = graph.states[0]
+    assert [id(m) for m in enabled_moves(base.network, q)] == \
+        [id(t.move) for t in graph.out_edges(0)]
+
+
+def test_undeclared_start_location_is_a_definition_error(base):
+    net = base.network
+    q = GlobalState(("nowhere",), net.initial_state().values)
+    with pytest.raises(DefinitionError, match="^agent Voter: no location nowhere$"):
+        explore(net, start=q)
+    with pytest.raises(DefinitionError, match="^agent Voter: no location nowhere$"):
+        enabled_moves(net, q)
+
+
+def test_a_start_of_the_wrong_shape_is_a_definition_error(base):
+    with pytest.raises(DefinitionError):
+        explore(base.network, start=GlobalState(("start", "start"), ()))
+
+
+def test_a_hand_built_move_is_applied_like_the_oracle(toy_net):
+    net = toy_net
+    q = net.state(locations={"T": "l1"})
+    move = Internal("T", Edge("l1", "l2", "step", updates=net.agent("T").edges[1].updates))
+    assert all(m is not move for m in enabled_moves(net, q))
+    assert apply_move(net, q, move) == oracle.apply_move(net, q, move)

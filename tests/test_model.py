@@ -34,6 +34,13 @@ def test_eval_guard_const_comparison(full75):
     assert not eval_guard(parse_guard_text("i == n", net), net.initial_state(), net)
 
 
+def test_constants_are_looked_up_by_name(full75):
+    net = full75.network
+    assert (net.constant("n"), net.constant("m")) == (7, 5)
+    with pytest.raises(DefinitionError, match="^unknown constant k$"):
+        net.constant("k")
+
+
 def test_enabled_moves_empty_on_deadlock():
     net = parse_network("agent D { init only; }", name="dead")
     assert enabled_moves(net, net.initial_state()) == []

@@ -7,7 +7,7 @@ from natstrat.checker import (
     check_temporal_universal, default_vocabulary, eval_formula,
     synthesize_strategic, verify_strategic,
 )
-from natstrat.dsl import parse_guard_text, parse_network, print_strategy
+from natstrat.dsl import parse_formula, parse_guard_text, parse_network, print_strategy
 from natstrat.errors import DefinitionError, ResourceLimitError, StrategyError
 from natstrat.model import (
     And, LocAtom, Not, Or, StateGraph, TrueConst, eval_guard, explore,
@@ -291,6 +291,35 @@ def test_synthesis_builds_one_state_graph(base, monkeypatch):
     res = synthesize_strategic(net, None, ["Voter"], 2, "F", [_goal_pred(net, "end")])
     assert (res.verdict, res.stats.strategies_enumerated) == (False, 4368)
     assert len(built) == 1
+
+
+def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
+    # only the walk depends on the state synthesis starts from
+    import natstrat.checker as checker
+    built = []
+
+    class Counting(checker._Behaviours):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "_Behaviours", Counting)
+    net = base.network
+    f = parse_formula("A G <<Voter>>^2 F end", net)
+    res = eval_formula(net, f, mode="synthesize")
+    assert len(built) == 1
+    # the verdict and counterexample of a space built at every state
+    assert (res.verdict, res.reason, res.witness_path, res.witness_strategy) == \
+        (False, "a reachable state falsifies the G-subformula", (0, 1, 2, 3, 5, 7, 3), {})
+    assert (res.stats.strategies_enumerated, res.stats.strategies_checked) == (100916, 19328)
+    ev = FormulaEvaluator(net, mode="synthesize")
+    node = f.subs[0]  # <<Voter>>^2 F end, under the universal A G
+    end = _goal_pred(net, "end")
+    for i, q in enumerate(ev.graph.states):
+        assert ev.holds(node, i) is not None
+        want = synthesize_strategic(net, q, ["Voter"], 2, "F", [end])
+        assert _summary(ev.witness(node, i)) == _summary(want), i
+    assert len(built) == 2 + ev.graph.n_states
 
 
 # -- the lazy canonical order against the eager oracle -------------------------
