@@ -49,7 +49,6 @@ def load(stem: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
             sub = load_bundle(extra, net=net, consts=consts)
             bundle.strategies.update(sub.strategies)
             bundle.formulas.update(sub.formulas)
-            bundle.spans.update(sub.spans)
     return bundle
 
 

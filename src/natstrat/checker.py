@@ -216,7 +216,6 @@ def verify_strategic(net: Network, q: Optional[GlobalState], coalition: Iterable
 @dataclass(frozen=True)
 class SynthesisConfig:
     enumeration_cap: int = 200_000
-    state_cap: int = DEFAULT_STATE_CAP
 
 
 def _guards_of_cost(graph: StateGraph, vocab: Sequence[GuardExpr], cost: int,
@@ -515,7 +514,8 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
                          coalition: Sequence[str], k: int, op: str,
                          goal_predicates: Sequence[Callable[[GlobalState], bool]],
                          vocabulary: Optional[Sequence[GuardExpr]] = None,
-                         config: SynthesisConfig = SynthesisConfig()) -> CheckResult:
+                         config: SynthesisConfig = SynthesisConfig(),
+                         state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:
     """Enumerate collective natural strategies lazily in canonical order --
     nondecreasing complexity up to k, then rule count, then the members'
     rule texts, members in name order and '~' for the wildcard -- and
@@ -523,7 +523,7 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     False means the enumeration was exhaustive; a cap raises
     ResourceLimitError so that 'unknown' is never conflated with 'false'.
     A negative k is a DefinitionError; a k below the coalition size is
-    False. The network is explored once from q, within `config.state_cap`.
+    False. The network is explored once from q, within `state_cap`.
 
     Only the first candidate of each behaviour is checked, by a walk of that
     graph; a rule other than the last that fires nowhere skips every
@@ -537,8 +537,8 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
         raise DefinitionError("complexity bound must be >= 0")
     if not coalition:
         return verify_strategic(net, q, [], k, op, goal_predicates, {},
-                                state_cap=config.state_cap)
-    graph = explore(net, start=q, state_cap=config.state_cap)
+                                state_cap=state_cap)
+    graph = explore(net, start=q, state_cap=state_cap)
     subgoals = [{i for i, state in enumerate(graph.states) if pred(state)}
                 for pred in goal_predicates]
     res = _synthesize(_Behaviours(graph, coalition, vocabulary), graph.initial, k, op,
@@ -614,7 +614,6 @@ class FormulaEvaluator:
         self.strategies_by_name = strategies_by_name or {}
         self.vocabulary = vocabulary
         self.synthesis = synthesis
-        self.state_cap = state_cap
         self.graph = explore(net, state_cap=state_cap)
         self._classes: dict[str, dict] = {}
         self._memo: dict[tuple[int, int], object] = {}

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import casestudy
-from .checker import SynthesisConfig, eval_formula, synthesize_strategic
+from .checker import eval_formula, synthesize_strategic
 from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
@@ -37,8 +37,11 @@ from .strategy import collective, complexity
 from .uppaal import export_uppaal
 
 def _load_model(spec: str) -> ParsedBundle:
-    if Path(spec).exists():
-        return load_bundle(Path(spec))
+    # a file wins over a bundled model of the same name, a directory does not;
+    # any other existing path is read, so that its error is the OS's
+    path = Path(spec)
+    if path.is_file() or (path.exists() and spec not in casestudy.models()):
+        return load_bundle(path)
     return casestudy.load(spec)
 
 
@@ -130,7 +133,6 @@ def _cmd_check(args, report: RunReport) -> int:
     mode = "synthesize" if args.mode == "synth" else args.mode
     res = eval_formula(net, formula, mode=mode, supplied=supplied,
                        strategies_by_name=bundle.strategies,
-                       synthesis=SynthesisConfig(state_cap=args.state_cap),
                        state_cap=args.state_cap)
     status = "ok" if res.verdict else ("error" if res.verdict is None else "fail")
     report.add(TaskReport("check", fname, status, value=res.verdict,
@@ -178,8 +180,7 @@ def _cmd_synth(args, report: RunReport) -> int:
     goal = parse_guard_text(rest, net)
     res = synthesize_strategic(
         net, None, coalition, args.bound, op,
-        [lambda q, g=goal: eval_guard(g, q, net)],
-        config=SynthesisConfig(state_cap=args.state_cap))
+        [lambda q, g=goal: eval_guard(g, q, net)], state_cap=args.state_cap)
     status = "ok" if res.verdict else "fail"
     report.add(TaskReport("synth", f"<<{args.coalition}>>^{args.bound} {args.goal}",
                           status, value=res.verdict, detail=_witness_detail(net, res)))

@@ -14,7 +14,7 @@ yields a bundle or raises ParseError with a source span.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -49,10 +49,6 @@ class ParsedBundle:
     network: Optional[Network]
     strategies: dict[str, NaturalStrategy] = field(default_factory=dict)
     formulas: dict[str, Formula] = field(default_factory=dict)
-    spans: dict[int, SourceSpan] = field(default_factory=dict)
-
-    def span_of(self, node) -> Optional[SourceSpan]:
-        return self.spans.get(id(node))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +130,6 @@ class _RawAgent:
     lazy: bool
     locations: list[tuple[str, list[str], SourceSpan]]  # (name, labels, span)
     initial: Optional[str]
-    variables: list[tuple[VarDecl, SourceSpan]]
     raw_var_bounds: list[tuple[str, object, object, int, SourceSpan]]
     edges: list[_RawEdge]
     span: SourceSpan
@@ -144,11 +139,20 @@ class _RawAgent:
 # ---------------------------------------------------------------------------
 # Parser
 
-class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
+class _BundleParser:
+    def __init__(self, tokens: list[Token], filename: str, consts_override=None,
+                 include_stack=None):
         self.tokens = tokens
         self.filename = filename
         self.pos = 0
+        self.consts_override = dict(consts_override or {})
+        self.include_stack = include_stack or []
+        self.constants: dict[str, int] = {}
+        self.channels: list[tuple[str, SourceSpan]] = []
+        self.globals: list[tuple[str, object, object, int, SourceSpan]] = []
+        self.agents: list[_RawAgent] = []
+        self.raw_strategies: list[dict] = []
+        self.raw_formulas: list[dict] = []
 
     # -- token plumbing ------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
@@ -268,22 +272,7 @@ class _Parser:
         tok = self.peek()
         return ("var", _RawName(self.ident("integer term")), self.span(tok))
 
-
-# ---------------------------------------------------------------------------
-# Bundle parsing
-
-class _BundleParser(_Parser):
-    def __init__(self, tokens, filename, consts_override=None, include_stack=None):
-        super().__init__(tokens, filename)
-        self.consts_override = dict(consts_override or {})
-        self.include_stack = include_stack or []
-        self.constants: dict[str, int] = {}
-        self.channels: list[tuple[str, SourceSpan]] = []
-        self.globals: list[tuple[str, object, object, int, SourceSpan]] = []
-        self.agents: list[_RawAgent] = []
-        self.raw_strategies: list[dict] = []
-        self.raw_formulas: list[dict] = []
-
+    # -- declarations -----------------------------------------------------------
     def parse_items(self):
         while not self.at("eof"):
             if self.at("const"):
@@ -357,8 +346,7 @@ class _BundleParser(_Parser):
             self.expect_op(")")
         self.expect_op("{")
         agent = _RawAgent(name=name, lazy=lazy, locations=[], initial=None,
-                          variables=[], raw_var_bounds=[], edges=[],
-                          span=self.span(tok))
+                          raw_var_bounds=[], edges=[], span=self.span(tok))
         while not self.at_op("}"):
             if self.at("var"):
                 self.advance()
@@ -614,12 +602,29 @@ class _BundleParser(_Parser):
 # Resolution
 
 class _Resolver:
-    def __init__(self, parser: _BundleParser, spans: dict[int, SourceSpan],
-                 external_net: Optional[Network] = None):
+    def __init__(self, parser: _BundleParser, external_net: Optional[Network] = None):
         self.p = parser
-        self.spans = spans
         self.external_net = external_net
-        self.net: Optional[Network] = None
+        if external_net is not None:
+            self._tables(external_net.agents, external_net.global_vars,
+                         dict(external_net.constants))
+
+    def _tables(self, agents, global_vars, consts: dict[str, int]) -> None:
+        """The name tables that resolution reads, from templates (edges not
+        needed), global variable declarations and constant values."""
+        self.loc_owner: dict[str, list[str]] = {}
+        self.agent_locs: dict[str, set[str]] = {}
+        self.atom_alias: dict[str, list[tuple[str, str]]] = {}
+        self.local_vars: dict[str, set[str]] = {}
+        for a in agents:
+            self.agent_locs[a.name] = set(a.locations)
+            for l in a.locations:
+                self.loc_owner.setdefault(l, []).append(a.name)
+            for lbl, l in a.atom_labels:
+                self.atom_alias.setdefault(lbl, []).append((a.name, l))
+            self.local_vars[a.name] = {v.name for v in a.local_vars}
+        self.global_vars = {v.name for v in global_vars}
+        self.consts = consts
 
     # -- network --------------------------------------------------------------
     def build_network(self, name: str) -> Optional[Network]:
@@ -638,33 +643,22 @@ class _Resolver:
                 return consts[b.name]
             raise ParseError(f"unknown constant {b.name} in variable bounds", span)
 
-        global_decls = []
-        for gname, lo, hi, init, span in p.globals:
-            global_decls.append(VarDecl(gname, bound_value(lo, span),
-                                        bound_value(hi, span), init))
-        # first pass: location/variable tables for name resolution
-        self.loc_owner: dict[str, list[str]] = {}
-        self.agent_locs: dict[str, set[str]] = {}
-        self.atom_alias: dict[str, list[tuple[str, str]]] = {}
-        self.local_vars: dict[str, set[str]] = {}
-        self.global_vars = {d.name for d in global_decls}
-        self.consts = consts
-        for a in p.agents:
-            locs = {l for l, _, _ in a.locations}
-            self.agent_locs[a.name] = locs
-            for l, labels, _ in a.locations:
-                self.loc_owner.setdefault(l, []).append(a.name)
-                for lbl in labels:
-                    self.atom_alias.setdefault(lbl, []).append((a.name, l))
-            self.local_vars[a.name] = set()
-            for vname, lo, hi, init, span in a.raw_var_bounds:
-                a.variables.append((VarDecl(vname, bound_value(lo, span),
-                                            bound_value(hi, span), init), span))
-                self.local_vars[a.name].add(vname)
+        def decl(vname, lo, hi, init, span) -> VarDecl:
+            return VarDecl(vname, bound_value(lo, span), bound_value(hi, span), init)
 
+        global_decls = [decl(*g) for g in p.globals]
+        # templates without edges first: they are what the name tables read
+        templates = [AgentTemplate(
+            name=a.name,
+            locations=tuple(l for l, _, _ in a.locations),
+            initial=a.initial,
+            local_vars=tuple(decl(*v) for v in a.raw_var_bounds),
+            lazy=a.lazy,
+            atom_labels=tuple((lbl, l) for l, lbls, _ in a.locations for lbl in lbls))
+            for a in p.agents]
+        self._tables(templates, global_decls, consts)
         channels = tuple(n for n, _ in p.channels)
-        templates = []
-        for a in p.agents:
+        for i, a in enumerate(p.agents):
             edges = []
             for re_ in a.edges:
                 for endpoint in (re_.source, re_.target):
@@ -679,51 +673,16 @@ class _Resolver:
                     for nm, ie in re_.updates)
                 if re_.sync is not None and re_.sync[0] not in channels:
                     raise ParseError(f"undeclared channel {re_.sync[0]}", re_.span)
-                edge = Edge(source=re_.source, target=re_.target,
-                            action=re_.action, guard=guard, sync=re_.sync,
-                            updates=updates)
-                self.spans[id(edge)] = re_.span
-                edges.append(edge)
-            labels = tuple((lbl, l) for l, lbls, _ in a.locations for lbl in lbls)
-            used = set()
-            for re_ in a.edges:
-                for ref in _raw_const_refs(re_.guard):
-                    if ref in consts:
-                        used.add(ref)
-            tpl = AgentTemplate(
-                name=a.name,
-                locations=tuple(l for l, _, _ in a.locations),
-                initial=a.initial,
-                local_vars=tuple(d for d, _ in a.variables),
-                edges=tuple(edges),
-                lazy=a.lazy,
-                atom_labels=labels,
-                formal_constants=tuple(sorted(used)))
-            self.spans[id(tpl)] = a.span
-            templates.append(tpl)
+                edges.append(Edge(source=re_.source, target=re_.target,
+                                  action=re_.action, guard=guard, sync=re_.sync,
+                                  updates=updates))
+            templates[i] = replace(templates[i], edges=tuple(edges))
         try:
-            net = Network(name=name, agents=tuple(templates),
-                          global_vars=tuple(global_decls), channels=channels,
-                          constants=tuple(sorted(consts.items())))
+            return Network(name=name, agents=tuple(templates),
+                           global_vars=tuple(global_decls), channels=channels,
+                           constants=tuple(sorted(consts.items())))
         except DefinitionError as exc:
             raise ParseError(str(exc), SourceSpan(self.p.filename, 1, 1))
-        self.net = net
-        return net
-
-    def _tables_from_network(self, net: Network):
-        self.loc_owner = {}
-        self.agent_locs = {}
-        self.atom_alias = {}
-        self.local_vars = {}
-        for a in net.agents:
-            self.agent_locs[a.name] = set(a.locations)
-            for l in a.locations:
-                self.loc_owner.setdefault(l, []).append(a.name)
-            for lbl, l in a.atom_labels:
-                self.atom_alias.setdefault(lbl, []).append((a.name, l))
-            self.local_vars[a.name] = {v.name for v in a.local_vars}
-        self.global_vars = {v.name for v in net.global_vars}
-        self.consts = dict(net.constants)
 
     # -- name resolution -------------------------------------------------------
     def resolve_var(self, name: str, owner: Optional[str], span: SourceSpan,
@@ -796,23 +755,15 @@ class _Resolver:
         if kind == "false":
             return FalseConst()
         if kind == "not":
-            node = Not(self.resolve_guard(raw[1], owner, strict))
-            self._copy_span(node, node.sub)
-            return node
+            return Not(self.resolve_guard(raw[1], owner, strict))
         if kind == "and":
-            node = And(self.resolve_guard(raw[1], owner, strict),
+            return And(self.resolve_guard(raw[1], owner, strict),
                        self.resolve_guard(raw[2], owner, strict))
-            self._copy_span(node, node.left)
-            return node
         if kind == "or":
-            node = Or(self.resolve_guard(raw[1], owner, strict),
+            return Or(self.resolve_guard(raw[1], owner, strict),
                       self.resolve_guard(raw[2], owner, strict))
-            self._copy_span(node, node.left)
-            return node
         if kind == "atom":
-            node = self.resolve_atom(raw[1], raw[2], owner, strict)
-            self.spans[id(node)] = raw[2]
-            return node
+            return self.resolve_atom(raw[1], raw[2], owner, strict)
         if kind == "cmp":
             _, lhs, op, rhs, span = raw
             lref = self.resolve_var(lhs.name, owner, span)
@@ -828,15 +779,8 @@ class _Resolver:
                     raise ParseError(f"variable {rhs.name} of agent "
                                      f"{rhs_res.owner} is not observable by "
                                      f"{owner}", span)
-            node = Comparison(lref, op, rhs_res)
-            self.spans[id(node)] = span
-            return node
+            return Comparison(lref, op, rhs_res)
         raise AssertionError(f"bad raw guard {raw!r}")
-
-    def _copy_span(self, node, source_child) -> None:
-        span = self.spans.get(id(source_child))
-        if span is not None:
-            self.spans[id(node)] = span
 
     def resolve_int(self, raw, owner: Optional[str], span: SourceSpan) -> IntExpr:
         kind = raw[0]
@@ -864,19 +808,15 @@ class _Resolver:
             guard = self.resolve_guard(guard_raw, owner=agent, strict=True)
             if action is not WILDCARD and action not in actions:
                 raise ParseError(f"agent {agent} has no action {action}", span)
-            rule = Rule(guard, action)
-            self.spans[id(rule)] = span
-            rules.append(rule)
+            rules.append(Rule(guard, action))
         if not rules:
             raise ParseError("empty strategy", raw["span"])
         if not raw["partial"] and not isinstance(rules[-1].guard, TrueConst):
             raise ParseError(
                 "missing final 'when true do ...;' rule (declare the strategy "
                 "'partial' to allow running out of rules)", raw["span"])
-        s = NaturalStrategy(agent=agent, rules=tuple(rules), name=raw["name"],
-                            declared_partial=raw["partial"])
-        self.spans[id(s)] = raw["span"]
-        return s
+        return NaturalStrategy(agent=agent, rules=tuple(rules), name=raw["name"],
+                               declared_partial=raw["partial"])
 
     # -- formulas ----------------------------------------------------------------
     def build_formula(self, raw, net: Network) -> Formula:
@@ -913,18 +853,6 @@ class _Resolver:
         return node
 
 
-def _raw_const_refs(raw):
-    kind = raw[0]
-    if kind == "cmp":
-        if isinstance(raw[3], _RawName):
-            yield raw[3].name
-    elif kind in ("not",):
-        yield from _raw_const_refs(raw[1])
-    elif kind in ("and", "or"):
-        yield from _raw_const_refs(raw[1])
-        yield from _raw_const_refs(raw[2])
-
-
 # ---------------------------------------------------------------------------
 # Public API
 
@@ -940,14 +868,10 @@ def parse_bundle(text: str, filename: str = "<string>",
     parser = _BundleParser(_tokenize(text, filename), filename,
                            consts_override=consts)
     parser.parse_items()
-    spans: dict[int, SourceSpan] = {}
-    resolver = _Resolver(parser, spans, external_net=net)
+    resolver = _Resolver(parser, external_net=net)
     name = network_name or (Path(filename).stem if filename != "<string>" else "net")
     network = resolver.build_network(name)
-    if network is not None and resolver.net is None:
-        resolver._tables_from_network(network)
-        resolver.net = network
-    bundle = ParsedBundle(network=network, spans=spans)
+    bundle = ParsedBundle(network=network)
     if parser.raw_strategies or parser.raw_formulas:
         if network is None:
             first = (parser.raw_strategies + parser.raw_formulas)[0]
@@ -1001,8 +925,7 @@ def parse_guard_text(text: str, net: Network, owner: Optional[str] = None) -> Gu
     raw = parser.parse_guard()
     if not parser.at("eof"):
         raise parser.fail("end of guard")
-    resolver = _Resolver(parser, {}, external_net=net)
-    resolver._tables_from_network(net)
+    resolver = _Resolver(parser, external_net=net)
     return resolver.resolve_guard(raw, owner=owner, strict=owner is not None)
 
 

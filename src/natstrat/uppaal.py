@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 from .errors import ExportError
 from .formula import FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic
 from .model import (
-    And, Comparison, Edge, FalseConst, GuardExpr, IntBin, IntExpr, IntLit,
-    IntVar, LocAtom, Network, Not, Or, TrueConst, VarAtom, VarRef,
-    guard_loc_atoms,
+    And, Comparison, Edge, FalseConst, GuardExpr, LocAtom, Network, Not, Or,
+    TrueConst, VarAtom, VarRef, guard_loc_atoms,
 )
 from .strategy import CollectiveStrategy, fix_strategy
 
@@ -85,42 +84,16 @@ class _Exporter:
             self.tracked[key] = mangle(location, self.taken)
         return self.tracked[key]
 
-    # -- guard/update rendering ----------------------------------------------
-    def guard_text(self, g: GuardExpr) -> str:
-        if isinstance(g, TrueConst):
-            return "true"
-        if isinstance(g, FalseConst):
-            return "false"
+    # -- guard rendering ------------------------------------------------------
+    def _tracked_guard(self, g: GuardExpr) -> GuardExpr:
+        """`g` with each location atom replaced by its tracking boolean."""
         if isinstance(g, LocAtom):
-            return self._track(g.agent, g.location)
-        if isinstance(g, VarAtom):
-            return g.var.name
-        if isinstance(g, Comparison):
-            rhs = g.rhs if isinstance(g.rhs, int) else g.rhs.name
-            return f"{g.lhs.name} {g.op} {rhs}"
+            return VarAtom(VarRef(None, self._track(g.agent, g.location)))
         if isinstance(g, Not):
-            inner = self.guard_text(g.sub)
-            if isinstance(g.sub, (And, Or, Comparison)):
-                return f"!({inner})"
-            return f"!{inner}"
-        if isinstance(g, And):
-            parts = []
-            for side in (g.left, g.right):
-                txt = self.guard_text(side)
-                parts.append(f"({txt})" if isinstance(side, Or) else txt)
-            return " && ".join(parts)
-        if isinstance(g, Or):
-            return f"{self.guard_text(g.left)} || {self.guard_text(g.right)}"
-        raise ExportError(f"cannot render guard {g!r}")
-
-    def int_text(self, e: IntExpr) -> str:
-        if isinstance(e, IntLit):
-            return str(e.value)
-        if isinstance(e, IntVar):
-            return e.var.name
-        if isinstance(e, IntBin):
-            return f"{self.int_text(e.left)} {e.op} {self.int_text(e.right)}"
-        raise ExportError(f"cannot render expression {e!r}")
+            return Not(self._tracked_guard(g.sub))
+        if isinstance(g, (And, Or)):
+            return type(g)(self._tracked_guard(g.left), self._tracked_guard(g.right))
+        return g
 
     # -- document ---------------------------------------------------------------
     def build(self) -> ET.Element:
@@ -162,12 +135,11 @@ class _Exporter:
                 ET.SubElement(tr, "target", ref=ids[e.target])
                 if not isinstance(e.guard, TrueConst):
                     ET.SubElement(tr, "label", kind="guard").text = \
-                        self.guard_text(e.guard)
+                        str(self._tracked_guard(e.guard))
                 if e.sync is not None:
                     ET.SubElement(tr, "label", kind="synchronisation").text = \
                         f"{e.sync[0]}{e.sync[1]}"
-                assigns = [f"{a.target.name} = {self.int_text(a.expr)}"
-                           for a in e.updates]
+                assigns = [f"{a.target.name} = {a.expr}" for a in e.updates]
                 src_key = (tpl.name, e.source)
                 tgt_key = (tpl.name, e.target)
                 if e.source != e.target:
@@ -282,9 +254,6 @@ def validate_document(root: ET.Element) -> None:
         if name_el is None or not name_el.text:
             raise ExportError("template without a name")
         names.add(name_el.text)
-        local = tpl.find("declaration")
-        local_text = local.text or "" if local is not None else ""
-        local_declared = _declared_identifiers(local_text)
         loc_ids = set()
         for le in tpl.findall("location"):
             loc_ids.add(le.get("id"))
@@ -292,7 +261,6 @@ def validate_document(root: ET.Element) -> None:
         if init is None or init.get("ref") not in loc_ids:
             raise ExportError(f"template {name_el.text}: init does not "
                               f"reference a declared location")
-        scope = declared | local_declared
         for tr in tpl.findall("transition"):
             src = tr.find("source")
             tgt = tr.find("target")

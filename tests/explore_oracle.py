@@ -49,8 +49,8 @@ def enabled_moves(net: Network, q: GlobalState) -> list[Move]:
     receivers: dict[str, list[tuple[str, Edge]]] = {}
     for pos, agent in enumerate(net.agents):
         loc = q.locations[pos]
-        for e in net.edges_from(agent.name, loc):
-            if not eval_guard(e.guard, q, net):
+        for e in agent.edges:
+            if e.source != loc or not eval_guard(e.guard, q, net):
                 continue
             if e.sync is None:
                 moves.append(Internal(agent.name, e))

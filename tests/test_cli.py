@@ -81,6 +81,14 @@ def test_unknown_model_is_a_usage_error():
     assert "no bundled model 'no_such_model'" in report.tasks[0].detail["error"]
 
 
+def test_a_directory_does_not_shadow_a_bundled_model(monkeypatch, tmp_path):
+    (tmp_path / "voter_base").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, report = run("check", "--model", "voter_base",
+                       "--formula-name", "reach_end", "--use", "cast_verify")
+    assert code == EXIT_OK and report.tasks[0].value is True
+
+
 def test_check_inline_formula_synthesize():
     code, report = run("check", "--model", "voter_base",
                        "--formula", "A G !(Voter@error && Voter@end)",
@@ -137,6 +145,10 @@ def test_resource_cap_exit_three():
     code, _ = run("--state-cap", "5", "check", "--model", "voter_base",
                   "--formula-name", "reach_end", "--use", "cast_verify")
     assert code == EXIT_RESOURCE
+    code, report = run("synth", "--state-cap", "5", "--model", "voter_base",
+                       "--coalition", "Voter", "--bound", "2", "--goal", "F end")
+    assert code == EXIT_RESOURCE
+    assert "state cap 5 exceeded" in report.tasks[0].detail["error"]
 
 
 def test_json_report_round_trip():

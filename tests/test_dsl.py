@@ -180,6 +180,50 @@ def test_circular_include_rejected(tmp_path):
         load_bundle(a)
 
 
+# -- the two resolver entry points ----------------------------------------------
+
+RESOLVE_NET = """
+const n = 2;
+global int[0,3] g = 0;
+agent A {
+  var int[0,3] i = 0;
+  init a0; loc a1 [done]; loc shared;
+  edge a0 -> a1 on go when i < n do i := i + 1, g := g + 1;
+}
+agent B { var int[0,1] flag = 0; init b0; loc shared; edge b0 -> b0 on tick do flag := 1; }
+"""
+RESOLVE_STRATEGY = ("strategy s for A { when done && i < n || A@a0 && g == 1 do go; "
+                    "when !a1 do go; when true do *; }")
+RESOLVE_FORMULA = "<<A:s>>^5 F (done && g >= n) && A G (B@b0 -> flag == 0)"
+
+
+def _message(exc):
+    return str(exc.value).removeprefix(f"{exc.value.span}: ")
+
+
+def test_network_source_and_supplied_network_resolve_alike(tmp_path):
+    # names resolve the same whether the network is declared in the same
+    # source or supplied as net=
+    own = parse_bundle(RESOLVE_NET + RESOLVE_STRATEGY + f"\nformula f = {RESOLVE_FORMULA};")
+    net = own.network
+    nss = tmp_path / "extra.nss"
+    nss.write_text(RESOLVE_STRATEGY + f"\nformula f = {RESOLVE_FORMULA};")
+    extra = load_bundle(nss, net=net)
+    assert parse_strategy(RESOLVE_STRATEGY, net) == own.strategies["s"] == extra.strategies["s"]
+    assert parse_formula(RESOLVE_FORMULA, net) == own.formulas["f"] == extra.formulas["f"]
+    ambiguous, unobservable = "A F shared", "strategy t for A { when b0 do go; when true do *; }"
+    for parse_alone, text, same_source, message in (
+            (parse_formula, ambiguous, f"formula f = {ambiguous};",
+             "ambiguous location atom shared; use Agent@shared"),
+            (parse_strategy, unobservable, unobservable,
+             "guard atom b0 (location of B) is not observable by A")):
+        with pytest.raises(ParseError) as alone:
+            parse_alone(text, net)
+        with pytest.raises(ParseError) as together:
+            parse_bundle(RESOLVE_NET + same_source)
+        assert _message(alone) == _message(together) == message
+
+
 # -- round trips ---------------------------------------------------------------
 
 @pytest.mark.parametrize("stem", [

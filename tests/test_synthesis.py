@@ -168,6 +168,14 @@ def test_enumeration_cap_raises():
                              config=SynthesisConfig(enumeration_cap=5))
 
 
+def test_state_cap_raises(base):
+    net = base.network
+    pred = _goal_pred(net, "end")
+    for coalition in (["Voter"], []):
+        with pytest.raises(ResourceLimitError, match="state cap 5 exceeded"):
+            synthesize_strategic(net, None, coalition, 2, "F", [pred], state_cap=5)
+
+
 def test_empty_coalition_synthesis_is_universal_check(base):
     net = base.network
     pred = _goal_pred(net, "end")
