@@ -8,7 +8,6 @@ import sys
 from natstrat.casestudy import build_coercer, receipt_freeness
 from natstrat.checker import eval_formula
 from natstrat.dsl import parse_guard_text, parse_network
-from natstrat.model import eval_guard
 from natstrat.outcome import outcomes
 from natstrat.strategy import complexity
 
@@ -34,7 +33,7 @@ def main() -> int:
         s = bundle.strategies[sname]
         og = outcomes(net, None, {"Coercer": s})
         goal = parse_guard_text(achieved, net)
-        hit = any(eval_guard(goal, og.states[i], net) for i in range(og.n_states))
+        hit = bool(og.satisfying(goal))
         print(f"{variant:9s} {sname:22s} complexity {complexity(s):2d}  "
               f"reaches [{achieved}]: {hit}  ({og.n_states} states)")
 

@@ -40,7 +40,7 @@ from .formula import (
 )
 from .model import (
     DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, GlobalState, GuardExpr, LocAtom,
-    Network, Not, Or, StateGraph, VarAtom, eval_guard, explore,
+    Network, Not, Or, StateGraph, VarAtom, explore,
 )
 from .outcome import backward_fixpoint, outcomes, restrict, shortest_path
 from .strategy import (
@@ -383,25 +383,32 @@ class _Behaviours:
         self.vocab = None if vocab is None else list(vocab)
         self.agents = sorted(self.coalition)  # the order of a candidate's text
         member = {a: m for m, a in enumerate(self.agents)}
+        # per stored move id: its coalition actors, in actor order, with
+        # their actions
+        moves = graph.moves
+        sides = {m: [(member[a], act) for a, act in zip(moves[m].actors, moves[m].actions)
+                     if a in member]
+                 for m in set(graph.move_ids)}
         # per member: action -> the states where it has that action in the
         # stored moves; `acts` lists those actions in order
         self.avail: list[dict[str, int]] = [{} for _ in self.agents]
+        offsets, targets, move_ids = graph.offsets, graph.targets, graph.move_ids
         for i in range(graph.n_states):
-            for t in graph.out_edges(i):
-                for actor, action in zip(t.move.actors, t.move.actions):
-                    if actor in member:
-                        av = self.avail[member[actor]]
-                        av[action] = av.get(action, 0) | 1 << i
+            bit = 1 << i
+            for e in range(offsets[i], offsets[i + 1]):
+                for m, act in sides[move_ids[e]]:
+                    av = self.avail[m]
+                    av[act] = av.get(act, 0) | bit
         self.acts = [sorted(av) for av in self.avail]
         index = [{a: j for j, a in enumerate(acts)} for acts in self.acts]
         self.any = [functools.reduce(operator.or_, av.values(), 0) for av in self.avail]
         # each state's stored moves as (target, idle, checks), checks pairing
         # each coalition actor, in actor order, with its action's index
-        self.moves = [[(t.target, t.move.is_idle,
-                        tuple((member[a], index[member[a]][act])
-                              for a, act in zip(t.move.actors, t.move.actions)
-                              if a in member))
-                       for t in graph.out_edges(i)] for i in range(graph.n_states)]
+        checks = {m: (graph.idle[m], tuple((a, index[a][act]) for a, act in side))
+                  for m, side in sides.items()}
+        self.moves = [[(targets[e], *checks[move_ids[e]])
+                       for e in range(offsets[i], offsets[i + 1])]
+                      for i in range(graph.n_states)]
         self._guards: dict = {}  # the memo of _guards_of_cost
         self._options_memo: dict[int, list[list[_Option]]] = {}
 
@@ -542,19 +549,20 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     subgoals = [{i for i, state in enumerate(graph.states) if pred(state)}
                 for pred in goal_predicates]
     res = _synthesize(_Behaviours(graph, coalition, vocabulary), graph.initial, k, op,
-                      subgoals, config)
+                      subgoals, config, CheckStats(states_explored=graph.n_states))
     res.stats.wall_time = time.perf_counter() - t0
     return res
 
 
 def _synthesize(space: _Behaviours, start: int, k: int, op: str,
-                subgoals: Sequence[set[int]], config: SynthesisConfig) -> CheckResult:
+                subgoals: Sequence[set[int]], config: SynthesisConfig,
+                stats: CheckStats) -> CheckResult:
     """<<coalition>>^<=k op(subgoals) at state `start` of the space's
     explored graph: the first candidate in canonical order whose restriction
     from `start` visits no state where matching a rule fails and labels
     `start`. Only the first candidate of each behaviour is walked and
-    labelled."""
-    stats = CheckStats(states_explored=space.graph.n_states)
+    labelled. The search counts into `stats`, which the result carries; past
+    the cap, `stats` holds the counts of the capped search."""
     if k < len(space.coalition):
         # every member's strategy has at least the ⊤ rule, costing 1
         return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
@@ -562,9 +570,10 @@ def _synthesize(space: _Behaviours, start: int, k: int, op: str,
     for position, state in _canonical(space.options, k, space.extend, space.ROOT):
         stats.strategies_enumerated = position
         if position > config.enumeration_cap:
+            stats.strategies_enumerated = config.enumeration_cap + 1
             raise ResourceLimitError(
                 f"synthesis cap {config.enumeration_cap} exceeded "
-                f"(verdict unknown)", partial=config.enumeration_cap + 1)
+                f"(verdict unknown)", partial=stats.strategies_enumerated)
         if state is None or state[0] in walked:
             continue
         behaviour, _, _, path = state
@@ -617,6 +626,7 @@ class FormulaEvaluator:
         self.graph = explore(net, state_cap=state_cap)
         self._classes: dict[str, dict] = {}
         self._memo: dict[tuple[int, int], object] = {}
+        self._atoms: dict[int, Callable] = {}  # id(atom node) -> its compiled guard
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
         self._spaces: dict[int, _Behaviours] = {}  # id(node) -> its synthesis space
         # (id(node), state) -> result of a node decided by synthesis
@@ -690,9 +700,11 @@ class FormulaEvaluator:
         return self._memo[key]
 
     def _eval(self, f: Formula, i: int):
-        q = self.graph.states[i]
         if isinstance(f, FAtom):
-            return eval_guard(f.guard, q, self.net)
+            holds = self._atoms.get(id(f))
+            if holds is None:
+                holds = self._atoms[id(f)] = self.graph.predicate(f.guard)
+            return holds(self.graph.keys[i])
         if isinstance(f, FNot):
             v = self.holds(f.sub, i)
             return _UNKNOWN if v is _UNKNOWN else (not v)
@@ -772,12 +784,14 @@ class FormulaEvaluator:
         if space is None:
             space = self._spaces[id(node)] = _Behaviours(self.graph, node.coalition,
                                                          self.vocabulary)
+        stats = CheckStats(states_explored=self.graph.n_states)
         try:
-            res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis)
+            res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis, stats)
         except ResourceLimitError:
             return _UNKNOWN
-        self.stats.strategies_enumerated += res.stats.strategies_enumerated
-        self.stats.strategies_checked += res.stats.strategies_checked
+        finally:  # a capped search's counts are reported too
+            self.stats.strategies_enumerated += stats.strategies_enumerated
+            self.stats.strategies_checked += stats.strategies_checked
         self._synthesized[(id(node), i)] = res
         return res.verdict
 

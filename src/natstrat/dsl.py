@@ -915,8 +915,13 @@ def parse_strategy(text: str, net: Network, filename: str = "<string>") -> Natur
 
 
 def parse_formula(text: str, net: Network, filename: str = "<string>") -> Formula:
-    bundle = parse_bundle(f"formula _f = {text};", filename=filename, net=net)
-    return bundle.formulas["_f"]
+    """Parse one formula expression in the context of a network; anything
+    after it, a `;` included, is a ParseError."""
+    parser = _BundleParser(_tokenize(text, filename), filename)
+    tree = parser._formula()
+    if not parser.at("eof"):
+        raise parser.fail("end of formula")
+    return _Resolver(parser, external_net=net).build_formula(tree, net)
 
 
 def parse_guard_text(text: str, net: Network, owner: Optional[str] = None) -> GuardExpr:

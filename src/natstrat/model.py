@@ -12,14 +12,25 @@ and safe to share.
 A network is compiled on its first exploration, or its first `enabled_moves`
 or `apply_move` call (`_CompiledNetwork`), and keeps that form: states become
 flat int tuples, guards and updates closures over them with constants
-inlined, and every move one shared object. `explore`, `enabled_moves` and
-`apply_move` all run on it; `eval_guard` interprets a guard over a
-`GlobalState` for strategies and formula atoms.
+inlined, and every move one shared object with a dense int id. `explore`,
+`enabled_moves` and `apply_move` all run on it; `eval_guard` interprets a
+guard over a `GlobalState` for strategies.
+
+An explored `StateGraph` is stored as int columns: the int tuple of each
+state with the dict from tuple to index, and the edges as three
+`array('i')` columns, `offsets` (one per state, plus one), `targets` and
+`move_ids`. No `GlobalState` or `Transition` is kept: `states` and
+`transitions` are read-only sequence views that build one per item read,
+and `satisfying` and the checker's atoms run the compiled guards over the
+int tuples.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
@@ -523,7 +534,8 @@ class _CompiledNetwork:
     tuple, with constants inlined. Each agent has, per location, its edges in
     declaration order. Moves are interned by declared position: one move
     object per internal edge, per location of a lazy agent (its `wait`) and
-    per (send edge, receive edge) pair, each with its successor function.
+    per (send edge, receive edge) pair, each with a dense int id (its index
+    in `moves` and `idle`) and its successor function.
     It keeps no reference to its network, which keeps it; the methods that
     need the network's declarations take it.
     """
@@ -534,14 +546,15 @@ class _CompiledNetwork:
         self.names = tuple(a.locations for a in net.agents)
         self.numbers = tuple({loc: k for k, loc in enumerate(a.locations)}
                              for a in net.agents)
-        self.pairs: dict[tuple[int, int], tuple[Move, Callable]] = {}
-        guards: dict[GuardExpr, Callable] = {}
+        self.pairs: dict[tuple[int, int], tuple[int, Callable]] = {}
+        self.moves: list[Move] = []  # move id -> move
+        self.idle: list[bool] = []   # move id -> move.is_idle
+        self.guards: dict[GuardExpr, Callable] = {}  # the memo of `guard`
         table, waits, key = [], [], 0
         for pos, agent in enumerate(net.agents):
             by_loc: list[list] = [[] for _ in agent.locations]
             for e in agent.edges:
-                guard = None if isinstance(e.guard, TrueConst) else \
-                    self.guard(net, e.guard, guards)
+                guard = None if isinstance(e.guard, TrueConst) else self.guard(net, e.guard)
                 if e.sync is None:
                     chan, side = None, None
                     item = self.interned(net, Internal(agent.name, e))
@@ -562,16 +575,18 @@ class _CompiledNetwork:
             return net._constants[ref.name]
         return operator.itemgetter(self.n + net.var_pos(ref.owner, ref.name))
 
-    def guard(self, net: Network, g: GuardExpr, memo: dict) -> Callable:
-        """The closure of a guard; equal guards share one (`memo`). A strategy
-        fixed into a network repeats its rules' conditions on every edge: in
-        voter_base under cast_verify, 922 guard nodes are 56 distinct ones."""
-        code = memo.get(g)
+    def guard(self, net: Network, g: GuardExpr) -> Callable:
+        """The closure of a guard; equal guards share one (`self.guards`),
+        edge guards and the atoms labelled over explored graphs alike. A
+        strategy fixed into a network repeats its rules' conditions on every
+        edge: in voter_base under cast_verify, 922 guard nodes are 56
+        distinct ones."""
+        code = self.guards.get(g)
         if code is None:
-            code = memo[g] = self.new_guard(net, g, memo)
+            code = self.guards[g] = self.new_guard(net, g)
         return code
 
-    def new_guard(self, net: Network, g: GuardExpr, memo: dict) -> Callable:
+    def new_guard(self, net: Network, g: GuardExpr) -> Callable:
         if isinstance(g, (TrueConst, FalseConst)):
             value = isinstance(g, TrueConst)
             return lambda s: value
@@ -594,10 +609,10 @@ class _CompiledNetwork:
                 return lambda s: cmp(lhs(s), rhs)
             return lambda s: cmp(lhs(s), rhs(s))
         if isinstance(g, Not):
-            sub = self.guard(net, g.sub, memo)
+            sub = self.guard(net, g.sub)
             return lambda s: not sub(s)
         if isinstance(g, (And, Or)):
-            left, right = self.guard(net, g.left, memo), self.guard(net, g.right, memo)
+            left, right = self.guard(net, g.left), self.guard(net, g.right)
             if isinstance(g, Or):
                 return lambda s: left(s) or right(s)
             return lambda s: left(s) and right(s)
@@ -656,10 +671,13 @@ class _CompiledNetwork:
             return tuple(v)
         return step
 
-    def interned(self, net: Network, move: Move) -> tuple[Move, Callable]:
-        return move, self.step(net, move)
+    def interned(self, net: Network, move: Move) -> tuple[int, Callable]:
+        """The move's dense id, and its successor function."""
+        self.moves.append(move)
+        self.idle.append(move.is_idle)
+        return len(self.moves) - 1, self.step(net, move)
 
-    def pair(self, net: Network, snd: _Sync, rcv: _Sync) -> tuple[Move, Callable]:
+    def pair(self, net: Network, snd: _Sync, rcv: _Sync) -> tuple[int, Callable]:
         hit = self.pairs.get((snd.key, rcv.key))
         if hit is None:
             hit = self.pairs[(snd.key, rcv.key)] = self.interned(net, Synchronized(
@@ -683,9 +701,9 @@ class _CompiledNetwork:
     def decode(self, s: tuple) -> GlobalState:
         return GlobalState(tuple(map(operator.getitem, self.names, s)), s[self.n:])
 
-    def enabled(self, net: Network, s: tuple) -> list[tuple[Move, Callable]]:
-        """The moves enabled at s with their successor functions, in the
-        order `enabled_moves` documents."""
+    def enabled(self, net: Network, s: tuple) -> list[tuple[int, Callable]]:
+        """The ids of the moves enabled at s with their successor functions,
+        in the order `enabled_moves` documents."""
         out = []
         senders: dict[str, list[_Sync]] = {}
         receivers: dict[str, list[_Sync]] = {}
@@ -724,7 +742,7 @@ def enabled_moves(net: Network, q: GlobalState) -> list[Move]:
     agents, channels in the order their first enabled sender appears. The
     same edge always gives the same move object."""
     comp = _compiled(net)
-    return [move for move, _ in comp.enabled(net, comp.encode(net, q))]
+    return [comp.moves[m] for m, _ in comp.enabled(net, comp.encode(net, q))]
 
 
 def apply_move(net: Network, q: GlobalState, move: Move) -> GlobalState:
@@ -752,50 +770,118 @@ class Transition:
     target: int
 
 
-@dataclass
-class StateGraph:
-    """Reachable fragment of the global transition relation.
+class _View(Sequence):
+    """A read-only sequence of n items built on access; equal to a list (or
+    another view) with equal items, as a list would be."""
 
-    States are indexed in BFS discovery order (deterministic for a given
-    network), transitions keep their full move labels. `wait` self-loops are
-    included; path-level analyses read `succ`, which drops them.
+    def __init__(self, n: int, item: Callable[[int], object]):
+        self._n = n
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(self._n)[i]]
+        return self._item(range(self._n)[i])  # range raises IndexError
+
+    def __eq__(self, other):
+        if isinstance(other, _View):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+@dataclass(eq=False)
+class StateGraph:
+    """Reachable fragment of the global transition relation, as int columns.
+
+    State i is `keys[i]`, its int tuple in the compiled network's encoding
+    (`index` maps a key back to i); states are indexed in BFS discovery
+    order, deterministic for a given network. The out-edges of state i are
+    the positions offsets[i] to offsets[i+1] of `targets` and `move_ids`,
+    in the order the moves were enabled; a move id indexes `moves` and
+    `idle`. No object is kept per state or per edge: `states` and
+    `transitions` are read-only sequence views that decode a `GlobalState`
+    or build a `Transition` per item accessed, and `out_edges(i)` builds
+    state i's. `wait` self-loops are included; path-level analyses read
+    `succ`, which drops them.
     """
 
     net: Network
-    states: list[GlobalState]
-    transitions: list[Transition]
+    keys: list[tuple]
+    index: dict[tuple, int]
+    offsets: array
+    targets: array
+    move_ids: array
     initial: int = 0
 
-    def __post_init__(self):
-        self._index = {q: i for i, q in enumerate(self.states)}
-        out: list[list[Transition]] = [[] for _ in self.states]
-        for t in self.transitions:
-            out[t.source].append(t)
-        self._out = out
+    @property
+    def moves(self) -> list[Move]:
+        return _compiled(self.net).moves
 
-    def index_of(self, q: GlobalState) -> int:
-        return self._index[q]
+    @property
+    def idle(self) -> list[bool]:
+        return _compiled(self.net).idle
 
-    def __contains__(self, q: GlobalState) -> bool:
-        return q in self._index
+    @property
+    def n_states(self) -> int:
+        return len(self.keys)
+
+    # The views close over the columns, not the graph, so that no reference
+    # cycle keeps a dropped graph alive until a collector pass.
+    @property
+    def states(self) -> Sequence[GlobalState]:
+        keys, decode = self.keys, _compiled(self.net).decode
+        return _View(len(keys), lambda i: decode(keys[i]))
+
+    @property
+    def transitions(self) -> Sequence[Transition]:
+        offsets, targets, move_ids, moves = self.offsets, self.targets, self.move_ids, self.moves
+
+        def item(e: int) -> Transition:
+            return Transition(bisect.bisect_right(offsets, e) - 1, moves[move_ids[e]], targets[e])
+        return _View(len(targets), item)
 
     def out_edges(self, i: int) -> list[Transition]:
-        return self._out[i]
+        lo, hi, moves = self.offsets[i], self.offsets[i + 1], self.moves
+        return [Transition(i, moves[m], j)
+                for m, j in zip(self.move_ids[lo:hi], self.targets[lo:hi])]
+
+    def _key(self, q: GlobalState) -> Optional[tuple]:
+        try:
+            return _compiled(self.net).encode(self.net, q)
+        except DefinitionError:  # wrong arity or an undeclared location
+            return None
+
+    def index_of(self, q: GlobalState) -> int:
+        i = self.index.get(self._key(q))
+        if i is None:
+            raise KeyError(q)
+        return i
+
+    def __contains__(self, q: GlobalState) -> bool:
+        return self._key(q) in self.index
 
     @cached_property
     def succ(self) -> list[list[int]]:
         """The distinct productive (non-idle) successors of each state, in
         index order."""
-        return [sorted({t.target for t in outs if not t.move.is_idle})
-                for outs in self._out]
+        offsets, targets, move_ids, idle = self.offsets, self.targets, self.move_ids, self.idle
+        return [sorted({j for m, j in zip(move_ids[lo:hi], targets[lo:hi]) if not idle[m]})
+                for lo, hi in zip(offsets, offsets[1:])]
+
+    def predicate(self, guard: GuardExpr) -> Callable[[tuple], bool]:
+        """`guard` compiled, as a test of a state's key; the network keeps
+        one closure per distinct guard."""
+        return _compiled(self.net).guard(self.net, guard)
 
     def satisfying(self, guard: GuardExpr) -> set[int]:
-        return {i for i, q in enumerate(self.states)
-                if eval_guard(guard, q, self.net)}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
+        holds = self.predicate(guard)
+        return {i for i, s in enumerate(self.keys) if holds(s)}
 
 
 DEFAULT_STATE_CAP = 200_000
@@ -805,7 +891,9 @@ def explore(net: Network, start: Optional[GlobalState] = None,
             state_cap: int = DEFAULT_STATE_CAP,
             move_filter=None) -> StateGraph:
     """Breadth-first search over the enabled moves from `start` (default: the
-    initial state), on the network's compiled form.
+    initial state), on the network's compiled form. It stores the int tuple
+    of each state and three int columns of edges, nothing else per state or
+    per edge (see `StateGraph`).
 
     `move_filter(q, moves)`, called once per state with the moves enabled
     there, returns the ones to keep (the same objects); it is how
@@ -819,28 +907,28 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     comp = _compiled(net)
     q0 = net.initial_state() if start is None else start
     keys = [comp.encode(net, q0)]  # the int tuple of each state, by index
-    states = [q0]
     index = {keys[0]: 0}
-    transitions: list[Transition] = []
+    offsets, targets, move_ids = array("i", [0]), array("i"), array("i")
     i = 0
     while i < len(keys):  # states are expanded in discovery order
         s = keys[i]
         enabled = comp.enabled(net, s)
         if move_filter is not None:
-            steps = {id(move): step for move, step in enabled}
-            enabled = [(move, steps[id(move)])
-                       for move in move_filter(states[i], [move for move, _ in enabled])]
-        for move, step in enabled:
+            steps = {id(comp.moves[m]): (m, step) for m, step in enabled}
+            enabled = [steps[id(move)] for move in move_filter(
+                comp.decode(s), [comp.moves[m] for m, _ in enabled])]
+        for m, step in enabled:
             nxt = step(s)
             j = index.get(nxt)
             if j is None:
-                if len(states) >= state_cap:
+                if len(keys) >= state_cap:
                     raise ResourceLimitError(
-                        f"state cap {state_cap} exceeded", partial=len(states))
-                j = len(states)
+                        f"state cap {state_cap} exceeded", partial=len(keys))
+                j = len(keys)
                 index[nxt] = j
                 keys.append(nxt)
-                states.append(comp.decode(nxt))
-            transitions.append(Transition(i, move, j))
+            targets.append(j)
+            move_ids.append(m)
+        offsets.append(len(targets))
         i += 1
-    return StateGraph(net=net, states=states, transitions=transitions, initial=0)
+    return StateGraph(net, keys, index, offsets, targets, move_ids)

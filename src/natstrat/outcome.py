@@ -55,18 +55,21 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = 
         return graph.succ, {}
     succ: list[list[int]] = [[] for _ in range(graph.n_states)]
     errors: dict[int, StrategyError] = {}
+    offsets, moves, idle, states = graph.offsets, graph.moves, graph.idle, graph.states
     todo = deque(range(graph.n_states) if start is None else [start])
     seen = set(todo)
     while todo:
         i = todo.popleft()
-        outs = graph.out_edges(i)
+        lo, hi = offsets[i], offsets[i + 1]
+        ids = graph.move_ids[lo:hi]
         try:  # by identity: the moves of one state's out-edges are distinct objects
-            keep = {id(m) for m in allowed_moves(graph.net, graph.states[i],
-                                                 [t.move for t in outs], s_A)}
+            keep = {id(m) for m in allowed_moves(graph.net, states[i],
+                                                 [moves[m] for m in ids], s_A)}
         except StrategyError as exc:
             errors[i] = exc.with_traceback(None)  # keeps no frame alive
             continue
-        targets = [t.target for t in outs if id(t.move) in keep and not t.move.is_idle]
+        targets = [j for m, j in zip(ids, graph.targets[lo:hi])
+                   if id(moves[m]) in keep and not idle[m]]
         succ[i] = sorted(set(targets))
         for j in targets:
             if j not in seen:

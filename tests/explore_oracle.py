@@ -6,12 +6,13 @@ makes a fresh move object. It is kept as the oracle of `natstrat.model`'s
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from natstrat.errors import BoundViolationError, ResourceLimitError
 from natstrat.model import (
     DEFAULT_STATE_CAP, WAIT_ACTION, Assignment, Edge, GlobalState, IntBin,
-    IntExpr, IntLit, IntVar, Internal, Move, Network, StateGraph, Synchronized,
+    IntExpr, IntLit, IntVar, Internal, Move, Network, Synchronized,
     Transition, VarRef, eval_guard,
 )
 
@@ -99,9 +100,19 @@ def apply_move(net: Network, q: GlobalState, move: Move) -> GlobalState:
     return GlobalState(tuple(locs), tuple(vals))
 
 
+@dataclass
+class Explored:
+    """The reached states in discovery order, and every transition taken.
+    Not a tuple: `test_explore` tells an oracle error apart by its being
+    one."""
+
+    states: list[GlobalState]
+    transitions: list[Transition]
+
+
 def explore(net: Network, start: Optional[GlobalState] = None,
             state_cap: int = DEFAULT_STATE_CAP,
-            move_filter=None) -> StateGraph:
+            move_filter=None) -> Explored:
     """BFS over enabled_moves/apply_move from `start` (default: initial
     state); `move_filter(q, moves)` returns the moves to keep at q. Raises
     ResourceLimitError past `state_cap` states."""
@@ -126,4 +137,4 @@ def explore(net: Network, start: Optional[GlobalState] = None,
                 states.append(nxt)
                 queue.append(j)
             transitions.append(Transition(i, move, j))
-    return StateGraph(net=net, states=states, transitions=transitions, initial=0)
+    return Explored(states, transitions)

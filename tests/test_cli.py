@@ -5,6 +5,7 @@ from natstrat.report import (
     EXIT_OK, EXIT_PROPERTY, EXIT_RESOURCE, EXIT_USAGE, RunReport,
 )
 from natstrat.casestudy import DATA_DIR
+from natstrat.checker import SynthesisConfig
 
 from conftest import count_explore
 
@@ -149,6 +150,16 @@ def test_resource_cap_exit_three():
                        "--coalition", "Voter", "--bound", "2", "--goal", "F end")
     assert code == EXIT_RESOURCE
     assert "state cap 5 exceeded" in report.tasks[0].detail["error"]
+
+
+def test_unknown_verdict_reports_the_capped_search():
+    code, report = run("--format", "json", "check", "--model", "voter_base",
+                       "--mode", "synth", "--formula", "A G <<Voter>>^3 F end")
+    assert code == EXIT_RESOURCE
+    detail = report.tasks[0].detail
+    assert detail["reason"] == "enumeration cap hit (unknown)"
+    assert detail["stats"]["strategies_enumerated"] > SynthesisConfig().enumeration_cap
+    assert detail["stats"]["strategies_checked"] > 0
 
 
 def test_json_report_round_trip():

@@ -142,6 +142,16 @@ def test_errors_carry_spans():
         pytest.fail("expected ParseError")
 
 
+def test_formula_text_is_one_formula(base):
+    # neither a second formula nor a declaration may follow the formula
+    net = base.network
+    for text in ("end; formula g = A F error", "end; global int[0,1] zz = 0"):
+        with pytest.raises(ParseError, match="expected end of formula, got ';'"):
+            parse_formula(text, net)
+    with pytest.raises(ParseError, match="expected end of formula, got 'end'"):
+        parse_formula("A F end end", net)
+
+
 def test_semantic_errors():
     with pytest.raises(ParseError, match="undeclared variable"):
         parse_network("agent A { init a; loc b; edge a -> b on go when x == 1; }")

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from natstrat import casestudy
+from natstrat.checker import default_vocabulary
 from natstrat.errors import BoundViolationError, DefinitionError, ResourceLimitError
 from natstrat.model import (
-    And, Comparison, FalseConst, Internal, LocAtom, Not, Or, Synchronized,
-    TrueConst, VarAtom, VarRef, apply_move, available_actions, enabled_moves,
-    eval_guard, explore,
+    And, Comparison, FalseConst, GlobalState, Internal, LocAtom, Not, Or,
+    Synchronized, TrueConst, VarAtom, VarRef, apply_move, available_actions,
+    enabled_moves, eval_guard, explore,
 )
 from natstrat.dsl import parse_guard_text, parse_network
 
@@ -164,6 +166,40 @@ def test_apply_move_deterministic(toy_net):
         assert apply_move(toy_net, q, t.move) == g.states[t.target]
 
 
+def _view_cases():
+    bundles = [(stem, casestudy.load(stem)) for stem in casestudy.models()]
+    bundles.append(("voter_full(7,5)", casestudy.build_voter("full", 7, 5)))
+    return [pytest.param(bundle.network, id=name) for name, bundle in bundles]
+
+
+@pytest.mark.parametrize("net", _view_cases())
+def test_graph_views_read_as_lists(net):
+    # the columns read back as the per-edge and per-state lists they replaced
+    g = explore(net)
+    edges = [t for i in range(g.n_states) for t in g.out_edges(i)]
+    assert list(g.transitions) == edges and g.transitions == edges
+    assert len(g.transitions) == len(edges) and len(g.states) == g.n_states
+    assert g.transitions[:50] == edges[:50] and g.transitions[-1] == edges[-1]
+    assert g.states[-1] == list(g.states)[-1] and g.states[2:5] == list(g.states)[2:5]
+    with pytest.raises(IndexError):
+        g.states[g.n_states]
+    for i in range(g.n_states):
+        assert g.succ[i] == sorted({t.target for t in g.out_edges(i) if not t.move.is_idle})
+    for agent in net.agents:
+        for atom in default_vocabulary(net, [agent.name]):
+            assert g.satisfying(atom) == {i for i, q in enumerate(g.states)
+                                          if eval_guard(atom, q, net)}, str(atom)
+    for i, q in enumerate(g.states):
+        assert g.index_of(q) == i and q in g
+    q = g.states[0]
+    for stranger in (GlobalState(q.locations[1:], q.values),
+                     GlobalState(q.locations, q.values + (0,)),
+                     GlobalState(("nowhere",) + q.locations[1:], q.values)):
+        assert stranger not in g
+        with pytest.raises(KeyError):
+            g.index_of(stranger)
+
+
 # -- property: boolean algebra of guards -------------------------------------
 
 _atoms = st.sampled_from([
@@ -191,7 +227,6 @@ def _toy_states(draw, net):
     locs = (draw(st.sampled_from(["l0", "l1", "l2"])),
             draw(st.sampled_from(["u0", "u1"])))
     vals = (draw(st.integers(0, 2)), draw(st.integers(0, 3)))
-    from natstrat.model import GlobalState
     return GlobalState(locs, vals)
 
 

@@ -10,7 +10,7 @@ from natstrat.checker import (
 from natstrat.dsl import parse_formula, parse_guard_text, parse_network, print_strategy
 from natstrat.errors import DefinitionError, ResourceLimitError, StrategyError
 from natstrat.model import (
-    And, LocAtom, Not, Or, StateGraph, TrueConst, eval_guard, explore,
+    And, LocAtom, Not, Or, TrueConst, eval_guard, explore,
 )
 from natstrat.outcome import outcomes
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, _first_match, complexity
@@ -288,17 +288,10 @@ def test_synthesis_mode_formula_explores_once(punisher, monkeypatch):
 def test_synthesis_builds_one_state_graph(base, monkeypatch):
     # every candidate restricts the one explored graph to successor lists
     net = base.network
-    built = []
-    real = StateGraph.__post_init__
-
-    def counting(self):
-        built.append(self)
-        real(self)
-
-    monkeypatch.setattr(StateGraph, "__post_init__", counting)
+    calls = count_explore(monkeypatch)
     res = synthesize_strategic(net, None, ["Voter"], 2, "F", [_goal_pred(net, "end")])
     assert (res.verdict, res.stats.strategies_enumerated) == (False, 4368)
-    assert len(built) == 1
+    assert len(calls) == 1
 
 
 def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
