@@ -20,7 +20,7 @@ from ..checker import verify_strategic
 from ..dsl import ParsedBundle, load_bundle, parse_guard_text
 from ..errors import DefinitionError
 from ..formula import FAtom, FImplies, FNot, FAnd, FOr, Formula, Knows, Strategic
-from ..model import AgentTemplate, Network, eval_guard
+from ..model import DEFAULT_STATE_CAP, AgentTemplate, Network, eval_guard
 from ..outcome import steps_to_goal
 from ..strategy import complexity, fix_strategy, guard_length
 
@@ -251,7 +251,7 @@ def _recompute(row: Row, bundle: ParsedBundle, state_cap: int):
                             state_cap=state_cap).verdict
 
 
-def run_all(state_cap: int = 200_000) -> list[TaskResult]:
+def run_all(state_cap: int = DEFAULT_STATE_CAP) -> list[TaskResult]:
     """Recompute every row of TABLE from the bundled files, loading each
     model (with its constants) once."""
     bundles: dict[tuple, ParsedBundle] = {}

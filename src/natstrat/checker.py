@@ -39,8 +39,8 @@ from .formula import (
     FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic,
 )
 from .model import (
-    DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, GlobalState, GuardExpr, LocAtom,
-    Network, Not, Or, StateGraph, VarAtom, explore,
+    DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, Comparison, GlobalState, GuardExpr,
+    LocAtom, Network, Not, Or, StateGraph, VarAtom, _compiled, explore,
 )
 from .outcome import backward_fixpoint, outcomes, restrict, shortest_path
 from .strategy import (
@@ -144,20 +144,18 @@ def check_temporal_universal(succ: Sequence[Sequence[int]], op: str,
 # ---------------------------------------------------------------------------
 # Knowledge
 
-def observation(net: Network, agent: str, q: GlobalState):
-    """What `agent` observes in q: its own location, its local variables and
-    all global variables."""
-    pos = net.agent_pos(agent)
-    values = tuple(
-        v for (owner, _), v in zip(net.var_decls(), q.values)
-        if owner is None or owner == agent)
-    return (q.locations[pos], values)
+def observation(net: Network, agent: str, s: tuple):
+    """What `agent` observes in the state whose int tuple is s: its own
+    location, its local variables and all global variables. Two states look
+    alike to the agent iff their observations are equal."""
+    return _compiled(net).observer(net, agent)(s)
 
 
 def indistinguishability_classes(graph: StateGraph, agent: str) -> dict:
+    see = _compiled(graph.net).observer(graph.net, agent)
     classes: dict = {}
-    for i, q in enumerate(graph.states):
-        classes.setdefault(observation(graph.net, agent, q), set()).add(i)
+    for i, s in enumerate(graph.keys):
+        classes.setdefault(see(s), set()).add(i)
     return classes
 
 
@@ -167,7 +165,7 @@ def eval_knows(graph: StateGraph, agent: str, state_set: set[int], i: int,
     state i belongs to `state_set`."""
     if classes is None:
         classes = indistinguishability_classes(graph, agent)
-    cls = classes[observation(graph.net, agent, graph.states[i])]
+    cls = classes[observation(graph.net, agent, graph.keys[i])]
     return cls <= state_set
 
 
@@ -258,8 +256,6 @@ def default_vocabulary(net: Network, coalition: Sequence[str]) -> list[GuardExpr
     """Coalition-observable atoms: each member's own location atoms plus
     every comparison and 0/1-variable atom occurring in that member's edge
     guards."""
-    from .model import Comparison
-
     vocab: list[GuardExpr] = []
     seen: set[str] = set()
 
@@ -464,15 +460,16 @@ class _Behaviours:
         behaviour = (tuple(allowed.values()), self.any[m] & ~(covered | fire))
         return done + (behaviour,), 0, (), path + (opt,)
 
-    def walk(self, start: int, behaviour) -> tuple[list[list[int]], list[int]]:
+    def walk(self, start: int, behaviour) -> tuple[list[Sequence[int]], list[int]]:
         """What `outcome.restrict(graph, s_A, start)` gives for a candidate
         s_A with this behaviour: the successor lists of the states reachable
         from `start` and the visited states where matching fails, in the
-        same breadth-first order over the stored edges. Stored moves are
-        filtered as `strategy.allowed_moves` does: in actor order, the first
-        coalition actor that refuses its action rejects the move, and a
-        member's error counts only where one of its moves is checked."""
-        succ: list[list[int]] = [[] for _ in range(self.graph.n_states)]
+        same breadth-first order over the stored edges, unvisited states
+        sharing one empty tuple. Stored moves are filtered as
+        `strategy.strategy_filter` does: in actor order, the first coalition
+        actor that refuses its action rejects the move, and a member's error
+        counts only where one of its moves is checked."""
+        succ: list[Sequence[int]] = [()] * self.graph.n_states
         errors: list[int] = []
         todo = deque([start])
         seen = {start}
@@ -653,7 +650,7 @@ class FormulaEvaluator:
             return self.witness(f.right if isinstance(f, FImplies) else f.left, i)
         if isinstance(f, Knows):
             states = (range(self.graph.n_states) if v is _UNKNOWN else self.classes_for(
-                f.agent)[observation(self.net, f.agent, self.graph.states[i])])
+                f.agent)[observation(self.net, f.agent, self.graph.keys[i])])
             return self.witness(f.sub, min(
                 j for j in states if self._memo.get((id(f.sub), j)) is v))
         fixed = self._fixed.get(id(f), _UNKNOWN)

@@ -9,12 +9,12 @@ synchronized (a matching send/receive pair on a channel, fired jointly).
 All operations here are pure; built networks and state graphs are immutable
 and safe to share.
 
-A network is compiled on its first exploration, or its first `enabled_moves`
-or `apply_move` call (`_CompiledNetwork`), and keeps that form: states become
-flat int tuples, guards and updates closures over them with constants
-inlined, and every move one shared object with a dense int id. `explore`,
-`enabled_moves` and `apply_move` all run on it; `eval_guard` interprets a
-guard over a `GlobalState` for strategies.
+A network is compiled on its first use (`_CompiledNetwork`) and keeps that
+form: states become flat int tuples, guards and updates closures over them
+with constants inlined, and every move one shared object with a dense int
+id. `explore`, `enabled_moves`, `apply_move` and `eval_guard` all run on it,
+and so does every reader of an explored graph: past exploration a state is
+its int tuple, and a `GlobalState` is decoded only to be printed.
 
 An explored `StateGraph` is stored as int columns: the int tuple of each
 state with the dict from tuple to index, and the edges as three
@@ -462,14 +462,6 @@ def int_expr_refs(e: IntExpr) -> Iterator[VarRef]:
         yield from int_expr_refs(e.right)
 
 
-def _ref_value(net: Network, q: GlobalState, ref: VarRef) -> int:
-    if ref.owner is None:
-        value = net._constants.get(ref.name)
-        if value is not None:
-            return value
-    return q.values[net.var_pos(ref.owner, ref.name)]
-
-
 # The comparison operators guards may use. Compiled guards call these and
 # nothing else: no source text is generated or evaluated.
 _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -477,26 +469,10 @@ _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 
 def eval_guard(g: GuardExpr, q: GlobalState, net: Network) -> bool:
-    """Standard boolean semantics; total on well-formed guards."""
-    if isinstance(g, TrueConst):
-        return True
-    if isinstance(g, FalseConst):
-        return False
-    if isinstance(g, LocAtom):
-        return q.locations[net.agent_pos(g.agent)] == g.location
-    if isinstance(g, VarAtom):
-        return _ref_value(net, q, g.var) != 0
-    if isinstance(g, Comparison):
-        lhs = _ref_value(net, q, g.lhs)
-        rhs = g.rhs if isinstance(g.rhs, int) else _ref_value(net, q, g.rhs)
-        return _CMP[g.op](lhs, rhs)
-    if isinstance(g, Not):
-        return not eval_guard(g.sub, q, net)
-    if isinstance(g, And):
-        return eval_guard(g.left, q, net) and eval_guard(g.right, q, net)
-    if isinstance(g, Or):
-        return eval_guard(g.left, q, net) or eval_guard(g.right, q, net)
-    raise TypeError(f"not a guard expression: {g!r}")
+    """Standard boolean semantics, by the guard's compiled closure (see
+    `StateGraph.predicate`); total on well-formed guards."""
+    comp = _compiled(net)
+    return comp.guard(net, g)(comp.encode(net, q))
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +677,12 @@ class _CompiledNetwork:
     def decode(self, s: tuple) -> GlobalState:
         return GlobalState(tuple(map(operator.getitem, self.names, s)), s[self.n:])
 
+    def observer(self, net: Network, agent: str) -> Callable[[tuple], object]:
+        """The items of a state that `agent` observes: its own location, its
+        local variables and all global variables."""
+        return operator.itemgetter(net.agent_pos(agent), *(
+            self.n + k for k, (owner, _) in enumerate(net.var_decls()) if owner in (None, agent)))
+
     def enabled(self, net: Network, s: tuple) -> list[tuple[int, Callable]]:
         """The ids of the moves enabled at s with their successor functions,
         in the order `enabled_moves` documents."""
@@ -895,10 +877,11 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     of each state and three int columns of edges, nothing else per state or
     per edge (see `StateGraph`).
 
-    `move_filter(q, moves)`, called once per state with the moves enabled
-    there, returns the ones to keep (the same objects); it is how
-    strategy-constrained outcome graphs are built without materializing a
-    pruned network. It stays because it explores only the outcome: for one
+    `move_filter(s, ids)`, called once per state with its int tuple and the
+    ids of the moves enabled there, returns the ids to keep, in their order
+    (`strategy.strategy_filter` builds one for a collective strategy); it is
+    how strategy-constrained outcome graphs are built without materializing
+    a pruned network. It stays because it explores only the outcome: for one
     strategy on two copies of voter_full(7,5) that is 6,320 of 24,964 states,
     in a third of the time of `restrict(explore(net), s_A)`. Raises
     ResourceLimitError past `state_cap` states, and DefinitionError when
@@ -914,9 +897,8 @@ def explore(net: Network, start: Optional[GlobalState] = None,
         s = keys[i]
         enabled = comp.enabled(net, s)
         if move_filter is not None:
-            steps = {id(comp.moves[m]): (m, step) for m, step in enabled}
-            enabled = [steps[id(move)] for move in move_filter(
-                comp.decode(s), [comp.moves[m] for m, _ in enabled])]
+            kept = move_filter(s, [m for m, _ in enabled])
+            enabled = [item for item in enabled if item[0] in kept]
         for m, step in enabled:
             nxt = step(s)
             j = index.get(nxt)

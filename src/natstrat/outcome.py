@@ -4,8 +4,9 @@ The outcome of a collective strategy from a state is the reachable graph in
 which every coalition member only takes actions its strategy prescribes
 (first-match semantics), while all other agents behave freely. `outcomes`
 explores it from one state; `restrict` cuts it out of an explored graph as
-successor lists, for every state at once or from one `start`. Both take one
-step per state: `strategy.allowed_moves` over the moves enabled there.
+successor lists, for every state at once or from one `start`. Both run one
+filter per call, `strategy.strategy_filter`, over each state's int tuple and
+the ids of the moves enabled there.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
@@ -30,46 +31,44 @@ from .errors import StrategyError
 from .model import (
     DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, StateGraph, explore,
 )
-from .strategy import CollectiveStrategy, allowed_moves
+from .strategy import CollectiveStrategy, strategy_filter
 
 
 def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
              state_cap: int = DEFAULT_STATE_CAP) -> StateGraph:
     """Explore out(q, s_A) directly, following only the moves s_A allows."""
     return explore(net, start=q, state_cap=state_cap,
-                   move_filter=(lambda state, moves: allowed_moves(net, state, moves, s_A))
-                   if s_A else None)
+                   move_filter=strategy_filter(net, s_A) if s_A else None)
 
 
 def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = None
-             ) -> tuple[list[list[int]], dict[int, StrategyError]]:
+             ) -> tuple[list[Sequence[int]], dict[int, StrategyError]]:
     """Successor lists of the explored graph keeping only the moves s_A
-    allows, at every state (or at those reachable from `start` under s_A; the
-    others get none), and the StrategyError that matching a rule raises at
-    each visited state where it does. With no coalition they are
-    `graph.succ`. Strategies are memoryless, so out(q, s_A) is the part
+    allows, at every state (or at those reachable from `start` under s_A;
+    the others share one empty tuple), and the StrategyError that matching a
+    rule raises at each visited state where it does. With no coalition they
+    are `graph.succ`. Strategies are memoryless, so out(q, s_A) is the part
     reachable from q. The walk from `start` is breadth-first over the stored
     edges in stored order, as `outcomes` explores, so the first error it
     records is the one `outcomes` from that state raises."""
     if not s_A:
         return graph.succ, {}
-    succ: list[list[int]] = [[] for _ in range(graph.n_states)]
+    keep = strategy_filter(graph.net, s_A)
+    succ: list[Sequence[int]] = [()] * graph.n_states
     errors: dict[int, StrategyError] = {}
-    offsets, moves, idle, states = graph.offsets, graph.moves, graph.idle, graph.states
+    keys, offsets, move_ids, idle = graph.keys, graph.offsets, graph.move_ids, graph.idle
     todo = deque(range(graph.n_states) if start is None else [start])
     seen = set(todo)
     while todo:
         i = todo.popleft()
         lo, hi = offsets[i], offsets[i + 1]
-        ids = graph.move_ids[lo:hi]
-        try:  # by identity: the moves of one state's out-edges are distinct objects
-            keep = {id(m) for m in allowed_moves(graph.net, states[i],
-                                                 [moves[m] for m in ids], s_A)}
+        ids = move_ids[lo:hi]
+        try:  # a state's stored moves have distinct ids
+            kept = keep(keys[i], ids)
         except StrategyError as exc:
             errors[i] = exc.with_traceback(None)  # keeps no frame alive
             continue
-        targets = [j for m, j in zip(ids, graph.targets[lo:hi])
-                   if id(moves[m]) in keep and not idle[m]]
+        targets = [j for m, j in zip(ids, graph.targets[lo:hi]) if m in kept and not idle[m]]
         succ[i] = sorted(set(targets))
         for j in targets:
             if j not in seen:

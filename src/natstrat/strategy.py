@@ -5,13 +5,13 @@ strategy fixing (pruning a network down to on-strategy behavior)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import DefinitionError, StrategyError
 from .model import (
     FALSE, TRUE, WAIT_ACTION, And, Comparison, Edge, FalseConst,
-    GlobalState, GuardExpr, LocAtom, Move, Network, Not, Or, TrueConst,
-    VarAtom, and_all, available_actions, eval_guard, or_all,
+    GlobalState, GuardExpr, LocAtom, Network, Not, Or, TrueConst,
+    VarAtom, _compiled, and_all, available_actions, explore, or_all,
 )
 
 
@@ -125,63 +125,76 @@ def match_rule(net: Network, q: GlobalState, s: NaturalStrategy) -> Optional[int
     StrategyError when actions exist but a total strategy's final concrete
     action is not among them.
     """
-    return _first_match(net, q, s, available_actions(net, q, s.agent))
+    avail = available_actions(net, q, s.agent)
+    return _matcher(net, s)(_compiled(net).encode(net, q), avail)[0]
 
 
-def _first_match(net: Network, q: GlobalState, s: NaturalStrategy,
-                 avail: set[str]) -> Optional[int]:
-    """`match_rule` given the agent's available actions at q."""
-    for i, rule in enumerate(s.rules, start=1):
-        if not eval_guard(rule.guard, q, net):
-            continue
-        if rule.action is WILDCARD:
-            if avail:
-                return i
-        elif rule.action in avail:
-            return i
-    if not avail:
-        return None
-    if s.is_total:
-        raise StrategyError(
-            f"strategy {s.name or s.agent}: no rule matches at {q} "
-            f"(final rule's action unavailable)")
-    return None
+def _matcher(net: Network, s: NaturalStrategy
+             ) -> Callable[[tuple, set[str]], tuple[Optional[int], set[str]]]:
+    """`match_rule` for s as a function of a state's int tuple and the
+    agent's available actions there, with the actions the matched rule
+    allows (none without a match); each rule's guard is compiled once."""
+    comp = _compiled(net)
+    rules = [(i, comp.guard(net, r.guard), r.action) for i, r in enumerate(s.rules, start=1)]
+    total, name = s.is_total, s.name or s.agent
+
+    def first(key: tuple, avail: set[str]) -> tuple[Optional[int], set[str]]:
+        for i, holds, action in rules:
+            if holds(key) and (avail if action is WILDCARD else action in avail):
+                return i, avail if action is WILDCARD else {action}
+        if avail and total:
+            raise StrategyError(
+                f"strategy {name}: no rule matches at {comp.decode(key)} "
+                f"(final rule's action unavailable)")
+        return None, set()
+    return first
 
 
-def allowed_moves(net: Network, q: GlobalState, moves: Sequence[Move],
-                  s_A: CollectiveStrategy) -> list[Move]:
-    """The moves enabled at q (`moves`) that s_A allows: a coalition agent
-    takes only its matched rule's action, or any available one under the
-    wildcard; others act freely. An agent's rules are matched, against the
-    actions it has in `moves`, at the first move it takes part in (a sync
-    refused for its sender is not checked for its receiver)."""
+def strategy_filter(net: Network, s_A: CollectiveStrategy
+                    ) -> Callable[[tuple, Sequence[int]], list[int]]:
+    """The move filter of s_A, for `explore`: given a state's int tuple and
+    the ids of the moves enabled there, the ids s_A allows, in order. A
+    coalition agent takes only its matched rule's action, or any available
+    one under the wildcard; others act freely. An agent's rules are matched,
+    against the actions it has in those moves, at the first move it takes
+    part in (a sync refused for its sender is not checked for its
+    receiver)."""
     for agent in s_A:
         net.agent(agent)  # unknown coalition member -> DefinitionError
-    allowed: dict[str, set[str]] = {}
+    moves = _compiled(net).moves
+    match = {agent: _matcher(net, s) for agent, s in s_A.items()}
+    sides: dict[int, tuple] = {}  # move id -> its coalition actors with their actions
 
-    def permits(agent: str, action: str) -> bool:
-        s = s_A.get(agent)
-        if s is None:
-            return True
-        if agent not in allowed:
-            avail = {act for m in moves for a, act in zip(m.actors, m.actions) if a == agent}
-            i = _first_match(net, q, s, avail)
-            rule = s.rules[i - 1] if i is not None else None
-            allowed[agent] = (set() if rule is None else
-                              avail if rule.action is WILDCARD else {rule.action})
-        return action in allowed[agent]
-
-    return [m for m in moves if all(map(permits, m.actors, m.actions))]
+    def keep(key: tuple, ids: Sequence[int]) -> list[int]:
+        avail: dict[str, set[str]] = {}
+        for m in ids:
+            if m not in sides:
+                sides[m] = tuple((a, act) for a, act in zip(moves[m].actors, moves[m].actions)
+                                 if a in match)
+            for agent, action in sides[m]:
+                avail.setdefault(agent, set()).add(action)
+        allowed: dict[str, set[str]] = {}
+        out = []
+        for m in ids:
+            for agent, action in sides[m]:
+                if agent not in allowed:
+                    allowed[agent] = match[agent](key, avail[agent])[1]
+                if action not in allowed[agent]:
+                    break
+            else:
+                out.append(m)
+        return out
+    return keep
 
 
 def audit_strategy(net: Network, s: NaturalStrategy, graph=None) -> None:
-    """Availability audit over the explored state space: matching must never
-    fail with an error, i.e. wherever some rule's guard holds and actions
-    exist, a rule fires."""
-    from .model import explore  # local import to avoid cycle at module load
+    """Availability audit over the explored state space (`graph`, default
+    `explore(net)`): matching must never fail with an error, i.e. wherever
+    some rule's guard holds and actions exist, a rule fires."""
     g = graph if graph is not None else explore(net)
-    for q in g.states:
-        match_rule(net, q, s)  # raises StrategyError on a violation
+    keep = strategy_filter(net, {s.agent: s})
+    for i, key in enumerate(g.keys):  # raises StrategyError on a violation
+        keep(key, g.move_ids[g.offsets[i]:g.offsets[i + 1]])
 
 
 # ---------------------------------------------------------------------------

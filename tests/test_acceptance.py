@@ -23,6 +23,7 @@ from natstrat.strategy import (
 )
 from natstrat.uppaal import export_uppaal, validate_document
 
+import explore_oracle as oracle
 from conftest import LEAKY_SRC, BLIND_SRC, trap_net, two_state_net
 from test_checker import (
     _adjacency, _af_oracle_paths, _af_oracle_witness, _ag_oracle,
@@ -146,7 +147,7 @@ def test_criterion_5_transformation_properties():
         total_states += graph.n_states
         me = make_mutually_exclusive(s)
         for q in graph.states:
-            assert match_rule(net, q, s) == match_rule(net, q, me)
+            assert match_rule(net, q, s) == match_rule(net, q, me) == oracle.match_rule(net, q, s)
     # the symbol-wise strategy needs the availability-aware form; the plain
     # guard-negation form diverges exactly at the two comparison-loop exits
     full = build_voter("full", 2, 2)
@@ -244,6 +245,8 @@ def test_criterion_7_epistemic_axioms():
         for tpl in net.agents:
             agent = tpl.name
             classes = indistinguishability_classes(graph, agent)
+            assert {frozenset(c) for c in classes.values()} == \
+                oracle.indistinguishability_classes(net, graph.states, agent)
             sets = [graph.satisfying(parse_guard_text(f"{a.name}@{loc}", net))
                     for a in net.agents for loc in a.locations[:2]]
             sets.append(set(range(graph.n_states)))

@@ -70,7 +70,7 @@ def test_indistinguishability_is_equivalence(base, punisher, infra_net):
     for graph in (explore(base.network), explore(punisher.network),
                   explore(infra_net)):
         for agent in (a.name for a in graph.net.agents):
-            obs = [observation(graph.net, agent, q) for q in graph.states]
+            obs = [observation(graph.net, agent, s) for s in graph.keys]
             n = len(obs)
             rel = [[obs[i] == obs[j] for j in range(n)] for i in range(n)]
             for i in range(n):

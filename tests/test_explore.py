@@ -1,7 +1,9 @@
-"""The compiled explorer against the syntax-tree semantics it replaced
-(`explore_oracle`): the same states in the same breadth-first order, the
-same transitions, the same enabled moves and successors at every reached
-state, and the same errors at the same points."""
+"""The compiled explorer and strategy matching against the syntax-tree
+semantics over `GlobalState`s that they replaced (`explore_oracle`): the
+same states in the same breadth-first order, the same transitions, the same
+enabled moves and successors at every reached state, the same moves kept by
+a strategy, rule matched and knowledge classes, and the same errors at the
+same points."""
 
 import re
 
@@ -10,13 +12,14 @@ from hypothesis import given, settings
 
 import explore_oracle as oracle
 from natstrat import casestudy
+from natstrat.checker import indistinguishability_classes
 from natstrat.dsl import parse_network, parse_strategy
 from natstrat.errors import (
     BoundViolationError, DefinitionError, ResourceLimitError, StrategyError,
 )
 from natstrat.model import Edge, GlobalState, Internal, apply_move, enabled_moves, explore
-from natstrat.outcome import restrict
-from natstrat.strategy import allowed_moves, fix_strategy
+from natstrat.outcome import outcomes, restrict
+from natstrat.strategy import fix_strategy, match_rule, strategy_filter
 
 from test_outcome import _network_and_strategies
 
@@ -35,9 +38,10 @@ def _shape(graph):
 
 
 def assert_matches_oracle(net, s_A=None, **kwargs):
-    keep = None if s_A is None else (lambda q, moves: allowed_moves(net, q, moves, s_A))
+    keep = None if s_A is None else strategy_filter(net, s_A)
+    ref_keep = None if s_A is None else (lambda q, moves: oracle.allowed_moves(net, q, moves, s_A))
     got = _run(lambda: explore(net, move_filter=keep, **kwargs))
-    want = _run(lambda: oracle.explore(net, move_filter=keep, **kwargs))
+    want = _run(lambda: oracle.explore(net, move_filter=ref_keep, **kwargs))
     if isinstance(want, tuple):
         assert got == want
         return
@@ -48,6 +52,43 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
         for m in moves:
             assert _run(lambda: apply_move(net, q, m)) == \
                 _run(lambda: oracle.apply_move(net, q, m)), (q, m.label())
+
+
+def _restricted(result):
+    """`restrict`'s result with every successor list a list and every error
+    as its text; the error's type is checked on the way."""
+    succ, errors = result
+    assert all(type(exc) is StrategyError for exc in errors.values())
+    return [list(outs) for outs in succ], {i: str(exc) for i, exc in errors.items()}
+
+
+def assert_strategy_matches_oracle(net, s_A, starts=None):
+    """At every state of explore(net): the moves s_A keeps (or the
+    StrategyError its matching raises), each member's matched rule, and
+    each agent's knowledge class; then `outcomes` from the initial state, and
+    `restrict` over the whole graph and from each state of `starts`
+    (default: all)."""
+    graph, ref = explore(net), oracle.explore(net)
+    assert graph.states == ref.states
+    keep = strategy_filter(net, s_A)
+    for i, q in enumerate(ref.states):
+        moves = [t.move for t in ref.transitions if t.source == i]
+        ids = graph.move_ids[graph.offsets[i]:graph.offsets[i + 1]]
+        assert _run(lambda: [graph.moves[m] for m in keep(graph.keys[i], ids)]) == \
+            _run(lambda: oracle.allowed_moves(net, q, moves, s_A)), q
+        for s in s_A.values():
+            assert _run(lambda: match_rule(net, q, s)) == \
+                _run(lambda: oracle.match_rule(net, q, s)), (s.name, q)
+    for agent in net.agents:
+        classes = indistinguishability_classes(graph, agent.name)
+        assert {frozenset(c) for c in classes.values()} == \
+            oracle.indistinguishability_classes(net, ref.states, agent.name), agent.name
+    got, want = _run(lambda: outcomes(net, None, s_A)), _run(lambda: oracle.outcomes(net, None, s_A))
+    assert got == want if isinstance(want, tuple) else _shape(got) == _shape(want)
+    assert _restricted(restrict(graph, s_A)) == oracle.restrict(net, ref, s_A)
+    for start in range(graph.n_states) if starts is None else starts:
+        assert _restricted(restrict(graph, s_A, start)) == \
+            oracle.restrict(net, ref, s_A, start), start
 
 
 def _bundled_cases():
@@ -71,6 +112,10 @@ def _bundled_cases():
 @pytest.mark.parametrize("name,net,s_A", _bundled_cases(), ids=lambda v: v if isinstance(v, str) else "")
 def test_bundled_models_match_oracle(name, net, s_A):
     assert_matches_oracle(net, s_A)
+    if s_A is not None:
+        # from every start on the small graphs, from a spread of them on the others
+        n = len(oracle.explore(net).states)
+        assert_strategy_matches_oracle(net, s_A, None if n <= 80 else range(0, n, n // 40))
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,6 +124,7 @@ def test_random_networks_match_oracle(case):
     net, s_A = case
     assert_matches_oracle(net)
     assert_matches_oracle(net, s_A)
+    assert_strategy_matches_oracle(net, s_A)
 
 
 GUARDS_SRC = """
@@ -192,10 +238,9 @@ def test_a_repeated_edge_gives_two_transitions_that_restrict_keeps():
     assert (first.target, second.target) == (1, 1)
     assert_matches_oracle(net)
     s_A = {"T": parse_strategy("strategy sa for T { when true do a; }", net)}
-    q0 = graph.states[0]
-    kept = allowed_moves(net, q0, [t.move for t in graph.out_edges(0)], s_A)
-    assert [m is t.move for m, t in zip(kept, (first, second))] == [True, True]
-    assert len(kept) == 2
+    ids = graph.move_ids[0:3]
+    assert strategy_filter(net, s_A)(graph.keys[0], ids) == list(ids[:2])
+    assert_strategy_matches_oracle(net, s_A)
     assert restrict(graph, s_A)[0][0] == [1]
     s_B = {"T": parse_strategy("strategy sb for T { when true do b; }", net)}
     assert restrict(graph, s_B)[0][0] == [2]

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import explore_oracle as oracle
 from natstrat import casestudy
-from natstrat.checker import default_vocabulary
+from natstrat.checker import _guards_of_cost, default_vocabulary
 from natstrat.errors import BoundViolationError, DefinitionError, ResourceLimitError
 from natstrat.model import (
     And, Comparison, FalseConst, GlobalState, Internal, LocAtom, Not, Or,
@@ -12,6 +13,7 @@ from natstrat.model import (
 from natstrat.dsl import parse_guard_text, parse_network
 
 from conftest import two_state_net
+from test_outcome import _network_and_strategies
 
 
 def _move_actions(net, q, agent):
@@ -19,21 +21,28 @@ def _move_actions(net, q, agent):
             if isinstance(m, Internal) and m.agent == agent}
 
 
+def _both(g, q, net):
+    """`eval_guard` at q, checked against the oracle's interpreter."""
+    got = eval_guard(g, q, net)
+    assert got == oracle.eval_guard(g, q, net), (str(g), q)
+    return got
+
+
 def test_eval_guard_constants_and_atoms(base):
     net = base.network
     q = net.initial_state()
-    assert eval_guard(TrueConst(), q, net)
-    assert not eval_guard(FalseConst(), q, net)
+    assert _both(TrueConst(), q, net)
+    assert not _both(FalseConst(), q, net)
     at = net.state(locations={"Voter": "has_ballot"})
-    assert eval_guard(parse_guard_text("has_ballot", net), at, net)
-    assert not eval_guard(parse_guard_text("has_ballot", net), q, net)
+    assert _both(parse_guard_text("has_ballot", net), at, net)
+    assert not _both(parse_guard_text("has_ballot", net), q, net)
 
 
 def test_eval_guard_const_comparison(full75):
     net = full75.network
     q = net.state(values={"i": 7})
-    assert eval_guard(parse_guard_text("i == n", net), q, net)
-    assert not eval_guard(parse_guard_text("i == n", net), net.initial_state(), net)
+    assert _both(parse_guard_text("i == n", net), q, net)
+    assert not _both(parse_guard_text("i == n", net), net.initial_state(), net)
 
 
 def test_constants_are_looked_up_by_name(full75):
@@ -188,7 +197,7 @@ def test_graph_views_read_as_lists(net):
     for agent in net.agents:
         for atom in default_vocabulary(net, [agent.name]):
             assert g.satisfying(atom) == {i for i, q in enumerate(g.states)
-                                          if eval_guard(atom, q, net)}, str(atom)
+                                          if oracle.eval_guard(atom, q, net)}, str(atom)
     for i, q in enumerate(g.states):
         assert g.index_of(q) == i and q in g
     q = g.states[0]
@@ -198,6 +207,25 @@ def test_graph_views_read_as_lists(net):
         assert stranger not in g
         with pytest.raises(KeyError):
             g.index_of(stranger)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_network_and_strategies())
+def test_guards_of_cost_3_agree_with_the_oracle_interpreter(case):
+    # every guard synthesis builds up to cost 3 over each agent's default
+    # vocabulary: its compiled closure, its satisfying set and its truth
+    # bitset, at every reachable state
+    net, _ = case
+    g = explore(net)
+    for agent in net.agents:
+        memo: dict = {}
+        for cost in (1, 2, 3):
+            for txt, guard, truth in _guards_of_cost(g, default_vocabulary(net, [agent.name]),
+                                                     cost, memo):
+                want = {i for i, q in enumerate(g.states) if oracle.eval_guard(guard, q, net)}
+                assert {i for i, q in enumerate(g.states) if eval_guard(guard, q, net)} == want
+                assert g.satisfying(guard) == want, txt
+                assert truth == sum(1 << i for i in want), txt
 
 
 # -- property: boolean algebra of guards -------------------------------------
@@ -234,6 +262,7 @@ def _toy_states(draw, net):
 @given(data=st.data(), g1=_guards, g2=_guards)
 def test_guard_boolean_algebra(toy_net, data, g1, g2):
     q = data.draw(_toy_states(toy_net))
+    assert eval_guard(g1, q, toy_net) == oracle.eval_guard(g1, q, toy_net)
     assert eval_guard(Not(g1), q, toy_net) == (not eval_guard(g1, q, toy_net))
     assert eval_guard(And(g1, g2), q, toy_net) == (
         eval_guard(g1, q, toy_net) and eval_guard(g2, q, toy_net))

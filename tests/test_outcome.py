@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 from natstrat.checker import _Behaviours, _Option
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
-from natstrat.model import Internal, available_actions, enabled_moves, explore
+from natstrat.model import Internal, explore
 from natstrat.outcome import outcomes, restrict, steps_to_goal
-from natstrat.strategy import WILDCARD, allowed_moves, match_rule
+from natstrat.strategy import WILDCARD, strategy_filter
 from natstrat.casestudy import build_voter, symbolwise_steps
 
+import explore_oracle as oracle
 from conftest import two_state_net
 from test_synthesis import _matched_behaviour
 
@@ -263,7 +264,7 @@ def test_steps_lower_bounded_by_shortest_path(base):
     assert shortest is not None and res.value >= shortest
 
 
-# -- allowed_moves against the per-move filter it replaces ---------------------
+# -- the strategy filter against a per-move filter ----------------------------
 
 @st.composite
 def _network_and_strategies(draw):
@@ -309,18 +310,18 @@ def _network_and_strategies(draw):
 
 
 def _reference_allowed(net, q, moves, s_A):
-    """The per-move filter: each coalition agent's matched rule from
-    `match_rule` and `available_actions`, matched at the first move it takes
-    part in (a synchronized move rejected for its sender is not checked for
-    its receiver)."""
+    """The per-move filter: each coalition agent's matched rule from the
+    oracle's `match_rule` and `available_actions`, matched at the first move
+    it takes part in (a synchronized move rejected for its sender is not
+    checked for its receiver)."""
     cache = {}
 
     def allowed(agent):
         if agent not in cache:
             s = s_A[agent]
-            i = match_rule(net, q, s)
+            i = oracle.match_rule(net, q, s)
             action = None if i is None else s.rules[i - 1].action
-            cache[agent] = (available_actions(net, q, agent) if action is WILDCARD
+            cache[agent] = (oracle.available_actions(net, q, agent) if action is WILDCARD
                             else set() if action is None else {action})
         return cache[agent]
 
@@ -345,14 +346,20 @@ def _state_pairs(graph, succ):
     return {(graph.states[i], graph.states[j]) for i, outs in enumerate(succ) for j in outs}
 
 
+def _kept(net, s_A, graph, i):
+    """The moves that `strategy_filter` keeps at state i of the graph."""
+    ids = graph.move_ids[graph.offsets[i]:graph.offsets[i + 1]]
+    return [graph.moves[m] for m in strategy_filter(net, s_A)(graph.keys[i], ids)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_network_and_strategies())
-def test_allowed_moves_matches_per_move_filter(case):
+def test_strategy_filter_matches_per_move_filter(case):
     net, s_A = case
     graph = explore(net)
-    for q in graph.states:
-        moves = enabled_moves(net, q)
-        assert _raised(lambda: allowed_moves(net, q, moves, s_A)) == \
+    for i, q in enumerate(graph.states):
+        moves = oracle.enabled_moves(net, q)
+        assert _raised(lambda: _kept(net, s_A, graph, i)) == \
             _raised(lambda: _reference_allowed(net, q, moves, s_A)), q
     # outcomes explores out(q0, s_A); restrict cuts it out of explore(net)
     og = _raised(lambda: outcomes(net, None, s_A))
@@ -366,7 +373,7 @@ def test_allowed_moves_matches_per_move_filter(case):
     assert _state_pairs(graph, succ) == _state_pairs(og, og.succ)
 
 
-def test_allowed_moves_skips_a_receiver_whose_sender_refuses():
+def test_strategy_filter_skips_a_receiver_whose_sender_refuses():
     # B's only move is the sync that A's strategy refuses, so B's rules are
     # never matched at the start, though its total strategy fails there
     net = parse_network("""
@@ -377,11 +384,12 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
     s_A = {"A": parse_strategy("strategy sA for A { when true do wait; }", net),
            "B": parse_strategy("strategy sB for B { when true do z; }", net)}
     q0 = net.initial_state()
-    moves = enabled_moves(net, q0)
+    moves = oracle.enabled_moves(net, q0)
     with pytest.raises(StrategyError):
-        match_rule(net, q0, s_A["B"])
-    assert [m.label() for m in allowed_moves(net, q0, moves, s_A)] == ["A.wait"]
-    assert _reference_allowed(net, q0, moves, s_A) == allowed_moves(net, q0, moves, s_A)
+        oracle.match_rule(net, q0, s_A["B"])
+    kept = _kept(net, s_A, explore(net), 0)
+    assert [m.label() for m in kept] == ["A.wait"]
+    assert _reference_allowed(net, q0, moves, s_A) == kept
 
 
 # -- synthesis's behaviour walk against restrict ---------------------------------

@@ -83,6 +83,9 @@ def test_match_rule_total_unavailable_raises():
     s = NaturalStrategy("T", (Rule(TrueConst(), "b"),))  # 'b' never exists
     with pytest.raises(StrategyError):
         match_rule(net, net.initial_state(), s)
+    with pytest.raises(StrategyError, match=r"^strategy T: no rule matches at "
+                       r"GlobalState\(locations=\('s0',\), values=\(\)\)"):
+        audit_strategy(net, s)
 
 
 def test_availability_audit_bundled(base, check4, full75, punisher, infector,

@@ -13,8 +13,9 @@ from natstrat.model import (
     And, LocAtom, Not, Or, TrueConst, eval_guard, explore,
 )
 from natstrat.outcome import outcomes
-from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, _first_match, complexity
+from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
 
+import explore_oracle
 import synthesis_oracle as oracle
 from conftest import count_explore, trap_net, two_state_net
 
@@ -381,7 +382,7 @@ def _matched_behaviour(space, s_A):
             avail = {act for t in graph.out_edges(i)
                      for a, act in zip(t.move.actors, t.move.actions) if a == agent}
             try:
-                r = _first_match(graph.net, q, s_A[agent], avail)
+                r = explore_oracle.first_match(graph.net, q, s_A[agent], avail)
             except StrategyError:
                 err |= 1 << i
                 continue
