@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 from ..checker import verify_strategic
-from ..dsl import ParsedBundle, load_bundle, parse_guard_text
+from ..dsl import ParsedBundle, load_bundle, parse_formula, parse_guard_text
 from ..errors import DefinitionError
-from ..formula import FAtom, FImplies, FNot, FAnd, FOr, Formula, Knows, Strategic
+from ..formula import Formula
 from ..model import DEFAULT_STATE_CAP, AgentTemplate, Network, eval_guard
 from ..outcome import steps_to_goal
 from ..strategy import complexity, fix_strategy, guard_length
@@ -87,27 +87,18 @@ def infrastructure_network() -> Network:
     return load("infrastructure").network
 
 
-def receipt_freeness(bound: int, candidates: tuple[int, ...] = (1, 2),
-                     coercer: str = "Coercer", voter: str = "Voter",
-                     net: Optional[Network] = None,
-                     vote_var: str = "ca_v", end_atom: str = "end") -> Formula:
-    """Receipt-freeness template: for every candidate i, the coercer and the
-    voter have no joint strategy within the bound to make the coercer know,
-    once the procedure has ended, whether the vote was i or not."""
-    if net is None:
-        net = build_coercer("punisher").network
-    parts: list[Formula] = []
-    for cand in candidates:
-        voted_i = FAtom(parse_guard_text(f"{vote_var} == {cand}", net))
-        end = FAtom(parse_guard_text(f"{voter}@{end_atom}", net))
-        knows = FOr(Knows(coercer, voted_i), Knows(coercer, FNot(voted_i)))
-        goal = FImplies(end, knows)
-        parts.append(FNot(Strategic(coalition=(coercer, voter), bound=bound,
-                                    op="G", subs=(goal,))))
-    out = parts[0]
-    for p in parts[1:]:
-        out = FAnd(out, p)
-    return out
+# the receipt_freeness formula of coercion_punisher.nsq, bound aside
+RECEIPT_FREENESS = """
+  !<<Coercer,Voter>>^{k} G (Voter@end -> (K[Coercer] ca_v == 1 || K[Coercer] !(ca_v == 1)))
+  && !<<Coercer,Voter>>^{k} G (Voter@end -> (K[Coercer] ca_v == 2 || K[Coercer] !(ca_v == 2)))"""
+
+
+def receipt_freeness(bound: int, net: Network) -> Formula:
+    """Receipt-freeness over `net`: for each candidate 1 and 2, the coercer
+    and the voter have no joint strategy within the bound to make the
+    coercer know, once the voter has ended, whether the vote `ca_v` was that
+    candidate or not."""
+    return parse_formula(RECEIPT_FREENESS.format(k=bound), net)
 
 
 # ---------------------------------------------------------------------------

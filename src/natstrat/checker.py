@@ -129,7 +129,13 @@ def check_temporal_universal(succ: Sequence[Sequence[int]], op: str,
     of the successor lists from state `start`. Returns a counterexample
     path or lasso on failure; an AX one goes to the first violating
     successor in index order."""
-    good = label_universal(succ, op, subgoals)
+    return _check_at(succ, op, subgoals, label_universal(succ, op, subgoals), start)
+
+
+def _check_at(succ: Sequence[Sequence[int]], op: str, subgoals: Sequence[set[int]],
+              good: set[int], start: int) -> CheckResult:
+    """`check_temporal_universal` given `good`, the states that
+    `label_universal(succ, op, subgoals)` labels."""
     if start in good:
         return CheckResult(True)
     if op == "X":
@@ -594,8 +600,10 @@ _FIXING_VALUES = {FAnd: (False, False), FOr: (True, True), FImplies: (False, Tru
 
 
 class FormulaEvaluator:
-    """Bottom-up, demand-driven labeling of a formula over the reachable
-    graph of a network.
+    """Bottom-up, demand-driven labelling of a formula over the reachable
+    graph of a network. A node needed at every state (an atom, K and its
+    subformula, a strategic node's goals) is labelled once, as a state set;
+    connectives are evaluated only at the states asked for, with no memo.
 
     Knowledge accessibility always ranges over the full reachable state
     space: an observer cannot condition what it knows on strategies it does
@@ -609,7 +617,6 @@ class FormulaEvaluator:
     def __init__(self, net: Network, mode: str = "verify",
                  supplied: Optional[dict[int, CollectiveStrategy]] = None,
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
-                 vocabulary: Optional[Sequence[GuardExpr]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
                  state_cap: int = DEFAULT_STATE_CAP):
         if mode not in ("verify", "synthesize"):
@@ -618,16 +625,15 @@ class FormulaEvaluator:
         self.mode = mode
         self.supplied = supplied or {}
         self.strategies_by_name = strategies_by_name or {}
-        self.vocabulary = vocabulary
         self.synthesis = synthesis
         self.graph = explore(net, state_cap=state_cap)
         self._classes: dict[str, dict] = {}
-        self._memo: dict[tuple[int, int], object] = {}
-        self._atoms: dict[int, Callable] = {}  # id(atom node) -> its compiled guard
+        self._nodes: dict[int, Formula] = {}  # each node keyed below, so no later node takes its id
+        self._labels: dict[int, object] = {}  # id(node) -> _label_set(node)
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
         self._spaces: dict[int, _Behaviours] = {}  # id(node) -> its synthesis space
-        # (id(node), state) -> result of a node decided by synthesis
-        self._synthesized: dict[tuple[int, int], CheckResult] = {}
+        # (id(node), state) -> result of a synthesis there, None if it hit the cap
+        self._synthesized: dict[tuple[int, int], Optional[CheckResult]] = {}
         self.stats = CheckStats(states_explored=self.graph.n_states)
 
     def witness(self, f: Formula, i: int) -> Optional[CheckResult]:
@@ -637,29 +643,27 @@ class FormulaEvaluator:
         first evaluated one), else to the left child (∧ True, ∨ False) or the
         consequent (→ False); K False goes to a state of the class where its
         child is False, and unknown values to the first unknown child."""
-        v = self._memo[(id(f), i)]
+        v = self.holds(f, i)
         if isinstance(f, FNot) or (isinstance(f, Knows) and v is True):
             return self.witness(f.sub, i)
         if isinstance(f, (FAnd, FOr, FImplies)):
-            l, r = (self._memo.get((id(sub), i)) for sub in (f.left, f.right))
             fix_l, fix_r = _FIXING_VALUES[type(f)]
-            if l is (_UNKNOWN if v is _UNKNOWN else fix_l):
+            if self.holds(f.left, i) is (_UNKNOWN if v is _UNKNOWN else fix_l):
                 return self.witness(f.left, i)
-            if r is (_UNKNOWN if v is _UNKNOWN else fix_r):
+            if self.holds(f.right, i) is (_UNKNOWN if v is _UNKNOWN else fix_r):
                 return self.witness(f.right, i)
             return self.witness(f.right if isinstance(f, FImplies) else f.left, i)
         if isinstance(f, Knows):
-            states = (range(self.graph.n_states) if v is _UNKNOWN else self.classes_for(
-                f.agent)[observation(self.net, f.agent, self.graph.keys[i])])
-            return self.witness(f.sub, min(
-                j for j in states if self._memo.get((id(f.sub), j)) is v))
+            states = range(self.graph.n_states) if v is _UNKNOWN else sorted(
+                self.classes_for(f.agent)[observation(self.net, f.agent, self.graph.keys[i])])
+            return self.witness(f.sub, next(j for j in states if self.holds(f.sub, j) is v))
         fixed = self._fixed.get(id(f), _UNKNOWN)
         if fixed is _UNKNOWN:  # an atom, or a node decided by synthesis or unknown
             return self._synthesized.get((id(f), i))
         if isinstance(fixed, CheckResult):
             return fixed
-        s_A, succ, subgoals, _, _ = fixed
-        res = check_temporal_universal(succ, f.op, subgoals, start=i)
+        s_A, succ, subgoals, labels, _ = fixed
+        res = _check_at(succ, f.op, subgoals, labels, i)
         res.witness_strategy = dict(s_A)
         return res
 
@@ -691,17 +695,10 @@ class FormulaEvaluator:
 
     # -- evaluation -----------------------------------------------------------
     def holds(self, f: Formula, i: int):
-        key = (id(f), i)
-        if key not in self._memo:
-            self._memo[key] = self._eval(f, i)
-        return self._memo[key]
-
-    def _eval(self, f: Formula, i: int):
-        if isinstance(f, FAtom):
-            holds = self._atoms.get(id(f))
-            if holds is None:
-                holds = self._atoms[id(f)] = self.graph.predicate(f.guard)
-            return holds(self.graph.keys[i])
+        """The value of f at state i: True, False or _UNKNOWN."""
+        if isinstance(f, (FAtom, Knows)):
+            labels = self._label_set(f)
+            return _UNKNOWN if labels is _UNKNOWN else i in labels
         if isinstance(f, FNot):
             v = self.holds(f.sub, i)
             return _UNKNOWN if v is _UNKNOWN else (not v)
@@ -714,25 +711,36 @@ class FormulaEvaluator:
             if r is fix_r:
                 return fix_r
             return _UNKNOWN if l is _UNKNOWN or r is _UNKNOWN else not fix_r
-        if isinstance(f, Knows):
-            state_set = self._label_set(f.sub)
-            if state_set is _UNKNOWN:
-                return _UNKNOWN
-            return eval_knows(self.graph, f.agent, state_set, i,
-                              classes=self.classes_for(f.agent))
         if isinstance(f, Strategic):
             return self._eval_strategic(f, i)
         raise TypeError(f"not a formula: {f!r}")
 
     def _label_set(self, f: Formula):
-        out = set()
-        for i in range(self.graph.n_states):
-            v = self.holds(f, i)
-            if v is _UNKNOWN:
-                return _UNKNOWN
-            if v:
-                out.add(i)
-        return out
+        """The states where f holds, or _UNKNOWN. Other than an atom or K, f
+        is evaluated at every state in index order, and raises (again when
+        asked again) at the first state that raises."""
+        labels = self._labels.get(id(f))
+        if labels is not None:
+            return labels
+        if isinstance(f, FAtom):
+            labels = self.graph.satisfying(f.guard)
+        elif isinstance(f, Knows):
+            labels = self._label_set(f.sub)
+            if labels is not _UNKNOWN:  # the classes the agent knows f.sub in
+                labels = set().union(*(cls for cls in self.classes_for(f.agent).values()
+                                       if cls <= labels))
+        else:
+            labels = set()
+            for i in range(self.graph.n_states):
+                v = self.holds(f, i)
+                if v is _UNKNOWN:
+                    labels = _UNKNOWN
+                    break
+                if v:
+                    labels.add(i)
+        self._labels[id(f)] = labels
+        self._nodes[id(f)] = f
+        return labels
 
     def _goal_sets(self, node: Strategic):
         sets = []
@@ -764,6 +772,7 @@ class FormulaEvaluator:
         if node.is_universal or self.mode == "verify" or node.witness:
             if id(node) not in self._fixed:
                 self._fixed[id(node)] = self._label_fixed(node)
+                self._nodes[id(node)] = node
             fixed = self._fixed[id(node)]
             if fixed is _UNKNOWN:
                 return _UNKNOWN
@@ -774,38 +783,39 @@ class FormulaEvaluator:
                 # the StrategyError that verify_strategic raises here
                 raise next(iter(restrict(self.graph, s_A, start=i)[1].values()))
             return i in labels
-        sets = self._goal_sets(node)
-        if sets is _UNKNOWN:
-            return _UNKNOWN
-        space = self._spaces.get(id(node))
-        if space is None:
-            space = self._spaces[id(node)] = _Behaviours(self.graph, node.coalition,
-                                                         self.vocabulary)
-        stats = CheckStats(states_explored=self.graph.n_states)
-        try:
-            res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis, stats)
-        except ResourceLimitError:
-            return _UNKNOWN
-        finally:  # a capped search's counts are reported too
-            self.stats.strategies_enumerated += stats.strategies_enumerated
-            self.stats.strategies_checked += stats.strategies_checked
-        self._synthesized[(id(node), i)] = res
-        return res.verdict
+        key = (id(node), i)
+        if key not in self._synthesized:
+            sets = self._goal_sets(node)
+            if sets is _UNKNOWN:
+                return _UNKNOWN
+            space = self._spaces.get(id(node))
+            if space is None:
+                space = self._spaces[id(node)] = _Behaviours(self.graph, node.coalition)
+                self._nodes[id(node)] = node
+            stats = CheckStats(states_explored=self.graph.n_states)
+            try:
+                res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis, stats)
+            except ResourceLimitError:
+                res = None
+            finally:  # a capped search's counts are reported too
+                self.stats.strategies_enumerated += stats.strategies_enumerated
+                self.stats.strategies_checked += stats.strategies_checked
+            self._synthesized[key] = res
+        res = self._synthesized[key]
+        return _UNKNOWN if res is None else res.verdict
 
 
 def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
                  mode: str = "verify",
                  supplied: Optional[dict[int, CollectiveStrategy]] = None,
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
-                 vocabulary: Optional[Sequence[GuardExpr]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
                  state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:
     """Evaluate a formula at state q (default: the initial state)."""
     t0 = time.perf_counter()
     ev = FormulaEvaluator(net, mode=mode, supplied=supplied,
                           strategies_by_name=strategies_by_name,
-                          vocabulary=vocabulary, synthesis=synthesis,
-                          state_cap=state_cap)
+                          synthesis=synthesis, state_cap=state_cap)
     q0 = net.initial_state() if q is None else q
     if q0 not in ev.graph:
         raise DefinitionError("state to check is not reachable from the initial state")

@@ -23,7 +23,7 @@ from .formula import (
     FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic,
 )
 from .model import (
-    And, AgentTemplate, Assignment, Comparison, Edge, FalseConst,
+    WAIT_ACTION, And, AgentTemplate, Assignment, Comparison, Edge, FalseConst,
     GuardExpr, IntBin, IntExpr, IntLit, IntVar, LocAtom, Network, Not, Or,
     TrueConst, VarAtom, VarDecl, VarRef,
 )
@@ -35,8 +35,6 @@ class SourceSpan:
     file: str
     line: int
     column: int
-    end_line: int = 0
-    end_column: int = 0
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
@@ -801,7 +799,6 @@ class _Resolver:
         tpl = net.agent(agent)
         actions = {e.action for e in tpl.edges}
         if tpl.lazy:
-            from .model import WAIT_ACTION
             actions.add(WAIT_ACTION)
         rules = []
         for guard_raw, action, span in raw["rules"]:

@@ -127,6 +127,10 @@ def test_synthesis_cap_inside_negation_gives_unknown(blind_net):
     assert "unknown" in res.reason
 
 
+def test_receipt_freeness_template_is_the_bundled_formula(punisher):
+    assert receipt_freeness(4, punisher.network) == punisher.formulas["receipt_freeness"]
+
+
 def test_receipt_freeness_bundle_parses(punisher):
     # exploratory instance on the coercion model: the vote variable is global
     # there (the attacker's own guards need it), hence effectively public

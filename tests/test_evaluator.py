@@ -1,0 +1,219 @@
+"""The formula evaluator against the per-(node, state) memo evaluator it
+replaced (`evaluator_oracle`), and the counts that show each node labelled
+once."""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+import natstrat.checker as checker
+from natstrat.casestudy import build_voter, catalog, load
+from natstrat.checker import FormulaEvaluator, SynthesisConfig, eval_formula
+from natstrat.dsl import parse_formula, parse_network
+from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Knows, Strategic
+from natstrat.model import LocAtom, TrueConst, or_all
+from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
+
+import evaluator_oracle as oracle
+
+# per agent: its location names' prefix, the most locations, its action prefix
+AGENTS = {"G": ("s", 6, "e"), "H": ("t", 3, "f")}
+COALITIONS = (("G",), ("H",), ("G", "H"))
+
+
+@st.composite
+def _network(draw):
+    """Two interleaved random automata, G and H, each maybe lazy, with
+    every location reachable; returns
+    the network and each agent's (location count, actions)."""
+    lines, shape = [], {}
+    for agent, (loc, most, act) in AGENTS.items():
+        n = draw(st.integers(2, most))
+        # a tree from loc0 reaches every location; then random edges
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=n))
+        lazy = draw(st.booleans())
+        lines.append(f"agent {agent}{'(lazy)' if lazy else ''} {{ init {loc}0;")
+        lines += [f"loc {loc}{i};" for i in range(1, n)]
+        lines += [f"edge {loc}{a} -> {loc}{b} on {act}{k};" for k, (a, b) in enumerate(edges)]
+        lines.append("}")
+        shape[agent] = n, [f"{act}{k}" for k in range(len(edges))] + (["wait"] if lazy else [])
+    return parse_network("\n".join(lines), name="rand2"), shape
+
+
+def _at(draw, agent, n):
+    """A guard: `agent` is at one of a random set of its locations."""
+    locs = draw(st.frozensets(st.integers(0, n - 1)))
+    return or_all(LocAtom(agent, f"{AGENTS[agent][0]}{i}") for i in sorted(locs))
+
+
+def _strategy(draw, agent, n, actions):
+    """A total strategy, or one with no final ⊤ rule, whose matching fails
+    wherever no rule fires (a StrategyError where an outcome reaches)."""
+    acts = st.sampled_from(actions + [WILDCARD])
+    rules = [Rule(_at(draw, agent, n), draw(acts)) for _ in range(draw(st.integers(0, 2)))]
+    if not rules or draw(st.booleans()):
+        rules.append(Rule(TrueConst(), draw(acts)))
+    return NaturalStrategy(agent=agent, rules=tuple(rules))
+
+
+def _formula(draw, shape, depth):
+    """A formula whose leaves, `depth` levels down, are atoms over the
+    agents' locations."""
+    agent = draw(st.sampled_from(sorted(AGENTS)))
+    if not depth:
+        return FAtom(_at(draw, agent, shape[agent][0]))
+    kind = draw(st.sampled_from(("not", "binary", "K", "A", "named", "coalition")))
+    sub = _formula(draw, shape, depth - 1)
+    if kind == "not":
+        return FNot(sub)
+    if kind == "K":
+        return Knows(agent, sub)
+    other = _formula(draw, shape, depth - 1)
+    if kind == "binary":
+        return draw(st.sampled_from((FAnd, FOr, FImplies)))(sub, other)
+    op = draw(st.sampled_from("XFGU"))
+    subs = (sub, other) if op == "U" else (sub,)
+    if kind == "A":
+        return Strategic(coalition=(), bound=0, op=op, subs=subs)
+    coalition = draw(st.sampled_from(COALITIONS))
+    witness = tuple(f"s{a}" for a in coalition) if kind == "named" else ()
+    return Strategic(coalition=coalition, bound=draw(st.sampled_from(range(6))), op=op,
+                     subs=subs, witness=witness)
+
+
+@st.composite
+def _case(draw):
+    """A random network, a nested formula over it (atoms, ¬, ∧, ∨, →, K, A,
+    coalition nodes whose strategy is named or supplied, and coalition
+    nodes left to synthesis), a strategy per agent and a synthesis cap."""
+    net, shape = draw(_network())
+    named = {f"s{a}": _strategy(draw, a, *shape[a]) for a in AGENTS}
+    f = _formula(draw, shape, draw(st.sampled_from((2, 3, 4))))
+    supplied = {k: {a: named[f"s{a}"] for a in coalition}
+                for k, coalition in enumerate(COALITIONS)}
+    cap = draw(st.sampled_from((10, 300, 3000)))
+    return net, f, named, supplied, cap
+
+
+def _summary(res):
+    if res is None:
+        return None
+    return (res.verdict, res.reason, res.witness_path, res.witness_strategy,
+            res.stats.strategies_enumerated, res.stats.strategies_checked)
+
+
+def _outcome(run):
+    """What `run()` returns, or the type and text of what it raises."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+
+
+def _assert_agrees(net, f, mode, every_state=True, **kwargs):
+    """`eval_formula` and the oracle's report the same result, or raise the
+    same error. With `every_state`, also at every state, in index order,
+    the new evaluator and the oracle's give the same value and witness, or
+    raise the same error, and count the same synthesis."""
+    got = _outcome(lambda: _summary(eval_formula(net, f, mode=mode, **kwargs)))
+    assert got == _outcome(lambda: _summary(oracle.eval_formula(net, f, mode=mode, **kwargs)))
+    if every_state:
+        new = FormulaEvaluator(net, mode=mode, **kwargs)
+        old = oracle.FormulaEvaluator(net, mode=mode, **kwargs)
+        for i in range(new.graph.n_states):
+            value = _outcome(lambda: (new.holds(f, i), _summary(new.witness(f, i))))
+            want = _outcome(lambda: (old.holds(f, i), _summary(old.witness(f, i))))
+            assert value == want, (str(f), mode, i)
+        assert (new.stats.strategies_enumerated, new.stats.strategies_checked) == \
+            (old.stats.strategies_enumerated, old.stats.strategies_checked), (str(f), mode)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_case(), mode=st.sampled_from(("verify", "synthesize")))
+def test_evaluator_matches_oracle_on_random_formulas(case, mode):
+    net, f, named, supplied, cap = case
+    _assert_agrees(net, f, mode, supplied=supplied, strategies_by_name=named,
+                   synthesis=SynthesisConfig(enumeration_cap=cap))
+
+
+def test_evaluator_matches_oracle_on_bundled_formulas():
+    outcomes = set()
+    for stem, f in catalog().formulas.values():
+        bundle = load(stem)
+        net, named = bundle.network, bundle.strategies
+        by_agent = {}
+        for s in named.values():
+            by_agent.setdefault(s.agent, []).append(s)
+        # every strategy alone, and every Coercer and Voter pair, supplied
+        choices = [{s.agent: s} for s in named.values()]
+        choices += [{"Coercer": c, "Voter": v} for c, v in itertools.product(
+            by_agent.get("Coercer", []), by_agent.get("Voter", []))]
+        for supplied in [{}] + choices:
+            outcomes.add(_assert_agrees(net, f, "verify", supplied={0: supplied},
+                                        strategies_by_name=named)[0])
+        # at every state under a small cap, at the initial state under the default one
+        for cap, every_state in ((3000, True), (SynthesisConfig().enumeration_cap, False)):
+            outcomes.add(_assert_agrees(net, f, "synthesize", every_state,
+                                        strategies_by_name=named,
+                                        synthesis=SynthesisConfig(enumeration_cap=cap))[0])
+    assert {True, False, None, "DefinitionError"} <= outcomes
+
+
+# -- each node labelled once ------------------------------------------------------
+
+def test_knowledge_labels_its_subformula_once_per_state(monkeypatch):
+    net = build_voter("full", 30, 20).network
+    f = parse_formula("K[Voter] !error", net)
+    calls = []
+    holds = FormulaEvaluator.holds
+
+    def counting(self, g, i):
+        if g is f.sub:
+            calls.append(i)
+        return holds(self, g, i)
+
+    monkeypatch.setattr(FormulaEvaluator, "holds", counting)
+    ev = FormulaEvaluator(net)
+    values = [ev.holds(f, i) for i in range(ev.graph.n_states)]
+    assert True in values and False in values
+    assert len(calls) <= ev.graph.n_states
+    assert len(set(calls)) == len(calls)
+
+
+def test_fixed_node_is_labelled_once_for_verdict_and_witness(base, monkeypatch):
+    calls = []
+    label = checker.label_universal
+    monkeypatch.setattr(checker, "label_universal",
+                        lambda *args: calls.append(args[1]) or label(*args))
+    res = eval_formula(base.network, parse_formula("A F end", base.network))
+    assert (res.verdict, res.witness_path) == (False, (0, 1, 2, 3, 5, 7, 3))
+    assert calls == ["F"]
+
+
+def test_capped_synthesis_state_counts_once(base):
+    net = base.network
+    node = parse_formula("<<Voter>>^2 F end", net)
+    ev = FormulaEvaluator(net, mode="synthesize",
+                          synthesis=SynthesisConfig(enumeration_cap=10))
+    assert ev.holds(node, 0) is checker._UNKNOWN
+    counts = (ev.stats.strategies_enumerated, ev.stats.strategies_checked)
+    assert counts[0] == 11
+    assert ev.holds(node, 0) is checker._UNKNOWN
+    assert ev.witness(node, 0) is None
+    assert (ev.stats.strategies_enumerated, ev.stats.strategies_checked) == counts
+
+
+def test_formulas_dropped_between_calls_keep_apart(base):
+    # a formula freed after its call must not hand its labels to the next
+    # one, which may be allocated at the same address
+    net = base.network
+    ev = FormulaEvaluator(net)
+    i = ev.graph.index_of(net.initial_state())
+    for texts in (("!start", "!end"), ("K[Voter] start", "K[Voter] end"),
+                  ("A F start", "A F end")):
+        want = {t: eval_formula(net, parse_formula(t, net)).verdict for t in texts}
+        for t in texts * 20:
+            assert ev.holds(parse_formula(t, net), i) is want[t], t
