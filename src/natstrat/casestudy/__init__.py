@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..checker import verify_strategic
-from ..dsl import ParsedBundle, load_bundle, parse_formula, parse_guard_text
+from ..dsl import ParsedBundle, load_bundle, parse_formula
 from ..errors import DefinitionError
 from ..formula import Formula
 from ..model import DEFAULT_STATE_CAP, AgentTemplate, Network, eval_guard
@@ -233,7 +233,7 @@ def _recompute(row: Row, bundle: ParsedBundle, state_cap: int):
     bound = f.bound if row.bound is None else row.bound
     if bound == 0:
         net, s_A = fix_strategy(net, s_A), {}
-    goal = parse_guard_text(str(f.subs[0]), net)
+    goal = f.subs[0].guard
     if row.kind == "steps":
         q = net.state(locations=dict(row.start)) if row.start else None
         return steps_to_goal(net, q, s_A, goal, state_cap=state_cap).value

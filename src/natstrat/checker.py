@@ -612,10 +612,12 @@ class FormulaEvaluator:
     state, over the explored graph restricted to that strategy; its
     counterexample is built only when it is the node reported. Other
     coalition nodes are decided per state by bounded synthesis on that graph.
+    In verify mode, a coalition node that names no witness strategies takes
+    the first `supplied` collective strategy whose agents are its coalition.
     """
 
     def __init__(self, net: Network, mode: str = "verify",
-                 supplied: Optional[dict[int, CollectiveStrategy]] = None,
+                 supplied: Sequence[CollectiveStrategy] = (),
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
                  state_cap: int = DEFAULT_STATE_CAP):
@@ -623,7 +625,7 @@ class FormulaEvaluator:
             raise DefinitionError(f"unknown mode {mode}")
         self.net = net
         self.mode = mode
-        self.supplied = supplied or {}
+        self.supplied = supplied
         self.strategies_by_name = strategies_by_name or {}
         self.synthesis = synthesis
         self.graph = explore(net, state_cap=state_cap)
@@ -674,8 +676,6 @@ class FormulaEvaluator:
         return self._classes[agent]
 
     def _strategy_for(self, node: Strategic) -> CollectiveStrategy:
-        if id(node) in self.supplied:
-            return self.supplied[id(node)]
         if node.witness:
             named = {}
             for agent, name in zip(node.coalition, node.witness):
@@ -683,9 +683,9 @@ class FormulaEvaluator:
                     raise DefinitionError(f"unknown strategy {name}")
                 named[agent] = self.strategies_by_name[name]
             return named
-        # otherwise: one supplied strategy set per coalition signature
+        # otherwise: the first supplied strategy for exactly the coalition
         key = frozenset(node.coalition)
-        for cand in self.supplied.values():
+        for cand in self.supplied:
             if frozenset(cand) == key:
                 return cand
         if not key:
@@ -807,7 +807,7 @@ class FormulaEvaluator:
 
 def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
                  mode: str = "verify",
-                 supplied: Optional[dict[int, CollectiveStrategy]] = None,
+                 supplied: Sequence[CollectiveStrategy] = (),
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
                  state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:

@@ -27,7 +27,7 @@ from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
 from .errors import DefinitionError, NatStratError, ResourceLimitError
-from .formula import Formula, Strategic, map_formula
+from .formula import Strategic, map_formula
 from .model import DEFAULT_STATE_CAP, Network, eval_guard
 from .outcome import steps_to_goal
 from .report import (
@@ -116,20 +116,12 @@ def _cmd_check(args, report: RunReport) -> int:
     if args.bound is not None:
         formula = map_formula(formula, lambda g: replace(g, bound=args.bound)
                               if isinstance(g, Strategic) else g)
-    supplied = {}
+    supplied = []
     if args.use:
         for name in args.use:
             if name not in bundle.strategies:
                 raise DefinitionError(f"unknown strategy {name}")
-        coll = collective(*(bundle.strategies[name] for name in args.use))
-
-        def supply(g: Formula) -> Formula:
-            # a node that names its witnesses keeps them
-            if (isinstance(g, Strategic) and not g.witness
-                    and frozenset(g.coalition) == frozenset(coll)):
-                supplied[id(g)] = coll
-            return g
-        map_formula(formula, supply)
+        supplied.append(collective(*(bundle.strategies[name] for name in args.use)))
     mode = "synthesize" if args.mode == "synth" else args.mode
     res = eval_formula(net, formula, mode=mode, supplied=supplied,
                        strategies_by_name=bundle.strategies,
@@ -331,6 +323,8 @@ def _run(argv: Optional[list[str]]) -> tuple[int, RunReport, str]:
     report = RunReport(command=argv, seed=args.seed)
     t0 = time.perf_counter()
     try:
+        if args.state_cap < 1:  # a usage error, not a cap that was hit
+            raise DefinitionError(f"--state-cap must be at least 1, got {args.state_cap}")
         code = args.func(args, report)
     except (NatStratError, OSError) as exc:  # OSError: an unreadable or unwritable path
         report.add(TaskReport("error", args.command, "error",

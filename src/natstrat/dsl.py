@@ -7,7 +7,8 @@ Three UTF-8 formats share one lexer and may live in one file:
 * formulas (``.nsq``): strategic/temporal/epistemic queries.
 
 Guard and update expressions are C-like (&&, ||, !, ==, !=, <, <=, >, >=).
-See docs/dsl.md for the full grammar. Parsing is total: any input either
+Guards, rules and formulas share one expression grammar, and a formula's
+connective over atoms resolves to one atom. See docs/dsl.md for the full grammar. Parsing is total: any input either
 yields a bundle or raises ParseError with a source span.
 """
 
@@ -202,33 +203,61 @@ class _BundleParser:
         v = int(tok.text)
         return -v if neg else v
 
-    # -- guards (raw) ---------------------------------------------------------
+    # -- expressions (raw) ------------------------------------------------------
+    # Guards and formulas share one grammar: `||`, `&&`, `!`, parentheses,
+    # true/false and atoms. With `formula` set, `->`, `<<..>>^k`, `A` and
+    # `K[..]` are accepted too.
     def parse_guard(self):
-        return self._g_or()
+        return self._or(formula=False)
 
-    def _g_or(self):
-        left = self._g_and()
+    def _formula(self):
+        left = self._or(formula=True)
+        if self.at_op("->"):
+            self.advance()
+            return ("implies", left, self._formula())
+        return left
+
+    def _or(self, formula: bool):
+        left = self._and(formula)
         while self.at_op("||"):
             self.advance()
-            left = ("or", left, self._g_and())
+            left = ("or", left, self._and(formula))
         return left
 
-    def _g_and(self):
-        left = self._g_unary()
+    def _and(self, formula: bool):
+        left = self._unary(formula)
         while self.at_op("&&"):
             self.advance()
-            left = ("and", left, self._g_unary())
+            left = ("and", left, self._unary(formula))
         return left
 
-    def _g_unary(self):
+    def _unary(self, formula: bool):
+        tok = self.peek()
         if self.at_op("!"):
             self.advance()
-            return ("not", self._g_unary())
+            return ("not", self._unary(formula))
         if self.at_op("("):
             self.advance()
-            g = self._g_or()
+            inner = self._formula() if formula else self._or(formula)
+            if formula and self.at("ident") and self.peek().text == "U":
+                raise ParseError("'U' belongs under a path quantifier: "
+                                 "A (f U g) or <<..>>^k (f U g)", self.span())
             self.expect_op(")")
-            return g
+            return inner
+        if formula and self.at_op("<<"):
+            return self._strategic(tok)
+        if formula and self.at("ident") and self.peek().text == "A" \
+                and self._next_is_temporal():
+            self.advance()
+            op, subs = self._temporal_tail()
+            return ("strategic", (), 0, op, subs, (), self.span(tok))
+        if formula and self.at("ident") and self.peek().text == "K" \
+                and self.peek(1).text == "[":
+            self.advance()
+            self.expect_op("[")
+            agent = self.ident("agent name")
+            self.expect_op("]")
+            return ("knows", agent, self._unary(formula), self.span(tok))
         if self.at("true"):
             self.advance()
             return ("true",)
@@ -499,61 +528,7 @@ class _BundleParser:
         self.raw_strategies.extend(sub.raw_strategies)
         self.raw_formulas.extend(sub.raw_formulas)
 
-    # -- formulas (raw trees; resolved later) ---------------------------------
-    def _formula(self):
-        left = self._f_or()
-        if self.at_op("->"):
-            self.advance()
-            return ("implies", left, self._formula())
-        return left
-
-    def _f_or(self):
-        left = self._f_and()
-        while self.at_op("||"):
-            self.advance()
-            left = ("for", left, self._f_and())
-        return left
-
-    def _f_and(self):
-        left = self._f_unary()
-        while self.at_op("&&"):
-            self.advance()
-            left = ("fand", left, self._f_unary())
-        return left
-
-    def _f_unary(self):
-        tok = self.peek()
-        if self.at_op("!"):
-            self.advance()
-            return ("fnot", self._f_unary())
-        if self.at_op("("):
-            self.advance()
-            inner = self._formula()
-            if self.at("ident") and self.peek().text == "U":
-                raise ParseError("'U' belongs under a path quantifier: "
-                                 "A (f U g) or <<..>>^k (f U g)", self.span())
-            self.expect_op(")")
-            return inner
-        if self.at_op("<<"):
-            return self._strategic(tok)
-        if self.at("ident") and self.peek().text == "A" and self._next_is_temporal():
-            self.advance()
-            op, subs = self._temporal_tail()
-            return ("strategic", (), 0, op, subs, (), self.span(tok))
-        if self.at("ident") and self.peek().text == "K" and self.peek(1).text == "[":
-            self.advance()
-            self.expect_op("[")
-            agent = self.ident("agent name")
-            self.expect_op("]")
-            return ("knows", agent, self._f_unary(), self.span(tok))
-        if self.at("true"):
-            self.advance()
-            return ("fatom", ("true",), self.span(tok))
-        if self.at("false"):
-            self.advance()
-            return ("fatom", ("false",), self.span(tok))
-        return ("fatom", self._g_atom(), self.span(tok))
-
+    # -- strategic operators (raw; formula context only) ------------------------
     def _next_is_temporal(self) -> bool:
         nxt = self.peek(1)
         return (nxt.kind == "ident" and nxt.text in ("X", "F", "G")) or \
@@ -583,7 +558,7 @@ class _BundleParser:
     def _temporal_tail(self):
         if self.at("ident") and self.peek().text in ("X", "F", "G"):
             op = self.advance().text
-            return op, (self._f_unary(),)
+            return op, (self._unary(formula=True),)
         if self.at_op("("):
             self.advance()
             left = self._formula()
@@ -598,6 +573,10 @@ class _BundleParser:
 
 # ---------------------------------------------------------------------------
 # Resolution
+
+# raw connective tag -> (guard node, formula node)
+_CONNECTIVES = {"not": (Not, FNot), "and": (And, FAnd), "or": (Or, FOr)}
+
 
 class _Resolver:
     def __init__(self, parser: _BundleParser, external_net: Optional[Network] = None):
@@ -817,37 +796,34 @@ class _Resolver:
 
     # -- formulas ----------------------------------------------------------------
     def build_formula(self, raw, net: Network) -> Formula:
+        """Resolve a raw formula bottom-up. A connective whose operands are
+        all atoms folds into one atom over its guard connective, so a
+        Boolean combination of atoms is one FAtom, as in an edge or a rule;
+        FNot/FAnd/FOr stand only over a strategic, K or -> subformula."""
         kind = raw[0]
-        if kind == "fatom":
-            guard = self.resolve_guard(raw[1], owner=None, strict=False)
-            node: Formula = FAtom(guard)
-        elif kind == "fnot":
-            node = FNot(self.build_formula(raw[1], net))
-        elif kind == "fand":
-            node = FAnd(self.build_formula(raw[1], net),
-                        self.build_formula(raw[2], net))
-        elif kind == "for":
-            node = FOr(self.build_formula(raw[1], net),
-                       self.build_formula(raw[2], net))
-        elif kind == "implies":
-            node = FImplies(self.build_formula(raw[1], net),
+        if kind in _CONNECTIVES:
+            subs = [self.build_formula(r, net) for r in raw[1:]]
+            guard_op, formula_op = _CONNECTIVES[kind]
+            if all(isinstance(s, FAtom) for s in subs):
+                return FAtom(guard_op(*(s.guard for s in subs)))
+            return formula_op(*subs)
+        if kind == "implies":
+            return FImplies(self.build_formula(raw[1], net),
                             self.build_formula(raw[2], net))
-        elif kind == "knows":
+        if kind == "knows":
             _, agent, sub, span = raw
             if agent not in {a.name for a in net.agents}:
                 raise ParseError(f"unknown agent {agent} under K", span)
-            node = Knows(agent, self.build_formula(sub, net))
-        elif kind == "strategic":
+            return Knows(agent, self.build_formula(sub, net))
+        if kind == "strategic":
             _, coalition, bound, op, subs, witnesses, span = raw
             for agent in coalition:
                 if agent not in {a.name for a in net.agents}:
                     raise ParseError(f"unknown agent {agent} in coalition", span)
-            node = Strategic(coalition=tuple(coalition), bound=bound, op=op,
+            return Strategic(coalition=tuple(coalition), bound=bound, op=op,
                              subs=tuple(self.build_formula(s, net) for s in subs),
                              witness=tuple(witnesses))
-        else:
-            raise AssertionError(f"bad raw formula {raw!r}")
-        return node
+        return FAtom(self.resolve_guard(raw, owner=None, strict=False))
 
 
 # ---------------------------------------------------------------------------

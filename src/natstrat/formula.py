@@ -4,7 +4,10 @@ The strategic operator <<A>>^k T carries a coalition, a complexity bound and
 a temporal layer T in {X, F, G, U}; the universal path quantifier A is stored
 as the empty coalition with bound 0. K[a] is the knowledge operator.
 Atomic formulas are guard expressions (location atoms, 0/1 variables,
-comparisons) evaluated per state.
+comparisons and Boolean combinations of them), each labelled as one state
+set: the parser folds a connective over atoms into one FAtom, so in a
+parsed formula FNot, FAnd and FOr stand only over a strategic, K or ->
+subformula.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .errors import DefinitionError
-from .model import GuardExpr
+from .model import And, GuardExpr, Or
 
 TEMPORAL_OPS = ("X", "F", "G", "U")
 
@@ -31,7 +34,7 @@ class FNot:
     sub: "Formula"
 
     def __str__(self):
-        return f"!({self.sub})" if isinstance(self.sub, (FAnd, FOr, FImplies)) else f"!{self.sub}"
+        return f"!{_paren(self.sub)}"
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ Formula = Union[FAtom, FNot, FAnd, FOr, FImplies, Strategic, Knows]
 
 
 def _paren(f: Formula) -> str:
-    if isinstance(f, (FAnd, FOr, FImplies)):
+    if isinstance(f, (FAnd, FOr, FImplies)) or (
+            isinstance(f, FAtom) and isinstance(f.guard, (And, Or))):
         return f"({f})"
     return str(f)
 

@@ -339,7 +339,8 @@ class Network:
 
     def state(self, locations: Optional[dict[str, str]] = None,
               values: Optional[dict[str, int]] = None) -> "GlobalState":
-        """Build a state from the initial one with selected overrides."""
+        """Build a state from the initial one with selected overrides; a value
+        outside its variable's domain is a DefinitionError."""
         q = self.initial_state()
         locs = list(q.locations)
         vals = list(q.values)
@@ -350,7 +351,13 @@ class Network:
             locs[self.agent_pos(agent)] = loc
         for name, value in (values or {}).items():
             vals[self._resolve_bare_var(name)] = value
+        self._check_values(vals)
         return GlobalState(tuple(locs), tuple(vals))
+
+    def _check_values(self, values: Sequence[int]) -> None:
+        for (_, v), x in zip(self._var_order, values):
+            if not v.lo <= x <= v.hi:
+                raise DefinitionError(f"variable {v.name}: value {x} outside [{v.lo},{v.hi}]")
 
     def _resolve_bare_var(self, name: str) -> int:
         matches = [i for (owner, n), i in self._var_index.items() if n == name]
@@ -884,12 +891,17 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     a pruned network. It stays because it explores only the outcome: for one
     strategy on two copies of voter_full(7,5) that is 6,320 of 24,964 states,
     in a third of the time of `restrict(explore(net), s_A)`. Raises
-    ResourceLimitError past `state_cap` states, and DefinitionError when
-    `start` is at a location its agent does not declare.
+    ResourceLimitError past `state_cap` states, the initial one included,
+    and DefinitionError when `start` is at a location its agent does not
+    declare or holds a value outside its variable's domain.
     """
+    if state_cap < 1:
+        raise ResourceLimitError(f"state cap {state_cap} exceeded", partial=0)
     comp = _compiled(net)
     q0 = net.initial_state() if start is None else start
     keys = [comp.encode(net, q0)]  # the int tuple of each state, by index
+    if start is not None:
+        net._check_values(start.values)
     index = {keys[0]: 0}
     offsets, targets, move_ids = array("i", [0]), array("i"), array("i")
     i = 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ExportError
@@ -26,6 +27,8 @@ from .model import (
     TrueConst, VarAtom, VarRef, guard_loc_atoms,
 )
 from .strategy import CollectiveStrategy, fix_strategy
+
+_QUERY_OPS = {And: "&&", FAnd: "&&", Or: "||", FOr: "||", FImplies: "imply"}
 
 _DOCTYPE = ("<!DOCTYPE nta PUBLIC '-//Uppaal Team//DTD Flat System 1.1//EN' "
             "'http://www.it.uu.se/research/group/darts/uppaal/flat-1_1.dtd'>")
@@ -38,7 +41,6 @@ class UppaalDocument:
     root: ET.Element
 
     def write(self, directory, stem: str = "model"):
-        from pathlib import Path
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         xml_path = d / f"{stem}.xml"
@@ -156,20 +158,25 @@ class _Exporter:
         return nta
 
     # -- queries -----------------------------------------------------------------
-    def query_atom_text(self, f: Formula) -> str:
+    def _query(self, f) -> str:
+        """UPPAAL query text of a formula or guard node: location atoms in
+        the native ``Process.location`` form, every connective bracketed."""
         if isinstance(f, FAtom):
-            return self._query_guard(f.guard)
-        if isinstance(f, FNot):
-            return f"!({self.query_atom_text(f.sub)})"
-        if isinstance(f, FAnd):
-            return (f"({self.query_atom_text(f.left)} && "
-                    f"{self.query_atom_text(f.right)})")
-        if isinstance(f, FOr):
-            return (f"({self.query_atom_text(f.left)} || "
-                    f"{self.query_atom_text(f.right)})")
-        if isinstance(f, FImplies):
-            return (f"({self.query_atom_text(f.left)} imply "
-                    f"{self.query_atom_text(f.right)})")
+            return self._query(f.guard)
+        if isinstance(f, LocAtom):
+            return f"{f.agent}.{f.location}"
+        if isinstance(f, VarAtom):
+            return self._qvar(f.var)
+        if isinstance(f, Comparison):
+            rhs = f.rhs if isinstance(f.rhs, int) else self._qvar(f.rhs)
+            return f"{self._qvar(f.lhs)} {f.op} {rhs}"
+        if isinstance(f, (TrueConst, FalseConst)):
+            return str(f)
+        if isinstance(f, (Not, FNot)):
+            return f"!({self._query(f.sub)})"
+        if isinstance(f, (And, Or, FAnd, FOr, FImplies)):
+            op = _QUERY_OPS[type(f)]
+            return f"({self._query(f.left)} {op} {self._query(f.right)})"
         if isinstance(f, Strategic):
             raise ExportError("nested strategic operators cannot be exported "
                               "to UPPAAL; check them natively")
@@ -178,26 +185,6 @@ class _Exporter:
                               "UPPAAL; check them natively")
         raise ExportError(f"cannot export formula {f}")
 
-    def _query_guard(self, g: GuardExpr) -> str:
-        if isinstance(g, LocAtom):
-            return f"{g.agent}.{g.location}"
-        if isinstance(g, VarAtom):
-            return self._qvar(g.var)
-        if isinstance(g, Comparison):
-            rhs = g.rhs if isinstance(g.rhs, int) else self._qvar(g.rhs)
-            return f"{self._qvar(g.lhs)} {g.op} {rhs}"
-        if isinstance(g, TrueConst):
-            return "true"
-        if isinstance(g, FalseConst):
-            return "false"
-        if isinstance(g, Not):
-            return f"!({self._query_guard(g.sub)})"
-        if isinstance(g, And):
-            return f"({self._query_guard(g.left)} && {self._query_guard(g.right)})"
-        if isinstance(g, Or):
-            return f"({self._query_guard(g.left)} || {self._query_guard(g.right)})"
-        raise ExportError(f"cannot export guard {g!r}")
-
     def _qvar(self, ref: VarRef) -> str:
         # locals live inside their process in the query namespace
         return ref.name if ref.owner is None else f"{ref.owner}.{ref.name}"
@@ -205,9 +192,9 @@ class _Exporter:
     def query_text(self, f: Formula) -> str:
         if isinstance(f, Strategic):
             if f.op == "F":
-                return f"A<> {self.query_atom_text(f.subs[0])}"
+                return f"A<> {self._query(f.subs[0])}"
             if f.op == "G":
-                return f"A[] {self.query_atom_text(f.subs[0])}"
+                return f"A[] {self._query(f.subs[0])}"
             raise ExportError(f"temporal operator {f.op} has no UPPAAL query form")
         raise ExportError("only strategic/universally quantified formulas "
                           "export as queries")

@@ -35,7 +35,7 @@ class FormulaEvaluator:
     """
 
     def __init__(self, net: Network, mode: str = "verify",
-                 supplied: Optional[dict[int, CollectiveStrategy]] = None,
+                 supplied: Sequence[CollectiveStrategy] = (),
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
                  vocabulary: Optional[Sequence[GuardExpr]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
@@ -44,7 +44,7 @@ class FormulaEvaluator:
             raise DefinitionError(f"unknown mode {mode}")
         self.net = net
         self.mode = mode
-        self.supplied = supplied or {}
+        self.supplied = supplied
         self.strategies_by_name = strategies_by_name or {}
         self.vocabulary = vocabulary
         self.synthesis = synthesis
@@ -98,8 +98,6 @@ class FormulaEvaluator:
         return self._classes[agent]
 
     def _strategy_for(self, node: Strategic) -> CollectiveStrategy:
-        if id(node) in self.supplied:
-            return self.supplied[id(node)]
         if node.witness:
             named = {}
             for agent, name in zip(node.coalition, node.witness):
@@ -109,7 +107,7 @@ class FormulaEvaluator:
             return named
         # otherwise: one supplied strategy set per coalition signature
         key = frozenset(node.coalition)
-        for cand in self.supplied.values():
+        for cand in self.supplied:
             if frozenset(cand) == key:
                 return cand
         if not key:
@@ -223,7 +221,7 @@ class FormulaEvaluator:
 
 def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
                  mode: str = "verify",
-                 supplied: Optional[dict[int, CollectiveStrategy]] = None,
+                 supplied: Sequence[CollectiveStrategy] = (),
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
                  vocabulary: Optional[Sequence[GuardExpr]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),

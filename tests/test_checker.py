@@ -395,7 +395,7 @@ def _assert_coalition_labels_match(net, node, s_A):
     """At every reachable state, the evaluator's value of `node` and the
     reason it reports equal those of a fresh verify_strategic there, or both
     raise the same StrategyError. Returns how many states raised."""
-    ev = FormulaEvaluator(net, supplied={id(node): s_A})
+    ev = FormulaEvaluator(net, supplied=[s_A])
     memo = {}
     preds = [lambda q, sub=sub: _fresh(net, sub, q, memo) for sub in node.subs]
 
@@ -496,7 +496,7 @@ def test_empty_coalition_with_a_bound_is_universal_in_verify_mode(base):
 
 def test_witness_comes_from_the_deciding_subformula(base):
     net = base.network
-    supplied = {0: {"Voter": base.strategies["cast_verify"]}}
+    supplied = [{"Voter": base.strategies["cast_verify"]}]
     avoids = "a maximal trace avoids the goal"
     gated = "complexity 15 exceeds bound 14"
 

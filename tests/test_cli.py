@@ -152,6 +152,20 @@ def test_resource_cap_exit_three():
     assert "state cap 5 exceeded" in report.tasks[0].detail["error"]
 
 
+def test_state_cap_below_one_is_a_usage_error():
+    for cap in ("0", "-1"):
+        code, report = run("--state-cap", cap, "check", "--model", "voter_base",
+                           "--formula-name", "reach_end", "--use", "cast_verify")
+        assert code == EXIT_USAGE
+        assert report.tasks[0].detail["error"] == f"--state-cap must be at least 1, got {cap}"
+    code, _ = run("steps", "--state-cap", "0", "--model", "voter_base",
+                  "--strategy", "cast_verify", "--goal", "end")
+    assert code == EXIT_USAGE
+    code, _ = run("--state-cap", "1", "check", "--model", "voter_base",
+                  "--formula-name", "reach_end", "--use", "cast_verify")
+    assert code == EXIT_RESOURCE
+
+
 def test_unknown_verdict_reports_the_capped_search():
     code, report = run("--format", "json", "check", "--model", "voter_base",
                        "--mode", "synth", "--formula", "A G <<Voter>>^3 F end")

@@ -9,7 +9,7 @@ from natstrat.dsl import (
 )
 from natstrat.errors import ParseError
 from natstrat.formula import FAnd, FAtom, FNot, FOr, Knows, Strategic, map_formula
-from natstrat.model import LocAtom, Or, TrueConst
+from natstrat.model import And, LocAtom, Not, Or, TrueConst
 from natstrat.strategy import WILDCARD
 from natstrat.casestudy import DATA_DIR
 
@@ -303,11 +303,63 @@ def _formulas(net):
         max_leaves=6)
 
 
+def unfold(f):
+    """f with each atom's guard connectives spelled out as formula
+    connectives: the tree the parser builds before it folds a connective
+    over atoms into one atom."""
+    def spell(g):
+        if isinstance(g, Not):
+            return FNot(spell(g.sub))
+        if isinstance(g, (And, Or)):
+            return (FAnd if isinstance(g, And) else FOr)(spell(g.left), spell(g.right))
+        return FAtom(g)
+    return map_formula(f, lambda g: spell(g.guard) if isinstance(g, FAtom) else g)
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_random_formula_round_trip(toy_net, data):
+    # printing and parsing again changes parser output only by reassociating
+    # `a && (b && c)` inside an atom, which prints as `a && b && c`; one more
+    # round is a fixpoint
     f = data.draw(_formulas(toy_net))
-    assert parse_formula(print_formula(f), toy_net) == f
+    parsed = parse_formula(print_formula(f), toy_net)
+    assert unfold(parsed) == f  # the parser folds, and does nothing else
+    again = parse_formula(print_formula(parsed), toy_net)
+    assert print_formula(again) == print_formula(parsed)
+    assert parse_formula(print_formula(again), toy_net) == again
+
+
+def _guard_texts():
+    return st.recursive(
+        st.sampled_from(["l0", "U@u1", "shared", "x == 2", "x != 0", "true", "false"]),
+        lambda kids: st.one_of(
+            kids.map(lambda t: f"!{t}"),
+            kids.map(lambda t: f"({t})"),
+            st.tuples(kids, kids).map(" && ".join),
+            st.tuples(kids, kids).map(" || ".join),
+        ),
+        max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_guard_texts())
+def test_boolean_combination_of_atoms_is_one_atom(toy_net, text):
+    assert parse_formula(text, toy_net) == FAtom(parse_guard_text(text, toy_net))
+
+
+def test_connective_over_a_formula_stays_a_formula_node(base):
+    net = base.network
+    f = parse_formula("!<<Voter>>^3 F end && (end || K[Voter] !error)", net)
+    assert isinstance(f, FAnd) and isinstance(f.left, FNot)
+    assert isinstance(f.right, FOr) and isinstance(f.right.left, FAtom)
+    assert f.right.right.sub == FAtom(parse_guard_text("!error", net))
+    # an atom whose guard is a connective is bracketed wherever it would bind
+    # less tightly than its context
+    for text in ("K[Voter] (end || error)", "!(end && error)",
+                 "<<Voter>>^3 F (end && error)", "(end || error) && A F end"):
+        assert print_formula(parse_formula(text, net)) == text
+    assert str(FNot(FAtom(parse_guard_text("end || error", net)))) == "!(end || error)"
 
 
 # -- totality fuzz ---------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 import natstrat.checker as checker
-from natstrat.casestudy import build_voter, catalog, load
+from natstrat.casestudy import build_coercer, build_voter, catalog, load
 from natstrat.checker import FormulaEvaluator, SynthesisConfig, eval_formula
 from natstrat.dsl import parse_formula, parse_network
 from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Knows, Strategic
@@ -15,6 +15,7 @@ from natstrat.model import LocAtom, TrueConst, or_all
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
 
 import evaluator_oracle as oracle
+from test_dsl import unfold
 
 # per agent: its location names' prefix, the most locations, its action prefix
 AGENTS = {"G": ("s", 6, "e"), "H": ("t", 3, "f")}
@@ -91,8 +92,7 @@ def _case(draw):
     net, shape = draw(_network())
     named = {f"s{a}": _strategy(draw, a, *shape[a]) for a in AGENTS}
     f = _formula(draw, shape, draw(st.sampled_from((2, 3, 4))))
-    supplied = {k: {a: named[f"s{a}"] for a in coalition}
-                for k, coalition in enumerate(COALITIONS)}
+    supplied = [{a: named[f"s{a}"] for a in coalition} for coalition in COALITIONS]
     cap = draw(st.sampled_from((10, 300, 3000)))
     return net, f, named, supplied, cap
 
@@ -152,7 +152,7 @@ def test_evaluator_matches_oracle_on_bundled_formulas():
         choices += [{"Coercer": c, "Voter": v} for c, v in itertools.product(
             by_agent.get("Coercer", []), by_agent.get("Voter", []))]
         for supplied in [{}] + choices:
-            outcomes.add(_assert_agrees(net, f, "verify", supplied={0: supplied},
+            outcomes.add(_assert_agrees(net, f, "verify", supplied=[supplied],
                                         strategies_by_name=named)[0])
         # at every state under a small cap, at the initial state under the default one
         for cap, every_state in ((3000, True), (SynthesisConfig().enumeration_cap, False)):
@@ -162,11 +162,64 @@ def test_evaluator_matches_oracle_on_bundled_formulas():
     assert {True, False, None, "DefinitionError"} <= outcomes
 
 
+# -- a connective over atoms folded into one atom -----------------------------------
+
+# the formulas of the `nested` benchmark workload, each with its model
+NESTED = (
+    (lambda: build_voter("full", 30, 20), "A G A F end"),
+    (lambda: build_voter("full", 60, 40), "A G A F end"),
+    (lambda: build_voter("full", 30, 20), "A G <<Voter:cast_verify_symbolwise>>^29 F end"),
+    (lambda: load("infrastructure"), "A G A F true"),
+    (lambda: build_coercer("punisher"),
+     "A G (Voter@end -> (K[Coercer] ca_v == 1 || K[Coercer] !(ca_v == 1)))"),
+    (lambda: build_voter("base"), "A G (check4_fail -> <<Voter:signal_on_dispute>>^2 F error)"),
+)
+
+
+def _assert_folding_keeps_labels(net, f, mode, **kwargs):
+    """At every state, f as parsed and f with its atoms' connectives spelled
+    out as formula connectives have the same value and witness, or raise
+    the same error, and count the same synthesis. Returns whether the two
+    differ as trees."""
+    spelled = unfold(f)
+    ev_f, ev_spelled = (FormulaEvaluator(net, mode=mode, **kwargs) for _ in range(2))
+    for i in range(ev_f.graph.n_states):
+        got = _outcome(lambda: (ev_f.holds(f, i), _summary(ev_f.witness(f, i))))
+        want = _outcome(lambda: (ev_spelled.holds(spelled, i),
+                                 _summary(ev_spelled.witness(spelled, i))))
+        assert got == want, (str(f), mode, i)
+    assert (ev_f.stats.strategies_enumerated, ev_f.stats.strategies_checked) == \
+        (ev_spelled.stats.strategies_enumerated, ev_spelled.stats.strategies_checked)
+    return spelled != f
+
+
+def test_folded_atoms_label_like_their_connectives():
+    differ = 0
+    for stem, f in catalog().formulas.values():
+        bundle = load(stem)
+        first = {}
+        for s in bundle.strategies.values():
+            first.setdefault(s.agent, s)
+        supplied = [{a: s} for a, s in first.items()] + [first]
+        for mode in ("verify", "synthesize"):
+            differ += _assert_folding_keeps_labels(
+                bundle.network, f, mode, supplied=supplied,
+                strategies_by_name=bundle.strategies,
+                synthesis=SynthesisConfig(enumeration_cap=300))
+    for build, text in NESTED:
+        bundle = build()
+        differ += _assert_folding_keeps_labels(
+            bundle.network, parse_formula(text, bundle.network), "verify",
+            strategies_by_name=bundle.strategies)
+    assert differ == 13  # six bundled formulas in two modes, one nested formula
+
+
 # -- each node labelled once ------------------------------------------------------
 
 def test_knowledge_labels_its_subformula_once_per_state(monkeypatch):
     net = build_voter("full", 30, 20).network
-    f = parse_formula("K[Voter] !error", net)
+    # built by hand: the parser folds `!error` into one atom
+    f = Knows("Voter", FNot(parse_formula("error", net)))
     calls = []
     holds = FormulaEvaluator.holds
 

@@ -162,6 +162,40 @@ def test_explore_state_cap(base):
     assert err.value.partial == 10
 
 
+def test_explore_counts_the_initial_state_against_the_cap():
+    net = parse_network("agent T { init s0; }")
+    assert explore(net, state_cap=1).n_states == 1
+    for cap in (0, -1):
+        with pytest.raises(ResourceLimitError, match=f"^state cap {cap} exceeded$") as err:
+            explore(net, state_cap=cap)
+        assert err.value.partial == 0
+
+
+def test_state_values_lie_in_their_domain(punisher):
+    net = punisher.network
+    with pytest.raises(DefinitionError, match=r"^variable ca_v: value 9 outside \[0,2\]$"):
+        net.state(values={"ca_v": 9})
+    with pytest.raises(DefinitionError, match=r"^variable ca_v: value -1 outside \[0,2\]$"):
+        net.state(values={"ca_v": -1})
+    pos = [v.name for _, v in net.var_decls()].index("ca_v")
+    assert net.state(values={"ca_v": 2}).values[pos] == 2
+
+
+def test_explore_checks_its_start_once(punisher, monkeypatch):
+    net = punisher.network
+    q = net.state(values={"ca_v": 2})
+    pos = [v.name for _, v in net.var_decls()].index("ca_v")
+    bad = GlobalState(q.locations, q.values[:pos] + (9,) + q.values[pos + 1:])
+    with pytest.raises(DefinitionError, match=r"^variable ca_v: value 9 outside \[0,2\]$"):
+        explore(net, start=bad)
+    calls = []
+    check = type(net)._check_values
+    monkeypatch.setattr(type(net), "_check_values",
+                        lambda self, values: calls.append(values) or check(self, values))
+    assert explore(net, start=q).n_states > 1
+    assert calls == [q.values]
+
+
 def test_lazy_templates_never_deadlock(base):
     net = base.network
     for q in explore(net).states:
