@@ -18,8 +18,11 @@ fails, all int bitsets. Strategies are memoryless, so two exact prunings
 hold: a rule other than the last that fires nowhere makes every candidate
 under its prefix equal to a cheaper one, already checked, so that subtree
 is skipped; and a candidate whose behaviour was already checked is skipped.
-The enumeration cap counts canonical positions, skipped ones included, so
-it fires where a full enumeration would.
+A new behaviour is decided without building its outcome: one pass from the
+start over each state's move masks stops at the first state where matching
+fails, and for G at the first state outside the goal, since either fixes
+the verdict. The enumeration cap counts canonical positions, skipped ones
+included, so it fires where a full enumeration would.
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -30,7 +33,6 @@ from __future__ import annotations
 import functools
 import operator
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -373,7 +375,7 @@ class _Behaviours:
     action and no rule fired. A candidate's behaviour is its members'.
     Natural strategies are memoryless, so candidates with equal behaviours
     restrict the graph alike. Nothing here depends on the state synthesis
-    starts from, so one space serves every start (see `walk`)."""
+    starts from, so one space serves every start (see `wins`)."""
 
     ROOT = ((), 0, (), ())
 
@@ -404,13 +406,25 @@ class _Behaviours:
         self.acts = [sorted(av) for av in self.avail]
         index = [{a: j for j, a in enumerate(acts)} for acts in self.acts]
         self.any = [functools.reduce(operator.or_, av.values(), 0) for av in self.avail]
-        # each state's stored moves as (target, idle, checks), checks pairing
-        # each coalition actor, in actor order, with its action's index
-        checks = {m: (graph.idle[m], tuple((a, index[a][act]) for a, act in side))
-                  for m, side in sides.items()}
-        self.moves = [[(targets[e], *checks[move_ids[e]])
-                       for e in range(offsets[i], offsets[i + 1])]
-                      for i in range(graph.n_states)]
+        # per state: `free`, the non-idle targets of moves no member takes
+        # part in, and `groups`, one (checks, targets) pair per distinct
+        # checks of its other moves, in first-seen order; checks pair each
+        # coalition actor, in actor order, with its action's index, and an
+        # idle move adds no target bit but still checks its actors
+        checks = {m: tuple((a, index[a][act]) for a, act in side) for m, side in sides.items()}
+        self.free: list[int] = []
+        self.groups: list[tuple[tuple[tuple, int], ...]] = []
+        for i in range(graph.n_states):
+            free, groups = 0, {}
+            for e in range(offsets[i], offsets[i + 1]):
+                m = move_ids[e]
+                bit = 0 if graph.idle[m] else 1 << targets[e]
+                if checks[m]:
+                    groups[checks[m]] = groups.get(checks[m], 0) | bit
+                else:
+                    free |= bit
+            self.free.append(free)
+            self.groups.append(tuple(groups.items()))
         self._guards: dict = {}  # the memo of _guards_of_cost
         self._options_memo: dict[int, list[list[_Option]]] = {}
 
@@ -466,45 +480,46 @@ class _Behaviours:
         behaviour = (tuple(allowed.values()), self.any[m] & ~(covered | fire))
         return done + (behaviour,), 0, (), path + (opt,)
 
-    def walk(self, start: int, behaviour) -> tuple[list[Sequence[int]], list[int]]:
-        """What `outcome.restrict(graph, s_A, start)` gives for a candidate
-        s_A with this behaviour: the successor lists of the states reachable
-        from `start` and the visited states where matching fails, in the
-        same breadth-first order over the stored edges, unvisited states
-        sharing one empty tuple. Stored moves are filtered as
-        `strategy.strategy_filter` does: in actor order, the first coalition
-        actor that refuses its action rejects the move, and a member's error
-        counts only where one of its moves is checked."""
-        succ: list[Sequence[int]] = [()] * self.graph.n_states
-        errors: list[int] = []
-        todo = deque([start])
-        seen = {start}
+    def wins(self, start: int, behaviour, op: str, goals: Sequence[set[int]]) -> bool:
+        """Whether a candidate s_A with this behaviour wins op(goals) from
+        `start`: `outcome.restrict(graph, s_A, start)` visits no state where
+        matching fails, and `label_universal` of its successor lists holds
+        `start`. One pass over the reachable states, lowest index first,
+        reads each state's masks and matches as `strategy.strategy_filter`
+        does: in actor order, the first coalition actor that refuses its
+        action rejects the move, and a member's error counts only where one
+        of its moves is checked. The pass returns False at the first state
+        where matching fails, and for G at the first state outside the goal;
+        X, F and U then label the successor lists of the visited states."""
+        free, groups = self.free, self.groups
+        safe = goals[0] if op == "G" else None
+        succ: dict[int, int] = {}  # visited state -> its successors' bits
+        todo = seen = 1 << start
         while todo:
-            i = todo.popleft()
-            bit = 1 << i
-            targets: Optional[list[int]] = []
-            for target, idle, checks in self.moves[i]:
+            bit = todo & -todo
+            todo ^= bit
+            i = bit.bit_length() - 1
+            if safe is not None and i not in safe:
+                return False
+            out = free[i]
+            for checks, targets in groups[i]:
                 for m, act in checks:
                     allowed, err = behaviour[m]
                     if err & bit:
-                        targets = None
-                        break
+                        return False
                     if not allowed[act] & bit:
                         break
                 else:
-                    if not idle:
-                        targets.append(target)
-                if targets is None:
-                    break
-            if targets is None:
-                errors.append(i)
-                continue
-            succ[i] = sorted(set(targets))
-            for j in targets:
-                if j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-        return succ, errors
+                    out |= targets
+            succ[i] = out
+            todo |= out & ~seen
+            seen |= out
+        if safe is not None:
+            return True
+        lists: list[Sequence[int]] = [()] * self.graph.n_states
+        for i, out in succ.items():
+            lists[i] = [j for j in range(out.bit_length()) if out >> j & 1]
+        return start in label_universal(lists, op, goals)
 
     def strategy(self, path: Sequence[_Option]) -> CollectiveStrategy:
         """The candidate whose options, member after member, are `path`."""
@@ -535,13 +550,15 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     A negative k is a DefinitionError; a k below the coalition size is
     False. The network is explored once from q, within `state_cap`.
 
-    Only the first candidate of each behaviour is checked, by a walk of that
-    graph; a rule other than the last that fires nowhere skips every
-    candidate under its prefix (see the module docstring). The result's
-    `stats.strategies_enumerated` is the canonical position reached, skipped
-    candidates included, and `config.enumeration_cap` caps it;
-    `stats.strategies_checked` counts the behaviours walked. `<<Voter>>^3 F
-    end` on voter_base enumerates 1,192,464 candidates and checks 17,747."""
+    Only the first candidate of each behaviour is checked, on int bitsets
+    over that graph, stopping at its first error or unsafe state
+    (`_Behaviours.wins`); a rule other than the last that fires nowhere
+    skips every candidate under its prefix (see the module docstring). The
+    result's `stats.strategies_enumerated` is the canonical position
+    reached, skipped candidates included, and `config.enumeration_cap` caps
+    it; `stats.strategies_checked` counts the behaviours decided.
+    `<<Voter>>^3 F end` on voter_base enumerates 1,192,464 candidates and
+    checks 17,747."""
     t0 = time.perf_counter()
     if k < 0:
         raise DefinitionError("complexity bound must be >= 0")
@@ -563,13 +580,15 @@ def _synthesize(space: _Behaviours, start: int, k: int, op: str,
     """<<coalition>>^<=k op(subgoals) at state `start` of the space's
     explored graph: the first candidate in canonical order whose restriction
     from `start` visits no state where matching a rule fails and labels
-    `start`. Only the first candidate of each behaviour is walked and
-    labelled. The search counts into `stats`, which the result carries; past
-    the cap, `stats` holds the counts of the capped search."""
+    `start`. Only the first candidate of each behaviour is decided, by
+    `_Behaviours.wins`, which returns at the first error state it reaches
+    and, for G, at the first state outside the goal. The search counts into
+    `stats`, which the result carries; past the cap, `stats` holds the
+    counts of the capped search."""
     if k < len(space.coalition):
         # every member's strategy has at least the ⊤ rule, costing 1
         return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
-    walked: set = set()
+    decided: set = set()
     for position, state in _canonical(space.options, k, space.extend, space.ROOT):
         stats.strategies_enumerated = position
         if position > config.enumeration_cap:
@@ -577,13 +596,12 @@ def _synthesize(space: _Behaviours, start: int, k: int, op: str,
             raise ResourceLimitError(
                 f"synthesis cap {config.enumeration_cap} exceeded "
                 f"(verdict unknown)", partial=stats.strategies_enumerated)
-        if state is None or state[0] in walked:
+        if state is None or state[0] in decided:
             continue
         behaviour, _, _, path = state
-        walked.add(behaviour)
+        decided.add(behaviour)
         stats.strategies_checked += 1
-        succ, errors = space.walk(start, behaviour)
-        if not errors and start in label_universal(succ, op, subgoals):
+        if space.wins(start, behaviour, op, subgoals):
             cand = space.strategy(path)
             return CheckResult(True, witness_strategy=cand,
                                reason=f"witness of complexity {complexity(cand)}",

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import casestudy
-from .checker import eval_formula, synthesize_strategic
+from .checker import SynthesisConfig, eval_formula, synthesize_strategic
 from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
@@ -57,6 +57,13 @@ def _state_text(net: Network, state) -> str:
     vals = ", ".join(f"{v.name}={x}" for (_, v), x in zip(net.var_decls(), state.values)
                      if x != v.init)
     return f"({locs}{'; ' + vals if vals else ''})"
+
+
+def _synthesis_config(args) -> SynthesisConfig:
+    if args.enumeration_cap < 1:  # a usage error, as for --state-cap
+        raise DefinitionError(
+            f"--enumeration-cap must be at least 1, got {args.enumeration_cap}")
+    return SynthesisConfig(enumeration_cap=args.enumeration_cap)
 
 
 def _witness_detail(net: Network, res, show_path: bool = False) -> dict:
@@ -125,7 +132,7 @@ def _cmd_check(args, report: RunReport) -> int:
     mode = "synthesize" if args.mode == "synth" else args.mode
     res = eval_formula(net, formula, mode=mode, supplied=supplied,
                        strategies_by_name=bundle.strategies,
-                       state_cap=args.state_cap)
+                       synthesis=_synthesis_config(args), state_cap=args.state_cap)
     status = "ok" if res.verdict else ("error" if res.verdict is None else "fail")
     report.add(TaskReport("check", fname, status, value=res.verdict,
                           detail=_witness_detail(net, res, show_path=True)))
@@ -172,7 +179,8 @@ def _cmd_synth(args, report: RunReport) -> int:
     goal = parse_guard_text(rest, net)
     res = synthesize_strategic(
         net, None, coalition, args.bound, op,
-        [lambda q, g=goal: eval_guard(g, q, net)], state_cap=args.state_cap)
+        [lambda q, g=goal: eval_guard(g, q, net)], config=_synthesis_config(args),
+        state_cap=args.state_cap)
     status = "ok" if res.verdict else "fail"
     report.add(TaskReport("synth", f"<<{args.coalition}>>^{args.bound} {args.goal}",
                           status, value=res.verdict, detail=_witness_detail(net, res)))
@@ -227,6 +235,13 @@ def _cmd_casestudy(args, report: RunReport) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _add_enumeration_cap(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--enumeration-cap", type=int, metavar="N",
+                        default=SynthesisConfig().enumeration_cap,
+                        help="canonical positions a synthesis may enumerate "
+                             "before it stops with 'unknown' (exit 3)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="natstrat",
@@ -270,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("verify", "synthesize", "synth"),
                    default="verify")
     p.add_argument("--bound", type=int, help="override the complexity bound")
+    _add_enumeration_cap(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("steps", parents=[common],
@@ -288,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coalition", required=True, help="comma-separated agents")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--goal", required=True, help="e.g. 'F end'")
+    _add_enumeration_cap(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("export-uppaal", parents=[common],

@@ -1,10 +1,18 @@
-"""The eager candidate enumeration that bounded synthesis used before it
-became a lazy depth-first search: every candidate of a complexity level is
-built, then the level is sorted by (rule count, text). It is kept as the
-oracle of canonical order."""
+"""Two earlier forms of bounded synthesis, kept as oracles.
+
+The eager candidate enumeration that synthesis used before it became a lazy
+depth-first search: every candidate of a complexity level is built, then
+the level is sorted by (rule count, text). It is the oracle of canonical
+order.
+
+The behaviour walk that synthesis used before it decided each behaviour on
+masks (`checker._Behaviours.wins`): it builds the restricted successor
+lists and error states in full, to be labelled afterwards. It is the oracle
+of `wins` and of `outcome.restrict`."""
 
 import itertools
-from typing import Iterator, Sequence
+from collections import deque
+from typing import Iterator, Optional, Sequence
 
 from natstrat.model import WAIT_ACTION, And, GuardExpr, Network, Not, Or, TrueConst
 from natstrat.strategy import WILDCARD, CollectiveStrategy, NaturalStrategy, Rule
@@ -109,3 +117,62 @@ def candidates(net: Network, coalition: Sequence[str], k: int,
         level.sort(key=lambda c: (sum(len(s.rules) for s in c.values()),
                                   strategy_text(c)))
         yield from level
+
+
+def stored_moves(space) -> list[list[tuple[int, bool, tuple]]]:
+    """Each state's stored moves as (target, idle, checks), checks pairing
+    each coalition actor of the move, in actor order, with its action's
+    index in the space's `acts`."""
+    graph = space.graph
+    member = {a: m for m, a in enumerate(space.agents)}
+    index = [{a: j for j, a in enumerate(acts)} for acts in space.acts]
+    checks = {}
+    for m in set(graph.move_ids):
+        move = graph.moves[m]
+        checks[m] = (graph.idle[m],
+                     tuple((member[a], index[member[a]][act])
+                           for a, act in zip(move.actors, move.actions) if a in member))
+    return [[(graph.targets[e], *checks[graph.move_ids[e]])
+             for e in range(graph.offsets[i], graph.offsets[i + 1])]
+            for i in range(graph.n_states)]
+
+
+def walk(moves, start: int, behaviour) -> tuple[list[Sequence[int]], list[int]]:
+    """Over a space's `stored_moves`, what `outcome.restrict(graph, s_A,
+    start)` gives for a candidate s_A with this behaviour: the successor
+    lists of the states reachable from `start` and the visited states where
+    matching fails, in the same breadth-first order over the stored edges,
+    unvisited states sharing one empty tuple. Stored moves are filtered as
+    `strategy.strategy_filter` does: in actor order, the first coalition
+    actor that refuses its action rejects the move, and a member's error
+    counts only where one of its moves is checked."""
+    succ: list[Sequence[int]] = [()] * len(moves)
+    errors: list[int] = []
+    todo = deque([start])
+    seen = {start}
+    while todo:
+        i = todo.popleft()
+        bit = 1 << i
+        targets: Optional[list[int]] = []
+        for target, idle, checks in moves[i]:
+            for m, act in checks:
+                allowed, err = behaviour[m]
+                if err & bit:
+                    targets = None
+                    break
+                if not allowed[act] & bit:
+                    break
+            else:
+                if not idle:
+                    targets.append(target)
+            if targets is None:
+                break
+        if targets is None:
+            errors.append(i)
+            continue
+        succ[i] = sorted(set(targets))
+        for j in targets:
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return succ, errors

@@ -332,3 +332,28 @@ def test_synth_reports_candidates_enumerated_and_checked():
                        "--formula", "<<Voter>>^1 F Voter@printing")
     assert code == EXIT_OK
     assert report.tasks[0].detail["stats"]["strategies_checked"] >= 1
+
+
+def test_enumeration_cap_flag():
+    # <<Voter>>^3 F end on voter_base has 1,192,464 canonical positions
+    argv = ("synth", "--model", "voter_base", "--coalition", "Voter", "--bound", "3",
+            "--goal", "F end", "--enumeration-cap")
+    code, report = run(*argv, "1192464")
+    assert code == EXIT_PROPERTY
+    stats = report.tasks[0].detail["stats"]
+    assert (stats["strategies_enumerated"], stats["strategies_checked"]) == (1_192_464, 17_747)
+    code, report = run(*argv, "1192463")
+    assert code == EXIT_RESOURCE
+    assert "synthesis cap 1192463 exceeded" in report.tasks[0].detail["error"]
+    code, report = run("check", "--model", "voter_base", "--mode", "synth", "--formula",
+                       "<<Voter>>^2 F end", "--enumeration-cap", "4367")
+    assert (code, report.tasks[0].detail["reason"]) == (EXIT_RESOURCE,
+                                                        "enumeration cap hit (unknown)")
+    for cap in ("0", "-1"):
+        code, report = run(*argv, cap)
+        assert code == EXIT_USAGE
+        assert report.tasks[0].detail["error"] == \
+            f"--enumeration-cap must be at least 1, got {cap}"
+        code, _ = run("check", "--model", "voter_base", "--formula-name", "reach_end",
+                      "--use", "cast_verify", "--enumeration-cap", cap)
+        assert code == EXIT_USAGE

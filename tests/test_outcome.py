@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from natstrat.checker import _Behaviours, _Option
+from natstrat.checker import _Behaviours, _Option, _canonical, label_universal
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
 from natstrat.model import Internal, explore
@@ -10,6 +10,7 @@ from natstrat.strategy import WILDCARD, strategy_filter
 from natstrat.casestudy import build_voter, symbolwise_steps
 
 import explore_oracle as oracle
+import synthesis_oracle
 from conftest import two_state_net
 from test_synthesis import _matched_behaviour
 
@@ -392,7 +393,7 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
     assert _reference_allowed(net, q0, moves, s_A) == kept
 
 
-# -- synthesis's behaviour walk against restrict ---------------------------------
+# -- the oracle's behaviour walk against restrict ------------------------------
 
 def _option(space, m, rule, final):
     """Member m's synthesis option for a rule of a supplied strategy."""
@@ -414,9 +415,10 @@ def _walk_matches_restrict(net, s_A):
             for n, rule in enumerate(rules, start=1):
                 state = space.extend(state, m, _option(space, m, rule, n == len(rules))) or state
         assert state[0] == behaviour
+    moves = synthesis_oracle.stored_moves(space)
     for start in range(graph.n_states):
         succ, errors = restrict(graph, s_A, start)
-        assert space.walk(start, behaviour) == (succ, list(errors)), start
+        assert synthesis_oracle.walk(moves, start, behaviour) == (succ, list(errors)), start
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,3 +437,50 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
            "B": parse_strategy("strategy sB for B { when true do z; }", net)}
     _walk_matches_restrict(net, s_A)
     assert restrict(explore(net), s_A, 0)[1] == {}  # B is never matched at the start
+
+
+# -- synthesis's decision on masks against the oracle's walk -------------------
+
+def _wins_matches_walk(net, s_A, goal_masks, positions=300):
+    """`wins` against the oracle's walk and `label_universal`, at every
+    start, for X, F, G and U, over the behaviour of the supplied strategy
+    (total or partial) and of every candidate among the first `positions`
+    canonical positions of its coalition's synthesis."""
+    graph = explore(net)
+    space = _Behaviours(graph, list(s_A))
+    moves = synthesis_oracle.stored_moves(space)
+    behaviours = {_matched_behaviour(space, s_A): None}
+    k = len(s_A) + 3
+    for position, state in _canonical(space.options, k, space.extend, space.ROOT):
+        if position > positions:
+            break
+        if state is not None:
+            behaviours.setdefault(state[0])
+    goals = [{i for i in range(graph.n_states) if mask >> i & 1} for mask in goal_masks]
+    for behaviour in behaviours:
+        for start in range(graph.n_states):
+            succ, errors = synthesis_oracle.walk(moves, start, behaviour)
+            for op, subgoals in (("X", goals[:1]), ("F", goals[:1]), ("G", goals[:1]),
+                                 ("U", goals)):
+                want = not errors and start in label_universal(succ, op, subgoals)
+                assert space.wins(start, behaviour, op, subgoals) is want, (op, start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_network_and_strategies(), masks=st.tuples(st.integers(0, 2**27 - 1),
+                                                       st.integers(0, 2**27 - 1)))
+def test_behaviour_wins_matches_walk(case, masks):
+    _wins_matches_walk(*case, masks)
+
+
+def test_behaviour_wins_skips_a_receiver_whose_sender_refuses():
+    net = parse_network("""
+channel c;
+agent A(lazy) { init a0; loc a1; edge a0 -> a1 on x sync c!; }
+agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
+""", name="refused")
+    s_A = {"A": parse_strategy("strategy sA for A { when true do wait; }", net),
+           "B": parse_strategy("strategy sB for B { when true do z; }", net)}
+    n = explore(net).n_states
+    for mask in range(1 << n):
+        _wins_matches_walk(net, s_A, (mask, ~mask))

@@ -228,6 +228,52 @@ BENCH_SYNTH = [
 ]
 
 
+# The results of the benchmark's synthesis problems, recorded before
+# synthesis decided behaviours on masks: (verdict, reason, enumerated,
+# checked, witness text)
+PINNED_SYNTH = [
+    ("voter_base", ("Voter",), 2, "F", "end",
+     (False, "exhaustive enumeration", 4368, 783, None)),
+    ("coercion_infector", ("Coercer",), 3, "G", "!(ca_v == 2)",
+     (False, "exhaustive enumeration", 1156, 26, None)),
+    ("coercion_watchdog", ("Coercer",), 4, "F", "punished_v == 1 && infected == 1",
+     (True, "witness of complexity 2", 30, 26,
+      ["strategy unnamed for Coercer {\n  when coerced_v == 0 do punish;\n"
+       "  when true do *;\n}"])),
+]
+
+
+@pytest.mark.parametrize("model,coalition,k,op,goal,want", PINNED_SYNTH)
+def test_pinned_synthesis_results(model, coalition, k, op, goal, want,
+                                  base, infector, watchdog):
+    net = {"voter_base": base, "coercion_infector": infector,
+           "coercion_watchdog": watchdog}[model].network
+    res = synthesize_strategic(net, None, coalition, k, op, [_goal_pred(net, goal)])
+    assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked, _text(res.witness_strategy)) == want
+
+
+def test_pinned_capped_and_receipt_freeness_results(watchdog, punisher):
+    net = watchdog.network
+    config = SynthesisConfig(enumeration_cap=5767)
+    with pytest.raises(ResourceLimitError) as exc:
+        synthesize_strategic(net, None, ["Coercer"], 4, "G",
+                             [_goal_pred(net, "!(ca_v == 2)")], config=config)
+    assert (str(exc.value), exc.value.partial) == (
+        "synthesis cap 5767 exceeded (verdict unknown)", 5768)
+    res = eval_formula(net, parse_formula("<<Coercer>>^4 G !(ca_v == 2)", net),
+                       mode="synthesize", synthesis=config)
+    assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked) == (None, "enumeration cap hit (unknown)", 5768, 1149)
+    res = eval_formula(punisher.network, punisher.formulas["receipt_freeness"],
+                       mode="synthesize")
+    assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked, _text(res.witness_strategy)) == (
+        False, "witness of complexity 2", 33, 33,
+        ["strategy unnamed for Coercer {\n  when true do wait;\n}",
+         "strategy unnamed for Voter {\n  when true do wait;\n}"])
+
+
 @pytest.mark.parametrize("model,coalition,k,op,goal", BENCH_SYNTH)
 def test_synthesis_matches_reference(model, coalition, k, op, goal,
                                      base, infector, watchdog):
