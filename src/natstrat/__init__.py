@@ -15,7 +15,7 @@ from .errors import (
 )
 from .model import (
     AgentTemplate, Edge, GlobalState, Network, VarDecl, apply_move,
-    available_actions, enabled_moves, eval_guard, explore,
+    available_actions, enabled_moves, explore,
 )
 from .outcome import StepsResult, outcomes, steps_to_goal
 from .strategy import (

@@ -20,7 +20,7 @@ from ..checker import verify_strategic
 from ..dsl import ParsedBundle, load_bundle, parse_formula
 from ..errors import DefinitionError
 from ..formula import Formula
-from ..model import DEFAULT_STATE_CAP, AgentTemplate, Network, eval_guard
+from ..model import DEFAULT_STATE_CAP, AgentTemplate, Network
 from ..outcome import steps_to_goal
 from ..strategy import complexity, fix_strategy, guard_length
 
@@ -237,8 +237,7 @@ def _recompute(row: Row, bundle: ParsedBundle, state_cap: int):
     if row.kind == "steps":
         q = net.state(locations=dict(row.start)) if row.start else None
         return steps_to_goal(net, q, s_A, goal, state_cap=state_cap).value
-    return verify_strategic(net, None, list(s_A), bound, f.op,
-                            [lambda q: eval_guard(goal, q, net)], s_A,
+    return verify_strategic(net, None, list(s_A), bound, f.op, [goal], s_A,
                             state_cap=state_cap).verdict
 
 

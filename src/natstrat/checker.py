@@ -34,7 +34,7 @@ import functools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import DefinitionError, ResourceLimitError
 from .formula import (
@@ -192,23 +192,36 @@ def _complexity_gate(coalition: Iterable[str], k: int,
     return CheckResult(False, reason=f"complexity {c} exceeds bound {k}") if c > k else None
 
 
+_Goal = Union[GuardExpr, Callable[[GlobalState], bool]]
+
+
+def _goal_states(graph: StateGraph, goals: Sequence[_Goal]) -> list[set[int]]:
+    """The states of the graph where each goal holds: a guard is labelled on
+    the state keys (`StateGraph.satisfying`), a predicate is called on each
+    decoded state."""
+    decode = _compiled(graph.net).decode
+    return [{i for i, key in enumerate(graph.keys) if goal(decode(key))} if callable(goal)
+            else graph.satisfying(goal) for goal in goals]
+
+
 def verify_strategic(net: Network, q: Optional[GlobalState], coalition: Iterable[str],
-                     k: int, op: str, goal_predicates: Sequence[Callable[[GlobalState], bool]],
-                     s_A: CollectiveStrategy,
+                     k: int, op: str, goals: Sequence[_Goal], s_A: CollectiveStrategy,
                      state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:
     """<<coalition>>^<=k op(goals) with a supplied strategy: true iff the
     collective complexity is within the bound (strict gating) and the
     universal temporal check holds on the strategy's outcome; a
-    counterexample path indexes the states of that outcome (`graph`)."""
+    counterexample path indexes the states of that outcome (`graph`). An
+    unknown coalition member is a DefinitionError, whatever the bound."""
     t0 = time.perf_counter()
+    coalition = list(coalition)
+    for agent in coalition:
+        net.agent(agent)  # unknown coalition member -> DefinitionError
     gated = _complexity_gate(coalition, k, s_A)
     if gated is not None:
         gated.stats = CheckStats(wall_time=time.perf_counter() - t0)
         return gated
     graph = outcomes(net, q, s_A, state_cap=state_cap)
-    sets = [{i for i, state in enumerate(graph.states) if pred(state)}
-            for pred in goal_predicates]
-    res = check_temporal_universal(graph.succ, op, sets)
+    res = check_temporal_universal(graph.succ, op, _goal_states(graph, goals))
     res.witness_strategy = dict(s_A)
     res.graph = graph
     res.stats = CheckStats(states_explored=graph.n_states,
@@ -230,8 +243,9 @@ def _guards_of_cost(graph: StateGraph, vocab: Sequence[GuardExpr], cost: int,
     its printed form and its truth set over the graph's states (an int
     bitset, bit i for state i): atoms cost 1, negation adds 1, each binary
     connective adds 1. Deduplicated by printed form; double negation
-    skipped. Only atoms are evaluated; every other truth set is built from
-    its parts'."""
+    skipped, and a chain of `&&` or `||` built left-nested only, as it
+    prints and parses (no `a && (b && c)` beside `a && b && c`). Only atoms
+    are evaluated; every other truth set is built from its parts'."""
     if cost in memo:
         return memo[cost]
     out: list[tuple[str, GuardExpr, int]] = []
@@ -254,8 +268,10 @@ def _guards_of_cost(graph: StateGraph, vocab: Sequence[GuardExpr], cost: int,
         for lc in range(1, cost - 1):
             for _, left, lt in _guards_of_cost(graph, vocab, lc, memo):
                 for _, right, rt in _guards_of_cost(graph, vocab, cost - 1 - lc, memo):
-                    add(And(left, right), lt & rt)
-                    add(Or(left, right), lt | rt)
+                    if not isinstance(right, And):
+                        add(And(left, right), lt & rt)
+                    if not isinstance(right, Or):
+                        add(Or(left, right), lt | rt)
     memo[cost] = out
     return out
 
@@ -537,7 +553,7 @@ class _Behaviours:
 
 def synthesize_strategic(net: Network, q: Optional[GlobalState],
                          coalition: Sequence[str], k: int, op: str,
-                         goal_predicates: Sequence[Callable[[GlobalState], bool]],
+                         goals: Sequence[_Goal],
                          vocabulary: Optional[Sequence[GuardExpr]] = None,
                          config: SynthesisConfig = SynthesisConfig(),
                          state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:
@@ -547,8 +563,10 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     return the first one whose outcome passes the universal temporal check.
     False means the enumeration was exhaustive; a cap raises
     ResourceLimitError so that 'unknown' is never conflated with 'false'.
-    A negative k is a DefinitionError; a k below the coalition size is
-    False. The network is explored once from q, within `state_cap`.
+    An unknown coalition member or a negative k is a DefinitionError; a k
+    below the coalition size is False. The network is explored once from
+    q, within `state_cap`, and each goal, a guard or a predicate, labelled
+    once on it (`_goal_states`).
 
     Only the first candidate of each behaviour is checked, on int bitsets
     over that graph, stopping at its first error or unsafe state
@@ -560,16 +578,16 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     `<<Voter>>^3 F end` on voter_base enumerates 1,192,464 candidates and
     checks 17,747."""
     t0 = time.perf_counter()
+    for agent in coalition:
+        net.agent(agent)  # unknown coalition member -> DefinitionError
     if k < 0:
         raise DefinitionError("complexity bound must be >= 0")
     if not coalition:
-        return verify_strategic(net, q, [], k, op, goal_predicates, {},
-                                state_cap=state_cap)
+        return verify_strategic(net, q, [], k, op, goals, {}, state_cap=state_cap)
     graph = explore(net, start=q, state_cap=state_cap)
-    subgoals = [{i for i, state in enumerate(graph.states) if pred(state)}
-                for pred in goal_predicates]
     res = _synthesize(_Behaviours(graph, coalition, vocabulary), graph.initial, k, op,
-                      subgoals, config, CheckStats(states_explored=graph.n_states))
+                      _goal_states(graph, goals), config,
+                      CheckStats(states_explored=graph.n_states))
     res.stats.wall_time = time.perf_counter() - t0
     return res
 

@@ -28,7 +28,7 @@ from .dsl import (
 )
 from .errors import DefinitionError, NatStratError, ResourceLimitError
 from .formula import Strategic, map_formula
-from .model import DEFAULT_STATE_CAP, Network, eval_guard
+from .model import DEFAULT_STATE_CAP, Network
 from .outcome import steps_to_goal
 from .report import (
     EXIT_OK, EXIT_PROPERTY, EXIT_RESOURCE, EXIT_USAGE, RunReport, TaskReport,
@@ -176,11 +176,9 @@ def _cmd_synth(args, report: RunReport) -> int:
     op, _, rest = text.partition(" ")
     if op not in ("X", "F", "G"):
         raise DefinitionError("--goal must look like 'F <guard>' (X/F/G)")
-    goal = parse_guard_text(rest, net)
-    res = synthesize_strategic(
-        net, None, coalition, args.bound, op,
-        [lambda q, g=goal: eval_guard(g, q, net)], config=_synthesis_config(args),
-        state_cap=args.state_cap)
+    res = synthesize_strategic(net, None, coalition, args.bound, op,
+                               [parse_guard_text(rest, net)],
+                               config=_synthesis_config(args), state_cap=args.state_cap)
     status = "ok" if res.verdict else "fail"
     report.add(TaskReport("synth", f"<<{args.coalition}>>^{args.bound} {args.goal}",
                           status, value=res.verdict, detail=_witness_detail(net, res)))

@@ -118,13 +118,10 @@ class And:
     right: "GuardExpr"
 
     def __str__(self):
-        parts = []
-        for side in (self.left, self.right):
-            if isinstance(side, Or):
-                parts.append(f"({side})")
-            else:
-                parts.append(str(side))
-        return " && ".join(parts)
+        # && binds tighter than || and associates to the left
+        left = f"({self.left})" if isinstance(self.left, Or) else str(self.left)
+        right = f"({self.right})" if isinstance(self.right, (And, Or)) else str(self.right)
+        return f"{left} && {right}"
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,8 @@ class Or:
     right: "GuardExpr"
 
     def __str__(self):
-        return f"{self.left} || {self.right}"
+        right = f"({self.right})" if isinstance(self.right, Or) else str(self.right)
+        return f"{self.left} || {right}"
 
 
 GuardExpr = Union[TrueConst, FalseConst, LocAtom, VarAtom, Comparison, Not, And, Or]

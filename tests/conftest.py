@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from natstrat.casestudy import (
     build_coercer, build_voter, infrastructure_network,
 )
-from natstrat.dsl import parse_network
+from natstrat.dsl import parse_network, print_strategy
+from natstrat.model import eval_guard
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +151,17 @@ def count_explore(monkeypatch) -> list:
         if name.startswith("natstrat") and getattr(module, "explore", None) is real:
             monkeypatch.setattr(module, "explore", counting)
     return calls
+
+
+def predicates_of(goals, net) -> list:
+    """Each guard goal as the predicate over GlobalState it stands for."""
+    return [lambda q, g=g: eval_guard(g, q, net) for g in goals]
+
+
+def result_facts(res) -> tuple:
+    """What a CheckResult reports, its wall time aside: verdict, reason,
+    counts, witness strategy text and witness path."""
+    text = None if not res.witness_strategy else [
+        print_strategy(s) for _, s in sorted(res.witness_strategy.items())]
+    return (res.verdict, res.reason, dataclasses.replace(res.stats, wall_time=0.0),
+            text, res.witness_path)

@@ -21,7 +21,8 @@ from natstrat.strategy import WILDCARD, CollectiveStrategy, NaturalStrategy, Rul
 def guards_of_cost(vocab: Sequence[GuardExpr], cost: int, memo: dict) -> list[GuardExpr]:
     """All guards of exactly `cost` symbols over the vocabulary: atoms cost 1,
     negation adds 1, each binary connective adds 1. Deduplicated by printed
-    form; double negation skipped."""
+    form; double negation skipped, and a chain of `&&` or `||` built
+    left-nested only, as it prints and parses."""
     if cost in memo:
         return memo[cost]
     out: list[GuardExpr] = []
@@ -45,6 +46,8 @@ def guards_of_cost(vocab: Sequence[GuardExpr], cost: int, memo: dict) -> list[Gu
             for left in guards_of_cost(vocab, lc, memo):
                 for right in guards_of_cost(vocab, rc, memo):
                     for ctor in (And, Or):
+                        if isinstance(right, ctor):
+                            continue
                         g = ctor(left, right)
                         txt = str(g)
                         if txt not in seen:

@@ -1,7 +1,8 @@
 import pytest
 
+from natstrat import casestudy
 from natstrat.casestudy import (
-    DATA_DIR, build_infrastructure, build_voter, catalog, load, models, run_all,
+    DATA_DIR, TABLE, build_infrastructure, build_voter, catalog, load, models, run_all,
     symbolwise_steps,
 )
 from natstrat.dsl import parse_guard_text, print_strategy
@@ -9,6 +10,8 @@ from natstrat.errors import DefinitionError
 from natstrat.model import Internal, Synchronized, eval_guard, explore
 from natstrat.outcome import outcomes
 from natstrat.strategy import audit_strategy, complexity
+
+from conftest import predicates_of, result_facts
 
 
 def test_catalog_loads_everything():
@@ -25,6 +28,25 @@ def test_run_all_matches_every_expected_row():
     assert results, "empty regression table"
     for r in results:
         assert r.ok, f"{r.kind} {r.name}: expected {r.expected}, got {r.actual}"
+
+
+def test_table_guard_goals_verify_as_predicate_goals(monkeypatch):
+    # each verdict row's check, with its goal guard and with that guard's
+    # predicate over GlobalState, reports the same facts
+    real = casestudy.verify_strategic
+    checked = []
+
+    def both(net, q, coalition, k, op, goals, s_A, **kw):
+        assert not any(callable(g) for g in goals)
+        by_guard = real(net, q, coalition, k, op, goals, s_A, **kw)
+        by_pred = real(net, q, coalition, k, op, predicates_of(goals, net), s_A, **kw)
+        assert result_facts(by_guard) == result_facts(by_pred)
+        checked.append(by_guard.verdict)
+        return by_guard
+
+    monkeypatch.setattr(casestudy, "verify_strategic", both)
+    assert all(r.ok for r in run_all())
+    assert len(checked) == sum(row.kind == "verdict" for row in TABLE) > 0
 
 
 def test_run_all_rows_are_the_published_table():

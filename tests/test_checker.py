@@ -93,6 +93,15 @@ def test_coalition_strategy_mismatch(base):
                          [lambda q: True], {"Voter": s})
 
 
+def test_unknown_coalition_member_is_a_definition_error_at_any_bound(base):
+    # checked before the complexity gate, which alone would report False
+    net = base.network
+    ghost = {"Ghost": base.strategies["cast_verify"]}
+    for k in (0, 15):
+        with pytest.raises(DefinitionError, match="unknown agent Ghost"):
+            verify_strategic(net, None, ["Ghost"], k, "F", [lambda q: True], ghost)
+
+
 def test_universal_quantifier_identity(base):
     """<<>>^0 gamma coincides with the universal check on the unpruned graph."""
     net = base.network

@@ -318,6 +318,14 @@ def test_negative_synth_bound_is_a_usage_error():
     assert report.tasks[0].detail["reason"] == "bound 0 below coalition size"
 
 
+def test_unknown_coalition_member_is_a_usage_error_at_any_bound():
+    for bound in ("0", "1"):
+        code, report = run("synth", "--model", "voter_base", "--coalition", "Ghost",
+                           "--bound", bound, "--goal", "F end")
+        assert code == EXIT_USAGE, bound
+        assert report.tasks[0].detail["error"] == "unknown agent Ghost"
+
+
 def test_synth_reports_candidates_enumerated_and_checked():
     code, report = run("--format", "json", "synth", "--model", "voter_base",
                        "--coalition", "Voter", "--bound", "2", "--goal", "F end")

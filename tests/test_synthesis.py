@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from natstrat.checker import (
-    FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical,
+    FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical, _guards_of_cost,
     check_temporal_universal, default_vocabulary, eval_formula,
     synthesize_strategic, verify_strategic,
 )
@@ -17,7 +17,7 @@ from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
 
 import explore_oracle
 import synthesis_oracle as oracle
-from conftest import count_explore, trap_net, two_state_net
+from conftest import count_explore, predicates_of, result_facts, trap_net, two_state_net
 
 
 def three_action_net():
@@ -251,6 +251,33 @@ def test_pinned_synthesis_results(model, coalition, k, op, goal, want,
     res = synthesize_strategic(net, None, coalition, k, op, [_goal_pred(net, goal)])
     assert (res.verdict, res.reason, res.stats.strategies_enumerated,
             res.stats.strategies_checked, _text(res.witness_strategy)) == want
+
+
+@pytest.mark.parametrize("model,coalition,k,op,goal,want", PINNED_SYNTH)
+def test_guard_goals_synthesize_as_predicate_goals(model, coalition, k, op, goal, want,
+                                                   base, infector, watchdog):
+    net = {"voter_base": base, "coercion_infector": infector,
+           "coercion_watchdog": watchdog}[model].network
+    goals = [parse_guard_text(goal, net)]
+    by_guard = synthesize_strategic(net, None, coalition, k, op, goals)
+    by_pred = synthesize_strategic(net, None, coalition, k, op, predicates_of(goals, net))
+    assert result_facts(by_guard) == result_facts(by_pred)
+    assert (by_guard.verdict, by_guard.reason, by_guard.stats.strategies_enumerated,
+            by_guard.stats.strategies_checked, _text(by_guard.witness_strategy)) == want
+
+
+def test_guards_of_cost_print_what_parses_back(base):
+    # a chain of && or || is built left-nested only, so each guard's printed
+    # form parses back to it; the counts are those of the right- and
+    # left-nested chains deduplicated by a printed form without brackets
+    net = base.network
+    graph, memo = explore(net), {}
+    vocab = default_vocabulary(net, ["Voter"])
+    counts = [len(_guards_of_cost(graph, vocab, cost, memo)) for cost in range(1, 6)]
+    assert counts == [17, 17, 578, 1734, 31_212]
+    for cost in range(1, 6):
+        for txt, g, _ in memo[cost]:
+            assert parse_guard_text(txt, net) == g, txt
 
 
 def test_pinned_capped_and_receipt_freeness_results(watchdog, punisher):
