@@ -44,7 +44,7 @@ from .model import (
     DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, Comparison, GlobalState, GuardExpr,
     LocAtom, Network, Not, Or, StateGraph, VarAtom, _compiled, explore,
 )
-from .outcome import backward_fixpoint, outcomes, restrict, shortest_path
+from .outcome import _bad_witness, backward_fixpoint, outcomes, restrict
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
 )
@@ -95,25 +95,6 @@ def label_universal(succ: Sequence[Sequence[int]], op: str,
     if op == "U":
         return backward_fixpoint(succ, subgoals[1], allowed=subgoals[0])
     raise DefinitionError(f"unknown temporal operator {op}")
-
-
-def _bad_witness(succ: Sequence[Sequence[int]], start: int,
-                 good: set[int]) -> tuple[int, ...]:
-    """Shortest path from start into the non-`good` region; extended to a
-    terminal or around a cycle so the trace is recognizably maximal."""
-    bad = set(range(len(succ))) - good
-    path = list(shortest_path(succ, start, bad))
-    # extend within the bad region until a repeat or a terminal
-    seen = set(path)
-    while path:
-        nxt = next((j for j in succ[path[-1]] if j in bad), None)
-        if nxt is None:
-            break
-        path.append(nxt)
-        if nxt in seen:
-            break
-        seen.add(nxt)
-    return tuple(path)
 
 
 _FAILURE_REASONS = {
@@ -279,7 +260,7 @@ def _guards_of_cost(graph: StateGraph, vocab: Sequence[GuardExpr], cost: int,
 def default_vocabulary(net: Network, coalition: Sequence[str]) -> list[GuardExpr]:
     """Coalition-observable atoms: each member's own location atoms plus
     every comparison and 0/1-variable atom occurring in that member's edge
-    guards."""
+    guards. A location that another member also has is named Agent@loc."""
     vocab: list[GuardExpr] = []
     seen: set[str] = set()
 
@@ -291,8 +272,9 @@ def default_vocabulary(net: Network, coalition: Sequence[str]) -> list[GuardExpr
 
     for agent in coalition:
         tpl = net.agent(agent)
+        shared = {loc for a in coalition if a != agent for loc in net.agent(a).locations}
         for loc in tpl.locations:
-            add(LocAtom(agent, loc))
+            add(LocAtom(agent, loc, qualified=loc in shared))
         for e in tpl.edges:
             stack = [e.guard]
             while stack:

@@ -151,6 +151,9 @@ def _cmd_steps(args, report: RunReport) -> int:
     goal = parse_guard_text(args.goal, net)
     start = None
     if args.start:  # AGENT=LOC items
+        bad = [item for item in args.start if not all(item.partition("="))]
+        if bad:
+            raise DefinitionError(f"--start expects AGENT=LOC, got {bad[0]!r}")
         start = net.state(locations=dict(item.partition("=")[::2] for item in args.start))
     res = steps_to_goal(net, start, {s.agent: s}, goal, state_cap=args.state_cap)
     detail = {}

@@ -18,7 +18,12 @@ traces are the infinite paths over these lists plus the finite ones ending
 in a state whose list is empty.
 
 `backward_fixpoint` is the one fixpoint routine: the checker's temporal
-labels and the step metric's reachability test both run on it.
+labels and the step metric both run on it. Steps are decided with goal
+states as sinks: a reachable state outside EF goal makes the goal
+unreachable, and a start outside AF goal makes the steps unbounded; their
+witnesses are the checker's counterexample paths. Otherwise the pre-goal
+region is acyclic, and the reached witness takes, at each state, the first
+successor in index order with the largest worst case.
 """
 
 from __future__ import annotations
@@ -154,6 +159,25 @@ def shortest_path(succ: Sequence[Sequence[int]], start: int,
     return ()
 
 
+def _bad_witness(succ: Sequence[Sequence[int]], start: int,
+                 good: set[int]) -> tuple[int, ...]:
+    """Shortest path from start into the non-`good` region; extended to a
+    terminal or around a cycle so the trace is recognizably maximal."""
+    bad = set(range(len(succ))) - good
+    path = list(shortest_path(succ, start, bad))
+    # extend within the bad region until a repeat or a terminal
+    seen = set(path)
+    while path:
+        nxt = next((j for j in succ[path[-1]] if j in bad), None)
+        if nxt is None:
+            break
+        path.append(nxt)
+        if nxt in seen:
+            break
+        seen.add(nxt)
+    return tuple(path)
+
+
 def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
                   goal: GuardExpr, state_cap: int = DEFAULT_STATE_CAP) -> StepsResult:
     """Worst case, over all maximal traces of out(q, s_A), of the index of the
@@ -166,57 +190,35 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     the goal but a pre-goal cycle makes the worst case infinite.
     """
     graph = outcomes(net, q, s_A, state_cap=state_cap)
-    goal_set = graph.satisfying(goal)
-    if graph.initial in goal_set:
-        return StepsResult("reached", 0, witness=(graph.initial,), graph=graph)
-
-    # Goal states are sinks. One depth-first pass from the start visits the
-    # pre-goal region: a successor still on the stack closes a cycle, the
-    # stack from it up being the loop; without one, the reversed finishing
-    # order is a topological order of the region.
-    succ = [[] if i in goal_set else outs for i, outs in enumerate(graph.succ)]
-    depth = {graph.initial: 0}  # stack position of each node on the stack
-    stack = [(graph.initial, iter(succ[graph.initial]))]
-    order: list[int] = []
-    region: set[int] = set()
-    lasso: Optional[StepsResult] = None
-    while stack:
-        node, outs = stack[-1]
-        nxt = next(outs, None)
-        if nxt is None:
-            stack.pop()
-            del depth[node]
-            region.add(node)
-            order.append(node)
-        elif nxt in depth:
-            if lasso is None:
-                lasso = StepsResult("unbounded", witness=tuple(n for n, _ in stack) + (nxt,),
-                                    lasso_start=depth[nxt], graph=graph)
-        elif nxt not in region:
-            depth[nxt] = len(stack)
-            stack.append((nxt, iter(succ[nxt])))
-
-    region_goals = region & goal_set
-    dead = region - backward_fixpoint(succ, region_goals, some=True)
-    if dead:
-        return StepsResult("unreachable", witness=shortest_path(succ, graph.initial, dead),
+    goals = graph.satisfying(goal)
+    start = graph.initial
+    # Goal states are sinks. A reachable state outside EF goal is trapped.
+    succ = [() if i in goals else outs for i, outs in enumerate(graph.succ)]
+    dead = set(range(len(succ))) - backward_fixpoint(succ, goals, some=True)
+    trapped = shortest_path(succ, start, dead)
+    if trapped:
+        return StepsResult("unreachable", witness=trapped, graph=graph)
+    # Outside AF goal with no trap, some trace loops before the goal.
+    sure = backward_fixpoint(succ, goals)
+    if start not in sure:
+        path = _bad_witness(succ, start, sure)
+        return StepsResult("unbounded", witness=path, lasso_start=path.index(path[-1]),
                            graph=graph)
-    if lasso is not None:
-        return lasso
 
-    # Acyclic pre-goal region: longest path to a goal state.
-    order.reverse()
-    dist = {graph.initial: 0}
-    parent: dict[int, int] = {}
-    for i in order:
-        if i not in dist or i in goal_set:
+    # Within AF goal the pre-goal region is acyclic: a state's worst case is
+    # one more than its successors' largest, and a goal's is 0.
+    worst: dict[int, int] = {}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        if i in worst:
             continue
-        for j in succ[i]:
-            if dist[i] + 1 > dist.get(j, -1):
-                dist[j] = dist[i] + 1
-                parent[j] = i
-    worst = max(region_goals, key=lambda g: dist.get(g, -1))
-    path = [worst]
-    while path[-1] != graph.initial:
-        path.append(parent[path[-1]])
-    return StepsResult("reached", dist[worst], witness=tuple(reversed(path)), graph=graph)
+        todo = [j for j in succ[i] if j not in worst]
+        if todo:  # back to i once they are done
+            stack += [i, *todo]
+        else:
+            worst[i] = 1 + max(worst[j] for j in succ[i]) if succ[i] else 0
+    path = [start]
+    while succ[path[-1]]:
+        path.append(max(succ[path[-1]], key=worst.__getitem__))
+    return StepsResult("reached", worst[start], witness=tuple(path), graph=graph)

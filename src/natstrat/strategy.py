@@ -285,10 +285,10 @@ def make_mutually_exclusive(s: NaturalStrategy) -> NaturalStrategy:
     rules; the final ⊤ rule (if any) is kept verbatim. Rule order and actions
     are unchanged.
 
-    This is the syntactic form used for display and export. It is match-
-    equivalent to the original whenever each earlier rule's action is
-    available wherever its guard holds; `firing_exclusive` is the variant
-    that also accounts for availability."""
+    It is match-equivalent to the original whenever each earlier rule's
+    action is available wherever its guard holds; `firing_exclusive`, the
+    variant that also accounts for availability, is what `fix_strategy`
+    (and so export) uses."""
     rules = list(s.rules)
     out: list[Rule] = []
     for i, rule in enumerate(rules):

@@ -142,6 +142,14 @@ def test_usage_error_exit_two():
     assert code2 == EXIT_USAGE
 
 
+def test_start_item_without_a_location_is_a_usage_error():
+    for item in ("Voter", "Voter=", "=has_ballot"):
+        code, report = run("steps", "--model", "voter_base", "--strategy", "cast_verify",
+                           "--goal", "end", "--start", item)
+        assert code == EXIT_USAGE, item
+        assert report.tasks[0].detail["error"] == f"--start expects AGENT=LOC, got {item!r}"
+
+
 def test_resource_cap_exit_three():
     code, _ = run("--state-cap", "5", "check", "--model", "voter_base",
                   "--formula-name", "reach_end", "--use", "cast_verify")

@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 from natstrat.checker import _Behaviours, _Option, _canonical, label_universal
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
-from natstrat.model import Internal, explore
+from natstrat.model import Internal, LocAtom, explore, or_all
 from natstrat.outcome import outcomes, restrict, steps_to_goal
 from natstrat.strategy import WILDCARD, strategy_filter
 from natstrat.casestudy import build_voter, symbolwise_steps
 
 import explore_oracle as oracle
+import steps_oracle
 import synthesis_oracle
+import test_evaluator as evaluator_tests
 from conftest import two_state_net
 from test_synthesis import _matched_behaviour
 
@@ -263,6 +265,43 @@ def test_steps_lower_bounded_by_shortest_path(base):
                 dist[j] = dist[i] + 1
                 dq.append(j)
     assert shortest is not None and res.value >= shortest
+
+
+@st.composite
+def _steps_case(draw):
+    """A random two-agent network, a total or partial strategy for each
+    member of a coalition, and a goal: one agent is at one of a set of its
+    locations other than its initial one."""
+    net, shape = draw(evaluator_tests._network())
+    coalition = draw(st.sampled_from(evaluator_tests.COALITIONS))
+    s_A = {a: evaluator_tests._strategy(draw, a, *shape[a]) for a in coalition}
+    agent = draw(st.sampled_from(sorted(shape)))
+    locs = draw(st.frozensets(st.integers(1, shape[agent][0] - 1), min_size=1))
+    prefix = evaluator_tests.AGENTS[agent][0]
+    goal = or_all(LocAtom(agent, f"{prefix}{i}") for i in sorted(locs))
+    return net, s_A, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_steps_case())
+def test_steps_match_the_dfs_oracle(case):
+    """Kind and value, the error raised, and the unreachable and unbounded
+    witnesses are the depth-first oracle's; a reached witness is a longest
+    path along the outcome to its first goal state."""
+    net, s_A, goal = case
+    got = _raised(lambda: steps_to_goal(net, None, s_A, goal))
+    want = _raised(lambda: steps_oracle.steps_to_goal(net, None, s_A, goal))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.kind, got.value) == (want.kind, want.value)
+    if not got.reached:
+        assert (got.witness, got.lasso_start) == (want.witness, want.lasso_start)
+        return
+    path, goals = got.witness, got.graph.satisfying(goal)
+    assert len(path) == got.value + 1 and path[0] == got.graph.initial
+    assert all(j in got.graph.succ[i] for i, j in zip(path, path[1:]))
+    assert [i in goals for i in path] == [False] * got.value + [True]
 
 
 # -- the strategy filter against a per-move filter ----------------------------

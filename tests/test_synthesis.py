@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from natstrat.casestudy import load, models
 from natstrat.checker import (
     FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical, _guards_of_cost,
     check_temporal_universal, default_vocabulary, eval_formula,
@@ -439,6 +440,28 @@ def test_lazy_order_matches_oracle_toys(make_net, goal, vocab_locs):
                   default_vocabulary(net, [agent])):
         lazy = [cand for _, cand in _lazy_candidates(net, [agent], 3, vocab)]
         assert lazy == list(oracle.candidates(net, [agent], 3, vocab)), net.name
+
+
+def _atom_key(g):
+    """An atom up to how it is printed: a location atom by agent and name."""
+    return (g.agent, g.location) if isinstance(g, LocAtom) else g
+
+
+@pytest.mark.parametrize("model", models())
+def test_coalition_vocabulary_atoms_parse_back(model):
+    """Every atom of each member's own vocabulary is in the coalition's,
+    printed so that it parses back to itself for that member, even where
+    two members have a location of the same name (Printer's and EBM's
+    `wait` in the infrastructure)."""
+    net = load(model).network
+    agents = [a.name for a in net.agents]
+    for coalition in [*([a] for a in agents), *itertools.combinations(agents, 2)]:
+        vocab = {_atom_key(g): g for g in default_vocabulary(net, coalition)}
+        for member in coalition:
+            for own in default_vocabulary(net, [member]):
+                atom = vocab[_atom_key(own)]
+                assert parse_guard_text(str(atom), net, owner=member) == atom, \
+                    (coalition, member, str(atom))
 
 
 # -- the two prunings ----------------------------------------------------------
