@@ -133,8 +133,8 @@ def _check_at(succ: Sequence[Sequence[int]], op: str, subgoals: Sequence[set[int
 # ---------------------------------------------------------------------------
 # Knowledge
 
-def observation(net: Network, agent: str, s: tuple):
-    """What `agent` observes in the state whose int tuple is s: its own
+def observation(net: Network, agent: str, s: int) -> int:
+    """What `agent` observes in the state whose key is s: the bits of its own
     location, its local variables and all global variables. Two states look
     alike to the agent iff their observations are equal."""
     return _compiled(net).observer(net, agent)(s)

@@ -59,6 +59,15 @@ def _state_text(net: Network, state) -> str:
     return f"({locs}{'; ' + vals if vals else ''})"
 
 
+def _step_labels(graph, i: int, j: int) -> str:
+    """The labels of the productive moves from state i to state j of the
+    graph, in move-id order."""
+    lo, hi = graph.offsets[i], graph.offsets[i + 1]
+    ids = sorted({m for m, t in zip(graph.move_ids[lo:hi], graph.targets[lo:hi])
+                  if t == j and not graph.idle[m]})
+    return " | ".join(graph.moves[m].label() for m in ids)
+
+
 def _synthesis_config(args) -> SynthesisConfig:
     if args.enumeration_cap < 1:  # a usage error, as for --state-cap
         raise DefinitionError(
@@ -74,8 +83,9 @@ def _witness_detail(net: Network, res, show_path: bool = False) -> dict:
         detail["witness_strategy"] = "\n".join(
             print_strategy(s) for s in res.witness_strategy.values())
     if res.witness_path and show_path:
-        detail["witness_path"] = [
-            _state_text(net, res.graph.states[i]) for i in res.witness_path]
+        graph, path = res.graph, res.witness_path
+        detail["witness_path"] = [_state_text(net, graph.states[i]) for i in path]
+        detail["witness_moves"] = [_step_labels(graph, i, j) for i, j in zip(path, path[1:])]
     detail["stats"] = {
         "states_explored": res.stats.states_explored,
         "strategies_enumerated": res.stats.strategies_enumerated,

@@ -10,29 +10,32 @@ All operations here are pure; built networks and state graphs are immutable
 and safe to share.
 
 A network is compiled on its first use (`_CompiledNetwork`) and keeps that
-form: states become flat int tuples, guards and updates closures over them
-with constants inlined, and every move one shared object with a dense int
-id. `explore`, `enabled_moves`, `apply_move` and `eval_guard` all run on it,
-and so does every reader of an explored graph: past exploration a state is
-its int tuple, and a `GlobalState` is decoded only to be printed.
+form: a state becomes one int, its key, with a bit field per location and
+variable; guards and updates become closures over keys with constants
+inlined, and every move one shared object with a dense int id. `explore`,
+`enabled_moves`, `apply_move` and `eval_guard` all run on it, and so does
+every reader of an explored graph: past exploration a state is its key,
+and a `GlobalState` is decoded only to be printed. Exploration asks each
+agent what it can do only once per distinct value of the fields it reads,
+through successor tables that live as long as one `explore` call.
 
-An explored `StateGraph` is stored as int columns: the int tuple of each
-state with the dict from tuple to index, and the edges as three
-`array('i')` columns, `offsets` (one per state, plus one), `targets` and
-`move_ids`. No `GlobalState` or `Transition` is kept: `states` and
-`transitions` are read-only sequence views that build one per item read,
-and `satisfying` and the checker's atoms run the compiled guards over the
-int tuples.
+An explored `StateGraph` is stored as int columns: the key of each state
+with the dict from key to index, the edges as three `array('i')` columns,
+`offsets` (one per state, plus one), `targets` and `move_ids`, and `succ`.
+No `GlobalState` or `Transition` is kept: `states` and `transitions` are
+read-only sequence views that build one per item read, and `satisfying`
+and the checker's atoms run the compiled guards over the keys.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import BoundViolationError, DefinitionError, ResourceLimitError
@@ -250,6 +253,8 @@ class Network:
         for a in self.agents:
             order.extend((a.name, v) for v in a.local_vars)
         object.__setattr__(self, "_var_order", tuple(order))
+        object.__setattr__(self, "_bounds", (tuple(v.lo for _, v in order),
+                                             tuple(v.hi for _, v in order)))
         object.__setattr__(
             self, "_var_index",
             {(owner, v.name): i for i, (owner, v) in enumerate(order)})
@@ -353,6 +358,9 @@ class Network:
         return GlobalState(tuple(locs), tuple(vals))
 
     def _check_values(self, values: Sequence[int]) -> None:
+        los, his = self._bounds  # every state key is encoded through here
+        if all(map(operator.le, los, values)) and all(map(operator.le, values, his)):
+            return
         for (_, v), x in zip(self._var_order, values):
             if not v.lo <= x <= v.hi:
                 raise DefinitionError(f"variable {v.name}: value {x} outside [{v.lo},{v.hi}]")
@@ -475,7 +483,9 @@ _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 def eval_guard(g: GuardExpr, q: GlobalState, net: Network) -> bool:
     """Standard boolean semantics, by the guard's compiled closure (see
-    `StateGraph.predicate`); total on well-formed guards."""
+    `StateGraph.predicate`); total on well-formed guards. Like every call on
+    a `GlobalState` here, it raises DefinitionError for a state with a value
+    outside its variable's domain, which no key can hold."""
     comp = _compiled(net)
     return comp.guard(net, g)(comp.encode(net, q))
 
@@ -483,15 +493,49 @@ def eval_guard(g: GuardExpr, q: GlobalState, net: Network) -> bool:
 # ---------------------------------------------------------------------------
 # The compiled network: the transition relation
 
-# A compiled guard is a function of the state tuple; a compiled int
-# expression is an int when it is a literal or a constant, else a function of
-# the state (as a list while updates run).
+# A compiled guard is a function of the state key; a compiled int expression
+# is an int when it is a literal or a constant, else a function of the key.
 _Code = Union[int, Callable]
 
 
 def _fn(code: _Code) -> Callable:
     """A compiled int expression as a function of the state."""
     return code if callable(code) else (lambda s: code)
+
+
+class _Field(NamedTuple):
+    """The bits of one location or variable in a state key: the number
+    stored is the location's position, or the value minus `lo`."""
+
+    shift: int
+    mask: int  # the field's bits, in place
+    lo: int
+
+
+def _getter(f: _Field) -> Callable[[int], int]:
+    """The value a field holds in a key."""
+    shift, width, lo = f.shift, f.mask >> f.shift, f.lo
+    if lo == 0:
+        return lambda s: s >> shift & width
+    return lambda s: (s >> shift & width) + lo
+
+
+# `c op v` is `v flipped(op) c`
+_FLIPPED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _field_test(f: _Field, op: str, k: int) -> Callable[[int], bool]:
+    """`number op k` for the number a field stores, tested in place."""
+    cmp = _CMP[op]
+    if k < 0:  # below every number, as 0 is
+        value = cmp(0, k)
+        return lambda s: value
+    mask, bits = f.mask, k << f.shift
+    if op == "==":
+        return lambda s: s & mask == bits
+    if op == "!=":
+        return lambda s: s & mask != bits
+    return lambda s: cmp(s & mask, bits)
 
 
 class _Sync(NamedTuple):
@@ -502,21 +546,27 @@ class _Sync(NamedTuple):
     edge: Edge
 
 
-def _identity(s: tuple) -> tuple:
-    return s
-
-
 class _CompiledNetwork:
     """A network compiled for exploration.
 
-    A state is one flat tuple of ints: each agent's location, numbered by its
-    position in the agent's `locations`, then the variable values in
-    `var_decls` order. Guards and update expressions are closures over that
-    tuple, with constants inlined. Each agent has, per location, its edges in
-    declaration order. Moves are interned by declared position: one move
-    object per internal edge, per location of a lazy agent (its `wait`) and
-    per (send edge, receive edge) pair, each with a dense int id (its index
-    in `moves` and `idle`) and its successor function.
+    A state is one int, its key. Each agent's location, numbered by its
+    position in the agent's `locations`, and then each variable's value minus
+    its lower bound, in `var_decls` order, has a bit field (`fields`), lowest
+    bits first, as wide as its largest number needs: a singleton domain takes
+    none. Guards test fields in place (`s & mask == k`), update expressions
+    read them by shift, and a move's successor clears the fields it writes
+    (`writes`) and installs the new bits, so a target location is installed
+    whatever the source. Constants are inlined.
+
+    Each agent has, per location, its edges in declaration order, and a read
+    mask (`reads`): its location field and every field its edges' guards and
+    update expressions read. What an agent can do at a state depends only on
+    the state's bits under that mask, so `enabled` looks it up in a
+    successor table per agent, keyed by that projection (see `tables`).
+    Moves are interned by declared position: one move object per internal
+    edge, per location of a lazy agent (its `wait`) and per (send edge,
+    receive edge) pair, each with a dense int id (its index in `moves`,
+    `idle` and `writes`) and its successor function.
     It keeps no reference to its network, which keeps it; the methods that
     need the network's declarations take it.
     """
@@ -527,13 +577,27 @@ class _CompiledNetwork:
         self.names = tuple(a.locations for a in net.agents)
         self.numbers = tuple({loc: k for k, loc in enumerate(a.locations)}
                              for a in net.agents)
+        fields, shift = [], 0
+        for lo, hi in ([(0, len(a.locations) - 1) for a in net.agents]
+                       + [(v.lo, v.hi) for _, v in net.var_decls()]):
+            width = (hi - lo).bit_length()
+            fields.append(_Field(shift, ((1 << width) - 1) << shift, lo))
+            shift += width
+        self.fields = tuple(fields)  # agents' locations, then the variables
+        # the same, column by column, for `encode` and `decode`
+        self.shifts = tuple(f.shift for f in fields)
+        self.slots = tuple((f.shift, f.mask >> f.shift) for f in fields)
+        self.los = tuple(f.lo for f in fields[self.n:])
+        self.lifted = any(self.los)  # else a value is the number its field stores
         self.pairs: dict[tuple[int, int], tuple[int, Callable]] = {}
         self.moves: list[Move] = []  # move id -> move
         self.idle: list[bool] = []   # move id -> move.is_idle
+        self.writes: list[int] = []  # move id -> the mask of the fields it writes
         self.guards: dict[GuardExpr, Callable] = {}  # the memo of `guard`
-        table, waits, key = [], [], 0
+        table, waits, reads, key = [], [], [], 0
         for pos, agent in enumerate(net.agents):
             by_loc: list[list] = [[] for _ in agent.locations]
+            read = self.fields[pos].mask
             for e in agent.edges:
                 guard = None if isinstance(e.guard, TrueConst) else self.guard(net, e.guard)
                 if e.sync is None:
@@ -543,18 +607,34 @@ class _CompiledNetwork:
                     (chan, side), item = e.sync, _Sync(key, agent.name, e)
                 by_loc[self.numbers[pos][e.source]].append((guard, chan, side, item))
                 key += 1
+                read |= self.read_mask(net, e)
             table.append(tuple(map(tuple, by_loc)))
             waits.append(tuple(self.interned(net, Internal(agent.name, Edge(loc, loc, WAIT_ACTION)))
                                for loc in agent.locations) if agent.lazy else None)
+            reads.append(read)
         self.table = tuple(table)
         self.waits = tuple(waits)
+        self.reads = tuple(reads)
 
     # -- compiling ------------------------------------------------------------
-    def ref(self, net: Network, ref: VarRef) -> _Code:
-        """A constant's value, or the getter of the variable's slot in a state."""
+    def ref(self, net: Network, ref: VarRef) -> Union[int, _Field]:
+        """A constant's value, or the variable's field."""
         if ref.owner is None and ref.name in net._constants:
             return net._constants[ref.name]
-        return operator.itemgetter(self.n + net.var_pos(ref.owner, ref.name))
+        return self.fields[self.n + net.var_pos(ref.owner, ref.name)]
+
+    def read_mask(self, net: Network, e: Edge) -> int:
+        """The fields that the edge's guard and update expressions read."""
+        mask = 0
+        for atom in guard_loc_atoms(e.guard):
+            if atom.agent in net._agent_index:
+                mask |= self.fields[net.agent_pos(atom.agent)].mask
+        exprs = [int_expr_refs(asg.expr) for asg in e.updates]
+        for ref in itertools.chain(guard_var_refs(e.guard), *exprs):
+            f = self.ref(net, ref)
+            if not isinstance(f, int):
+                mask |= f.mask
+        return mask
 
     def guard(self, net: Network, g: GuardExpr) -> Callable:
         """The closure of a guard; equal guards share one (`self.guards`),
@@ -577,18 +657,26 @@ class _CompiledNetwork:
                     raise DefinitionError(msg)
                 return unknown
             pos = net.agent_pos(g.agent)
-            number = self.numbers[pos].get(g.location)  # None: never equal
-            return lambda s: s[pos] == number
+            number = self.numbers[pos].get(g.location, -1)  # -1: never equal
+            return _field_test(self.fields[pos], "==", number)
         if isinstance(g, VarAtom):
-            value = _fn(self.ref(net, g.var))
-            return lambda s: value(s) != 0
+            f = self.ref(net, g.var)
+            if isinstance(f, int):
+                value = f != 0
+                return lambda s: value
+            return _field_test(f, "!=", -f.lo)
         if isinstance(g, Comparison):
-            cmp = _CMP[g.op]
-            lhs = _fn(self.ref(net, g.lhs))
+            op, lhs = g.op, self.ref(net, g.lhs)
             rhs = g.rhs if isinstance(g.rhs, int) else self.ref(net, g.rhs)
+            if isinstance(lhs, int):
+                if isinstance(rhs, int):
+                    value = _CMP[op](lhs, rhs)
+                    return lambda s: value
+                lhs, op, rhs = rhs, _FLIPPED[op], lhs
             if isinstance(rhs, int):
-                return lambda s: cmp(lhs(s), rhs)
-            return lambda s: cmp(lhs(s), rhs(s))
+                return _field_test(lhs, op, rhs - lhs.lo)
+            cmp, left, right = _CMP[op], _getter(lhs), _getter(rhs)
+            return lambda s: cmp(left(s), right(s))
         if isinstance(g, Not):
             sub = self.guard(net, g.sub)
             return lambda s: not sub(s)
@@ -603,7 +691,8 @@ class _CompiledNetwork:
         if isinstance(e, IntLit):
             return e.value
         if isinstance(e, IntVar):
-            return self.ref(net, e.var)
+            f = self.ref(net, e.var)
+            return f if isinstance(f, int) else _getter(f)
         if isinstance(e, IntBin):
             op = operator.add if e.op == "+" else operator.sub
             left, right = _fn(self.int_expr(net, e.left)), self.int_expr(net, e.right)
@@ -612,51 +701,51 @@ class _CompiledNetwork:
             return lambda v: op(left(v), right(v))
         raise TypeError(f"not an int expression: {e!r}")
 
-    def updates(self, net: Network, assignments: Iterable[Assignment]) -> tuple:
-        out = []
-        for asg in assignments:
-            idx = net.var_pos(asg.target.owner, asg.target.name)
-            decl = net.var_decls()[idx][1]
-            out.append((self.n + idx, self.int_expr(net, asg.expr), decl.lo, decl.hi, asg,
-                        decl.name))
-        return tuple(out)
-
-    def step(self, net: Network, move: Move) -> Callable:
-        """The successor function of a move enabled at a state: it installs
-        the target locations, then runs the updates (the sender's before the
-        receiver's) left to right over the progressively updated valuation,
-        checking each against its variable's bounds."""
+    def step(self, net: Network, move: Move) -> tuple[int, Callable]:
+        """The mask of the fields a move writes, and its successor function:
+        it installs the target locations, then runs the updates (the
+        sender's before the receiver's) left to right over the progressively
+        updated state, checking each against its variable's bounds."""
         if isinstance(move, Internal):
             ends = ((move.agent, move.edge),)
         else:
             ends = ((move.sender, move.send_edge), (move.receiver, move.recv_edge))
-        changes = []
+        write = put = 0
         for agent, e in ends:
             pos = net.agent_pos(agent)
-            changes.append((pos, self.numbers[pos][e.target]))
-        updates = self.updates(net, [asg for _, e in ends for asg in e.updates])
-        if not updates and all(e.source == e.target for _, e in ends):
-            return _identity
+            f = self.fields[pos]
+            write |= f.mask
+            put |= self.numbers[pos][e.target] << f.shift
+        keep = ~write  # the updates read the values before they run
+        updates = []
+        for asg in (asg for _, e in ends for asg in e.updates):
+            idx = net.var_pos(asg.target.owner, asg.target.name)
+            decl, f = net.var_decls()[idx][1], self.fields[self.n + idx]
+            write |= f.mask
+            updates.append((f.shift, ~f.mask, self.int_expr(net, asg.expr), decl.lo, decl.hi,
+                            asg, decl.name))
+        if not updates:
+            return write, lambda s: s & keep | put
 
         def step(s):
-            v = list(s)
-            for pos, target in changes:
-                v[pos] = target
-            for idx, expr, lo, hi, asg, name in updates:
+            v = s & keep | put
+            for shift, clear, expr, lo, hi, asg, name in updates:
                 value = expr if isinstance(expr, int) else expr(v)
                 if not lo <= value <= hi:
                     raise BoundViolationError(
                         f"assignment {asg} yields {value}, outside [{lo},{hi}] "
                         f"of variable {name}")
-                v[idx] = value
-            return tuple(v)
-        return step
+                v = v & clear | (value - lo) << shift
+            return v
+        return write, step
 
     def interned(self, net: Network, move: Move) -> tuple[int, Callable]:
         """The move's dense id, and its successor function."""
+        write, step = self.step(net, move)
         self.moves.append(move)
         self.idle.append(move.is_idle)
-        return len(self.moves) - 1, self.step(net, move)
+        self.writes.append(write)
+        return len(self.moves) - 1, step
 
     def pair(self, net: Network, snd: _Sync, rcv: _Sync) -> tuple[int, Callable]:
         hit = self.pairs.get((snd.key, rcv.key))
@@ -666,50 +755,96 @@ class _CompiledNetwork:
         return hit
 
     # -- running ----------------------------------------------------------------
-    def encode(self, net: Network, q: GlobalState) -> tuple:
+    def encode(self, net: Network, q: GlobalState) -> int:
         if len(q.locations) != self.n or len(q.values) != self.n_values:
             raise DefinitionError(
                 f"a state of network {net.name} has {self.n} locations "
                 f"and {self.n_values} values")
-        locs = []
-        for agent, numbers, loc in zip(net.agents, self.numbers, q.locations):
-            number = numbers.get(loc)
-            if number is None:
-                raise DefinitionError(f"agent {agent.name}: no location {loc}")
-            locs.append(number)
-        return tuple(locs) + tuple(q.values)
+        numbers = list(map(dict.get, self.numbers, q.locations))
+        if None in numbers:
+            pos = numbers.index(None)
+            raise DefinitionError(f"agent {net.agents[pos].name}: no location {q.locations[pos]}")
+        net._check_values(q.values)  # only a value in its domain fits its field
+        numbers += map(operator.sub, q.values, self.los) if self.lifted else q.values
+        return sum(map(operator.lshift, numbers, self.shifts))  # the fields do not overlap
 
-    def decode(self, s: tuple) -> GlobalState:
-        return GlobalState(tuple(map(operator.getitem, self.names, s)), s[self.n:])
+    def decode(self, s: int) -> GlobalState:
+        numbers = [s >> shift & width for shift, width in self.slots]
+        values = numbers[self.n:]
+        return GlobalState(tuple(map(operator.getitem, self.names, numbers)),
+                           tuple(map(operator.add, values, self.los) if self.lifted else values))
 
-    def observer(self, net: Network, agent: str) -> Callable[[tuple], object]:
-        """The items of a state that `agent` observes: its own location, its
+    def observer(self, net: Network, agent: str) -> Callable[[int], int]:
+        """The bits of a key that `agent` observes: its own location, its
         local variables and all global variables."""
-        return operator.itemgetter(net.agent_pos(agent), *(
-            self.n + k for k, (owner, _) in enumerate(net.var_decls()) if owner in (None, agent)))
+        mask = self.fields[net.agent_pos(agent)].mask
+        for f, (owner, _) in zip(self.fields[self.n:], net.var_decls()):
+            if owner in (None, agent):
+                mask |= f.mask
+        return partial(operator.and_, mask)
 
-    def enabled(self, net: Network, s: tuple) -> list[tuple[int, Callable]]:
-        """The ids of the moves enabled at s with their successor functions,
-        in the order `enabled_moves` documents."""
-        out = []
-        senders: dict[str, list[_Sync]] = {}
-        receivers: dict[str, list[_Sync]] = {}
-        for edges, loc, waits in zip(self.table, s, self.waits):
-            for guard, chan, side, item in edges[loc]:
-                if guard is not None and not guard(s):
-                    continue
+    def tables(self) -> list[dict]:
+        """Empty successor tables, one per agent, for `enabled`: each maps
+        the projection of a key on the agent's read mask to its `entry`.
+        They grow with the states they serve, so each exploration makes its
+        own."""
+        return [{} for _ in range(self.n)]
+
+    def entry(self, net: Network, pos: int, p: int) -> tuple[tuple, tuple]:
+        """What agent `pos` can do at the projection p of a key on its read
+        mask: its enabled internal moves as `effect` gives them, the `wait`
+        last, and its enabled synchronizing sides as (channel, '!' or '?',
+        side)."""
+        f = self.fields[pos]
+        loc = (p & f.mask) >> f.shift
+        moves, sides = [], []
+        for guard, chan, side, item in self.table[pos][loc]:
+            if guard is None or guard(p):
                 if chan is None:
-                    out.append(item)
+                    moves.append(self.effect(item, p))
                 else:
-                    (senders if side == "!" else receivers).setdefault(chan, []).append(item)
-            if waits is not None:
-                out.append(waits[loc])
-        for chan, snd in senders.items():
-            rcv = receivers.get(chan, ())
-            for a in snd:
-                for b in rcv:
-                    if a.agent != b.agent:
-                        out.append(self.pair(net, a, b))
+                    sides.append((chan, side, item))
+        if self.waits[pos] is not None:
+            moves.append(self.effect(self.waits[pos][loc], p))
+        return tuple(moves), tuple(sides)
+
+    def effect(self, item: tuple[int, Callable], p: int) -> tuple:
+        """An internal move at the projection p, as (move id, mask of the
+        bits it keeps, bits it installs): the fields it writes depend on p
+        alone. A move whose update leaves its variable's domain is (move id,
+        None, successor function), which raises only where it is taken."""
+        m, step = item
+        try:
+            after = step(p)
+        except BoundViolationError:
+            return m, None, step
+        return m, ~self.writes[m], after & self.writes[m]
+
+    def enabled(self, net: Network, s: int, tables: list[dict]) -> list[tuple]:
+        """The moves enabled at s, in the order `enabled_moves` documents,
+        as `effect` gives them; a synchronized move is (move id, None,
+        successor function). `tables` (from `tables`) holds each agent's
+        entries by projection, made at the first key that needs them."""
+        out, sides = [], []
+        for pos, (read, table) in enumerate(zip(self.reads, tables)):
+            p = s & read
+            hit = table.get(p)
+            if hit is None:
+                hit = table[p] = self.entry(net, pos, p)
+            out += hit[0]
+            if hit[1]:
+                sides += hit[1]
+        if sides:
+            senders: dict[str, list[_Sync]] = {}
+            receivers: dict[str, list[_Sync]] = {}
+            for chan, side, item in sides:
+                (senders if side == "!" else receivers).setdefault(chan, []).append(item)
+            for chan, snd in senders.items():
+                for a in snd:
+                    for b in receivers.get(chan, ()):
+                        if a.agent != b.agent:
+                            m, step = self.pair(net, a, b)
+                            out.append((m, None, step))
         return out
 
 
@@ -729,14 +864,14 @@ def enabled_moves(net: Network, q: GlobalState) -> list[Move]:
     agents, channels in the order their first enabled sender appears. The
     same edge always gives the same move object."""
     comp = _compiled(net)
-    return [comp.moves[m] for m, _ in comp.enabled(net, comp.encode(net, q))]
+    return [comp.moves[m] for m, _, _ in comp.enabled(net, comp.encode(net, q), comp.tables())]
 
 
 def apply_move(net: Network, q: GlobalState, move: Move) -> GlobalState:
     """Deterministic successor: install target locations, run updates in edge
     order (sender's before receiver's on synchronized moves)."""
     comp = _compiled(net)
-    return comp.decode(comp.step(net, move)(comp.encode(net, q)))
+    return comp.decode(comp.step(net, move)[1](comp.encode(net, q)))
 
 
 def available_actions(net: Network, q: GlobalState, agent: str) -> set[str]:
@@ -786,7 +921,7 @@ class _View(Sequence):
 class StateGraph:
     """Reachable fragment of the global transition relation, as int columns.
 
-    State i is `keys[i]`, its int tuple in the compiled network's encoding
+    State i is `keys[i]`, its int key in the compiled network's encoding
     (`index` maps a key back to i); states are indexed in BFS discovery
     order, deterministic for a given network. The out-edges of state i are
     the positions offsets[i] to offsets[i+1] of `targets` and `move_ids`,
@@ -795,15 +930,17 @@ class StateGraph:
     `transitions` are read-only sequence views that decode a `GlobalState`
     or build a `Transition` per item accessed, and `out_edges(i)` builds
     state i's. `wait` self-loops are included; path-level analyses read
-    `succ`, which drops them.
+    `succ`, the distinct productive (non-idle) successors of each state in
+    index order, which drops them.
     """
 
     net: Network
-    keys: list[tuple]
-    index: dict[tuple, int]
+    keys: list[int]
+    index: dict[int, int]
     offsets: array
     targets: array
     move_ids: array
+    succ: list[list[int]]
     initial: int = 0
 
     @property
@@ -838,10 +975,10 @@ class StateGraph:
         return [Transition(i, moves[m], j)
                 for m, j in zip(self.move_ids[lo:hi], self.targets[lo:hi])]
 
-    def _key(self, q: GlobalState) -> Optional[tuple]:
+    def _key(self, q: GlobalState) -> Optional[int]:
         try:
             return _compiled(self.net).encode(self.net, q)
-        except DefinitionError:  # wrong arity or an undeclared location
+        except DefinitionError:  # wrong arity, undeclared location or value outside its domain
             return None
 
     def index_of(self, q: GlobalState) -> int:
@@ -853,15 +990,7 @@ class StateGraph:
     def __contains__(self, q: GlobalState) -> bool:
         return self._key(q) in self.index
 
-    @cached_property
-    def succ(self) -> list[list[int]]:
-        """The distinct productive (non-idle) successors of each state, in
-        index order."""
-        offsets, targets, move_ids, idle = self.offsets, self.targets, self.move_ids, self.idle
-        return [sorted({j for m, j in zip(move_ids[lo:hi], targets[lo:hi]) if not idle[m]})
-                for lo, hi in zip(offsets, offsets[1:])]
-
-    def predicate(self, guard: GuardExpr) -> Callable[[tuple], bool]:
+    def predicate(self, guard: GuardExpr) -> Callable[[int], bool]:
         """`guard` compiled, as a test of a state's key; the network keeps
         one closure per distinct guard."""
         return _compiled(self.net).guard(self.net, guard)
@@ -878,49 +1007,59 @@ def explore(net: Network, start: Optional[GlobalState] = None,
             state_cap: int = DEFAULT_STATE_CAP,
             move_filter=None) -> StateGraph:
     """Breadth-first search over the enabled moves from `start` (default: the
-    initial state), on the network's compiled form. It stores the int tuple
-    of each state and three int columns of edges, nothing else per state or
-    per edge (see `StateGraph`).
+    initial state), on the network's compiled form. It stores the key of
+    each state, three int columns of edges and each state's `succ`, filled
+    as the state is expanded, nothing else per state or per edge (see
+    `StateGraph`). The successor tables of `_CompiledNetwork.enabled` are
+    made here and dropped with the call. A move that leaves its state as it
+    is (every `wait`) targets the state without a lookup.
 
-    `move_filter(s, ids)`, called once per state with its int tuple and the
-    ids of the moves enabled there, returns the ids to keep, in their order
+    `move_filter(s, ids)`, called once per state with its key and the ids
+    of the moves enabled there, returns the ids to keep, in their order
     (`strategy.strategy_filter` builds one for a collective strategy); it is
     how strategy-constrained outcome graphs are built without materializing
     a pruned network. It stays because it explores only the outcome: for one
     strategy on two copies of voter_full(7,5) that is 6,320 of 24,964 states,
-    in a third of the time of `restrict(explore(net), s_A)`. Raises
-    ResourceLimitError past `state_cap` states, the initial one included,
-    and DefinitionError when `start` is at a location its agent does not
-    declare or holds a value outside its variable's domain.
+    in about 40 % of the time of `restrict(explore(net), s_A)` (median of 7,
+    Python 3.11, 2 CPUs). Raises ResourceLimitError past `state_cap` states,
+    the initial one included, and DefinitionError when `start` is at a
+    location its agent does not declare or holds a value outside its
+    variable's domain.
     """
     if state_cap < 1:
         raise ResourceLimitError(f"state cap {state_cap} exceeded", partial=0)
     comp = _compiled(net)
-    q0 = net.initial_state() if start is None else start
-    keys = [comp.encode(net, q0)]  # the int tuple of each state, by index
-    if start is not None:
-        net._check_values(start.values)
+    tables, idle = comp.tables(), comp.idle
+    keys = [comp.encode(net, net.initial_state() if start is None else start)]
     index = {keys[0]: 0}
     offsets, targets, move_ids = array("i", [0]), array("i"), array("i")
+    succ: list[list[int]] = []
     i = 0
     while i < len(keys):  # states are expanded in discovery order
         s = keys[i]
-        enabled = comp.enabled(net, s)
+        enabled = comp.enabled(net, s, tables)
         if move_filter is not None:
-            kept = move_filter(s, [m for m, _ in enabled])
+            kept = move_filter(s, [m for m, _, _ in enabled])
             enabled = [item for item in enabled if item[0] in kept]
-        for m, step in enabled:
-            nxt = step(s)
-            j = index.get(nxt)
-            if j is None:
-                if len(keys) >= state_cap:
-                    raise ResourceLimitError(
-                        f"state cap {state_cap} exceeded", partial=len(keys))
-                j = len(keys)
-                index[nxt] = j
-                keys.append(nxt)
+        outs = []
+        for m, keep, put in enabled:
+            nxt = put(s) if keep is None else s & keep | put
+            if nxt == s:
+                j = i
+            else:
+                j = index.get(nxt)
+                if j is None:
+                    if len(keys) >= state_cap:
+                        raise ResourceLimitError(
+                            f"state cap {state_cap} exceeded", partial=len(keys))
+                    j = len(keys)
+                    index[nxt] = j
+                    keys.append(nxt)
             targets.append(j)
             move_ids.append(m)
+            if not idle[m]:
+                outs.append(j)
+        succ.append(sorted(set(outs)) if len(outs) > 1 else outs)
         offsets.append(len(targets))
         i += 1
-    return StateGraph(net, keys, index, offsets, targets, move_ids)
+    return StateGraph(net, keys, index, offsets, targets, move_ids, succ)

@@ -5,8 +5,8 @@ which every coalition member only takes actions its strategy prescribes
 (first-match semantics), while all other agents behave freely. `outcomes`
 explores it from one state; `restrict` cuts it out of an explored graph as
 successor lists, for every state at once or from one `start`. Both run one
-filter per call, `strategy.strategy_filter`, over each state's int tuple and
-the ids of the moves enabled there.
+filter per call, `strategy.strategy_filter`, over each state's key and the
+ids of the moves enabled there.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is

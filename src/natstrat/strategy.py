@@ -130,15 +130,15 @@ def match_rule(net: Network, q: GlobalState, s: NaturalStrategy) -> Optional[int
 
 
 def _matcher(net: Network, s: NaturalStrategy
-             ) -> Callable[[tuple, set[str]], tuple[Optional[int], set[str]]]:
-    """`match_rule` for s as a function of a state's int tuple and the
+             ) -> Callable[[int, set[str]], tuple[Optional[int], set[str]]]:
+    """`match_rule` for s as a function of a state's key and the
     agent's available actions there, with the actions the matched rule
     allows (none without a match); each rule's guard is compiled once."""
     comp = _compiled(net)
     rules = [(i, comp.guard(net, r.guard), r.action) for i, r in enumerate(s.rules, start=1)]
     total, name = s.is_total, s.name or s.agent
 
-    def first(key: tuple, avail: set[str]) -> tuple[Optional[int], set[str]]:
+    def first(key: int, avail: set[str]) -> tuple[Optional[int], set[str]]:
         for i, holds, action in rules:
             if holds(key) and (avail if action is WILDCARD else action in avail):
                 return i, avail if action is WILDCARD else {action}
@@ -151,8 +151,8 @@ def _matcher(net: Network, s: NaturalStrategy
 
 
 def strategy_filter(net: Network, s_A: CollectiveStrategy
-                    ) -> Callable[[tuple, Sequence[int]], list[int]]:
-    """The move filter of s_A, for `explore`: given a state's int tuple and
+                    ) -> Callable[[int, Sequence[int]], list[int]]:
+    """The move filter of s_A, for `explore`: given a state's key and
     the ids of the moves enabled there, the ids s_A allows, in order. A
     coalition agent takes only its matched rule's action, or any available
     one under the wildcard; others act freely. An agent's rules are matched,
@@ -165,7 +165,7 @@ def strategy_filter(net: Network, s_A: CollectiveStrategy
     match = {agent: _matcher(net, s) for agent, s in s_A.items()}
     sides: dict[int, tuple] = {}  # move id -> its coalition actors with their actions
 
-    def keep(key: tuple, ids: Sequence[int]) -> list[int]:
+    def keep(key: int, ids: Sequence[int]) -> list[int]:
         avail: dict[str, set[str]] = {}
         for m in ids:
             if m not in sides:

@@ -1,12 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from natstrat.casestudy import (
     build_coercer, build_voter, infrastructure_network,
 )
 from natstrat.dsl import parse_network, print_strategy
 from natstrat.model import eval_guard
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, and more
+# of them wherever a test leaves their number to the profile
+settings.register_profile("ci", derandomize=True, max_examples=300)
 
 
 @pytest.fixture(scope="session")

@@ -227,6 +227,20 @@ def test_check_reports_counterexample_trace():
     assert "Voter@error" in path[-1]
 
 
+def test_counterexample_trace_labels_each_step():
+    code, report = run("check", "--model", "voter_base", "--formula", "A G !error",
+                       "--format", "json")
+    assert code == EXIT_PROPERTY
+    text = report.to_json()
+    detail = json.loads(text)["tasks"][0]["detail"]
+    path, moves = detail["witness_path"], detail["witness_moves"]
+    assert path[-1] == "(Voter@error)"
+    assert moves == ["Voter.enter", "Voter.print_ballot", "Voter.scan_ballot",
+                     "Voter.enter_vote", "Voter.check2", "Voter.signal_error"]
+    assert len(moves) == len(path) - 1
+    assert RunReport.from_json(text).to_json() == text
+
+
 def test_main_survives_a_closed_pipe(monkeypatch, tmp_path):
     import io
     import sys

@@ -21,7 +21,7 @@ from natstrat.model import Edge, GlobalState, Internal, apply_move, enabled_move
 from natstrat.outcome import outcomes, restrict
 from natstrat.strategy import fix_strategy, match_rule, strategy_filter
 
-from test_outcome import _network_and_strategies
+from test_outcome import _network_and_strategies, _packed_network_and_strategy
 
 
 def _run(f):
@@ -125,6 +125,31 @@ def test_random_networks_match_oracle(case):
     assert_matches_oracle(net)
     assert_matches_oracle(net, s_A)
     assert_strategy_matches_oracle(net, s_A)
+
+
+@settings(deadline=None)
+@given(case=_packed_network_and_strategy())
+def test_packed_encoding_matches_oracle(case):
+    # the number of examples is the hypothesis profile's: 100 by default,
+    # 300 under the `ci` profile (tests/conftest.py)
+    net, s_A = case
+    assert_matches_oracle(net)
+    assert_matches_oracle(net, s_A)
+
+
+def test_a_strategy_that_drops_the_only_overflowing_move_raises_nothing():
+    # `up` leaves x's domain at x = 1, where the strategy takes `done`: the
+    # successor table keeps its step, and nothing runs it
+    net = parse_network("agent A { var int[0,1] x = 0; init a0; loc a1; "
+                        "edge a0 -> a0 on up do x := x + 1; edge a0 -> a1 on done; }",
+                        name="dropped")
+    with pytest.raises(BoundViolationError):
+        explore(net)
+    s_A = {"A": parse_strategy("strategy s for A { when x == 1 do done; when true do up; }", net)}
+    graph = outcomes(net, None, s_A)
+    assert [(q.locations, q.values) for q in graph.states] == [
+        (("a0",), (0,)), (("a0",), (1,)), (("a1",), (1,))]
+    assert_matches_oracle(net, s_A)
 
 
 GUARDS_SRC = """
@@ -279,3 +304,7 @@ def test_a_hand_built_move_is_applied_like_the_oracle(toy_net):
     move = Internal("T", Edge("l1", "l2", "step", updates=net.agent("T").edges[1].updates))
     assert all(m is not move for m in enabled_moves(net, q))
     assert apply_move(net, q, move) == oracle.apply_move(net, q, move)
+    # a self-loop off its source still installs its target location
+    loop = Internal("T", Edge("l1", "l1", "bump"))
+    at_l0 = net.state(locations={"T": "l0"})
+    assert apply_move(net, at_l0, loop) == oracle.apply_move(net, at_l0, loop) == q

@@ -6,11 +6,12 @@ from natstrat import casestudy
 from natstrat.checker import _guards_of_cost, default_vocabulary
 from natstrat.errors import BoundViolationError, DefinitionError, ResourceLimitError
 from natstrat.model import (
-    And, Comparison, FalseConst, GlobalState, Internal, LocAtom, Not, Or,
+    TRUE, And, Comparison, FalseConst, GlobalState, Internal, LocAtom, Not, Or,
     Synchronized, TrueConst, VarAtom, VarRef, apply_move, available_actions,
     enabled_moves, eval_guard, explore,
 )
 from natstrat.dsl import parse_guard_text, parse_network
+from natstrat.strategy import match_rule
 
 from conftest import two_state_net
 from test_outcome import _network_and_strategies
@@ -43,6 +44,24 @@ def test_eval_guard_const_comparison(full75):
     q = net.state(values={"i": 7})
     assert _both(parse_guard_text("i == n", net), q, net)
     assert not _both(parse_guard_text("i == n", net), net.initial_state(), net)
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+def test_comparisons_on_packed_fields_match_oracle(op):
+    # g has a negative lower bound and `one` a singleton domain; the
+    # constant lies below, inside and above the domains, on either side
+    for k in range(-3, 5):
+        net = parse_network(f"const c = {k}; global int[-2,1] g = 0; global int[3,3] one = 3; "
+                            "agent A { var int[0,2] x = 0; init a0; }", name="cmp")
+        guards = [parse_guard_text(text, net) for var in ("g", "x", "one")
+                  for text in (f"{var} {op} c", f"c {op} {var}", f"{var} {op} {k}", var)]
+        guards += [parse_guard_text(f"{a} {op} {b}", net)
+                   for a in ("g", "x", "one") for b in ("g", "x", "one")]
+        for g_value in range(-2, 2):
+            for x_value in range(3):
+                q = net.state(values={"g": g_value, "x": x_value})
+                for guard in guards:
+                    _both(guard, q, net)
 
 
 def test_constants_are_looked_up_by_name(full75):
@@ -194,6 +213,28 @@ def test_explore_checks_its_start_once(punisher, monkeypatch):
                         lambda self, values: calls.append(values) or check(self, values))
     assert explore(net, start=q).n_states > 1
     assert calls == [q.values]
+
+
+def test_a_state_outside_its_domains_is_a_definition_error(punisher):
+    # a value outside its domain has no bits in a state key: every call on
+    # such a state says so, and no graph holds it
+    net = punisher.network
+    graph = explore(net)
+    q = graph.states[0]
+    pos = [v.name for _, v in net.var_decls()].index("ca_v")
+    bad = GlobalState(q.locations, q.values[:pos] + (9,) + q.values[pos + 1:])
+    s = punisher.strategies["punish_disobedient"]
+    message = r"^variable ca_v: value 9 outside \[0,2\]$"
+    for call in (lambda: eval_guard(TRUE, bad, net),
+                 lambda: eval_guard(parse_guard_text("ca_v == 9", net), bad, net),
+                 lambda: enabled_moves(net, bad),
+                 lambda: apply_move(net, bad, graph.transitions[0].move),
+                 lambda: match_rule(net, bad, s)):
+        with pytest.raises(DefinitionError, match=message):
+            call()
+    assert q in graph and bad not in graph
+    with pytest.raises(KeyError):
+        graph.index_of(bad)
 
 
 def test_lazy_templates_never_deadlock(base):

@@ -349,6 +349,70 @@ def _network_and_strategies(draw):
     return net, s_A
 
 
+# Guards and updates per agent that reach every corner of the packed state
+# key: g has a negative lower bound and `one` a singleton domain; A and B
+# each own an x, over different domains; `big` and `neg` lie outside every
+# domain, and `top` stands on the left of a comparison. A guard on the
+# other agent's location is for edges only: a strategy cannot observe it.
+_PACKED_GUARDS = {
+    "A": ["x < g", "g == x", "x != one", "g >= neg", "x < big", "x == big", "g > -3",
+          "top > x", "g <= -2", "x", "!(g < x) && one >= 3", "B@b1", "x >= -1 || A@a2",
+          "g < neg", "x != -5", "top < x", "neg >= g"],
+    "B": ["x < g", "x == -1", "x >= big", "g != neg", "A@a1", "A@a2 && x > g", "x",
+          "one == 3", "top <= x", "g > x", "top >= x", "big != x"],
+}
+_PACKED_UPDATES = {
+    "A": ["x := x + 1", "x := x - 1", "g := g + 1", "g := x - 2", "x := one - 3",
+          "g := g - x, x := g + 2", "x := x + 1, x := x + 1"],
+    "B": ["x := x + 1", "x := x - 1", "g := neg + 2", "g := g + x", "x := g"],
+}
+
+
+@st.composite
+def _packed_network_and_strategy(draw):
+    """Two agents over the packed encoding's corner cases (`_PACKED_GUARDS`,
+    `_PACKED_UPDATES`): A lazy, with a local x in [0,2], B with one in
+    [-1,1]; globals g in [-2,1] and `one` in [3,3]; updates that can leave
+    a domain; a channel c on which A sends and B receives, both sides
+    assigning g. A strategy for A, B or both, total or partial, over the
+    same guards."""
+    agents, actions = [], {}
+    for name, loc, sync, domain in (("A", "a", "c!", "[0,2] x = 0"),
+                                    ("B", "b", "c?", "[-1,1] x = 1")):
+        edges = []
+        for k in range(draw(st.integers(2, 7))):
+            action = draw(st.sampled_from("xyz"))
+            actions.setdefault(name, {"*"}).add(action)
+            # the sync edge and one more leave location 0, one leaves location 1
+            source = (0, 0, 1)[k] if k < 3 else draw(st.integers(0, 2))
+            edge = f"edge {loc}{source} -> {loc}{draw(st.integers(0, 2))} on {action}"
+            if draw(st.integers(0, 2)) == 0:
+                edge += f" when {draw(st.sampled_from(_PACKED_GUARDS[name]))}"
+            if k == 0:
+                edge += f" sync {sync} do g := {'x - 1' if name == 'A' else 'x'}"
+            elif draw(st.integers(0, 2)) == 0:
+                edge += f" do {draw(st.sampled_from(_PACKED_UPDATES[name]))}"
+            edges.append(edge + ";")
+        agents.append(f"agent {name}{'(lazy)' if name == 'A' else ''} {{ var int{domain}; "
+                      f"init {loc}0; loc {loc}1; loc {loc}2; " + " ".join(edges) + " }")
+    actions["A"].add("wait")
+    net = parse_network("const big = 5; const neg = -4; const top = 1; channel c; "
+                        "global int[-2,1] g = 0; global int[3,3] one = 3; " + " ".join(agents),
+                        name="packed")
+    s_A = {}
+    for agent in draw(st.sampled_from([("A",), ("B",), ("A", "B")])):
+        pool = sorted(actions[agent])
+        guards = [g for g in _PACKED_GUARDS[agent] if "@" not in g or f"{agent}@" in g]
+        rules = [f"when {draw(st.sampled_from(guards))} "
+                 f"do {draw(st.sampled_from(pool))};" for _ in range(draw(st.integers(0, 3)))]
+        total = draw(st.booleans())
+        if total or not rules:
+            rules.append(f"when true do {draw(st.sampled_from(pool))};")
+        s_A[agent] = parse_strategy(f"{'' if total else 'partial '}strategy s{agent} "
+                                    f"for {agent} {{ " + " ".join(rules) + " }", net)
+    return net, s_A
+
+
 def _reference_allowed(net, q, moves, s_A):
     """The per-move filter: each coalition agent's matched rule from the
     oracle's `match_rule` and `available_actions`, matched at the first move
