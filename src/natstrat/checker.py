@@ -42,7 +42,7 @@ from .formula import (
 )
 from .model import (
     DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, Comparison, GlobalState, GuardExpr,
-    LocAtom, Network, Not, Or, StateGraph, VarAtom, _compiled, explore,
+    LocAtom, Network, Not, Or, StateGraph, VarAtom, _compiled, explore, nodes,
 )
 from .outcome import _bad_witness, backward_fixpoint, outcomes, restrict
 from .strategy import (
@@ -276,15 +276,9 @@ def default_vocabulary(net: Network, coalition: Sequence[str]) -> list[GuardExpr
         for loc in tpl.locations:
             add(LocAtom(agent, loc, qualified=loc in shared))
         for e in tpl.edges:
-            stack = [e.guard]
-            while stack:
-                g = stack.pop()
+            for g in nodes(e.guard):
                 if isinstance(g, (Comparison, VarAtom)):
                     add(g)
-                elif isinstance(g, Not):
-                    stack.append(g.sub)
-                elif isinstance(g, (And, Or)):
-                    stack.extend((g.left, g.right))
     return vocab
 
 

@@ -27,7 +27,7 @@ from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
 from .errors import DefinitionError, NatStratError, ResourceLimitError
-from .formula import Strategic, map_formula
+from .formula import FAtom, Strategic, map_formula
 from .model import DEFAULT_STATE_CAP, Network
 from .outcome import steps_to_goal
 from .report import (
@@ -59,13 +59,22 @@ def _state_text(net: Network, state) -> str:
     return f"({locs}{'; ' + vals if vals else ''})"
 
 
-def _step_labels(graph, i: int, j: int) -> str:
-    """The labels of the productive moves from state i to state j of the
-    graph, in move-id order."""
-    lo, hi = graph.offsets[i], graph.offsets[i + 1]
-    ids = sorted({m for m, t in zip(graph.move_ids[lo:hi], graph.targets[lo:hi])
-                  if t == j and not graph.idle[m]})
-    return " | ".join(graph.moves[m].label() for m in ids)
+def _trace(net: Network, graph, path) -> dict:
+    """A witness path over `graph` as report details: `witness_path`, the
+    states, the one a lasso returns to (the last state, seen before) marked
+    as the cycle entry; `witness_moves`, per step the labels of the
+    productive moves it takes, in move-id order, joined with ` | `."""
+    states = [_state_text(net, graph.states[i]) for i in path]
+    entry = path.index(path[-1])
+    if entry < len(path) - 1:
+        states[entry] += "  <- cycle entry"
+    moves = []
+    for i, j in zip(path, path[1:]):
+        lo, hi = graph.offsets[i], graph.offsets[i + 1]
+        ids = sorted({m for m, t in zip(graph.move_ids[lo:hi], graph.targets[lo:hi])
+                      if t == j and not graph.idle[m]})
+        moves.append(" | ".join(graph.moves[m].label() for m in ids))
+    return {"witness_path": states, "witness_moves": moves}
 
 
 def _synthesis_config(args) -> SynthesisConfig:
@@ -83,9 +92,7 @@ def _witness_detail(net: Network, res, show_path: bool = False) -> dict:
         detail["witness_strategy"] = "\n".join(
             print_strategy(s) for s in res.witness_strategy.values())
     if res.witness_path and show_path:
-        graph, path = res.graph, res.witness_path
-        detail["witness_path"] = [_state_text(net, graph.states[i]) for i in path]
-        detail["witness_moves"] = [_step_labels(graph, i, j) for i, j in zip(path, path[1:])]
+        detail.update(_trace(net, res.graph, res.witness_path))
     detail["stats"] = {
         "states_explored": res.stats.states_explored,
         "strategies_enumerated": res.stats.strategies_enumerated,
@@ -168,10 +175,7 @@ def _cmd_steps(args, report: RunReport) -> int:
     res = steps_to_goal(net, start, {s.agent: s}, goal, state_cap=args.state_cap)
     detail = {}
     if not res.reached and res.witness:
-        trace = [_state_text(net, res.graph.states[i]) for i in res.witness]
-        if res.lasso_start is not None:
-            trace[res.lasso_start] += "  <- cycle entry"
-        detail["witness_path"] = trace
+        detail = _trace(net, res.graph, res.witness)
         detail["reason"] = ("a maximal trace never reaches the goal"
                             if res.kind == "unreachable"
                             else "a pre-goal cycle makes the worst case infinite")
@@ -185,12 +189,14 @@ def _cmd_synth(args, report: RunReport) -> int:
     bundle = _load_model(args.model)
     net = bundle.network
     coalition = [a for a in args.coalition.split(",") if a]
-    text = args.goal.strip()
-    op, _, rest = text.partition(" ")
-    if op not in ("X", "F", "G"):
-        raise DefinitionError("--goal must look like 'F <guard>' (X/F/G)")
-    res = synthesize_strategic(net, None, coalition, args.bound, op,
-                               [parse_guard_text(rest, net)],
+    for agent in coalition:
+        net.agent(agent)  # 'unknown agent X', not the parser's coalition message
+    f = parse_formula(f"<<{','.join(coalition)}>>^{args.bound} {args.goal}", net)
+    if not (isinstance(f, Strategic) and all(isinstance(sub, FAtom) for sub in f.subs)):
+        raise DefinitionError("--goal must be X g, F g, G g or (f U g) over guards "
+                              "g, f; bracket a connective under X/F/G: 'F (a && b)'")
+    res = synthesize_strategic(net, None, f.coalition, f.bound, f.op,
+                               [sub.guard for sub in f.subs],
                                config=_synthesis_config(args), state_cap=args.state_cap)
     status = "ok" if res.verdict else "fail"
     report.add(TaskReport("synth", f"<<{args.coalition}>>^{args.bound} {args.goal}",
@@ -314,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--coalition", required=True, help="comma-separated agents")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--goal", required=True, help="e.g. 'F end'")
+    p.add_argument("--goal", required=True,
+                   help="X g, F g, G g or (f U g) over guards, e.g. 'F end'")
     _add_enumeration_cap(p)
     p.set_defaults(func=_cmd_synth)
 

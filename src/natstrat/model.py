@@ -30,7 +30,6 @@ and the checker's atoms run the compiled guards over the keys.
 from __future__ import annotations
 
 import bisect
-import itertools
 import operator
 from array import array
 from collections.abc import Sequence
@@ -288,11 +287,11 @@ class Network:
                 if a.lazy and e.action == WAIT_ACTION and e.source != e.target:
                     raise DefinitionError(
                         f"agent {a.name}: action '{WAIT_ACTION}' is reserved for lazy idling")
-                for ref in guard_var_refs(e.guard):
+                for ref in var_refs(e.guard):
                     self._check_ref(ref, consts, a)
                 for asg in e.updates:
                     self._check_ref(asg.target, consts, a, writing=True)
-                    for ref in int_expr_refs(asg.expr):
+                    for ref in var_refs(asg.expr):
                         self._check_ref(ref, consts, a)
 
     def _check_ref(self, ref: VarRef, consts, agent: AgentTemplate, writing=False):
@@ -441,38 +440,49 @@ Move = Union[Internal, Synchronized]
 
 
 # ---------------------------------------------------------------------------
-# Guard evaluation
+# Walking and evaluating guards
 
-def guard_var_refs(g: GuardExpr) -> Iterator[VarRef]:
-    if isinstance(g, VarAtom):
-        yield g.var
-    elif isinstance(g, Comparison):
-        yield g.lhs
-        if isinstance(g.rhs, VarRef):
-            yield g.rhs
-    elif isinstance(g, Not):
-        yield from guard_var_refs(g.sub)
-    elif isinstance(g, (And, Or)):
-        yield from guard_var_refs(g.left)
-        yield from guard_var_refs(g.right)
+_LEAVES = (TrueConst, FalseConst, LocAtom, VarAtom, Comparison, IntLit, IntVar)
 
 
-def guard_loc_atoms(g: GuardExpr) -> Iterator[LocAtom]:
-    if isinstance(g, LocAtom):
-        yield g
-    elif isinstance(g, Not):
-        yield from guard_loc_atoms(g.sub)
-    elif isinstance(g, (And, Or)):
-        yield from guard_loc_atoms(g.left)
-        yield from guard_loc_atoms(g.right)
+def nodes(tree: Union[GuardExpr, IntExpr]) -> Iterator[Union[GuardExpr, IntExpr]]:
+    """The nodes of a guard or update expression in pre-order, operands left
+    to right; a comparison is one node. TypeError on any other object."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            stack.append(node.sub)
+        elif isinstance(node, (And, Or, IntBin)):
+            stack += (node.right, node.left)
+        elif not isinstance(node, _LEAVES):
+            raise TypeError(f"not a guard or int expression: {node!r}")
+        yield node
 
 
-def int_expr_refs(e: IntExpr) -> Iterator[VarRef]:
-    if isinstance(e, IntVar):
-        yield e.var
-    elif isinstance(e, IntBin):
-        yield from int_expr_refs(e.left)
-        yield from int_expr_refs(e.right)
+def var_refs(tree: Union[GuardExpr, IntExpr]) -> Iterator[VarRef]:
+    """The variable references of a guard or update expression, constants
+    included, left to right."""
+    for node in nodes(tree):
+        if isinstance(node, (VarAtom, IntVar)):
+            yield node.var
+        elif isinstance(node, Comparison):
+            yield node.lhs
+            if isinstance(node.rhs, VarRef):
+                yield node.rhs
+
+
+def map_atoms(g: GuardExpr, fn: Callable[[GuardExpr], GuardExpr]) -> GuardExpr:
+    """g with each leaf (an atom, true or false) replaced by fn(leaf). A
+    connective is rebuilt only when one of its operands changed, so an fn
+    that returns its argument returns g itself."""
+    if isinstance(g, Not):
+        sub = map_atoms(g.sub, fn)
+        return g if sub is g.sub else Not(sub)
+    if isinstance(g, (And, Or)):
+        left, right = map_atoms(g.left, fn), map_atoms(g.right, fn)
+        return g if left is g.left and right is g.right else type(g)(left, right)
+    return fn(g)
 
 
 # The comparison operators guards may use. Compiled guards call these and
@@ -626,14 +636,14 @@ class _CompiledNetwork:
     def read_mask(self, net: Network, e: Edge) -> int:
         """The fields that the edge's guard and update expressions read."""
         mask = 0
-        for atom in guard_loc_atoms(e.guard):
-            if atom.agent in net._agent_index:
-                mask |= self.fields[net.agent_pos(atom.agent)].mask
-        exprs = [int_expr_refs(asg.expr) for asg in e.updates]
-        for ref in itertools.chain(guard_var_refs(e.guard), *exprs):
-            f = self.ref(net, ref)
-            if not isinstance(f, int):
-                mask |= f.mask
+        for tree in (e.guard, *(asg.expr for asg in e.updates)):
+            for node in nodes(tree):
+                if isinstance(node, LocAtom) and node.agent in net._agent_index:
+                    mask |= self.fields[net.agent_pos(node.agent)].mask
+            for ref in var_refs(tree):
+                f = self.ref(net, ref)
+                if not isinstance(f, int):
+                    mask |= f.mask
         return mask
 
     def guard(self, net: Network, g: GuardExpr) -> Callable:

@@ -53,7 +53,7 @@ class RunReport:
                     head += f", expected: {t.expected}"
                 head += ")"
             lines.append(head)
-            for key in ("reason", "witness_strategy", "witness_path", "error"):
+            for key in ("reason", "witness_strategy", "witness_path", "witness_moves", "error"):
                 if key in t.detail and t.detail[key]:
                     val = t.detail[key]
                     if isinstance(val, list):

@@ -11,7 +11,7 @@ from .errors import DefinitionError, StrategyError
 from .model import (
     FALSE, TRUE, WAIT_ACTION, And, Comparison, Edge, FalseConst,
     GlobalState, GuardExpr, LocAtom, Network, Not, Or, TrueConst,
-    VarAtom, _compiled, and_all, available_actions, explore, or_all,
+    _compiled, and_all, available_actions, explore, map_atoms, nodes, or_all,
 )
 
 
@@ -94,15 +94,8 @@ def guard_length(g: GuardExpr, convention: str = PAPER_CONVENTION) -> int:
     Atoms, ⊤ and each !/&&/|| cost 1. Under the default (calibrated)
     convention an atomic comparison like `i == n` also costs 1; the literal
     convention charges 3 (operand, operator, operand)."""
-    if isinstance(g, (TrueConst, FalseConst, LocAtom, VarAtom)):
-        return 1
-    if isinstance(g, Comparison):
-        return 1 if convention == PAPER_CONVENTION else 3
-    if isinstance(g, Not):
-        return 1 + guard_length(g.sub, convention)
-    if isinstance(g, (And, Or)):
-        return 1 + guard_length(g.left, convention) + guard_length(g.right, convention)
-    raise TypeError(f"not a guard expression: {g!r}")
+    extra = 0 if convention == PAPER_CONVENTION else 2
+    return sum(1 + extra if isinstance(n, Comparison) else 1 for n in nodes(g))
 
 
 def complexity(s: Union[NaturalStrategy, CollectiveStrategy],
@@ -267,17 +260,8 @@ def simplify(g: GuardExpr, agent: Optional[str] = None) -> GuardExpr:
 def specialize_at(g: GuardExpr, agent: str, location: str) -> GuardExpr:
     """Resolve `agent`'s own location atoms assuming it sits at `location`
     (sound on an edge whose source is `location`). Everything else stays."""
-    if isinstance(g, LocAtom) and g.agent == agent:
-        return TRUE if g.location == location else FALSE
-    if isinstance(g, Not):
-        return Not(specialize_at(g.sub, agent, location))
-    if isinstance(g, And):
-        return And(specialize_at(g.left, agent, location),
-                   specialize_at(g.right, agent, location))
-    if isinstance(g, Or):
-        return Or(specialize_at(g.left, agent, location),
-                  specialize_at(g.right, agent, location))
-    return g
+    return map_atoms(g, lambda a: a if not (isinstance(a, LocAtom) and a.agent == agent)
+                     else TRUE if a.location == location else FALSE)
 
 
 def make_mutually_exclusive(s: NaturalStrategy) -> NaturalStrategy:

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 from .errors import ExportError
 from .formula import FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic
 from .model import (
-    And, Comparison, Edge, FalseConst, GuardExpr, LocAtom, Network, Not, Or,
-    TrueConst, VarAtom, VarRef, guard_loc_atoms,
+    And, Comparison, Edge, FalseConst, LocAtom, Network, Not, Or, TrueConst,
+    VarAtom, VarRef, map_atoms, nodes,
 )
 from .strategy import CollectiveStrategy, fix_strategy
 
@@ -77,25 +77,9 @@ class _Exporter:
         self.tracked: dict[tuple[str, str], str] = {}
         for tpl in net.agents:
             for e in tpl.edges:
-                for atom in guard_loc_atoms(e.guard):
-                    self._track(atom.agent, atom.location)
-
-    def _track(self, agent: str, location: str) -> str:
-        key = (agent, location)
-        if key not in self.tracked:
-            self.tracked[key] = mangle(location, self.taken)
-        return self.tracked[key]
-
-    # -- guard rendering ------------------------------------------------------
-    def _tracked_guard(self, g: GuardExpr) -> GuardExpr:
-        """`g` with each location atom replaced by its tracking boolean."""
-        if isinstance(g, LocAtom):
-            return VarAtom(VarRef(None, self._track(g.agent, g.location)))
-        if isinstance(g, Not):
-            return Not(self._tracked_guard(g.sub))
-        if isinstance(g, (And, Or)):
-            return type(g)(self._tracked_guard(g.left), self._tracked_guard(g.right))
-        return g
+                for a in nodes(e.guard):
+                    if isinstance(a, LocAtom) and (a.agent, a.location) not in self.tracked:
+                        self.tracked[a.agent, a.location] = mangle(a.location, self.taken)
 
     # -- document ---------------------------------------------------------------
     def build(self) -> ET.Element:
@@ -136,8 +120,10 @@ class _Exporter:
                 ET.SubElement(tr, "source", ref=ids[e.source])
                 ET.SubElement(tr, "target", ref=ids[e.target])
                 if not isinstance(e.guard, TrueConst):
-                    ET.SubElement(tr, "label", kind="guard").text = \
-                        str(self._tracked_guard(e.guard))
+                    # each location atom becomes its tracking boolean
+                    guard = map_atoms(e.guard, lambda a: a if not isinstance(a, LocAtom) else
+                                      VarAtom(VarRef(None, self.tracked[a.agent, a.location])))
+                    ET.SubElement(tr, "label", kind="guard").text = str(guard)
                 if e.sync is not None:
                     ET.SubElement(tr, "label", kind="synchronisation").text = \
                         f"{e.sync[0]}{e.sync[1]}"

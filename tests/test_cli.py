@@ -14,6 +14,11 @@ def run(*argv):
     return cli_main(list(argv))
 
 
+def _text(report) -> list[str]:
+    # the text report without its wall times
+    return [line for line in report.to_text().splitlines() if "wall_time" not in line]
+
+
 def test_casestudy_run_all_exit_zero_and_numbers():
     code, report = run("casestudy", "--run-all")
     assert code == EXIT_OK
@@ -22,6 +27,9 @@ def test_casestudy_run_all_exit_zero_and_numbers():
         assert expected in values
     verdict_rows = [t for t in report.tasks if t.kind == "verdict"]
     assert verdict_rows and all(t.status == "ok" for t in verdict_rows)
+    lines = report.to_text().splitlines()
+    assert lines[0] == "[complexity] cast_verify: ok (value: 15, expected: 15)"
+    assert lines[-1] == "exit: 0"
 
 
 def test_casestudy_list():
@@ -104,6 +112,14 @@ def test_check_synth_mode_finds_witness():
     assert code == EXIT_OK
     assert report.tasks[0].value is True
     assert "when true do" in report.tasks[0].detail["witness_strategy"]
+    assert _text(report) == [
+        "[check] <<Voter>>^1 F Voter@printing: ok (value: True)",
+        "    reason: witness of complexity 1",
+        "    witness_strategy:",
+        "      strategy unnamed for Voter {",
+        "        when true do *;",
+        "      }",
+        "exit: 0"]
 
 
 def test_steps_subcommand():
@@ -241,6 +257,34 @@ def test_counterexample_trace_labels_each_step():
     assert RunReport.from_json(text).to_json() == text
 
 
+def test_counterexample_lasso_in_json_and_text():
+    code, report = run("check", "--model", "voter_base", "--formula", "A F end")
+    # the path is states 0,1,2,3,5,7,3: it returns to its fourth state
+    path, moves = report.tasks[0].detail["witness_path"], report.tasks[0].detail["witness_moves"]
+    assert [i for i, state in enumerate(path) if state.endswith("  <- cycle entry")] == [3]
+    assert path[3] == path[-1] + "  <- cycle entry"
+    assert len(moves) == 6 == len(path) - 1
+    assert _text(report) == [
+        "[check] A F end: fail (value: False)",
+        "    reason: a maximal trace avoids the goal",
+        "    witness_path:",
+        "      (Voter@start)",
+        "      (Voter@printing)",
+        "      (Voter@has_ballot)",
+        "      (Voter@check1; counter=1, checked1=1)  <- cycle entry",
+        "      (Voter@printing; counter=1, checked1=1)",
+        "      (Voter@has_ballot; counter=1, checked1=1)",
+        "      (Voter@check1; counter=1, checked1=1)",
+        "    witness_moves:",
+        "      Voter.enter",
+        "      Voter.print_ballot",
+        "      Voter.check1",
+        "      Voter.move_next",
+        "      Voter.print_ballot",
+        "      Voter.check1",
+        "exit: 1"]
+
+
 def test_main_survives_a_closed_pipe(monkeypatch, tmp_path):
     import io
     import sys
@@ -326,6 +370,7 @@ def test_steps_witness_explores_once(monkeypatch, tmp_path):
         assert len(calls) == 1, kind
     assert report.tasks[0].detail["witness_path"] == [
         "(T@s0)  <- cycle entry", "(T@spin)", "(T@s0)"]
+    assert report.tasks[0].detail["witness_moves"] == ["T.a", "T.a"]
 
 
 def test_negative_synth_bound_is_a_usage_error():
@@ -346,6 +391,30 @@ def test_unknown_coalition_member_is_a_usage_error_at_any_bound():
                            "--bound", bound, "--goal", "F end")
         assert code == EXIT_USAGE, bound
         assert report.tasks[0].detail["error"] == "unknown agent Ghost"
+
+
+def test_synth_goal_is_read_in_the_formula_grammar():
+    argv = ("synth", "--model", "voter_base", "--coalition", "Voter", "--goal",
+            "(!error U voted)", "--bound")
+    code, report = run(*argv, "2")
+    assert code == EXIT_OK
+    witness = report.tasks[0].detail["witness_strategy"]
+    assert witness == ("strategy unnamed for Voter {\n  when has_ballot do scan_ballot;\n"
+                       "  when true do *;\n}")
+    code, check = run("check", "--model", "voter_base", "--mode", "synth",
+                      "--formula", "<<Voter>>^2 (!error U voted)")
+    assert (code, check.tasks[0].detail["witness_strategy"]) == (EXIT_OK, witness)
+    code, report = run(*argv, "1")
+    assert (code, report.tasks[0].detail["reason"]) == (EXIT_PROPERTY, "exhaustive enumeration")
+    # an operand that is not a guard, or a connective outside the operator
+    for goal in ("F <<Voter>>^1 F end", "F end && voted", "F end -> voted"):
+        code, report = run("synth", "--model", "voter_base", "--coalition", "Voter",
+                           "--bound", "2", "--goal", goal)
+        assert code == EXIT_USAGE, goal
+        assert report.tasks[0].detail["error"].startswith("--goal must be X g, F g, G g"), goal
+    code, report = run("synth", "--model", "voter_base", "--coalition", "Voter",
+                       "--bound", "2", "--goal", "Q end")
+    assert code == EXIT_USAGE
 
 
 def test_synth_reports_candidates_enumerated_and_checked():

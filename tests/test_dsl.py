@@ -327,7 +327,8 @@ def test_random_formula_round_trip(toy_net, data):
 
 def _guard_texts():
     return st.recursive(
-        st.sampled_from(["l0", "U@u1", "shared", "x == 2", "x != 0", "true", "false"]),
+        st.sampled_from(["l0", "l1", "U@u0", "U@u1", "shared", "x == 2", "x != 0", "true",
+                         "false"]),
         lambda kids: st.one_of(
             kids.map(lambda t: f"!{t}"),
             kids.map(lambda t: f"({t})"),

@@ -442,6 +442,15 @@ def test_lazy_order_matches_oracle_toys(make_net, goal, vocab_locs):
         assert lazy == list(oracle.candidates(net, [agent], 3, vocab)), net.name
 
 
+def test_vocabulary_lists_each_guard_s_atoms_left_to_right(infector):
+    net = parse_network("agent A { var int[0,1] b = 0; var int[0,2] x = 0; init a0; loc a1; "
+                        "edge a0 -> a1 on go when !(x == 1 || b) && x < 2 && a0; "
+                        "edge a1 -> a0 on back when b || x == 1; }")
+    assert [str(g) for g in default_vocabulary(net, ["A"])] == ["a0", "a1", "x == 1", "b", "x < 2"]
+    assert [str(g) for g in default_vocabulary(infector.network, ["Coercer"])] == \
+        ["watching", "infected == 0", "infected == 1", "replaced_v == 0"]
+
+
 def _atom_key(g):
     """An atom up to how it is printed: a location atom by agent and name."""
     return (g.agent, g.location) if isinstance(g, LocAtom) else g

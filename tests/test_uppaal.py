@@ -106,3 +106,28 @@ def test_write_files(tmp_path, base):
     xml_path, q_path = doc.write(tmp_path, stem="voter")
     assert xml_path.read_text().startswith("<?xml")
     assert "A<> Voter.end" in q_path.read_text()
+
+
+def test_comparison_and_variable_queries(watchdog):
+    net = watchdog.network
+    f = parse_formula("<<Coercer>>^4 F (punished_v == 1 && infected == 1)", net)
+    assert export_uppaal(net, formulas=[f]).queries == \
+        "A<> (punished_v == 1 && infected == 1)\n"
+
+
+def test_local_variable_and_constant_queries():
+    net = parse_network("""
+        const k = 1;
+        global int[0,1] flag = 0;
+        agent A {
+          var int[0,2] x = 0;
+          init a0;
+          loc a1;
+          edge a0 -> a1 on go when x < k do x := x + 1, flag := 1;
+        }
+    """)
+    f = parse_formula("A G ((x <= k || flag) && !a1 || x != k && false || true)", net)
+    # a local variable is read inside its process; a constant and a global
+    # by name
+    assert export_uppaal(net, formulas=[f]).queries == (
+        "A[] ((((A.x <= k || flag) && !(A.a1)) || (A.x != k && false)) || true)\n")
