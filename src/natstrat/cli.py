@@ -26,7 +26,7 @@ from .checker import SynthesisConfig, eval_formula, synthesize_strategic
 from .dsl import (
     ParsedBundle, load_bundle, parse_formula, parse_guard_text, print_strategy,
 )
-from .errors import DefinitionError, NatStratError, ResourceLimitError
+from .errors import DefinitionError, NatStratError, ParseError, ResourceLimitError
 from .formula import FAtom, Strategic, map_formula
 from .model import DEFAULT_STATE_CAP, Network
 from .outcome import steps_to_goal
@@ -191,7 +191,13 @@ def _cmd_synth(args, report: RunReport) -> int:
     coalition = [a for a in args.coalition.split(",") if a]
     for agent in coalition:
         net.agent(agent)  # 'unknown agent X', not the parser's coalition message
-    f = parse_formula(f"<<{','.join(coalition)}>>^{args.bound} {args.goal}", net)
+    head = f"<<{','.join(coalition)}>>^{args.bound} "
+    try:
+        f = parse_formula(head + args.goal, net, filename="<goal>")
+    except ParseError as exc:  # a span in the goal, not in the formula read
+        span = exc.span if exc.span.line > 1 else \
+            replace(exc.span, column=exc.span.column - len(head))
+        raise ParseError(str(exc).split(": ", 1)[1], span) from None
     if not (isinstance(f, Strategic) and all(isinstance(sub, FAtom) for sub in f.subs)):
         raise DefinitionError("--goal must be X g, F g, G g or (f U g) over guards "
                               "g, f; bracket a connective under X/F/G: 'F (a && b)'")

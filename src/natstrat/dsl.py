@@ -8,8 +8,12 @@ Three UTF-8 formats share one lexer and may live in one file:
 
 Guard and update expressions are C-like (&&, ||, !, ==, !=, <, <=, >, >=).
 Guards, rules and formulas share one expression grammar, and a formula's
-connective over atoms resolves to one atom. See docs/dsl.md for the full grammar. Parsing is total: any input either
-yields a bundle or raises ParseError with a source span.
+connective over atoms resolves to one atom. See docs/dsl.md for the full
+grammar. Parsing is total: any input either yields a bundle or raises
+ParseError with a source span.
+
+One regex pass lexes a text into `Token` named tuples, which the parser
+reads by index.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DefinitionError, ParseError
 from .formula import (
@@ -53,14 +57,17 @@ class ParsedBundle:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# One match per token with the blanks and comment before it (a comment ends
+# its line); a newline is a match of its own, so lines and columns come from
+# offsets. `bad` starts no token; a match with no group ends the text.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<op><<|>>|->|:=|==|!=|<=|>=|&&|\|\||[{}()\[\];,@!<>=^*?:+\-.])
+    [ \t\r]*(?://[^\n]*)?
+    (?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+     | (?P<op><<|>>|->|:=|==|!=|<=|>=|&&|\|\||[{}()\[\];,@!<>=^*?:+\-.])
+     | (?P<nl>\n)
+     | (?P<int>\d+)
+     | (?P<string>"[^"\n]*")
+     | (?P<bad>.))?
 """, re.VERBOSE)
 
 _KEYWORDS = {
@@ -70,36 +77,34 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int' | 'ident' | 'string' | 'op' | 'eof' or a keyword
     text: str
     line: int
-    column: int
+    column: int  # 1-based, one per character
 
 
 def _tokenize(text: str, filename: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"illegal character {text[pos]!r}",
-                             SourceSpan(filename, line, col))
+    append, new = tokens.append, tuple.__new__  # new(Token, t) skips Token's Python __new__
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
+        if kind is None:
+            break
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            if kind == "ident" and value in _KEYWORDS:
-                kind = value
-            tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+            continue
+        start = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"illegal character {text[start]!r}",
+                             SourceSpan(filename, line, start - line_start + 1))
+        value = m[kind]
+        if kind == "ident" and value in _KEYWORDS:
+            kind = value
+        append(new(Token, (kind, value, line, start - line_start + 1)))
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -155,10 +160,11 @@ class _BundleParser:
 
     # -- token plumbing ------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # only a lookahead can run past the final eof token
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1) if offset else self.pos]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def advance(self) -> Token:
@@ -168,11 +174,11 @@ class _BundleParser:
         return tok
 
     def span(self, tok: Optional[Token] = None) -> SourceSpan:
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         return SourceSpan(self.filename, tok.line, tok.column)
 
     def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         got = tok.text or "end of input"
         return ParseError(f"expected {expected}, got {got!r}", self.span(tok))
 
@@ -182,17 +188,22 @@ class _BundleParser:
         return self.advance()
 
     def expect_op(self, op: str) -> Token:
-        if not (self.peek().kind == "op" and self.peek().text == op):
+        tok = self.tokens[self.pos]
+        if not (tok.kind == "op" and tok.text == op):
             raise self.fail(f"'{op}'")
-        return self.advance()
+        self.pos += 1  # an op is never eof
+        return tok
 
     def at_op(self, op: str) -> bool:
-        return self.peek().kind == "op" and self.peek().text == op
+        tok = self.tokens[self.pos]
+        return tok.kind == "op" and tok.text == op
 
     def ident(self, what: str = "identifier") -> str:
-        if not self.at("ident"):
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
             raise self.fail(what)
-        return self.advance().text
+        self.pos += 1
+        return tok.text
 
     def integer(self) -> int:
         neg = False
@@ -233,10 +244,11 @@ class _BundleParser:
 
     def _unary(self, formula: bool):
         tok = self.peek()
-        if self.at_op("!"):
+        kind, text = tok.kind, tok.text
+        if kind == "op" and text == "!":
             self.advance()
             return ("not", self._unary(formula))
-        if self.at_op("("):
+        if kind == "op" and text == "(":
             self.advance()
             inner = self._formula() if formula else self._or(formula)
             if formula and self.at("ident") and self.peek().text == "U":
@@ -244,26 +256,21 @@ class _BundleParser:
                                  "A (f U g) or <<..>>^k (f U g)", self.span())
             self.expect_op(")")
             return inner
-        if formula and self.at_op("<<"):
+        if formula and kind == "op" and text == "<<":
             return self._strategic(tok)
-        if formula and self.at("ident") and self.peek().text == "A" \
-                and self._next_is_temporal():
+        if formula and kind == "ident" and text == "A" and self._next_is_temporal():
             self.advance()
             op, subs = self._temporal_tail()
             return ("strategic", (), 0, op, subs, (), self.span(tok))
-        if formula and self.at("ident") and self.peek().text == "K" \
-                and self.peek(1).text == "[":
+        if formula and kind == "ident" and text == "K" and self.peek(1).text == "[":
             self.advance()
             self.expect_op("[")
             agent = self.ident("agent name")
             self.expect_op("]")
             return ("knows", agent, self._unary(formula), self.span(tok))
-        if self.at("true"):
+        if kind in ("true", "false"):
             self.advance()
-            return ("true",)
-        if self.at("false"):
-            self.advance()
-            return ("false",)
+            return (kind,)
         return self._g_atom()
 
     def _g_atom(self):
@@ -273,7 +280,8 @@ class _BundleParser:
         if self.at_op("@"):
             self.advance()
             agent, name = name, self.ident("location name")
-        if self.peek().kind == "op" and self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
+        nxt = self.peek()
+        if nxt.kind == "op" and nxt.text in ("==", "!=", "<", "<=", ">", ">="):
             if agent is not None:
                 raise ParseError("comparisons apply to variables, not locations",
                                  self.span(tok))
@@ -301,24 +309,16 @@ class _BundleParser:
 
     # -- declarations -----------------------------------------------------------
     def parse_items(self):
+        items = {"const": self._item_const, "channel": self._item_channel,
+                 "global": self._item_global, "agent": self._item_agent,
+                 "partial": self._item_strategy, "strategy": self._item_strategy,
+                 "formula": self._item_formula, "include": self._item_include}
         while not self.at("eof"):
-            if self.at("const"):
-                self._item_const()
-            elif self.at("channel"):
-                self._item_channel()
-            elif self.at("global"):
-                self._item_global()
-            elif self.at("agent"):
-                self._item_agent()
-            elif self.at("partial") or self.at("strategy"):
-                self._item_strategy()
-            elif self.at("formula"):
-                self._item_formula()
-            elif self.at("include"):
-                self._item_include()
-            else:
+            item = items.get(self.peek().kind)
+            if item is None:
                 raise self.fail("a declaration (const/channel/global/agent/"
                                 "strategy/formula/include)")
+            item()
 
     def _item_const(self):
         self.advance()
@@ -375,10 +375,11 @@ class _BundleParser:
         agent = _RawAgent(name=name, lazy=lazy, locations=[], initial=None,
                           raw_var_bounds=[], edges=[], span=self.span(tok))
         while not self.at_op("}"):
-            if self.at("var"):
+            kind = self.peek().kind
+            if kind == "var":
                 self.advance()
                 agent.raw_var_bounds.append(self._vardecl_tail())
-            elif self.at("init"):
+            elif kind == "init":
                 itok = self.peek()
                 self.advance()
                 loc = self.ident("location name")
@@ -389,7 +390,7 @@ class _BundleParser:
                 if loc not in [l for l, _, _ in agent.locations]:
                     agent.locations.append((loc, [], self.span(itok)))
                     agent.auto_locs.add(loc)
-            elif self.at("loc"):
+            elif kind == "loc":
                 ltok = self.peek()
                 self.advance()
                 loc = self.ident("location name")
@@ -414,7 +415,7 @@ class _BundleParser:
                                          self.span(ltok))
                 else:
                     agent.locations.append((loc, labels, self.span(ltok)))
-            elif self.at("edge"):
+            elif kind == "edge":
                 agent.edges.append(self._agent_edge())
             else:
                 raise self.fail("var/init/loc/edge or '}'")

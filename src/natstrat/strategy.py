@@ -5,6 +5,7 @@ strategy fixing (pruning a network down to on-strategy behavior)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DefinitionError, StrategyError
@@ -220,38 +221,41 @@ def simplify(g: GuardExpr, agent: Optional[str] = None) -> GuardExpr:
             return sub.sub
         return Not(sub)
     if isinstance(g, And):
-        left = simplify(g.left, agent)
-        right = simplify(g.right, agent)
-        if isinstance(left, FalseConst) or isinstance(right, FalseConst):
-            return FALSE
-        if isinstance(left, TrueConst):
-            return right
-        if isinstance(right, TrueConst):
-            return left
-        if agent is not None:
-            ls = _loc_disjuncts(left, agent)
-            rs = _loc_disjuncts(right, agent)
-            if ls is not None and rs is not None:
-                keep = [loc for loc in ls if loc in rs]
-                if not keep:
-                    return FALSE
-                return or_all(LocAtom(agent, loc) for loc in keep)
-        if left == right:
-            return left
-        return And(left, right)
+        return _conjoin(simplify(g.left, agent), simplify(g.right, agent), agent)
     if isinstance(g, Or):
-        left = simplify(g.left, agent)
-        right = simplify(g.right, agent)
-        if isinstance(left, TrueConst) or isinstance(right, TrueConst):
-            return TRUE
-        if isinstance(left, FalseConst):
-            return right
-        if isinstance(right, FalseConst):
-            return left
-        if left == right:
-            return left
-        return Or(left, right)
+        return _disjoin(simplify(g.left, agent), simplify(g.right, agent))
     return g
+
+
+# `_conjoin` and `_disjoin` are `simplify` of an And / Or given its operands
+# simplified, so that a caller can simplify a shared operand once.
+
+def _conjoin(left: GuardExpr, right: GuardExpr, agent: Optional[str]) -> GuardExpr:
+    if isinstance(left, FalseConst) or isinstance(right, FalseConst):
+        return FALSE
+    if isinstance(left, TrueConst):
+        return right
+    if isinstance(right, TrueConst):
+        return left
+    if agent is not None:
+        ls = _loc_disjuncts(left, agent)
+        rs = _loc_disjuncts(right, agent)
+        if ls is not None and rs is not None:
+            keep = [loc for loc in ls if loc in rs]
+            if not keep:
+                return FALSE
+            return or_all(LocAtom(agent, loc) for loc in keep)
+    return left if left == right else And(left, right)
+
+
+def _disjoin(left: GuardExpr, right: GuardExpr) -> GuardExpr:
+    if isinstance(left, TrueConst) or isinstance(right, TrueConst):
+        return TRUE
+    if isinstance(left, FalseConst):
+        return right
+    if isinstance(right, FalseConst):
+        return left
+    return left if left == right else Or(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +312,17 @@ def firing_exclusive(net: Network, s: NaturalStrategy) -> NaturalStrategy:
     form that preserves first-match semantics (a guard-true rule whose action
     is unavailable is skipped, so its bare negation must not poison later
     rules)."""
-    fire = [simplify(And(r.guard, action_availability_guard(net, s.agent, r.action)),
-                     s.agent)
+    agent = s.agent
+    fire = [simplify(And(r.guard, action_availability_guard(net, agent, r.action)), agent)
             for r in s.rules]
     out: list[Rule] = []
-    for i, rule in enumerate(s.rules):
-        prefix = [simplify(Not(f), s.agent) for f in fire[:i]]
-        guard = simplify(and_all(prefix + [rule.guard]), s.agent)
-        out.append(Rule(guard, rule.action))
+    before = None  # simplify(and_all(simplify(Not(f)) for each earlier rule's f))
+    for rule, f in zip(s.rules, fire):
+        guard = simplify(rule.guard, agent)
+        out.append(Rule(guard if before is None else _conjoin(before, guard, agent),
+                        rule.action))
+        unfired = simplify(simplify(Not(f), agent), agent)
+        before = unfired if before is None else _conjoin(before, unfired, agent)
     return replace(s, rules=tuple(out), name=f"{s.name}!fx" if s.name else "")
 
 
@@ -330,40 +337,45 @@ def fix_strategy(net: Network, s_A: CollectiveStrategy) -> Network:
     matches. Non-coalition agents are untouched."""
     new_agents = []
     for tpl in net.agents:
-        s = s_A.get(tpl.name)
+        s, agent = s_A.get(tpl.name), tpl.name
         if s is None:
             new_agents.append(tpl)
             continue
         excl = firing_exclusive(net, s)
-        by_action: dict[object, list[GuardExpr]] = {}
+        by_action: dict[object, list[GuardExpr]] = {}  # simplified rule guards
         wildcard_guards: list[GuardExpr] = []
         for rule in excl.rules:
+            guard = simplify(rule.guard, agent)
             if rule.action is WILDCARD:
-                wildcard_guards.append(rule.guard)
+                wildcard_guards.append(guard)
             else:
-                by_action.setdefault(rule.action, []).append(rule.guard)
-        def strategy_guard(action: str) -> GuardExpr:
-            parts = by_action.get(action, []) + wildcard_guards
-            return simplify(or_all(parts), tpl.name)
+                by_action.setdefault(rule.action, []).append(guard)
+        guards: dict[str, tuple[GuardExpr, GuardExpr]] = {}
+
+        def strategy_guard(action: str) -> tuple[GuardExpr, GuardExpr]:
+            # simplify(or_all(guards of the rules allowing action)), and that
+            # simplified again: the operand simplify(And(edge guard, it)) sees
+            if action not in guards:
+                parts = by_action.get(action, []) + wildcard_guards
+                g = reduce(_disjoin, parts) if parts else FALSE
+                guards[action] = g, simplify(g, agent)
+            return guards[action]
         new_edges = []
         for e in tpl.edges:
-            extra = strategy_guard(e.action)
-            guard = simplify(And(e.guard, extra), tpl.name)
+            guard = _conjoin(simplify(e.guard, agent), strategy_guard(e.action)[1], agent)
             if isinstance(guard, FalseConst):
                 continue
             # edges whose guard is false at their own source can never fire
-            dead_check = simplify(specialize_at(guard, tpl.name, e.source),
-                                  tpl.name)
-            if isinstance(dead_check, FalseConst):
+            if isinstance(simplify(specialize_at(guard, agent, e.source), agent), FalseConst):
                 continue
             new_edges.append(replace(e, guard=guard))
         if tpl.lazy:
-            wait_guard = strategy_guard(WAIT_ACTION)
+            wait_guard, again = strategy_guard(WAIT_ACTION)
             for loc in tpl.locations:
-                if isinstance(simplify(specialize_at(wait_guard, tpl.name, loc),
-                                       tpl.name), FalseConst):
+                if isinstance(simplify(specialize_at(wait_guard, agent, loc), agent),
+                              FalseConst):
                     continue
-                guard = simplify(And(LocAtom(tpl.name, loc), wait_guard), tpl.name)
+                guard = _conjoin(LocAtom(agent, loc), again, agent)
                 new_edges.append(Edge(source=loc, target=loc, action=WAIT_ACTION,
                                       guard=guard))
         new_agents.append(replace(tpl, edges=tuple(new_edges), lazy=False))

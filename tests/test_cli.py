@@ -417,6 +417,18 @@ def test_synth_goal_is_read_in_the_formula_grammar():
     assert code == EXIT_USAGE
 
 
+def test_synth_goal_parse_error_points_into_the_goal():
+    # the goal is read after `<<Voter>>^2 `, which takes no column of it
+    for goal, error in (("F (end", "<goal>:1:7: expected ')', got 'end of input'"),
+                        ("F end $", "<goal>:1:7: illegal character '$'"),
+                        ("F end\n  $", "<goal>:2:3: illegal character '$'"),
+                        ("", "<goal>:1:1: expected temporal operator X/F/G or "
+                             "'(f U g)', got 'end of input'")):
+        code, report = run("synth", "--model", "voter_base", "--coalition", "Voter",
+                           "--bound", "2", "--goal", goal)
+        assert (code, report.tasks[0].detail["error"]) == (EXIT_USAGE, error), goal
+
+
 def test_synth_reports_candidates_enumerated_and_checked():
     code, report = run("--format", "json", "synth", "--model", "voter_base",
                        "--coalition", "Voter", "--bound", "2", "--goal", "F end")
