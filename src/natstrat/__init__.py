@@ -3,7 +3,7 @@ networks of guarded automata, with a voting-procedure case study."""
 
 from .checker import (
     CheckResult, SynthesisConfig, check_temporal_universal, eval_formula,
-    eval_knows, synthesize_strategic, verify_strategic,
+    synthesize_strategic, verify_strategic,
 )
 from .dsl import (
     ParsedBundle, load_bundle, parse_bundle, parse_formula, parse_guard_text,
@@ -13,14 +13,11 @@ from .errors import (
     BoundViolationError, DefinitionError, ExportError, NatStratError,
     ParseError, ResourceLimitError, StrategyError,
 )
-from .model import (
-    AgentTemplate, Edge, GlobalState, Network, VarDecl, apply_move,
-    available_actions, enabled_moves, explore,
-)
+from .model import AgentTemplate, Edge, GlobalState, Network, VarDecl, explore
 from .outcome import StepsResult, outcomes, steps_to_goal
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
-    fix_strategy, guard_length, make_mutually_exclusive, match_rule,
+    fix_strategy, guard_length, make_mutually_exclusive,
 )
 from .uppaal import UppaalDocument, export_uppaal
 

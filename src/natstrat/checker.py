@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 from .errors import DefinitionError, ResourceLimitError
 from .formula import (
-    FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic,
+    FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic, check_goals,
 )
 from .model import (
     DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, Comparison, GlobalState, GuardExpr,
@@ -46,7 +46,7 @@ from .model import (
 )
 from .outcome import _bad_witness, backward_fixpoint, outcomes, restrict
 from .strategy import (
-    WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity,
+    WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, _check_members, complexity,
 )
 
 Verdict = Optional[bool]
@@ -148,27 +148,19 @@ def indistinguishability_classes(graph: StateGraph, agent: str) -> dict:
     return classes
 
 
-def eval_knows(graph: StateGraph, agent: str, state_set: set[int], i: int,
-               classes: Optional[dict] = None) -> bool:
-    """True iff every state of the graph the agent cannot distinguish from
-    state i belongs to `state_set`."""
-    if classes is None:
-        classes = indistinguishability_classes(graph, agent)
-    cls = classes[observation(graph.net, agent, graph.keys[i])]
-    return cls <= state_set
-
-
 # ---------------------------------------------------------------------------
 # Strategic verification
 
-def _complexity_gate(coalition: Iterable[str], k: int,
+def _complexity_gate(net: Network, coalition: Iterable[str], k: int,
                      s_A: CollectiveStrategy) -> Optional[CheckResult]:
-    """Strict gating of a supplied strategy: a strategy for another coalition
-    is a definition error, and one above the bound makes the operator false
-    (the returned result); None when the strategy may be checked."""
+    """Strict gating of a supplied strategy: a strategy for another coalition,
+    or a member's strategy written for another agent, is a definition error,
+    and one above the bound makes the operator false (the returned result);
+    None when the strategy may be checked."""
     if frozenset(coalition) != frozenset(s_A):
         raise DefinitionError(
             f"strategy covers {sorted(s_A)} but the coalition is {sorted(coalition)}")
+    _check_members(net, s_A)
     c = complexity(s_A)
     return CheckResult(False, reason=f"complexity {c} exceeds bound {k}") if c > k else None
 
@@ -192,12 +184,14 @@ def verify_strategic(net: Network, q: Optional[GlobalState], coalition: Iterable
     collective complexity is within the bound (strict gating) and the
     universal temporal check holds on the strategy's outcome; a
     counterexample path indexes the states of that outcome (`graph`). An
-    unknown coalition member is a DefinitionError, whatever the bound."""
+    unknown coalition member, or a number of goals that `op` does not take,
+    is a DefinitionError, whatever the bound."""
     t0 = time.perf_counter()
     coalition = list(coalition)
     for agent in coalition:
         net.agent(agent)  # unknown coalition member -> DefinitionError
-    gated = _complexity_gate(coalition, k, s_A)
+    check_goals(op, goals)
+    gated = _complexity_gate(net, coalition, k, s_A)
     if gated is not None:
         gated.stats = CheckStats(wall_time=time.perf_counter() - t0)
         return gated
@@ -539,10 +533,10 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     return the first one whose outcome passes the universal temporal check.
     False means the enumeration was exhaustive; a cap raises
     ResourceLimitError so that 'unknown' is never conflated with 'false'.
-    An unknown coalition member or a negative k is a DefinitionError; a k
-    below the coalition size is False. The network is explored once from
-    q, within `state_cap`, and each goal, a guard or a predicate, labelled
-    once on it (`_goal_states`).
+    An unknown coalition member, a negative k or a number of goals that
+    `op` does not take is a DefinitionError; a k below the coalition size
+    is False. The network is explored once from q, within `state_cap`, and
+    each goal, a guard or a predicate, labelled once on it (`_goal_states`).
 
     Only the first candidate of each behaviour is checked, on int bitsets
     over that graph, stopping at its first error or unsafe state
@@ -558,6 +552,7 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
         net.agent(agent)  # unknown coalition member -> DefinitionError
     if k < 0:
         raise DefinitionError("complexity bound must be >= 0")
+    check_goals(op, goals)
     if not coalition:
         return verify_strategic(net, q, [], k, op, goals, {}, state_cap=state_cap)
     graph = explore(net, start=q, state_cap=state_cap)
@@ -770,7 +765,7 @@ class FormulaEvaluator:
         or _UNKNOWN. Tainted states reach a state where matching a rule
         fails."""
         s_A = self._strategy_for(node)
-        gated = _complexity_gate(node.coalition, node.bound, s_A)
+        gated = _complexity_gate(self.net, node.coalition, node.bound, s_A)
         if gated is not None:
             return gated
         succ, errors = restrict(self.graph, s_A)

@@ -911,10 +911,6 @@ def parse_guard_text(text: str, net: Network, owner: Optional[str] = None) -> Gu
 # ---------------------------------------------------------------------------
 # Pretty-printing (round-trips through the parsers)
 
-def print_guard(g: GuardExpr) -> str:
-    return str(g)
-
-
 def print_strategy(s: NaturalStrategy) -> str:
     partial = s.declared_partial or not isinstance(s.rules[-1].guard, TrueConst)
     head = "partial strategy" if partial else "strategy"

@@ -13,12 +13,23 @@ subformula.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DefinitionError
 from .model import And, GuardExpr, Or
 
-TEMPORAL_OPS = ("X", "F", "G", "U")
+# the number of goals each temporal operator takes
+GOALS = {"X": 1, "F": 1, "G": 1, "U": 2}
+
+
+def check_goals(op: str, goals: Sequence) -> None:
+    """A DefinitionError unless op is a temporal operator and `goals` holds
+    as many goals as it takes."""
+    if op not in GOALS:
+        raise DefinitionError(f"bad temporal operator {op}")
+    if len(goals) != GOALS[op]:
+        raise DefinitionError(f"temporal operator {op} takes {GOALS[op]} goal(s), "
+                              f"got {len(goals)}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,7 @@ class Strategic:
     witness: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.op not in TEMPORAL_OPS:
-            raise DefinitionError(f"bad temporal operator {self.op}")
+        check_goals(self.op, self.subs)
         if self.bound < 0:
             raise DefinitionError("complexity bound must be >= 0")
 

@@ -12,12 +12,12 @@ and safe to share.
 A network is compiled on its first use (`_CompiledNetwork`) and keeps that
 form: a state becomes one int, its key, with a bit field per location and
 variable; guards and updates become closures over keys with constants
-inlined, and every move one shared object with a dense int id. `explore`,
-`enabled_moves`, `apply_move` and `eval_guard` all run on it, and so does
-every reader of an explored graph: past exploration a state is its key,
-and a `GlobalState` is decoded only to be printed. Exploration asks each
-agent what it can do only once per distinct value of the fields it reads,
-through successor tables that live as long as one `explore` call.
+inlined, and every move one shared object with a dense int id. `explore`
+and `eval_guard` run on it, and so does every reader of an explored graph:
+past exploration a state is its key, and a `GlobalState` is decoded only
+to be printed. Exploration asks each agent what it can do only once per
+distinct value of the fields it reads, through successor tables that live
+as long as one `explore` call.
 
 An explored `StateGraph` is stored as int columns: the key of each state
 with the dict from key to index, the edges as three `array('i')` columns,
@@ -377,12 +377,6 @@ class Network:
 class GlobalState:
     locations: tuple[str, ...]
     values: tuple[int, ...]
-
-    def location_of(self, net: Network, agent: str) -> str:
-        return self.locations[net.agent_pos(agent)]
-
-    def value_of(self, net: Network, owner: Optional[str], name: str) -> int:
-        return self.values[net.var_pos(owner, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +825,8 @@ class _CompiledNetwork:
         return m, ~self.writes[m], after & self.writes[m]
 
     def enabled(self, net: Network, s: int, tables: list[dict]) -> list[tuple]:
-        """The moves enabled at s, in the order `enabled_moves` documents,
-        as `effect` gives them; a synchronized move is (move id, None,
+        """The moves enabled at s, in the order `StateGraph` documents, as
+        `effect` gives them; a synchronized move is (move id, None,
         successor function). `tables` (from `tables`) holds each agent's
         entries by projection, made at the first key that needs them."""
         out, sides = [], []
@@ -865,31 +859,6 @@ def _compiled(net: Network) -> _CompiledNetwork:
         comp = _CompiledNetwork(net)
         object.__setattr__(net, "_compiled", comp)
     return comp
-
-
-def enabled_moves(net: Network, q: GlobalState) -> list[Move]:
-    """All moves enabled at q: per agent in declaration order, its internal
-    edges with true guards and then the implicit `wait` self-loop of a lazy
-    agent; then every send/receive pair on a common channel between distinct
-    agents, channels in the order their first enabled sender appears. The
-    same edge always gives the same move object."""
-    comp = _compiled(net)
-    return [comp.moves[m] for m, _, _ in comp.enabled(net, comp.encode(net, q), comp.tables())]
-
-
-def apply_move(net: Network, q: GlobalState, move: Move) -> GlobalState:
-    """Deterministic successor: install target locations, run updates in edge
-    order (sender's before receiver's on synchronized moves)."""
-    comp = _compiled(net)
-    return comp.decode(comp.step(net, move)[1](comp.encode(net, q)))
-
-
-def available_actions(net: Network, q: GlobalState, agent: str) -> set[str]:
-    """Action labels the agent can take at q; an agent's side of an enabled
-    synchronized move counts, and lazy agents can always `wait`."""
-    net.agent(agent)  # raises DefinitionError on unknown agents
-    return {action for move in enabled_moves(net, q)
-            for actor, action in zip(move.actors, move.actions) if actor == agent}
 
 
 # ---------------------------------------------------------------------------
@@ -935,13 +904,18 @@ class StateGraph:
     (`index` maps a key back to i); states are indexed in BFS discovery
     order, deterministic for a given network. The out-edges of state i are
     the positions offsets[i] to offsets[i+1] of `targets` and `move_ids`,
-    in the order the moves were enabled; a move id indexes `moves` and
-    `idle`. No object is kept per state or per edge: `states` and
-    `transitions` are read-only sequence views that decode a `GlobalState`
-    or build a `Transition` per item accessed, and `out_edges(i)` builds
-    state i's. `wait` self-loops are included; path-level analyses read
-    `succ`, the distinct productive (non-idle) successors of each state in
-    index order, which drops them.
+    in the order the moves are enabled: per agent in declaration order, its
+    internal edges with true guards and then the implicit `wait` self-loop
+    of a lazy agent; then every send/receive pair on a common channel
+    between distinct agents, channels in the order their first enabled
+    sender appears (a `move_filter` keeps a subsequence). A move id indexes
+    `moves` and `idle`: the same edge, `wait` loop or pair is the same move
+    object at every state. No object is kept per state or per edge:
+    `states` and `transitions` are read-only sequence views that decode a
+    `GlobalState` or build a `Transition` per item accessed. `wait`
+    self-loops are included; path-level analyses read `succ`, the distinct
+    productive (non-idle) successors of each state in index order, which
+    drops them.
     """
 
     net: Network
@@ -979,11 +953,6 @@ class StateGraph:
         def item(e: int) -> Transition:
             return Transition(bisect.bisect_right(offsets, e) - 1, moves[move_ids[e]], targets[e])
         return _View(len(targets), item)
-
-    def out_edges(self, i: int) -> list[Transition]:
-        lo, hi, moves = self.offsets[i], self.offsets[i + 1], self.moves
-        return [Transition(i, moves[m], j)
-                for m, j in zip(self.move_ids[lo:hi], self.targets[lo:hi])]
 
     def _key(self, q: GlobalState) -> Optional[int]:
         try:

@@ -11,8 +11,8 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import DefinitionError, StrategyError
 from .model import (
     FALSE, TRUE, WAIT_ACTION, And, Comparison, Edge, FalseConst,
-    GlobalState, GuardExpr, LocAtom, Network, Not, Or, TrueConst,
-    _compiled, and_all, available_actions, explore, map_atoms, nodes, or_all,
+    GuardExpr, LocAtom, Network, Not, Or, TrueConst,
+    _compiled, and_all, explore, map_atoms, nodes, or_all,
 )
 
 
@@ -110,38 +110,36 @@ def complexity(s: Union[NaturalStrategy, CollectiveStrategy],
 # ---------------------------------------------------------------------------
 # Matching
 
-def match_rule(net: Network, q: GlobalState, s: NaturalStrategy) -> Optional[int]:
-    """First rule (1-based) whose guard holds at q and whose action is
-    available there; the wildcard counts as available whenever any action is.
-
-    Returns None when a partial strategy runs out of rules, or when the agent
-    has no available action at all (nothing to prescribe). Raises
-    StrategyError when actions exist but a total strategy's final concrete
-    action is not among them.
-    """
-    avail = available_actions(net, q, s.agent)
-    return _matcher(net, s)(_compiled(net).encode(net, q), avail)[0]
-
-
-def _matcher(net: Network, s: NaturalStrategy
-             ) -> Callable[[int, set[str]], tuple[Optional[int], set[str]]]:
-    """`match_rule` for s as a function of a state's key and the
-    agent's available actions there, with the actions the matched rule
-    allows (none without a match); each rule's guard is compiled once."""
+def _matcher(net: Network, s: NaturalStrategy) -> Callable[[int, set[str]], set[str]]:
+    """The actions s allows at a state, given its key and the agent's
+    available actions there: the action of the first rule whose guard holds
+    and whose action is available, or all of them under the wildcard; none
+    when no rule matches, or the agent has no action. Raises StrategyError
+    when actions exist but a total strategy's final concrete action is not
+    among them. Each rule's guard is compiled once."""
     comp = _compiled(net)
-    rules = [(i, comp.guard(net, r.guard), r.action) for i, r in enumerate(s.rules, start=1)]
+    rules = [(comp.guard(net, r.guard), r.action) for r in s.rules]
     total, name = s.is_total, s.name or s.agent
 
-    def first(key: int, avail: set[str]) -> tuple[Optional[int], set[str]]:
-        for i, holds, action in rules:
+    def allowed(key: int, avail: set[str]) -> set[str]:
+        for holds, action in rules:
             if holds(key) and (avail if action is WILDCARD else action in avail):
-                return i, avail if action is WILDCARD else {action}
+                return avail if action is WILDCARD else {action}
         if avail and total:
             raise StrategyError(
                 f"strategy {name}: no rule matches at {comp.decode(key)} "
                 f"(final rule's action unavailable)")
-        return None, set()
-    return first
+        return set()
+    return allowed
+
+
+def _check_members(net: Network, s_A: CollectiveStrategy) -> None:
+    """An unknown coalition member, or a member's strategy written for
+    another agent, is a DefinitionError."""
+    for agent, s in s_A.items():
+        net.agent(agent)
+        if s.agent != agent:
+            raise DefinitionError(f"strategy {s.name or s.agent} is for {s.agent}, not {agent}")
 
 
 def strategy_filter(net: Network, s_A: CollectiveStrategy
@@ -152,9 +150,9 @@ def strategy_filter(net: Network, s_A: CollectiveStrategy
     one under the wildcard; others act freely. An agent's rules are matched,
     against the actions it has in those moves, at the first move it takes
     part in (a sync refused for its sender is not checked for its
-    receiver)."""
-    for agent in s_A:
-        net.agent(agent)  # unknown coalition member -> DefinitionError
+    receiver). An unknown member, or a member's strategy written for
+    another agent, is a DefinitionError."""
+    _check_members(net, s_A)
     moves = _compiled(net).moves
     match = {agent: _matcher(net, s) for agent, s in s_A.items()}
     sides: dict[int, tuple] = {}  # move id -> its coalition actors with their actions
@@ -172,7 +170,7 @@ def strategy_filter(net: Network, s_A: CollectiveStrategy
         for m in ids:
             for agent, action in sides[m]:
                 if agent not in allowed:
-                    allowed[agent] = match[agent](key, avail[agent])[1]
+                    allowed[agent] = match[agent](key, avail[agent])
                 if action not in allowed[agent]:
                     break
             else:
@@ -379,6 +377,5 @@ def fix_strategy(net: Network, s_A: CollectiveStrategy) -> Network:
                 new_edges.append(Edge(source=loc, target=loc, action=WAIT_ACTION,
                                       guard=guard))
         new_agents.append(replace(tpl, edges=tuple(new_edges), lazy=False))
-    for agent in s_A:
-        net.agent(agent)  # unknown coalition member -> DefinitionError
+    _check_members(net, s_A)
     return replace(net, agents=tuple(new_agents))

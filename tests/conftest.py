@@ -7,7 +7,7 @@ from natstrat.casestudy import (
     build_coercer, build_voter, infrastructure_network,
 )
 from natstrat.dsl import parse_network, print_strategy
-from natstrat.model import eval_guard
+from natstrat.model import Transition, eval_guard, explore
 
 # `pytest --hypothesis-profile=ci`: the same examples on every run, and more
 # of them wherever a test leaves their number to the profile
@@ -156,6 +156,18 @@ def count_explore(monkeypatch) -> list:
         if name.startswith("natstrat") and getattr(module, "explore", None) is real:
             monkeypatch.setattr(module, "explore", counting)
     return calls
+
+
+def out_edges(graph, i: int) -> list:
+    """The stored edges of state i, as `Transition`s in their stored order."""
+    lo, hi = graph.offsets[i], graph.offsets[i + 1]
+    return [Transition(i, graph.moves[m], j)
+            for m, j in zip(graph.move_ids[lo:hi], graph.targets[lo:hi])]
+
+
+def moves_at(net, q) -> list:
+    """The moves enabled at q, as `explore` from q stores them."""
+    return [t.move for t in out_edges(explore(net, start=q), 0)]
 
 
 def predicates_of(goals, net) -> list:

@@ -12,13 +12,22 @@ from typing import Callable, Optional, Sequence
 from natstrat.checker import (
     _FIXING_VALUES, _UNKNOWN, CheckResult, CheckStats, SynthesisConfig, Verdict,
     _Behaviours, _complexity_gate, _synthesize, check_temporal_universal,
-    eval_knows, indistinguishability_classes, label_universal, observation,
+    indistinguishability_classes, label_universal, observation,
 )
 from natstrat.errors import DefinitionError, ResourceLimitError
 from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic
 from natstrat.model import DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, explore
 from natstrat.outcome import backward_fixpoint, restrict
 from natstrat.strategy import CollectiveStrategy, NaturalStrategy
+
+
+def eval_knows(graph, agent: str, state_set: set[int], i: int,
+               classes: Optional[dict] = None) -> bool:
+    """True iff every state of the graph the agent cannot distinguish from
+    state i belongs to `state_set`."""
+    if classes is None:
+        classes = indistinguishability_classes(graph, agent)
+    return classes[observation(graph.net, agent, graph.keys[i])] <= state_set
 
 
 class FormulaEvaluator:
@@ -176,7 +185,7 @@ class FormulaEvaluator:
         or _UNKNOWN. Tainted states reach a state where matching a rule
         fails."""
         s_A = self._strategy_for(node)
-        gated = _complexity_gate(node.coalition, node.bound, s_A)
+        gated = _complexity_gate(self.net, node.coalition, node.bound, s_A)
         if gated is not None:
             return gated
         succ, errors = restrict(self.graph, s_A)

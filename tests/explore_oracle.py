@@ -4,10 +4,13 @@ every state, constants are looked up by a linear scan, and every enabled
 edge makes a fresh move object. Strategies are matched by interpreting
 their rules' guards at a decoded state, and an agent's observation is read
 off its location name and values. It is kept as the oracle of
-`natstrat.model`'s `explore`, `enabled_moves`, `apply_move` and
-`eval_guard`, of `natstrat.strategy`'s `match_rule` and `strategy_filter`,
-of `natstrat.outcome`'s `outcomes` and `restrict`, and of the knowledge
-classes of `natstrat.checker`."""
+`natstrat.model`'s `explore` (the moves it stores at each state, in order,
+and their targets) and `eval_guard`, of `natstrat.strategy`'s
+`strategy_filter`, of `natstrat.outcome`'s `outcomes` and `restrict`, and
+of the knowledge classes of `natstrat.checker`. Its `enabled_moves`,
+`apply_move`, `available_actions` and `match_rule` are the reference for
+what natstrat computes on state keys and no longer offers per
+`GlobalState`."""
 
 import itertools
 import operator

@@ -11,7 +11,7 @@ from natstrat.casestudy import (
     symbolwise_steps,
 )
 from natstrat.checker import (
-    check_temporal_universal, eval_formula, eval_knows,
+    check_temporal_universal, eval_formula,
     indistinguishability_classes, synthesize_strategic, verify_strategic,
 )
 from natstrat.dsl import parse_guard_text, parse_network
@@ -19,11 +19,12 @@ from natstrat.model import LocAtom, eval_guard, explore
 from natstrat.outcome import outcomes, steps_to_goal
 from natstrat.strategy import (
     complexity, firing_exclusive, fix_strategy, guard_length,
-    make_mutually_exclusive, match_rule,
+    make_mutually_exclusive, strategy_filter,
 )
 from natstrat.uppaal import export_uppaal, validate_document
 
 import explore_oracle as oracle
+from evaluator_oracle import eval_knows
 from conftest import LEAKY_SRC, BLIND_SRC, trap_net, two_state_net
 from test_checker import (
     _adjacency, _af_oracle_paths, _af_oracle_witness, _ag_oracle,
@@ -146,8 +147,11 @@ def test_criterion_5_transformation_properties():
         graph = explore(net)
         total_states += graph.n_states
         me = make_mutually_exclusive(s)
-        for q in graph.states:
-            assert match_rule(net, q, s) == match_rule(net, q, me) == oracle.match_rule(net, q, s)
+        keep_s, keep_me = strategy_filter(net, {s.agent: s}), strategy_filter(net, {s.agent: me})
+        for i, q in enumerate(graph.states):
+            assert oracle.match_rule(net, q, s) == oracle.match_rule(net, q, me)
+            ids = graph.move_ids[graph.offsets[i]:graph.offsets[i + 1]]
+            assert keep_s(graph.keys[i], ids) == keep_me(graph.keys[i], ids)
     # the symbol-wise strategy needs the availability-aware form; the plain
     # guard-negation form diverges exactly at the two comparison-loop exits
     full = build_voter("full", 2, 2)
@@ -157,12 +161,13 @@ def test_criterion_5_transformation_properties():
     divergent = set()
     graph = explore(full.network)
     total_states += graph.n_states
+    net = full.network
     for q in graph.states:
-        assert match_rule(full.network, q, ns4) == match_rule(full.network, q, fx)
-        if match_rule(full.network, q, ns4) != match_rule(full.network, q, me4):
-            divergent.add((q.location_of(full.network, "Voter"),
-                           q.value_of(full.network, "Voter", "i"),
-                           q.value_of(full.network, "Voter", "j")))
+        assert oracle.match_rule(net, q, ns4) == oracle.match_rule(net, q, fx)
+        if oracle.match_rule(net, q, ns4) != oracle.match_rule(net, q, me4):
+            divergent.add((q.locations[net.agent_pos("Voter")],
+                           q.values[net.var_pos("Voter", "i")],
+                           q.values[net.var_pos("Voter", "j")]))
     assert divergent == {("receipt_check_sn", 2, 0), ("receipt_check_pr", 2, 2)}
     assert total_states <= 100_000
 

@@ -11,7 +11,7 @@ from natstrat.model import Internal, Synchronized, eval_guard, explore
 from natstrat.outcome import outcomes
 from natstrat.strategy import audit_strategy, complexity
 
-from conftest import predicates_of, result_facts
+from conftest import out_edges, predicates_of, result_facts
 
 
 def test_catalog_loads_everything():
@@ -202,12 +202,9 @@ def test_replace_requires_prior_infect(infector):
         if eval_guard(replaced, q, net):
             assert eval_guard(infected, q, net)
     # and the replace move is never enabled while uninfected
-    from natstrat.model import enabled_moves
-    for q in g.states:
-        if not eval_guard(infected, q, net):
-            for m in enabled_moves(net, q):
-                assert not (isinstance(m, Internal)
-                            and m.edge.action == "replace")
+    for t in g.transitions:
+        if not eval_guard(infected, g.states[t.source], net):
+            assert not (isinstance(t.move, Internal) and t.move.edge.action == "replace")
 
 
 def test_punisher_reaches_punished_against_disobedient_voter(punisher):
@@ -273,7 +270,7 @@ def test_printer_rejects_unauthenticated(infra_net):
                and not eval_guard(has_account, q, infra_net)]
     assert pending
     for i in pending:
-        printer_moves = [t.move.edge.action for t in g.out_edges(i)
+        printer_moves = [t.move.edge.action for t in out_edges(g, i)
                          if isinstance(t.move, Internal)
                          and t.move.agent == "Printer"]
         assert printer_moves == ["reject"]
@@ -288,7 +285,7 @@ def test_ebm_bad_barcode_goes_error_then_wait(infra_net):
                 and t.move.edge.action == "reject_barcode":
             saw_reject = True
             assert g.states[t.target].locations[pos] == "error"
-            resets = [u for u in g.out_edges(t.target)
+            resets = [u for u in out_edges(g, t.target)
                       if isinstance(u.move, Internal) and u.move.agent == "EBM"]
             assert all(u.move.edge.action == "reset" for u in resets)
             assert all(g.states[u.target].locations[pos] == "wait" for u in resets)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from natstrat.checker import (
     FormulaEvaluator, SynthesisConfig, check_temporal_universal, eval_formula,
-    verify_strategic,
+    synthesize_strategic, verify_strategic,
 )
 from natstrat.casestudy import build_voter
 from natstrat.dsl import (
@@ -13,9 +13,9 @@ from natstrat.errors import DefinitionError, StrategyError
 from natstrat.formula import FAtom, FNot, Strategic
 from natstrat.model import LocAtom, TrueConst, eval_guard, or_all
 from natstrat.outcome import outcomes
-from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
+from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, fix_strategy
 
-from conftest import count_explore
+from conftest import count_explore, out_edges
 
 
 # -- direct spec examples --------------------------------------------------------
@@ -100,6 +100,45 @@ def test_unknown_coalition_member_is_a_definition_error_at_any_bound(base):
     for k in (0, 15):
         with pytest.raises(DefinitionError, match="unknown agent Ghost"):
             verify_strategic(net, None, ["Ghost"], k, "F", [lambda q: True], ghost)
+
+
+def test_a_strategy_for_another_agent_is_a_definition_error_at_any_bound(punisher):
+    # the Voter's strategy handed to the Coercer: above the bound as well,
+    # where the complexity gate alone would report False
+    net = punisher.network
+    voter_any = parse_strategy("strategy voter_any for Voter { when true do *; }", net)
+    message = "^strategy voter_any is for Voter, not Coercer$"
+    for k in (0, 5):
+        with pytest.raises(DefinitionError, match=message):
+            verify_strategic(net, None, ["Coercer"], k, "F", [TrueConst()],
+                             {"Coercer": voter_any})
+        with pytest.raises(DefinitionError, match=message):
+            eval_formula(net, parse_formula(f"<<Coercer:voter_any>>^{k} F true", net),
+                         strategies_by_name={"voter_any": voter_any})
+    with pytest.raises(DefinitionError, match=message):
+        outcomes(net, None, {"Coercer": voter_any})
+    with pytest.raises(DefinitionError, match=message):
+        fix_strategy(net, {"Coercer": voter_any})
+
+
+def test_a_number_of_goals_the_operator_does_not_take_is_a_definition_error(
+        base, monkeypatch):
+    # checked before anything is explored, whatever the bound
+    calls = count_explore(monkeypatch)
+    net = base.network
+    s = base.strategies["cast_verify"]
+    end, false = parse_guard_text("end", net), parse_guard_text("false", net)
+    for op, goals in (("F", [end, false]), ("F", []), ("U", [end]), ("X", []), ("G", [end, end])):
+        takes = 2 if op == "U" else 1
+        message = rf"^temporal operator {op} takes {takes} goal\(s\), got {len(goals)}$"
+        for k in (0, 15):
+            with pytest.raises(DefinitionError, match=message):
+                verify_strategic(net, None, ["Voter"], k, op, goals, {"Voter": s})
+            with pytest.raises(DefinitionError, match=message):
+                synthesize_strategic(net, None, ["Voter"], k, op, goals)
+        with pytest.raises(DefinitionError, match=message):
+            Strategic(("Voter",), 3, op, tuple(FAtom(g) for g in goals))
+    assert calls == []
 
 
 def test_universal_quantifier_identity(base):
@@ -543,4 +582,4 @@ agent T {
     res = eval_formula(net, parse_formula("A X T@s0", net), q=a)
     assert res.verdict is False
     assert [res.graph.states[i].locations for i in res.witness_path] == [("a",), ("b",)]
-    assert [t.target for t in res.graph.out_edges(res.witness_path[0])] == [3, 2]
+    assert [t.target for t in out_edges(res.graph, res.witness_path[0])] == [3, 2]

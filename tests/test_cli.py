@@ -234,6 +234,17 @@ def test_strategy_error_exit_two(tmp_path):
     assert "no rule matches" in report.tasks[0].detail["error"]
 
 
+def test_a_named_strategy_for_another_agent_exit_two(tmp_path):
+    f = tmp_path / "voter_any.nss"
+    f.write_text("strategy voter_any for Voter { when true do *; }")
+    for bound in (0, 5):
+        code, report = run("check", "--model", "coercion_punisher", "--strategies", str(f),
+                           "--formula", f"<<Coercer:voter_any>>^{bound} F true")
+        assert code == EXIT_USAGE
+        assert report.tasks[0].kind == "error"
+        assert report.tasks[0].detail["error"] == "strategy voter_any is for Voter, not Coercer"
+
+
 def test_check_reports_counterexample_trace():
     code, report = run("check", "--model", "voter_base",
                        "--formula", "A G !Voter@error", "--format", "json")

@@ -2,10 +2,12 @@ import itertools
 
 from natstrat.casestudy import receipt_freeness
 from natstrat.checker import (
-    eval_formula, eval_knows, indistinguishability_classes, observation,
+    eval_formula, indistinguishability_classes, observation,
 )
 from natstrat.dsl import parse_guard_text
 from natstrat.model import eval_guard, explore
+
+from evaluator_oracle import eval_knows
 
 
 def _bundled_graphs(base, check4, full22, punisher, infector, watchdog, infra_net):

@@ -1,10 +1,11 @@
 """The compiled explorer and strategy matching against the syntax-tree
 semantics over `GlobalState`s that they replaced (`explore_oracle`): the
 same states in the same breadth-first order, the same transitions, the same
-enabled moves and successors at every reached state, the same moves kept by
-a strategy, rule matched and knowledge classes, and the same errors at the
+enabled moves, in the same order, stored at every reached state, the same
+moves kept by a strategy and knowledge classes, and the same errors at the
 same points."""
 
+import itertools
 import re
 
 import pytest
@@ -17,10 +18,11 @@ from natstrat.dsl import parse_network, parse_strategy
 from natstrat.errors import (
     BoundViolationError, DefinitionError, ResourceLimitError, StrategyError,
 )
-from natstrat.model import Edge, GlobalState, Internal, apply_move, enabled_moves, explore
+from natstrat.model import Edge, GlobalState, Internal, _compiled, explore
 from natstrat.outcome import outcomes, restrict
-from natstrat.strategy import fix_strategy, match_rule, strategy_filter
+from natstrat.strategy import fix_strategy, strategy_filter
 
+from conftest import out_edges
 from test_outcome import _network_and_strategies, _packed_network_and_strategy
 
 
@@ -38,6 +40,10 @@ def _shape(graph):
 
 
 def assert_matches_oracle(net, s_A=None, **kwargs):
+    """`explore` (under s_A's filter, if any) against the oracle's: the
+    same states, transitions or error; at each reached state, the stored
+    moves are the oracle's enabled moves, or those s_A allows, in the
+    oracle's order, each move id at most once."""
     keep = None if s_A is None else strategy_filter(net, s_A)
     ref_keep = None if s_A is None else (lambda q, moves: oracle.allowed_moves(net, q, moves, s_A))
     got = _run(lambda: explore(net, move_filter=keep, **kwargs))
@@ -46,12 +52,13 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
         assert got == want
         return
     assert _shape(got) == _shape(want)
-    for q in got.states:
-        moves = enabled_moves(net, q)
-        assert moves == oracle.enabled_moves(net, q), q
-        for m in moves:
-            assert _run(lambda: apply_move(net, q, m)) == \
-                _run(lambda: oracle.apply_move(net, q, m)), (q, m.label())
+    for i, q in enumerate(got.states):
+        ids = got.move_ids[got.offsets[i]:got.offsets[i + 1]]
+        moves = oracle.enabled_moves(net, q)
+        if s_A is not None:
+            moves = oracle.allowed_moves(net, q, moves, s_A)
+        assert [got.moves[m] for m in ids] == moves, q
+        assert len(set(ids)) == len(ids), q
 
 
 def _restricted(result):
@@ -64,10 +71,9 @@ def _restricted(result):
 
 def assert_strategy_matches_oracle(net, s_A, starts=None):
     """At every state of explore(net): the moves s_A keeps (or the
-    StrategyError its matching raises), each member's matched rule, and
-    each agent's knowledge class; then `outcomes` from the initial state, and
-    `restrict` over the whole graph and from each state of `starts`
-    (default: all)."""
+    StrategyError its matching raises) and each agent's knowledge class;
+    then `outcomes` from the initial state, and `restrict` over the whole
+    graph and from each state of `starts` (default: all)."""
     graph, ref = explore(net), oracle.explore(net)
     assert graph.states == ref.states
     keep = strategy_filter(net, s_A)
@@ -76,9 +82,6 @@ def assert_strategy_matches_oracle(net, s_A, starts=None):
         ids = graph.move_ids[graph.offsets[i]:graph.offsets[i + 1]]
         assert _run(lambda: [graph.moves[m] for m in keep(graph.keys[i], ids)]) == \
             _run(lambda: oracle.allowed_moves(net, q, moves, s_A)), q
-        for s in s_A.values():
-            assert _run(lambda: match_rule(net, q, s)) == \
-                _run(lambda: oracle.match_rule(net, q, s)), (s.name, q)
     for agent in net.agents:
         classes = indistinguishability_classes(graph, agent.name)
         assert {frozenset(c) for c in classes.values()} == \
@@ -116,6 +119,37 @@ def test_bundled_models_match_oracle(name, net, s_A):
         # from every start on the small graphs, from a spread of them on the others
         n = len(oracle.explore(net).states)
         assert_strategy_matches_oracle(net, s_A, None if n <= 80 else range(0, n, n // 40))
+
+
+def _corner_starts(net):
+    """The states with every agent at its last or its middle location and
+    every variable at its upper or lower bound that are not reachable from
+    the initial state."""
+    reached = explore(net)
+    locations = [tuple(a.locations[-1] for a in net.agents),
+                 tuple(a.locations[len(a.locations) // 2] for a in net.agents)]
+    values = [tuple(v.hi for _, v in net.var_decls()), tuple(v.lo for _, v in net.var_decls())]
+    starts = [GlobalState(locs, vals) for locs in locations for vals in values]
+    return [q for q in starts if q not in reached]
+
+
+@pytest.mark.parametrize("name,net,s_A", _bundled_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_bundled_models_match_oracle_from_unreachable_starts(name, net, s_A):
+    starts = _corner_starts(net)
+    assert starts
+    for q in starts:
+        assert_matches_oracle(net, s_A, start=q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_network_and_strategies())
+def test_random_networks_match_oracle_from_every_start(case):
+    # most of these starts are not reachable from the initial state
+    net, s_A = case
+    for locs in itertools.product(*(a.locations for a in net.agents)):
+        for v in range(3):
+            assert_matches_oracle(net, start=GlobalState(locs, (v,)))
+            assert_matches_oracle(net, s_A, start=GlobalState(locs, (v,)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,8 +240,7 @@ agent C(lazy) { init c0; edge c0 -> c0 on r4 sync c?; }
 
 def test_sync_pairs_come_sender_by_sender_per_channel():
     net = parse_network(PAIRS_SRC, name="pairs")
-    q0 = net.initial_state()
-    assert [m.label() for m in enabled_moves(net, q0)] == [
+    assert [t.move.label() for t in out_edges(explore(net), 0)] == [
         "C.wait",
         "A.s1!d / B.r3",
         "A.s2!c / B.r1", "A.s2!c / B.r2", "A.s2!c / C.r4",
@@ -233,12 +266,10 @@ def test_sync_pairs_come_sender_by_sender_per_channel():
 ])
 def test_overflow_raises_the_oracles_error(src, message):
     net = parse_network(src, name="overflow")
-    q0 = net.initial_state()
-    move = next(m for m in enabled_moves(net, q0) if not m.is_idle)
     with pytest.raises(BoundViolationError, match=f"^{re.escape(message)}$"):
         explore(net)
-    assert _run(lambda: apply_move(net, q0, move)) == \
-        _run(lambda: oracle.apply_move(net, q0, move)) == ("BoundViolationError", message, None)
+    assert _run(lambda: explore(net)) == _run(lambda: oracle.explore(net)) == \
+        ("BoundViolationError", message, None)
     assert_matches_oracle(net)
 
 
@@ -258,7 +289,7 @@ def test_a_repeated_edge_gives_two_transitions_that_restrict_keeps():
                         "edge s0 -> s1 on a; edge s0 -> s1 on a; edge s0 -> s2 on b; }",
                         name="twice")
     graph = explore(net)
-    first, second, other = graph.out_edges(0)
+    first, second, other = out_edges(graph, 0)
     assert first.move == second.move and first.move is not second.move
     assert (first.target, second.target) == (1, 1)
     assert_matches_oracle(net)
@@ -279,9 +310,10 @@ def test_an_interned_move_is_shared_across_states(base):
         by_edge.setdefault(key, set()).add(id(t.move))
     assert all(len(ids) == 1 for ids in by_edge.values())
     assert len(graph.transitions) > len(by_edge)  # some move recurs
-    q = graph.states[0]
-    assert [id(m) for m in enabled_moves(base.network, q)] == \
-        [id(t.move) for t in graph.out_edges(0)]
+    # and across explorations: from a later state, the same objects again
+    i = graph.n_states // 2
+    again = explore(base.network, start=graph.states[i])
+    assert [id(t.move) for t in out_edges(again, 0)] == [id(t.move) for t in out_edges(graph, i)]
 
 
 def test_undeclared_start_location_is_a_definition_error(base):
@@ -289,8 +321,6 @@ def test_undeclared_start_location_is_a_definition_error(base):
     q = GlobalState(("nowhere",), net.initial_state().values)
     with pytest.raises(DefinitionError, match="^agent Voter: no location nowhere$"):
         explore(net, start=q)
-    with pytest.raises(DefinitionError, match="^agent Voter: no location nowhere$"):
-        enabled_moves(net, q)
 
 
 def test_a_start_of_the_wrong_shape_is_a_definition_error(base):
@@ -299,12 +329,18 @@ def test_a_start_of_the_wrong_shape_is_a_definition_error(base):
 
 
 def test_a_hand_built_move_is_applied_like_the_oracle(toy_net):
+    # the compiled successor function of a move that no edge interned
     net = toy_net
+    comp = _compiled(net)
+
+    def apply(q, move):
+        return comp.decode(comp.step(net, move)[1](comp.encode(net, q)))
+
     q = net.state(locations={"T": "l1"})
     move = Internal("T", Edge("l1", "l2", "step", updates=net.agent("T").edges[1].updates))
-    assert all(m is not move for m in enabled_moves(net, q))
-    assert apply_move(net, q, move) == oracle.apply_move(net, q, move)
+    assert all(m is not move for m in comp.moves)
+    assert apply(q, move) == oracle.apply_move(net, q, move)
     # a self-loop off its source still installs its target location
     loop = Internal("T", Edge("l1", "l1", "bump"))
     at_l0 = net.state(locations={"T": "l0"})
-    assert apply_move(net, at_l0, loop) == oracle.apply_move(net, at_l0, loop) == q
+    assert apply(at_l0, loop) == oracle.apply_move(net, at_l0, loop) == q

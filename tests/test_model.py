@@ -7,19 +7,26 @@ from natstrat.checker import _guards_of_cost, default_vocabulary
 from natstrat.errors import BoundViolationError, DefinitionError, ResourceLimitError
 from natstrat.model import (
     TRUE, And, Comparison, FalseConst, GlobalState, Internal, LocAtom, Not, Or,
-    Synchronized, TrueConst, VarAtom, VarRef, apply_move, available_actions,
-    enabled_moves, eval_guard, explore,
+    Synchronized, TrueConst, VarAtom, VarRef, eval_guard, explore,
 )
 from natstrat.dsl import parse_guard_text, parse_network
-from natstrat.strategy import match_rule
+from natstrat.strategy import strategy_filter
 
-from conftest import two_state_net
+from conftest import moves_at, out_edges, two_state_net
 from test_outcome import _network_and_strategies
 
 
-def _move_actions(net, q, agent):
-    return {m.edge.action for m in enabled_moves(net, q)
-            if isinstance(m, Internal) and m.agent == agent}
+def _actions(net, q, agent):
+    """The actions the agent takes part in among the moves enabled at q."""
+    return {action for m in moves_at(net, q)
+            for actor, action in zip(m.actors, m.actions) if actor == agent}
+
+
+def _successor(net, q, action):
+    """The state that the move of `action` enabled at q leads to."""
+    g = explore(net, start=q)
+    return g.states[next(t.target for t in out_edges(g, 0)
+                         if isinstance(t.move, Internal) and t.move.edge.action == action)]
 
 
 def _both(g, q, net):
@@ -73,13 +80,13 @@ def test_constants_are_looked_up_by_name(full75):
 
 def test_enabled_moves_empty_on_deadlock():
     net = parse_network("agent D { init only; }", name="dead")
-    assert enabled_moves(net, net.initial_state()) == []
+    assert moves_at(net, net.initial_state()) == []
 
 
 def test_enabled_moves_voter_has_ballot(base):
     net = base.network
     q = net.state(locations={"Voter": "has_ballot"})
-    assert "scan_ballot" in _move_actions(net, q, "Voter")
+    assert "scan_ballot" in _actions(net, q, "Voter")
 
 
 def test_enabled_moves_sync_pair():
@@ -88,7 +95,7 @@ channel print;
 agent PW { init idle; edge idle -> idle on request sync print!; }
 agent Printer { init wait; loc busy; edge wait -> busy on receive sync print?; }
 """, name="printtoy")
-    moves = enabled_moves(net, net.initial_state())
+    moves = moves_at(net, net.initial_state())
     syncs = [m for m in moves if isinstance(m, Synchronized)]
     assert len(syncs) == 1
     assert syncs[0].channel == "print"
@@ -97,57 +104,52 @@ agent Printer { init wait; loc busy; edge wait -> busy on receive sync print?; }
 
 def test_apply_wait_is_identity(base):
     net = base.network
-    q = net.initial_state()
-    wait = [m for m in enabled_moves(net, q) if m.is_idle]
-    assert wait
-    assert apply_move(net, q, wait[0]) == q
+    g = explore(net)
+    wait = [t.target for t in out_edges(g, 0) if t.move.is_idle]
+    assert wait == [0]
 
 
 def test_apply_scan_ballot(base):
     net = base.network
     q = net.state(locations={"Voter": "has_ballot"})
-    move = next(m for m in enabled_moves(net, q)
-                if isinstance(m, Internal) and m.edge.action == "scan_ballot")
-    q2 = apply_move(net, q, move)
-    assert q2.location_of(net, "Voter") == "scanning"
+    q2 = _successor(net, q, "scan_ballot")
+    assert q2.locations[net.agent_pos("Voter")] == "scanning"
     assert q2.values == q.values
 
 
 def test_apply_update_increment(toy_net):
     net = toy_net
     q = net.state(locations={"T": "l1"})
-    step = next(m for m in enabled_moves(net, q)
-                if isinstance(m, Internal) and m.edge.action == "step")
-    q2 = apply_move(net, q, step)
-    assert q2.value_of(net, "T", "x") == 1
+    q2 = _successor(net, q, "step")
+    assert q2.values[net.var_pos("T", "x")] == 1
 
 
 def test_apply_out_of_bounds_raises():
     net = parse_network("""
 agent O { var int[0,1] c = 1; init a; loc b; edge a -> b on inc do c := c + 1; }
 """, name="oob")
-    q = net.initial_state()
-    move = next(m for m in enabled_moves(net, q) if not m.is_idle)
-    with pytest.raises(BoundViolationError):
-        apply_move(net, q, move)
+    with pytest.raises(BoundViolationError,
+                       match=r"^assignment c := c \+ 1 yields 2, outside \[0,1\] of variable c$"):
+        explore(net)
 
 
 def test_available_actions_lazy_only_wait():
     net = parse_network("agent L(lazy) { init only; }", name="lazyonly")
-    assert available_actions(net, net.initial_state(), "L") == {"wait"}
+    assert _actions(net, net.initial_state(), "L") == {"wait"}
 
 
 def test_available_actions_voter(base):
     net = base.network
     voted = net.state(locations={"Voter": "voted"})
-    assert "check2" in available_actions(net, voted, "Voter")
+    assert "check2" in _actions(net, voted, "Voter")
     printing = net.state(locations={"Voter": "printing"})
-    assert "print_ballot" in available_actions(net, printing, "Voter")
+    assert "print_ballot" in _actions(net, printing, "Voter")
 
 
 def test_available_actions_unknown_agent(base):
-    with pytest.raises(DefinitionError):
-        available_actions(base.network, base.network.initial_state(), "Nobody")
+    s = base.strategies["cast_verify"]
+    with pytest.raises(DefinitionError, match="^unknown agent Nobody$"):
+        strategy_filter(base.network, {"Nobody": s})
 
 
 def test_explore_single_state():
@@ -223,13 +225,10 @@ def test_a_state_outside_its_domains_is_a_definition_error(punisher):
     q = graph.states[0]
     pos = [v.name for _, v in net.var_decls()].index("ca_v")
     bad = GlobalState(q.locations, q.values[:pos] + (9,) + q.values[pos + 1:])
-    s = punisher.strategies["punish_disobedient"]
     message = r"^variable ca_v: value 9 outside \[0,2\]$"
     for call in (lambda: eval_guard(TRUE, bad, net),
                  lambda: eval_guard(parse_guard_text("ca_v == 9", net), bad, net),
-                 lambda: enabled_moves(net, bad),
-                 lambda: apply_move(net, bad, graph.transitions[0].move),
-                 lambda: match_rule(net, bad, s)):
+                 lambda: explore(net, start=bad)):
         with pytest.raises(DefinitionError, match=message):
             call()
     assert q in graph and bad not in graph
@@ -239,15 +238,15 @@ def test_a_state_outside_its_domains_is_a_definition_error(punisher):
 
 def test_lazy_templates_never_deadlock(base):
     net = base.network
-    for q in explore(net).states:
-        assert enabled_moves(net, q)
+    g = explore(net)
+    assert all(g.offsets[i] < g.offsets[i + 1] for i in range(g.n_states))
 
 
 def test_apply_move_deterministic(toy_net):
     g = explore(toy_net)
     for t in g.transitions[:50]:
         q = g.states[t.source]
-        assert apply_move(toy_net, q, t.move) == g.states[t.target]
+        assert oracle.apply_move(toy_net, q, t.move) == g.states[t.target]
 
 
 def _view_cases():
@@ -260,7 +259,7 @@ def _view_cases():
 def test_graph_views_read_as_lists(net):
     # the columns read back as the per-edge and per-state lists they replaced
     g = explore(net)
-    edges = [t for i in range(g.n_states) for t in g.out_edges(i)]
+    edges = [t for i in range(g.n_states) for t in out_edges(g, i)]
     assert list(g.transitions) == edges and g.transitions == edges
     assert len(g.transitions) == len(edges) and len(g.states) == g.n_states
     assert g.transitions[:50] == edges[:50] and g.transitions[-1] == edges[-1]
@@ -268,7 +267,7 @@ def test_graph_views_read_as_lists(net):
     with pytest.raises(IndexError):
         g.states[g.n_states]
     for i in range(g.n_states):
-        assert g.succ[i] == sorted({t.target for t in g.out_edges(i) if not t.move.is_idle})
+        assert g.succ[i] == sorted({t.target for t in out_edges(g, i) if not t.move.is_idle})
     for agent in net.agents:
         for atom in default_vocabulary(net, [agent.name]):
             assert g.satisfying(atom) == {i for i, q in enumerate(g.states)

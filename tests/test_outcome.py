@@ -13,7 +13,7 @@ import explore_oracle as oracle
 import steps_oracle
 import synthesis_oracle
 import test_evaluator as evaluator_tests
-from conftest import two_state_net
+from conftest import moves_at, two_state_net
 from test_synthesis import _matched_behaviour
 
 
@@ -194,24 +194,25 @@ def test_strategy_withholds_sync_action():
 
 
 def test_sync_action_available_only_with_partner():
-    from natstrat.model import available_actions
     net = parse_network(SYNC_SRC, name="synced")
-    q0 = net.initial_state()
-    assert "send" in available_actions(net, q0, "Sender")
+
+    def sender_actions(q):
+        return {act for m in moves_at(net, q) for a, act in zip(m.actors, m.actions)
+                if a == "Sender"}
+    assert "send" in sender_actions(net.initial_state())
     q_done = net.state(locations={"Receiver": "got"})
     # no receiver left on the channel: the send cannot synchronize
-    assert "send" not in available_actions(net, q_done, "Sender")
+    assert sender_actions(q_done) == {"chatter", "wait"}
     # a total strategy whose final action cannot fire is ill-formed there
-    from natstrat.errors import StrategyError
-    from natstrat.strategy import match_rule
     s = parse_strategy("strategy s for Sender { when true do send; }", net)
-    with pytest.raises(StrategyError):
-        match_rule(net, q_done, s)
+    with pytest.raises(StrategyError, match="^strategy s: no rule matches at "):
+        outcomes(net, q_done, {"Sender": s})
     # guarding the send and falling back to idling is fine
     fallback = parse_strategy(
         "strategy t for Sender { when Sender@idle do send; when true do wait; }",
         net)
-    assert match_rule(net, q_done, fallback) == 2
+    assert oracle.match_rule(net, q_done, fallback) == 2
+    assert outcomes(net, q_done, {"Sender": fallback}).n_states == 1
 
 
 def test_steps_count_adversary_moves(punisher):

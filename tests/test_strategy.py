@@ -8,10 +8,11 @@ from natstrat.outcome import outcomes
 from natstrat.strategy import (
     LITERAL_CONVENTION, WILDCARD, NaturalStrategy, Rule, complexity,
     firing_exclusive, fix_strategy, guard_length, make_mutually_exclusive,
-    match_rule, audit_strategy,
+    audit_strategy,
 )
 
 from conftest import two_state_net
+from explore_oracle import match_rule
 
 
 # -- guard length / complexity -------------------------------------------------
@@ -51,6 +52,8 @@ def test_collective_complexity_sums(base, punisher):
 
 
 # -- matching ---------------------------------------------------------------------
+# the rule numbers come from the oracle's `match_rule`; `test_explore` checks
+# the moves `strategy_filter` keeps against it at every state
 
 def test_match_rule_examples(base):
     net = base.network
@@ -156,9 +159,9 @@ def test_me_invariance_symbolwise_needs_availability(full22):
     for q in explore(net).states:
         assert match_rule(net, q, ns4) == match_rule(net, q, fx)
         if match_rule(net, q, ns4) != match_rule(net, q, me):
-            loc = q.location_of(net, "Voter")
-            i = q.value_of(net, "Voter", "i")
-            j = q.value_of(net, "Voter", "j")
+            loc = q.locations[net.agent_pos("Voter")]
+            i = q.values[net.var_pos("Voter", "i")]
+            j = q.values[net.var_pos("Voter", "j")]
             divergent.add((loc, i, j))
     assert divergent == {("receipt_check_sn", 2, 0), ("receipt_check_pr", 2, 2)}
 

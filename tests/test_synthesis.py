@@ -18,7 +18,9 @@ from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
 
 import explore_oracle
 import synthesis_oracle as oracle
-from conftest import count_explore, predicates_of, result_facts, trap_net, two_state_net
+from conftest import (
+    count_explore, out_edges, predicates_of, result_facts, trap_net, two_state_net,
+)
 
 
 def three_action_net():
@@ -484,7 +486,7 @@ def _matched_behaviour(space, s_A):
     for m, agent in enumerate(space.agents):
         allowed, err = dict.fromkeys(space.acts[m], 0), 0
         for i, q in enumerate(graph.states):
-            avail = {act for t in graph.out_edges(i)
+            avail = {act for t in out_edges(graph, i)
                      for a, act in zip(t.move.actors, t.move.actions) if a == agent}
             try:
                 r = explore_oracle.first_match(graph.net, q, s_A[agent], avail)
