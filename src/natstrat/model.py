@@ -17,7 +17,9 @@ and `eval_guard` run on it, and so does every reader of an explored graph:
 past exploration a state is its key, and a `GlobalState` is decoded only
 to be printed. Exploration asks each agent what it can do only once per
 distinct value of the fields it reads, through successor tables that live
-as long as one `explore` call.
+as long as one `explore` call. Under a collective strategy, a coalition
+member's table is keyed also by the fields its rules read, so its rules are
+matched once per distinct value of those fields, not once per state.
 
 An explored `StateGraph` is stored as int columns: the key of each state
 with the dict from key to index, the edges as three `array('i')` columns,
@@ -35,9 +37,12 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import BoundViolationError, DefinitionError, ResourceLimitError
+from .errors import BoundViolationError, DefinitionError, ResourceLimitError, StrategyError
+
+if TYPE_CHECKING:
+    from .strategy import CollectiveStrategy
 
 WAIT_ACTION = "wait"
 
@@ -306,6 +311,16 @@ class Network:
             raise DefinitionError(
                 f"agent {agent.name} cannot write local variable of {ref.owner}")
 
+    def _with_agents(self, agents: tuple[AgentTemplate, ...]) -> "Network":
+        """This network with `agents` in place of its own, which declare the
+        same names, locations and variables, so its lookups stay and are
+        not validated again (`strategy.fix_strategy` checks what it adds)."""
+        out = object.__new__(Network)
+        out.__dict__.update(self.__dict__)
+        out.__dict__.pop("_compiled", None)
+        object.__setattr__(out, "agents", agents)
+        return out
+
     # -- accessors ----------------------------------------------------------
     def agent(self, name: str) -> AgentTemplate:
         try:
@@ -565,8 +580,8 @@ class _CompiledNetwork:
     Each agent has, per location, its edges in declaration order, and a read
     mask (`reads`): its location field and every field its edges' guards and
     update expressions read. What an agent can do at a state depends only on
-    the state's bits under that mask, so `enabled` looks it up in a
-    successor table per agent, keyed by that projection (see `tables`).
+    the state's bits under that mask, so `explore` looks it up in a
+    successor table per agent, keyed by that projection (see `entry`).
     Moves are interned by declared position: one move object per internal
     edge, per location of a lazy agent (its `wait`) and per (send edge,
     receive edge) pair, each with a dense int id (its index in `moves`,
@@ -611,9 +626,9 @@ class _CompiledNetwork:
                     (chan, side), item = e.sync, _Sync(key, agent.name, e)
                 by_loc[self.numbers[pos][e.source]].append((guard, chan, side, item))
                 key += 1
-                read |= self.read_mask(net, e)
+                read |= self.read_mask(net, e.guard, *(asg.expr for asg in e.updates))
             table.append(tuple(map(tuple, by_loc)))
-            waits.append(tuple(self.interned(net, Internal(agent.name, Edge(loc, loc, WAIT_ACTION)))
+            waits.append(tuple(self.interned(net, Internal(agent.name, Edge(loc, loc, WAIT_ACTION)))[0]
                                for loc in agent.locations) if agent.lazy else None)
             reads.append(read)
         self.table = tuple(table)
@@ -627,10 +642,10 @@ class _CompiledNetwork:
             return net._constants[ref.name]
         return self.fields[self.n + net.var_pos(ref.owner, ref.name)]
 
-    def read_mask(self, net: Network, e: Edge) -> int:
-        """The fields that the edge's guard and update expressions read."""
+    def read_mask(self, net: Network, *trees: Union[GuardExpr, IntExpr]) -> int:
+        """The fields that guard and update expressions read."""
         mask = 0
-        for tree in (e.guard, *(asg.expr for asg in e.updates)):
+        for tree in trees:
             for node in nodes(tree):
                 if isinstance(node, LocAtom) and node.agent in net._agent_index:
                     mask |= self.fields[net.agent_pos(node.agent)].mask
@@ -787,69 +802,95 @@ class _CompiledNetwork:
                 mask |= f.mask
         return partial(operator.and_, mask)
 
-    def tables(self) -> list[dict]:
-        """Empty successor tables, one per agent, for `enabled`: each maps
-        the projection of a key on the agent's read mask to its `entry`.
-        They grow with the states they serve, so each exploration makes its
-        own."""
-        return [{} for _ in range(self.n)]
+    def entry(self, net: Network, pos: int, p: int,
+              match: Optional[Callable[[int, set[str]], set[str]]] = None) -> tuple:
+        """What agent `pos` can do at the projection p of a key, as (moves,
+        wait, more): its enabled internal moves as `effect` gives them, the
+        id of its `wait` (None when it has none), and None, or, when the
+        entry needs the whole state (see `complete`), its enabled
+        synchronizing sides as (channel, '!' or '?', side) and whether its
+        strategy is still to be matched there.
 
-    def entry(self, net: Network, pos: int, p: int) -> tuple[tuple, tuple]:
-        """What agent `pos` can do at the projection p of a key on its read
-        mask: its enabled internal moves as `effect` gives them, the `wait`
-        last, and its enabled synchronizing sides as (channel, '!' or '?',
-        side)."""
+        `match` (`strategy._matcher`), given when p also holds the fields
+        the agent's rules read, folds its strategy in. With no side enabled
+        the agent's actions are those of its internal moves, so the entry
+        keeps only the moves its first matching rule allows. With a side
+        enabled its actions depend on partners, and where no rule matches
+        the error names the whole state: then the entry keeps every move."""
         f = self.fields[pos]
         loc = (p & f.mask) >> f.shift
-        moves, sides = [], []
+        items, sides = [], []
         for guard, chan, side, item in self.table[pos][loc]:
             if guard is None or guard(p):
                 if chan is None:
-                    moves.append(self.effect(item, p))
+                    items.append(item)
                 else:
                     sides.append((chan, side, item))
-        if self.waits[pos] is not None:
-            moves.append(self.effect(self.waits[pos][loc], p))
-        return tuple(moves), tuple(sides)
+        wait = None if self.waits[pos] is None else self.waits[pos][loc]
+        unmatched = match is not None and bool(sides)
+        if match is not None and not sides:
+            moves = self.moves
+            avail = {moves[m].edge.action for m, _ in items}
+            if wait is not None:
+                avail.add(WAIT_ACTION)
+            try:
+                allowed = match(p, avail)
+            except StrategyError:
+                unmatched = True
+            else:
+                items = [item for item in items if moves[item[0]].edge.action in allowed]
+                if WAIT_ACTION not in allowed:
+                    wait = None
+        effects = tuple(self.effect(item, p) for item in items)
+        return effects, wait, (tuple(sides), unmatched) if sides or unmatched else None
 
     def effect(self, item: tuple[int, Callable], p: int) -> tuple:
         """An internal move at the projection p, as (move id, mask of the
-        bits it keeps, bits it installs): the fields it writes depend on p
-        alone. A move whose update leaves its variable's domain is (move id,
-        None, successor function), which raises only where it is taken."""
+        bits it keeps, bits it installs, whether it is productive): the
+        fields it writes depend on p alone. A move whose update leaves its
+        variable's domain keeps None and installs its successor function,
+        which raises only where it is taken."""
         m, step = item
         try:
             after = step(p)
         except BoundViolationError:
-            return m, None, step
-        return m, ~self.writes[m], after & self.writes[m]
+            return m, None, step, not self.idle[m]
+        return m, ~self.writes[m], after & self.writes[m], not self.idle[m]
 
-    def enabled(self, net: Network, s: int, tables: list[dict]) -> list[tuple]:
-        """The moves enabled at s, in the order `StateGraph` documents, as
-        `effect` gives them; a synchronized move is (move id, None,
-        successor function). `tables` (from `tables`) holds each agent's
-        entries by projection, made at the first key that needs them."""
-        out, sides = [], []
-        for pos, (read, table) in enumerate(zip(self.reads, tables)):
-            p = s & read
-            hit = table.get(p)
-            if hit is None:
-                hit = table[p] = self.entry(net, pos, p)
-            out += hit[0]
-            if hit[1]:
-                sides += hit[1]
-        if sides:
-            senders: dict[str, list[_Sync]] = {}
-            receivers: dict[str, list[_Sync]] = {}
-            for chan, side, item in sides:
-                (senders if side == "!" else receivers).setdefault(chan, []).append(item)
-            for chan, snd in senders.items():
-                for a in snd:
-                    for b in receivers.get(chan, ()):
-                        if a.agent != b.agent:
-                            m, step = self.pair(net, a, b)
-                            out.append((m, None, step))
-        return out
+    def complete(self, net: Network, s: int, hits: list[tuple],
+                 keep: Optional[Callable[[int, Sequence[int]], list[int]]]) -> list[tuple]:
+        """The entries of every agent at the key s (`hits`, from `entry`),
+        followed by one that holds the synchronized moves their sides form,
+        as (move id, None, successor function, True): the pairs on a common
+        channel between distinct agents, channels in the order their first
+        enabled sender appears. When some entry is still to be matched, each
+        keeps only the moves `keep`, the strategy's filter, keeps at s."""
+        senders: dict[str, list[_Sync]] = {}
+        receivers: dict[str, list[_Sync]] = {}
+        unmatched = False
+        for _, _, more in hits:
+            if more is not None:
+                unmatched |= more[1]
+                for chan, side, item in more[0]:
+                    (senders if side == "!" else receivers).setdefault(chan, []).append(item)
+        pairs = []
+        for chan, snd in senders.items():
+            for a in snd:
+                for b in receivers.get(chan, ()):
+                    if a.agent != b.agent:
+                        m, step = self.pair(net, a, b)
+                        pairs.append((m, None, step, True))
+        hits = [*hits, (pairs, None, None)]
+        if not unmatched:
+            return hits
+        ids = []
+        for moves, wait, _ in hits:
+            ids += [x[0] for x in moves]
+            if wait is not None:
+                ids.append(wait)
+        kept = set(keep(s, ids))
+        return [(tuple(x for x in moves if x[0] in kept), wait if wait in kept else None, None)
+                for moves, wait, _ in hits]
 
 
 def _compiled(net: Network) -> _CompiledNetwork:
@@ -908,9 +949,9 @@ class StateGraph:
     internal edges with true guards and then the implicit `wait` self-loop
     of a lazy agent; then every send/receive pair on a common channel
     between distinct agents, channels in the order their first enabled
-    sender appears (a `move_filter` keeps a subsequence). A move id indexes
-    `moves` and `idle`: the same edge, `wait` loop or pair is the same move
-    object at every state. No object is kept per state or per edge:
+    sender appears (under a strategy, `explore` keeps a subsequence). A move
+    id indexes `moves` and `idle`: the same edge, `wait` loop or pair is the
+    same move object at every state. No object is kept per state or per edge:
     `states` and `transitions` are read-only sequence views that decode a
     `GlobalState` or build a `Transition` per item accessed. `wait`
     self-loops are included; path-level analyses read `succ`, the distinct
@@ -984,61 +1025,84 @@ DEFAULT_STATE_CAP = 200_000
 
 def explore(net: Network, start: Optional[GlobalState] = None,
             state_cap: int = DEFAULT_STATE_CAP,
-            move_filter=None) -> StateGraph:
+            s_A: Optional[CollectiveStrategy] = None) -> StateGraph:
     """Breadth-first search over the enabled moves from `start` (default: the
     initial state), on the network's compiled form. It stores the key of
     each state, three int columns of edges and each state's `succ`, filled
     as the state is expanded, nothing else per state or per edge (see
-    `StateGraph`). The successor tables of `_CompiledNetwork.enabled` are
-    made here and dropped with the call. A move that leaves its state as it
-    is (every `wait`) targets the state without a lookup.
+    `StateGraph`). Each agent's successor table, made here and dropped with
+    the call, maps the projection of a key on the fields its edges read to
+    its `entry` there. A `wait` is stored as a self-loop with no successor
+    computed, and a move that leaves its state as it is targets the state
+    without a lookup.
 
-    `move_filter(s, ids)`, called once per state with its key and the ids
-    of the moves enabled there, returns the ids to keep, in their order
-    (`strategy.strategy_filter` builds one for a collective strategy); it is
-    how strategy-constrained outcome graphs are built without materializing
-    a pruned network. It stays because it explores only the outcome: for one
-    strategy on two copies of voter_full(7,5) that is 6,320 of 24,964 states,
-    in about 40 % of the time of `restrict(explore(net), s_A)` (median of 7,
-    Python 3.11, 2 CPUs). Raises ResourceLimitError past `state_cap` states,
-    the initial one included, and DefinitionError when `start` is at a
-    location its agent does not declare or holds a value outside its
-    variable's domain.
+    With a collective strategy s_A, only the moves s_A allows are followed,
+    as `strategy.strategy_filter` keeps them. A member's table is keyed also
+    by the fields its rules read, so its rules are matched once per
+    projection; where it has a synchronizing side enabled, or no rule
+    matches, at each state the projection serves. This explores only the
+    outcome: for one strategy on two copies of voter_full(7,5), 6,320 of
+    24,964 states, matched at 40 projections, in about 7 % of the time of
+    `restrict(explore(net), s_A)` (4 to 8 % over six medians of 7 runs,
+    Python 3.11, 2 CPUs).
+
+    Raises ResourceLimitError past `state_cap` states, the initial one
+    included; StrategyError at the first expanded state where matching
+    fails, before any of its successors; and DefinitionError when `start`
+    is at a location its agent does not declare or holds a value outside
+    its variable's domain, or for a member of s_A that is not an agent of
+    `net` or whose strategy is for another agent.
     """
+    comp = _compiled(net)
+    masks, matches, keep = list(comp.reads), [None] * comp.n, None
+    if s_A:
+        from .strategy import _matcher, strategy_filter  # it imports this module
+        keep = strategy_filter(net, s_A)
+        for agent, s in s_A.items():
+            pos = net.agent_pos(agent)
+            masks[pos] |= comp.read_mask(net, *(r.guard for r in s.rules))
+            matches[pos] = _matcher(net, s)
     if state_cap < 1:
         raise ResourceLimitError(f"state cap {state_cap} exceeded", partial=0)
-    comp = _compiled(net)
-    tables, idle = comp.tables(), comp.idle
+    tables = [(mask, {}, partial(comp.entry, net, pos, match=match))
+              for pos, (mask, match) in enumerate(zip(masks, matches))]
     keys = [comp.encode(net, net.initial_state() if start is None else start)]
     index = {keys[0]: 0}
     offsets, targets, move_ids = array("i", [0]), array("i"), array("i")
     succ: list[list[int]] = []
-    i = 0
-    while i < len(keys):  # states are expanded in discovery order
-        s = keys[i]
-        enabled = comp.enabled(net, s, tables)
-        if move_filter is not None:
-            kept = move_filter(s, [m for m, _, _ in enabled])
-            enabled = [item for item in enabled if item[0] in kept]
+    for i, s in enumerate(keys):  # it grows as states are found: discovery order
+        hits, more = [], False
+        for mask, table, entry in tables:
+            p = s & mask
+            hit = table.get(p)
+            if hit is None:
+                hit = table[p] = entry(p)
+            hits.append(hit)
+            if hit[2] is not None:
+                more = True
+        if more:
+            hits = comp.complete(net, s, hits, keep)
         outs = []
-        for m, keep, put in enabled:
-            nxt = put(s) if keep is None else s & keep | put
-            if nxt == s:
-                j = i
-            else:
-                j = index.get(nxt)
-                if j is None:
-                    if len(keys) >= state_cap:
-                        raise ResourceLimitError(
-                            f"state cap {state_cap} exceeded", partial=len(keys))
-                    j = len(keys)
-                    index[nxt] = j
-                    keys.append(nxt)
-            targets.append(j)
-            move_ids.append(m)
-            if not idle[m]:
-                outs.append(j)
+        for moves, wait, _ in hits:
+            for m, hold, put, productive in moves:
+                nxt = put(s) if hold is None else s & hold | put
+                if nxt == s:
+                    j = i
+                else:
+                    j = index.get(nxt)
+                    if j is None:
+                        if len(keys) >= state_cap:
+                            raise ResourceLimitError(
+                                f"state cap {state_cap} exceeded", partial=len(keys))
+                        j = index[nxt] = len(keys)
+                        keys.append(nxt)
+                targets.append(j)
+                move_ids.append(m)
+                if productive:
+                    outs.append(j)
+            if wait is not None:
+                targets.append(i)
+                move_ids.append(wait)
         succ.append(sorted(set(outs)) if len(outs) > 1 else outs)
         offsets.append(len(targets))
-        i += 1
     return StateGraph(net, keys, index, offsets, targets, move_ids, succ)

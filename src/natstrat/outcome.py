@@ -3,10 +3,12 @@
 The outcome of a collective strategy from a state is the reachable graph in
 which every coalition member only takes actions its strategy prescribes
 (first-match semantics), while all other agents behave freely. `outcomes`
-explores it from one state; `restrict` cuts it out of an explored graph as
-successor lists, for every state at once or from one `start`. Both run one
-filter per call, `strategy.strategy_filter`, over each state's key and the
-ids of the moves enabled there.
+explores it from one state, matching a member's rules once per projection
+of a state on the fields its edges and rules read (see `model.explore`);
+`restrict` cuts it out of an explored graph as successor lists, for every
+state at once or from one `start`, through `strategy.strategy_filter` per
+visited state. Both match by `strategy._matcher` at the same move of each
+state, so they keep the same moves and raise the same StrategyError.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
@@ -42,8 +44,7 @@ from .strategy import CollectiveStrategy, strategy_filter
 def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
              state_cap: int = DEFAULT_STATE_CAP) -> StateGraph:
     """Explore out(q, s_A) directly, following only the moves s_A allows."""
-    return explore(net, start=q, state_cap=state_cap,
-                   move_filter=strategy_filter(net, s_A) if s_A else None)
+    return explore(net, start=q, state_cap=state_cap, s_A=s_A)
 
 
 def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = None

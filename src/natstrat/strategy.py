@@ -12,7 +12,7 @@ from .errors import DefinitionError, StrategyError
 from .model import (
     FALSE, TRUE, WAIT_ACTION, And, Comparison, Edge, FalseConst,
     GuardExpr, LocAtom, Network, Not, Or, TrueConst,
-    _compiled, and_all, explore, map_atoms, nodes, or_all,
+    _compiled, and_all, explore, map_atoms, nodes, or_all, var_refs,
 )
 
 
@@ -116,7 +116,9 @@ def _matcher(net: Network, s: NaturalStrategy) -> Callable[[int, set[str]], set[
     and whose action is available, or all of them under the wildcard; none
     when no rule matches, or the agent has no action. Raises StrategyError
     when actions exist but a total strategy's final concrete action is not
-    among them. Each rule's guard is compiled once."""
+    among them. Each rule's guard is compiled once. The one first-match
+    rule: `explore`'s successor tables, `strategy_filter` (so `restrict`)
+    and `audit_strategy` all match through it."""
     comp = _compiled(net)
     rules = [(comp.guard(net, r.guard), r.action) for r in s.rules]
     total, name = s.is_total, s.name or s.agent
@@ -144,7 +146,7 @@ def _check_members(net: Network, s_A: CollectiveStrategy) -> None:
 
 def strategy_filter(net: Network, s_A: CollectiveStrategy
                     ) -> Callable[[int, Sequence[int]], list[int]]:
-    """The move filter of s_A, for `explore`: given a state's key and
+    """The move filter of s_A: given a state's key and
     the ids of the moves enabled there, the ids s_A allows, in order. A
     coalition agent takes only its matched rule's action, or any available
     one under the wildcard; others act freely. An agent's rules are matched,
@@ -332,7 +334,16 @@ def fix_strategy(net: Network, s_A: CollectiveStrategy) -> Network:
     Off-strategy edges (empty disjunction, or one that simplifies to false)
     are removed. Lazy coalition agents get explicit `wait` self-loops guarded
     the same way, so idling survives exactly where a wait/wildcard rule
-    matches. Non-coalition agents are untouched."""
+    matches. Non-coalition agents are untouched.
+
+    The new edge guards are built from the network's own guards, which it
+    validated, and the rule guards, whose variable references are checked
+    here: a rule guard naming an undeclared variable is a DefinitionError."""
+    _check_members(net, s_A)
+    for agent, s in s_A.items():
+        for rule in s.rules:
+            for ref in var_refs(rule.guard):
+                net._check_ref(ref, net._constants, net.agent(agent))
     new_agents = []
     for tpl in net.agents:
         s, agent = s_A.get(tpl.name), tpl.name
@@ -377,5 +388,4 @@ def fix_strategy(net: Network, s_A: CollectiveStrategy) -> Network:
                 new_edges.append(Edge(source=loc, target=loc, action=WAIT_ACTION,
                                       guard=guard))
         new_agents.append(replace(tpl, edges=tuple(new_edges), lazy=False))
-    _check_members(net, s_A)
-    return replace(net, agents=tuple(new_agents))
+    return net._with_agents(tuple(new_agents))

@@ -7,7 +7,10 @@ off its location name and values. It is kept as the oracle of
 `natstrat.model`'s `explore` (the moves it stores at each state, in order,
 and their targets) and `eval_guard`, of `natstrat.strategy`'s
 `strategy_filter`, of `natstrat.outcome`'s `outcomes` and `restrict`, and
-of the knowledge classes of `natstrat.checker`. Its `enabled_moves`,
+of the knowledge classes of `natstrat.checker`. Its `explore` takes the
+per-state form of a strategy, a `move_filter` such as `allowed_moves`,
+against which natstrat's `explore` under a strategy, matched once per
+projection of a state, is compared. Its `enabled_moves`,
 `apply_move`, `available_actions` and `match_rule` are the reference for
 what natstrat computes on state keys and no longer offers per
 `GlobalState`."""

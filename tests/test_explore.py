@@ -14,13 +14,15 @@ from hypothesis import given, settings
 import explore_oracle as oracle
 from natstrat import casestudy
 from natstrat.checker import indistinguishability_classes
-from natstrat.dsl import parse_network, parse_strategy
+from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import (
     BoundViolationError, DefinitionError, ResourceLimitError, StrategyError,
 )
-from natstrat.model import Edge, GlobalState, Internal, _compiled, explore
+from natstrat.model import (
+    TRUE, And, Edge, GlobalState, Internal, LocAtom, Not, _compiled, explore,
+)
 from natstrat.outcome import outcomes, restrict
-from natstrat.strategy import fix_strategy, strategy_filter
+from natstrat.strategy import NaturalStrategy, Rule, fix_strategy, strategy_filter
 
 from conftest import out_edges
 from test_outcome import _network_and_strategies, _packed_network_and_strategy
@@ -40,13 +42,13 @@ def _shape(graph):
 
 
 def assert_matches_oracle(net, s_A=None, **kwargs):
-    """`explore` (under s_A's filter, if any) against the oracle's: the
-    same states, transitions or error; at each reached state, the stored
-    moves are the oracle's enabled moves, or those s_A allows, in the
-    oracle's order, each move id at most once."""
-    keep = None if s_A is None else strategy_filter(net, s_A)
+    """`explore` (under s_A, if any) against the oracle's, which filters
+    each state's moves through `allowed_moves`: the same states,
+    transitions or error; at each reached state, the stored moves are the
+    oracle's enabled moves, or those s_A allows, in the oracle's order,
+    each move id at most once."""
     ref_keep = None if s_A is None else (lambda q, moves: oracle.allowed_moves(net, q, moves, s_A))
-    got = _run(lambda: explore(net, move_filter=keep, **kwargs))
+    got = _run(lambda: explore(net, s_A=s_A, **kwargs))
     want = _run(lambda: oracle.explore(net, move_filter=ref_keep, **kwargs))
     if isinstance(want, tuple):
         assert got == want
@@ -184,6 +186,87 @@ def test_a_strategy_that_drops_the_only_overflowing_move_raises_nothing():
     assert [(q.locations, q.values) for q in graph.states] == [
         (("a0",), (0,)), (("a0",), (1,)), (("a1",), (1,))]
     assert_matches_oracle(net, s_A)
+
+
+def test_a_refused_sync_whose_update_overflows_raises_nothing():
+    # the pair's update leaves g's domain, and A's strategy never sends
+    net = parse_network("channel c; global int[0,1] g = 1; "
+                        "agent A(lazy) { init a0; loc a1; edge a0 -> a1 on s sync c! do g := g + 1; } "
+                        "agent B { init b0; loc b1; edge b0 -> b1 on r sync c?; }",
+                        name="dropped_sync")
+    with pytest.raises(BoundViolationError):
+        explore(net)
+    s_A = {"A": parse_strategy("strategy s for A { when true do wait; }", net)}
+    assert [t.move.label() for t in explore(net, s_A=s_A).transitions] == ["A.wait"]
+    assert_matches_oracle(net, s_A)
+
+
+# A's edges read only A's location; its rules also read B's location or the
+# global g, which B's moves change while A stays at a0.
+UNREAD_SRC = """
+global int[0,1] g = 0;
+agent A(lazy) { init a0; loc a1; edge a0 -> a1 on go; edge a1 -> a0 on back; }
+agent B { init b0; loc b1; loc b2; edge b0 -> b1 on step do g := 1; edge b1 -> b2 on stop; }
+"""
+
+
+@pytest.mark.parametrize("guard", [
+    # a parsed strategy observes no other agent's location: built by hand
+    LocAtom("B", "b1"), And(Not(LocAtom("B", "b0")), LocAtom("A", "a0")), "g == 1"])
+def test_a_rule_guard_on_a_field_the_edges_do_not_read(guard):
+    net = parse_network(UNREAD_SRC, name="unread")
+    if isinstance(guard, str):
+        guard = parse_guard_text(guard, net, owner="A")
+    s_A = {"A": NaturalStrategy("A", (Rule(guard, "go"), Rule(TRUE, "wait")), name="s")}
+    graph = explore(net, s_A=s_A)
+    # (a0, b0) and (a0, b1) agree on A's location: A waits at the one and goes at the other
+    went = {graph.states[t.source].locations for t in graph.transitions if t.move.label() == "A.go"}
+    assert ("a0", "b0") not in went and ("a0", "b1") in went
+    assert_matches_oracle(net, s_A)
+    for q in _corner_starts(net):
+        assert_matches_oracle(net, s_A, start=q)
+
+
+def test_two_copies_match_each_projection_once(monkeypatch):
+    # A0's entries are shared by the states that differ only in A1
+    copy = ("agent {0}(lazy) {{ var int[0,2] c = 0; init s; loc t; "
+            "edge s -> t on up when c < 2 do c := c + 1; edge t -> s on down; }}")
+    net = parse_network(copy.format("A0") + copy.format("A1"), name="copies")
+    s_A = {"A0": parse_strategy("strategy s for A0 { when c < 2 do up; when t do down; "
+                                "when true do wait; }", net)}
+    comp = _compiled(net)
+    calls = []
+
+    def entry(net, pos, p, match=None):
+        calls.append((pos, p))
+        return type(comp).entry(comp, net, pos, p, match)
+    monkeypatch.setattr(comp, "entry", entry)
+    graph = explore(net, s_A=s_A)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls)) < 2 * graph.n_states
+    assert len({p for pos, p in calls if pos == 0}) < graph.n_states
+    assert_matches_oracle(net, s_A)
+
+
+# At the initial state, B's move would pass a cap of 1 and no rule of A's
+# total strategy has its action available, whether A has a side enabled
+# there or not
+CAP_SRC = """
+channel c;
+agent B {{ init b0; loc b1; edge b0 -> b1 on step; {recv} }}
+agent A {{ init a0; loc a1; edge a0 -> a1 on x; edge a1 -> a0 on y; {send} }}
+"""
+
+
+@pytest.mark.parametrize("sync", [False, True])
+def test_a_strategy_error_and_the_state_cap_at_one_state(sync):
+    net = parse_network(CAP_SRC.format(recv="edge b0 -> b0 on r sync c?;" if sync else "",
+                                       send="edge a0 -> a0 on z sync c!;" if sync else ""),
+                        name="capped")
+    s_A = {"A": parse_strategy("strategy s for A { when a1 do x; when true do y; }", net)}
+    assert _run(lambda: explore(net, state_cap=1))[0] == "ResourceLimitError"
+    assert _run(lambda: explore(net, s_A=s_A, state_cap=1))[0] == "StrategyError"
+    assert_matches_oracle(net, s_A, state_cap=1)
 
 
 GUARDS_SRC = """

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from natstrat.dsl import parse_guard_text, parse_strategy
 from natstrat.errors import DefinitionError, StrategyError
-from natstrat.model import TrueConst, explore, eval_guard
+from natstrat.model import Comparison, Network, TrueConst, VarRef, explore, eval_guard
 from natstrat.outcome import outcomes
 from natstrat.strategy import (
     LITERAL_CONVENTION, WILDCARD, NaturalStrategy, Rule, complexity,
@@ -210,6 +210,18 @@ def test_fix_unknown_agent(base):
     s = base.strategies["cast_verify"]
     with pytest.raises(DefinitionError):
         fix_strategy(base.network, {"Ghost": s})
+
+
+def test_fix_validates_the_rule_guards_not_the_network(toy_net, monkeypatch):
+    net = toy_net
+    ok = parse_strategy("strategy s for T { when x < 3 do go; when true do wait; }", net)
+    # built by hand, as the parser resolves every name it reads
+    bad = NaturalStrategy("T", (Rule(Comparison(VarRef(None, "nope"), "==", 1), "go"),
+                                Rule(TrueConst(), "wait")))
+    monkeypatch.setattr(Network, "_validate", lambda self: pytest.fail("validated again"))
+    assert explore(fix_strategy(net, {"T": ok})).n_states > 1
+    with pytest.raises(DefinitionError, match="^agent T: unresolved variable reference nope$"):
+        fix_strategy(net, {"T": bad})
 
 
 def test_fix_ns1_every_path_reaches_end(base):
