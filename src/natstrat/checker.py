@@ -8,7 +8,8 @@ lists; a verdict at a state reads that state's label. Natural strategies are
 memoryless, so a strategic operator whose strategy is fixed is labelled over
 one outcome: the explored graph's successors restricted to that strategy
 (`outcome.restrict`), the way synthesis checks each candidate from the state
-in question.
+in question. Where such an operator is the goal of another one, the other
+reads its whole label set, not its value state by state.
 
 Bounded synthesis enumerates candidates lazily, in canonical order, and
 checks behaviours rather than candidates. On the one explored graph, a
@@ -616,7 +617,8 @@ class FormulaEvaluator:
     space: an observer cannot condition what it knows on strategies it does
     not see. A strategic node whose strategy is fixed (an empty coalition,
     verify mode, or named witness strategies) is labelled once, at every
-    state, over the explored graph restricted to that strategy; its
+    state, over the explored graph restricted to that strategy, and a node
+    above it that needs it at every state reads that label set whole; its
     counterexample is built only when it is the node reported. Other
     coalition nodes are decided per state by bounded synthesis on that graph.
     In verify mode, a coalition node that names no witness strategies takes
@@ -723,9 +725,11 @@ class FormulaEvaluator:
         raise TypeError(f"not a formula: {f!r}")
 
     def _label_set(self, f: Formula):
-        """The states where f holds, or _UNKNOWN. Other than an atom or K, f
-        is evaluated at every state in index order, and raises (again when
-        asked again) at the first state that raises."""
+        """The states where f holds, or _UNKNOWN. A strategic node whose
+        strategy is fixed reads its whole label set from its `_label_fixed`
+        record. Other than that, an atom or K, f is evaluated at every state
+        in index order. Either raises (again when asked again) at the first
+        state that raises."""
         labels = self._labels.get(id(f))
         if labels is not None:
             return labels
@@ -736,6 +740,8 @@ class FormulaEvaluator:
             if labels is not _UNKNOWN:  # the classes the agent knows f.sub in
                 labels = set().union(*(cls for cls in self.classes_for(f.agent).values()
                                        if cls <= labels))
+        elif isinstance(f, Strategic) and self._is_fixed(f):
+            labels = self._fixed_labels(f)
         else:
             labels = set()
             for i in range(self.graph.n_states):
@@ -775,21 +781,33 @@ class FormulaEvaluator:
         tainted = backward_fixpoint(succ, errors, some=True) if errors else errors
         return s_A, succ, subgoals, label_universal(succ, node.op, subgoals), tainted
 
+    def _is_fixed(self, node: Strategic) -> bool:
+        return node.is_universal or self.mode == "verify" or bool(node.witness)
+
+    def _fixed_labels(self, node: Strategic, i: Optional[int] = None):
+        """The label set of a node whose strategy is fixed, from its
+        `_label_fixed` record (made once): empty when the gate rejects the
+        strategy, or _UNKNOWN. Raises the StrategyError that
+        verify_strategic raises at state i if i is tainted, or, with no i,
+        at the least tainted state."""
+        fixed = self._fixed.get(id(node))
+        if fixed is None:
+            fixed = self._fixed[id(node)] = self._label_fixed(node)
+            self._nodes[id(node)] = node
+        if fixed is _UNKNOWN:
+            return _UNKNOWN
+        if isinstance(fixed, CheckResult):
+            return set()
+        s_A, _, _, labels, tainted = fixed
+        if tainted and (i is None or i in tainted):
+            start = min(tainted) if i is None else i
+            raise next(iter(restrict(self.graph, s_A, start=start)[1].values()))
+        return labels
+
     def _eval_strategic(self, node: Strategic, i: int):
-        if node.is_universal or self.mode == "verify" or node.witness:
-            if id(node) not in self._fixed:
-                self._fixed[id(node)] = self._label_fixed(node)
-                self._nodes[id(node)] = node
-            fixed = self._fixed[id(node)]
-            if fixed is _UNKNOWN:
-                return _UNKNOWN
-            if isinstance(fixed, CheckResult):
-                return fixed.verdict
-            s_A, _, _, labels, tainted = fixed
-            if i in tainted:
-                # the StrategyError that verify_strategic raises here
-                raise next(iter(restrict(self.graph, s_A, start=i)[1].values()))
-            return i in labels
+        if self._is_fixed(node):
+            labels = self._fixed_labels(node, i)
+            return _UNKNOWN if labels is _UNKNOWN else i in labels
         key = (id(node), i)
         if key not in self._synthesized:
             sets = self._goal_sets(node)

@@ -613,6 +613,7 @@ class _CompiledNetwork:
         self.idle: list[bool] = []   # move id -> move.is_idle
         self.writes: list[int] = []  # move id -> the mask of the fields it writes
         self.guards: dict[GuardExpr, Callable] = {}  # the memo of `guard`
+        self.masks: dict[Union[GuardExpr, IntExpr], int] = {}  # the memo of `read_mask`
         table, waits, reads, key = [], [], [], 0
         for pos, agent in enumerate(net.agents):
             by_loc: list[list] = [[] for _ in agent.locations]
@@ -643,16 +644,23 @@ class _CompiledNetwork:
         return self.fields[self.n + net.var_pos(ref.owner, ref.name)]
 
     def read_mask(self, net: Network, *trees: Union[GuardExpr, IntExpr]) -> int:
-        """The fields that guard and update expressions read."""
+        """The fields that guard and update expressions read. Each distinct
+        tree is walked once (`self.masks`), so `explore` under a strategy
+        walks its rule guards once per network."""
         mask = 0
         for tree in trees:
-            for node in nodes(tree):
-                if isinstance(node, LocAtom) and node.agent in net._agent_index:
-                    mask |= self.fields[net.agent_pos(node.agent)].mask
-            for ref in var_refs(tree):
-                f = self.ref(net, ref)
-                if not isinstance(f, int):
-                    mask |= f.mask
+            bits = self.masks.get(tree)
+            if bits is None:
+                bits = 0
+                for node in nodes(tree):
+                    if isinstance(node, LocAtom) and node.agent in net._agent_index:
+                        bits |= self.fields[net.agent_pos(node.agent)].mask
+                for ref in var_refs(tree):
+                    f = self.ref(net, ref)
+                    if not isinstance(f, int):
+                        bits |= f.mask
+                self.masks[tree] = bits
+            mask |= bits
         return mask
 
     def guard(self, net: Network, g: GuardExpr) -> Callable:

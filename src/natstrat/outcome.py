@@ -97,14 +97,17 @@ def backward_fixpoint(succ: Sequence[Sequence[int]], seed: Iterable[int],
     One backward pass: each state counts its successors not yet in the set
     and joins when the count reaches zero, so the cost is linear in the
     number of edges. Over productive successors, the `all` form is A(h U g)
-    and the `some` form is backward reachability E(h U g).
+    and the `some` form is backward reachability E(h U g). An empty seed
+    gives the empty set at once: no state joins without a successor in it.
     """
+    good = set(seed)
+    if not good:
+        return good
     preds: list[list[int]] = [[] for _ in succ]
     for i, outs in enumerate(succ):
         for j in outs:
             preds[j].append(i)
     missing = [1 if some else len(outs) for outs in succ]
-    good = set(seed)
     stack = list(good)
     while stack:
         j = stack.pop()

@@ -210,7 +210,9 @@ def _loc_disjuncts(g: GuardExpr, agent: str) -> Optional[list[str]]:
 def simplify(g: GuardExpr, agent: Optional[str] = None) -> GuardExpr:
     """Light structural simplification: boolean units, double negation, and
     (when `agent` is given) intersection of that agent's location-atom
-    disjunctions, exploiting that an agent occupies exactly one location."""
+    disjunctions, exploiting that an agent occupies exactly one location.
+    An intersection keeps each location once, so simplifying a simplified
+    guard gives it back."""
     if isinstance(g, Not):
         sub = simplify(g.sub, agent)
         if isinstance(sub, TrueConst):
@@ -241,7 +243,7 @@ def _conjoin(left: GuardExpr, right: GuardExpr, agent: Optional[str]) -> GuardEx
         ls = _loc_disjuncts(left, agent)
         rs = _loc_disjuncts(right, agent)
         if ls is not None and rs is not None:
-            keep = [loc for loc in ls if loc in rs]
+            keep = list(dict.fromkeys(loc for loc in ls if loc in rs))
             if not keep:
                 return FALSE
             return or_all(LocAtom(agent, loc) for loc in keep)
@@ -316,12 +318,12 @@ def firing_exclusive(net: Network, s: NaturalStrategy) -> NaturalStrategy:
     fire = [simplify(And(r.guard, action_availability_guard(net, agent, r.action)), agent)
             for r in s.rules]
     out: list[Rule] = []
-    before = None  # simplify(and_all(simplify(Not(f)) for each earlier rule's f))
+    before = None  # simplify(and_all(Not(f) for each earlier rule's f))
     for rule, f in zip(s.rules, fire):
         guard = simplify(rule.guard, agent)
         out.append(Rule(guard if before is None else _conjoin(before, guard, agent),
                         rule.action))
-        unfired = simplify(simplify(Not(f), agent), agent)
+        unfired = simplify(Not(f), agent)
         before = unfired if before is None else _conjoin(before, unfired, agent)
     return replace(s, rules=tuple(out), name=f"{s.name}!fx" if s.name else "")
 
@@ -350,28 +352,26 @@ def fix_strategy(net: Network, s_A: CollectiveStrategy) -> Network:
         if s is None:
             new_agents.append(tpl)
             continue
-        excl = firing_exclusive(net, s)
-        by_action: dict[object, list[GuardExpr]] = {}  # simplified rule guards
+        # firing_exclusive's guards are simplified, and so is what _disjoin
+        # and _conjoin make of simplified operands
+        by_action: dict[object, list[GuardExpr]] = {}
         wildcard_guards: list[GuardExpr] = []
-        for rule in excl.rules:
-            guard = simplify(rule.guard, agent)
+        for rule in firing_exclusive(net, s).rules:
             if rule.action is WILDCARD:
-                wildcard_guards.append(guard)
+                wildcard_guards.append(rule.guard)
             else:
-                by_action.setdefault(rule.action, []).append(guard)
-        guards: dict[str, tuple[GuardExpr, GuardExpr]] = {}
+                by_action.setdefault(rule.action, []).append(rule.guard)
+        guards: dict[str, GuardExpr] = {}
 
-        def strategy_guard(action: str) -> tuple[GuardExpr, GuardExpr]:
-            # simplify(or_all(guards of the rules allowing action)), and that
-            # simplified again: the operand simplify(And(edge guard, it)) sees
+        def strategy_guard(action: str) -> GuardExpr:
+            # simplify(or_all(guards of the rules allowing action))
             if action not in guards:
                 parts = by_action.get(action, []) + wildcard_guards
-                g = reduce(_disjoin, parts) if parts else FALSE
-                guards[action] = g, simplify(g, agent)
+                guards[action] = reduce(_disjoin, parts) if parts else FALSE
             return guards[action]
         new_edges = []
         for e in tpl.edges:
-            guard = _conjoin(simplify(e.guard, agent), strategy_guard(e.action)[1], agent)
+            guard = _conjoin(simplify(e.guard, agent), strategy_guard(e.action), agent)
             if isinstance(guard, FalseConst):
                 continue
             # edges whose guard is false at their own source can never fire
@@ -379,12 +379,12 @@ def fix_strategy(net: Network, s_A: CollectiveStrategy) -> Network:
                 continue
             new_edges.append(replace(e, guard=guard))
         if tpl.lazy:
-            wait_guard, again = strategy_guard(WAIT_ACTION)
+            wait_guard = strategy_guard(WAIT_ACTION)
             for loc in tpl.locations:
                 if isinstance(simplify(specialize_at(wait_guard, agent, loc), agent),
                               FalseConst):
                     continue
-                guard = _conjoin(LocAtom(agent, loc), again, agent)
+                guard = _conjoin(LocAtom(agent, loc), wait_guard, agent)
                 new_edges.append(Edge(source=loc, target=loc, action=WAIT_ACTION,
                                       guard=guard))
         new_agents.append(replace(tpl, edges=tuple(new_edges), lazy=False))

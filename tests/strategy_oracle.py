@@ -4,7 +4,9 @@ condition again for each later rule, and `fix_strategy` builds and
 simplifies an action's strategy guard again at every edge and simplifies
 the whole conjunction from its leaves. It is kept, with the `simplify` it
 used, as the oracle of `natstrat.strategy`'s `simplify`, `firing_exclusive`
-and `fix_strategy`."""
+and `fix_strategy`. Its `simplify` keeps each location of an intersection
+once, as natstrat's does: without that, `simplify` is not idempotent, and a
+guard simplified once is not what simplifying it from its leaves gives."""
 
 from dataclasses import replace
 from typing import Optional
@@ -42,7 +44,7 @@ def simplify(g: GuardExpr, agent: Optional[str] = None) -> GuardExpr:
             ls = _loc_disjuncts(left, agent)
             rs = _loc_disjuncts(right, agent)
             if ls is not None and rs is not None:
-                keep = [loc for loc in ls if loc in rs]
+                keep = list(dict.fromkeys(loc for loc in ls if loc in rs))
                 if not keep:
                     return FALSE
                 return or_all(LocAtom(agent, loc) for loc in keep)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import natstrat.checker as checker
 from natstrat.casestudy import build_coercer, build_voter, catalog, load
 from natstrat.checker import FormulaEvaluator, SynthesisConfig, eval_formula
-from natstrat.dsl import parse_formula, parse_network
+from natstrat.dsl import parse_formula, parse_network, parse_strategy
 from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Knows, Strategic
 from natstrat.model import LocAtom, TrueConst, or_all
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
@@ -244,6 +244,51 @@ def test_fixed_node_is_labelled_once_for_verdict_and_witness(base, monkeypatch):
     res = eval_formula(base.network, parse_formula("A F end", base.network))
     assert (res.verdict, res.witness_path) == (False, (0, 1, 2, 3, 5, 7, 3))
     assert calls == ["F"]
+
+
+def test_fixed_goal_node_is_read_as_a_whole_label_set(monkeypatch):
+    net = build_voter("full", 30, 20).network
+    calls = []
+    strategic = FormulaEvaluator._eval_strategic
+    monkeypatch.setattr(FormulaEvaluator, "_eval_strategic",
+                        lambda self, node, i: calls.append(i) or strategic(self, node, i))
+    res = eval_formula(net, parse_formula("A G A F end", net))
+    assert res.verdict is False
+    # the outer node at the asked state, once for the verdict and once for
+    # its witness; the inner node only as its label set
+    start = res.graph.index_of(net.initial_state())
+    assert calls == [start, start]
+
+
+def test_fixed_goal_node_that_fails_to_match_raises_like_the_oracle(base):
+    net = base.network
+    # `enter` is unavailable once the voter has voted, so matching fails
+    # there; `skip` has no ⊤ rule and runs out of rules instead
+    named = {
+        "bad": parse_strategy("strategy bad for Voter { when !voted do *; "
+                              "when true do enter; }", net),
+        "skip": parse_strategy("partial strategy skip for Voter { when !voted do *; }",
+                               net),
+    }
+    for text, error in (("A G <<Voter:bad>>^3 F end", True),
+                        ("A G <<Voter:skip>>^3 F end", False),
+                        ("A F (end || <<Voter:bad>>^3 X end)", True)):
+        f = parse_formula(text, net)
+        got = _assert_agrees(net, f, "verify", strategies_by_name=named)
+        assert (got[0] == "StrategyError") is error, text
+        if error:  # nothing is stored, so asking again raises again
+            ev = FormulaEvaluator(net, strategies_by_name=named)
+            assert [_outcome(lambda: ev.holds(f, 0)) for _ in range(2)] == [got, got]
+
+
+def test_fixed_goal_node_rejected_by_the_gate_agrees_with_the_oracle(base):
+    net = base.network
+    f = parse_formula("A G <<Voter:cast_verify>>^14 F end", net)
+    inner = f.subs[0]
+    got = _assert_agrees(net, f, "verify", strategies_by_name=base.strategies)
+    assert got[:2] == (False, "a reachable state falsifies the G-subformula")
+    ev = FormulaEvaluator(net, strategies_by_name=base.strategies)
+    assert ev._label_set(inner) == set()
 
 
 def test_capped_synthesis_state_counts_once(base):

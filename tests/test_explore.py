@@ -248,6 +248,24 @@ def test_two_copies_match_each_projection_once(monkeypatch):
     assert_matches_oracle(net, s_A)
 
 
+def test_a_second_explore_walks_no_rule_guard(monkeypatch):
+    import natstrat.model as model
+    base = casestudy.load("voter_base")  # a network no other test has compiled
+    net, s = base.network, base.strategies["cast_verify"]
+    rule_guards = {r.guard for r in s.rules}
+    walked = []
+    for name in ("nodes", "var_refs"):
+        walk = getattr(model, name)
+        monkeypatch.setattr(model, name,
+                            lambda tree, walk=walk: walked.append(tree) or walk(tree))
+    first = explore(net, s_A={"Voter": s})
+    assert rule_guards & set(walked)
+    walked.clear()
+    again = explore(net, s_A={"Voter": s})
+    assert not rule_guards & set(walked)
+    assert again.keys == first.keys and again.succ == first.succ
+
+
 # At the initial state, B's move would pass a cap of 1 and no rule of A's
 # total strategy has its action available, whether A has a side enabled
 # there or not

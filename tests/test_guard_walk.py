@@ -60,6 +60,18 @@ def test_walker_counts_and_keeps_every_node(toy_net, text):
     assert all(r.owner == ("T" if r.name == "x" else None) for r in refs)
 
 
+@settings(deadline=None)
+@given(text=_guard_texts())
+# an intersection that repeats a location, and one under a negation
+@example(text="(l0 || l1 || l0) && l0")
+@example(text="!((l0 || l1 || l0) && (l1 || l0)) && !!l1")
+def test_simplify_is_idempotent(toy_net, text):
+    g = parse_guard_text(text, toy_net)
+    for agent in (None, "T", "U"):
+        once = simplify(g, agent)
+        assert simplify(once, agent) == once, agent
+
+
 def test_walker_order_and_its_type_check(toy_net):
     g = parse_guard_text("!l0 && (x == 2 || shared)", toy_net)
     assert [type(n).__name__ for n in nodes(g)] == \

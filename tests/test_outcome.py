@@ -5,7 +5,7 @@ from natstrat.checker import _Behaviours, _Option, _canonical, label_universal
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
 from natstrat.model import Internal, LocAtom, explore, or_all
-from natstrat.outcome import outcomes, restrict, steps_to_goal
+from natstrat.outcome import backward_fixpoint, outcomes, restrict, steps_to_goal
 from natstrat.strategy import WILDCARD, strategy_filter
 from natstrat.casestudy import build_voter, symbolwise_steps
 
@@ -242,6 +242,26 @@ def test_steps_count_adversary_moves(punisher):
 
     walk(og.initial, 0)
     assert worst[0] == res.value
+
+
+class _Unread(list):
+    """Successor lists that fail when read."""
+
+    def __iter__(self):
+        raise AssertionError("successor lists read")
+
+    __getitem__ = __iter__
+
+
+@pytest.mark.parametrize("some", [False, True])
+def test_fixpoint_of_an_empty_seed_reads_no_successor(some):
+    assert backward_fixpoint(_Unread([[1], [0]]), (), some=some) == set()
+    assert backward_fixpoint([[1], [0], []], iter(()), some=some) == set()
+
+
+def test_always_of_a_goal_holding_everywhere_is_every_state():
+    succ = [[1, 2], [0], [], [3]]
+    assert label_universal(succ, "G", [set(range(4))]) == {0, 1, 2, 3}
 
 
 def test_steps_lower_bounded_by_shortest_path(base):

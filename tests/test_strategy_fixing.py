@@ -35,6 +35,8 @@ def test_bundled_strategies_fix_alike(stem, name):
 
 @settings(deadline=None)
 @given(text=_guard_texts())
+# an intersection that repeats a location keeps it once
+@example(text="((l0 || l1) || l0) && l0")
 def test_simplify_matches_the_oracle(toy_net, text):
     g = parse_guard_text(text, toy_net)
     for agent in (None, "T", "U"):
@@ -72,5 +74,7 @@ def _strategy_texts(draw):
 # a location repeated in a disjunction, and a rule that can never fire
 @example(text="strategy s for T { when (l0 || l1) || l0 do go; when l0 && l1 do step; "
               "when true do *; }")
+@example(text="strategy s for T { when l1 do step; "
+              "when ((l0 || l1) || l0) && (l0 || l1 || l2) do go; when true do *; }")
 def test_random_strategies_fix_alike(toy_net, text):
     _assert_fixed_alike(toy_net, parse_strategy(text, toy_net))
