@@ -816,8 +816,10 @@ class _CompiledNetwork:
         wait, more): its enabled internal moves as `effect` gives them, the
         id of its `wait` (None when it has none), and None, or, when the
         entry needs the whole state (see `complete`), its enabled
-        synchronizing sides as (channel, '!' or '?', side) and whether its
-        strategy is still to be matched there.
+        synchronizing sides as (channel, '!' or '?', side), whether its
+        strategy is still to be matched there, and the two as a tuple of
+        small ints, the sides' edge positions and then that flag, which
+        `complete` keys its pairings on.
 
         `match` (`strategy._matcher`), given when p also holds the fields
         the agent's rules read, folds its strategy in. With no side enabled
@@ -850,7 +852,10 @@ class _CompiledNetwork:
                 if WAIT_ACTION not in allowed:
                     wait = None
         effects = tuple(self.effect(item, p) for item in items)
-        return effects, wait, (tuple(sides), unmatched) if sides or unmatched else None
+        if not (sides or unmatched):
+            return effects, wait, None
+        code = (*(item.key for _, _, item in sides), unmatched)
+        return effects, wait, (tuple(sides), unmatched, code)
 
     def effect(self, item: tuple[int, Callable], p: int) -> tuple:
         """An internal move at the projection p, as (move id, mask of the
@@ -866,13 +871,38 @@ class _CompiledNetwork:
         return m, ~self.writes[m], after & self.writes[m], not self.idle[m]
 
     def complete(self, net: Network, s: int, hits: list[tuple],
-                 keep: Optional[Callable[[int, Sequence[int]], list[int]]]) -> list[tuple]:
+                 keep: Optional[Callable[[int, Sequence[int]], Sequence[int]]],
+                 pairings: dict[tuple, tuple]) -> list[tuple]:
         """The entries of every agent at the key s (`hits`, from `entry`),
-        followed by one that holds the synchronized moves their sides form,
-        as (move id, None, successor function, True): the pairs on a common
-        channel between distinct agents, channels in the order their first
-        enabled sender appears. When some entry is still to be matched, each
-        keeps only the moves `keep`, the strategy's filter, keeps at s."""
+        followed by one that holds the synchronized moves their sides form
+        (see `pairing`). Which pairs form depends only on which sides are
+        enabled, so `pairings`, a memo that lives as long as one `explore`
+        call, holds them per combination of the agents' side codes: their
+        successor functions, not successors. When some entry is still to be
+        matched, each keeps only the moves `keep`, the strategy's filter,
+        keeps at s."""
+        combo = tuple(more and more[2] for _, _, more in hits)
+        hit = pairings.get(combo)
+        if hit is None:
+            hit = pairings[combo] = self.pairing(net, hits)
+        pairs, unmatched = hit
+        hits = [*hits, (pairs, None, None)]
+        if not unmatched:
+            return hits
+        ids = []
+        for moves, wait, _ in hits:
+            ids += [x[0] for x in moves]
+            if wait is not None:
+                ids.append(wait)
+        kept = set(keep(s, ids))
+        return [(tuple(x for x in moves if x[0] in kept), wait if wait in kept else None, None)
+                for moves, wait, _ in hits]
+
+    def pairing(self, net: Network, hits: list[tuple]) -> tuple[tuple, bool]:
+        """The synchronized moves the entries' sides form, as (move id, None,
+        successor function, True): the pairs on a common channel between
+        distinct agents, channels in the order their first enabled sender
+        appears; and whether some entry is still to be matched."""
         senders: dict[str, list[_Sync]] = {}
         receivers: dict[str, list[_Sync]] = {}
         unmatched = False
@@ -888,17 +918,7 @@ class _CompiledNetwork:
                     if a.agent != b.agent:
                         m, step = self.pair(net, a, b)
                         pairs.append((m, None, step, True))
-        hits = [*hits, (pairs, None, None)]
-        if not unmatched:
-            return hits
-        ids = []
-        for moves, wait, _ in hits:
-            ids += [x[0] for x in moves]
-            if wait is not None:
-                ids.append(wait)
-        kept = set(keep(s, ids))
-        return [(tuple(x for x in moves if x[0] in kept), wait if wait in kept else None, None)
-                for moves, wait, _ in hits]
+        return tuple(pairs), unmatched
 
 
 def _compiled(net: Network) -> _CompiledNetwork:
@@ -1042,7 +1062,9 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     the call, maps the projection of a key on the fields its edges read to
     its `entry` there. A `wait` is stored as a self-loop with no successor
     computed, and a move that leaves its state as it is targets the state
-    without a lookup.
+    without a lookup. Sync pairs are formed once per distinct combination
+    of the agents' enabled sides, and kept as successor functions until
+    the call returns (see `complete`).
 
     With a collective strategy s_A, only the moves s_A allows are followed,
     as `strategy.strategy_filter` keeps them. A member's table is keyed also
@@ -1050,9 +1072,10 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     projection; where it has a synchronizing side enabled, or no rule
     matches, at each state the projection serves. This explores only the
     outcome: for one strategy on two copies of voter_full(7,5), 6,320 of
-    24,964 states, matched at 40 projections, in about 7 % of the time of
-    `restrict(explore(net), s_A)` (4 to 8 % over six medians of 7 runs,
-    Python 3.11, 2 CPUs).
+    24,964 states, matched at 40 projections, in about a fifth of the time
+    of `restrict(explore(net), s_A)`, which matches 1,125 times (12.5
+    against 64.6 ms after an `explore` of 68 ms, medians of 7 runs, Python
+    3.11, 2 CPUs).
 
     Raises ResourceLimitError past `state_cap` states, the initial one
     included; StrategyError at the first expanded state where matching
@@ -1074,6 +1097,7 @@ def explore(net: Network, start: Optional[GlobalState] = None,
         raise ResourceLimitError(f"state cap {state_cap} exceeded", partial=0)
     tables = [(mask, {}, partial(comp.entry, net, pos, match=match))
               for pos, (mask, match) in enumerate(zip(masks, matches))]
+    pairings: dict[tuple, tuple] = {}  # the memo of `complete`, for this call only
     keys = [comp.encode(net, net.initial_state() if start is None else start)]
     index = {keys[0]: 0}
     offsets, targets, move_ids = array("i", [0]), array("i"), array("i")
@@ -1089,7 +1113,7 @@ def explore(net: Network, start: Optional[GlobalState] = None,
             if hit[2] is not None:
                 more = True
         if more:
-            hits = comp.complete(net, s, hits, keep)
+            hits = comp.complete(net, s, hits, keep, pairings)
         outs = []
         for moves, wait, _ in hits:
             for m, hold, put, productive in moves:

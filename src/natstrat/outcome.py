@@ -6,9 +6,10 @@ which every coalition member only takes actions its strategy prescribes
 explores it from one state, matching a member's rules once per projection
 of a state on the fields its edges and rules read (see `model.explore`);
 `restrict` cuts it out of an explored graph as successor lists, for every
-state at once or from one `start`, through `strategy.strategy_filter` per
-visited state. Both match by `strategy._matcher` at the same move of each
-state, so they keep the same moves and raise the same StrategyError.
+state at once or from one `start`, through one `strategy.strategy_filter`,
+which matches once per distinct projection on the fields the rules read
+and stored move ids. Both match by `strategy._matcher` at the same move of
+each state, so they keep the same moves and raise the same StrategyError.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
@@ -20,12 +21,14 @@ traces are the infinite paths over these lists plus the finite ones ending
 in a state whose list is empty.
 
 `backward_fixpoint` is the one fixpoint routine: the checker's temporal
-labels and the step metric both run on it. Steps are decided with goal
-states as sinks: a reachable state outside EF goal makes the goal
-unreachable, and a start outside AF goal makes the steps unbounded; their
-witnesses are the checker's counterexample paths. Otherwise the pre-goal
-region is acyclic, and the reached witness takes, at each state, the first
-successor in index order with the largest worst case.
+labels and the step metric both run on it. A seed that is empty or holds
+every state is its own result, found without reading a successor. Steps
+are decided with goal states as sinks: a reachable state outside EF goal
+makes the goal unreachable, and a start outside AF goal makes the steps
+unbounded; their witnesses are the checker's counterexample paths.
+Otherwise the pre-goal region is acyclic, and the reached witness takes,
+at each state, the first successor in index order with the largest worst
+case.
 """
 
 from __future__ import annotations
@@ -54,29 +57,39 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = 
     the others share one empty tuple), and the StrategyError that matching a
     rule raises at each visited state where it does. With no coalition they
     are `graph.succ`. Strategies are memoryless, so out(q, s_A) is the part
-    reachable from q. The walk from `start` is breadth-first over the stored
-    edges in stored order, as `outcomes` explores, so the first error it
-    records is the one `outcomes` from that state raises."""
+    reachable from q. The whole graph is walked in index order; the walk
+    from `start` is breadth-first over the stored edges in stored order, as
+    `outcomes` explores, so the first error it records is the one `outcomes`
+    from that state raises. One `strategy_filter` serves the walk, so the
+    rules are matched once per distinct (projection on the fields they
+    read, stored move ids), not once per state."""
     if not s_A:
         return graph.succ, {}
     keep = strategy_filter(graph.net, s_A)
     succ: list[Sequence[int]] = [()] * graph.n_states
     errors: dict[int, StrategyError] = {}
     keys, offsets, move_ids, idle = graph.keys, graph.offsets, graph.move_ids, graph.idle
-    todo = deque(range(graph.n_states) if start is None else [start])
-    seen = set(todo)
-    while todo:
-        i = todo.popleft()
+
+    def visit(i: int) -> list[int]:
+        """Fill state i's successors; its kept productive targets."""
         lo, hi = offsets[i], offsets[i + 1]
         ids = move_ids[lo:hi]
         try:  # a state's stored moves have distinct ids
             kept = keep(keys[i], ids)
         except StrategyError as exc:
             errors[i] = exc.with_traceback(None)  # keeps no frame alive
-            continue
+            return []
         targets = [j for m, j in zip(ids, graph.targets[lo:hi]) if m in kept and not idle[m]]
         succ[i] = sorted(set(targets))
-        for j in targets:
+        return targets
+
+    if start is None:
+        for i in range(graph.n_states):
+            visit(i)
+        return succ, errors
+    todo, seen = deque([start]), {start}
+    while todo:
+        for j in visit(todo.popleft()):
             if j not in seen:
                 seen.add(j)
                 todo.append(j)
@@ -99,9 +112,10 @@ def backward_fixpoint(succ: Sequence[Sequence[int]], seed: Iterable[int],
     number of edges. Over productive successors, the `all` form is A(h U g)
     and the `some` form is backward reachability E(h U g). An empty seed
     gives the empty set at once: no state joins without a successor in it.
+    A seed of every state (its indices are states) is the result at once.
     """
     good = set(seed)
-    if not good:
+    if not good or len(good) == len(succ):
         return good
     preds: list[list[int]] = [[] for _ in succ]
     for i, outs in enumerate(succ):

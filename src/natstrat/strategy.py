@@ -145,7 +145,7 @@ def _check_members(net: Network, s_A: CollectiveStrategy) -> None:
 
 
 def strategy_filter(net: Network, s_A: CollectiveStrategy
-                    ) -> Callable[[int, Sequence[int]], list[int]]:
+                    ) -> Callable[[int, Sequence[int]], tuple[int, ...]]:
     """The move filter of s_A: given a state's key and
     the ids of the moves enabled there, the ids s_A allows, in order. A
     coalition agent takes only its matched rule's action, or any available
@@ -153,13 +153,26 @@ def strategy_filter(net: Network, s_A: CollectiveStrategy
     against the actions it has in those moves, at the first move it takes
     part in (a sync refused for its sender is not checked for its
     receiver). An unknown member, or a member's strategy written for
-    another agent, is a DefinitionError."""
-    _check_members(net, s_A)
-    moves = _compiled(net).moves
-    match = {agent: _matcher(net, s) for agent, s in s_A.items()}
-    sides: dict[int, tuple] = {}  # move id -> its coalition actors with their actions
+    another agent, is a DefinitionError.
 
-    def keep(key: int, ids: Sequence[int]) -> list[int]:
+    The filter reads a key only through its members' rule guards, so it
+    matches once per distinct (key under their read mask, ids) and keeps
+    the result for as long as it lives. A StrategyError is never kept: it
+    names the whole state, so each state where matching fails raises its
+    own."""
+    _check_members(net, s_A)
+    comp = _compiled(net)
+    moves = comp.moves
+    match = {agent: _matcher(net, s) for agent, s in s_A.items()}
+    read = comp.read_mask(net, *(r.guard for s in s_A.values() for r in s.rules))
+    sides: dict[int, tuple] = {}  # move id -> its coalition actors with their actions
+    kept: dict[tuple, tuple[int, ...]] = {}  # (key & read, ids) -> the ids allowed
+
+    def keep(key: int, ids: Sequence[int]) -> tuple[int, ...]:
+        memo = (key & read, tuple(ids))
+        hit = kept.get(memo)
+        if hit is not None:
+            return hit
         avail: dict[str, set[str]] = {}
         for m in ids:
             if m not in sides:
@@ -177,14 +190,17 @@ def strategy_filter(net: Network, s_A: CollectiveStrategy
                     break
             else:
                 out.append(m)
-        return out
+        kept[memo] = hit = tuple(out)
+        return hit
     return keep
 
 
 def audit_strategy(net: Network, s: NaturalStrategy, graph=None) -> None:
     """Availability audit over the explored state space (`graph`, default
     `explore(net)`): matching must never fail with an error, i.e. wherever
-    some rule's guard holds and actions exist, a rule fires."""
+    some rule's guard holds and actions exist, a rule fires. One
+    `strategy_filter` serves every state, so states that agree on the
+    fields the rules read and on their moves are matched once."""
     g = graph if graph is not None else explore(net)
     keep = strategy_filter(net, {s.agent: s})
     for i, key in enumerate(g.keys):  # raises StrategyError on a violation

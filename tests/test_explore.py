@@ -19,7 +19,7 @@ from natstrat.errors import (
     BoundViolationError, DefinitionError, ResourceLimitError, StrategyError,
 )
 from natstrat.model import (
-    TRUE, And, Edge, GlobalState, Internal, LocAtom, Not, _compiled, explore,
+    TRUE, And, Edge, GlobalState, Internal, LocAtom, Not, _compiled, _CompiledNetwork, explore,
 )
 from natstrat.outcome import outcomes, restrict
 from natstrat.strategy import NaturalStrategy, Rule, fix_strategy, strategy_filter
@@ -351,6 +351,97 @@ def test_sync_pairs_come_sender_by_sender_per_channel():
     assert_matches_oracle(net)
 
 
+def _count_pairings(monkeypatch) -> list:
+    """One item per call of `_CompiledNetwork.pairing` from now on."""
+    calls = []
+    pairing = _CompiledNetwork.pairing
+    monkeypatch.setattr(_CompiledNetwork, "pairing",
+                        lambda self, net, hits: calls.append(1) or pairing(self, net, hits))
+    return calls
+
+
+def test_sync_pairs_are_formed_once_per_side_combination(infra_net, monkeypatch):
+    calls = _count_pairings(monkeypatch)
+    assert (explore(infra_net).n_states, len(calls)) == (448, 32)
+    explore(infra_net)  # no pairing outlives its call
+    assert len(calls) == 64
+
+
+# One side combination at every state, and the paired move's update reads
+# g, which differs from state to state; A keeps its side enabled, so its
+# strategy is matched at every state
+RECUR_SRC = """
+channel c;
+global int[0,3] g = 0;
+agent A { init a0; edge a0 -> a0 on inc when g < 3 do g := g + 1; edge a0 -> a0 on send sync c!; }
+agent B { var int[0,3] y = 0; init b0; edge b0 -> b0 on recv sync c? do y := g; }
+"""
+
+
+def test_a_recurring_side_combination_pairs_once_and_steps_per_state(monkeypatch):
+    net = parse_network(RECUR_SRC, name="recur")
+    calls = _count_pairings(monkeypatch)
+    graph = explore(net)
+    assert (graph.n_states, len(calls)) == (10, 1)  # y <= g
+    monkeypatch.undo()
+    assert_matches_oracle(net)
+    s_A = {"A": parse_strategy("strategy s for A { when g < 2 do inc; when true do send; }", net)}
+    assert_matches_oracle(net, s_A)
+    assert_strategy_matches_oracle(net, s_A)
+
+
+# At a0 no rule of A's total strategy has its action available; B's flip
+# changes only g, which no rule reads, so the two a0 states share the
+# filter's memo key (the key under the rules' read mask, and the move ids)
+SHARED_KEY_SRC = """
+global int[0,1] g = 0;
+agent A { init a0; loc a1; edge a0 -> a1 on go; edge a1 -> a0 on back; }
+agent B { init b0; edge b0 -> b0 on flip do g := 1 - g; }
+"""
+
+
+def test_states_sharing_a_memo_key_each_raise_their_own_error():
+    net = parse_network(SHARED_KEY_SRC, name="shared")
+    s_A = {"A": parse_strategy("strategy s for A { when a1 do go; when true do back; }", net)}
+    graph, ref = explore(net), oracle.explore(net)
+    failing = [i for i, q in enumerate(graph.states) if q.locations[0] == "a0"]
+    ids = [tuple(graph.move_ids[graph.offsets[i]:graph.offsets[i + 1]]) for i in failing]
+    assert len(failing) == 2 and ids[0] == ids[1]
+    keep = strategy_filter(net, s_A)
+    for _ in range(2):  # nothing kept from the first pass hides an error
+        texts = {}
+        for i in range(graph.n_states):
+            try:
+                keep(graph.keys[i], graph.move_ids[graph.offsets[i]:graph.offsets[i + 1]])
+            except StrategyError as exc:
+                texts[i] = str(exc)
+        assert sorted(texts) == failing
+        for i in failing:
+            assert texts[i].endswith(f"no rule matches at {graph.states[i]} "
+                                     "(final rule's action unavailable)")
+        assert texts == oracle.restrict(net, ref, s_A)[1]
+    assert _restricted(restrict(graph, s_A)) == oracle.restrict(net, ref, s_A)
+    assert_strategy_matches_oracle(net, s_A)
+
+
+def test_restrict_matches_once_per_memo_key(monkeypatch):
+    import natstrat.strategy as strategy
+    bundle = casestudy.build_voter("full", 30, 20)
+    s = bundle.strategies["cast_verify_symbolwise"]
+    graph = explore(bundle.network)
+    calls = []
+    matcher = strategy._matcher
+
+    def counting(net, s):
+        allowed = matcher(net, s)
+        return lambda key, avail: calls.append(key) or allowed(key, avail)
+    monkeypatch.setattr(strategy, "_matcher", counting)
+    succ, errors = restrict(graph, {s.agent: s})
+    assert (len(calls), graph.n_states) == (121, 462)
+    monkeypatch.undo()
+    assert (succ, errors) == restrict(graph, {s.agent: s})
+
+
 @pytest.mark.parametrize("src,message", [
     ("const top = 2; agent A { var int[0,2] x = 1; init a0; loc a1; "
      "edge a0 -> a1 on up do x := x + top; }",
@@ -396,7 +487,7 @@ def test_a_repeated_edge_gives_two_transitions_that_restrict_keeps():
     assert_matches_oracle(net)
     s_A = {"T": parse_strategy("strategy sa for T { when true do a; }", net)}
     ids = graph.move_ids[0:3]
-    assert strategy_filter(net, s_A)(graph.keys[0], ids) == list(ids[:2])
+    assert strategy_filter(net, s_A)(graph.keys[0], ids) == tuple(ids[:2])
     assert_strategy_matches_oracle(net, s_A)
     assert restrict(graph, s_A)[0][0] == [1]
     s_B = {"T": parse_strategy("strategy sb for T { when true do b; }", net)}

@@ -259,6 +259,12 @@ def test_fixpoint_of_an_empty_seed_reads_no_successor(some):
     assert backward_fixpoint([[1], [0], []], iter(()), some=some) == set()
 
 
+@pytest.mark.parametrize("some", [False, True])
+def test_fixpoint_of_a_seed_of_every_state_reads_no_successor(some):
+    assert backward_fixpoint(_Unread([[1], [0], []]), [2, 0, 1], some=some) == {0, 1, 2}
+    assert backward_fixpoint(_Unread([[1], [0]]), iter((1, 0, 1)), some=some) == {0, 1}
+
+
 def test_always_of_a_goal_holding_everywhere_is_every_state():
     succ = [[1, 2], [0], [], [3]]
     assert label_universal(succ, "G", [set(range(4))]) == {0, 1, 2, 3}
