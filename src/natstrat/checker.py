@@ -8,8 +8,10 @@ lists; a verdict at a state reads that state's label. Natural strategies are
 memoryless, so a strategic operator whose strategy is fixed is labelled over
 one outcome: the explored graph's successors restricted to that strategy
 (`outcome.restrict`), the way synthesis checks each candidate from the state
-in question. Where such an operator is the goal of another one, the other
-reads its whole label set, not its value state by state.
+in question. A state that reaches a state where matching fails raises the
+StrategyError that exploring its outcome (`outcome.outcomes`) raises. Where
+such an operator is the goal of another one, the other reads its whole
+label set, not its value state by state.
 
 Bounded synthesis enumerates candidates lazily, in canonical order, and
 checks behaviours rather than candidates. On the one explored graph, a
@@ -469,15 +471,16 @@ class _Behaviours:
 
     def wins(self, start: int, behaviour, op: str, goals: Sequence[set[int]]) -> bool:
         """Whether a candidate s_A with this behaviour wins op(goals) from
-        `start`: `outcome.restrict(graph, s_A, start)` visits no state where
-        matching fails, and `label_universal` of its successor lists holds
-        `start`. One pass over the reachable states, lowest index first,
-        reads each state's masks and matches as `strategy.strategy_filter`
-        does: in actor order, the first coalition actor that refuses its
-        action rejects the move, and a member's error counts only where one
-        of its moves is checked. The pass returns False at the first state
-        where matching fails, and for G at the first state outside the goal;
-        X, F and U then label the successor lists of the visited states."""
+        `start`: no error state of `outcome.restrict(graph, s_A)` is
+        reachable from `start` over its successor lists, and
+        `label_universal` of those lists holds `start`. One pass over the
+        reachable states, lowest index first, reads each state's masks and
+        matches as `strategy.strategy_filter` does: in actor order, the
+        first coalition actor that refuses its action rejects the move, and
+        a member's error counts only where one of its moves is checked. The
+        pass returns False at the first state where matching fails, and for
+        G at the first state outside the goal; X, F and U then label the
+        successor lists of the visited states."""
         free, groups = self.free, self.groups
         safe = goals[0] if op == "G" else None
         succ: dict[int, int] = {}  # visited state -> its successors' bits
@@ -778,7 +781,7 @@ class FormulaEvaluator:
         subgoals = self._goal_sets(node)
         if subgoals is _UNKNOWN:
             return _UNKNOWN
-        tainted = backward_fixpoint(succ, errors, some=True) if errors else errors
+        tainted = backward_fixpoint(succ, errors, some=True)
         return s_A, succ, subgoals, label_universal(succ, node.op, subgoals), tainted
 
     def _is_fixed(self, node: Strategic) -> bool:
@@ -789,7 +792,8 @@ class FormulaEvaluator:
         `_label_fixed` record (made once): empty when the gate rejects the
         strategy, or _UNKNOWN. Raises the StrategyError that
         verify_strategic raises at state i if i is tainted, or, with no i,
-        at the least tainted state."""
+        at the least tainted state: exploring that state's outcome raises
+        it. The outcome is part of the graph, so the graph's size caps it."""
         fixed = self._fixed.get(id(node))
         if fixed is None:
             fixed = self._fixed[id(node)] = self._label_fixed(node)
@@ -801,7 +805,7 @@ class FormulaEvaluator:
         s_A, _, _, labels, tainted = fixed
         if tainted and (i is None or i in tainted):
             start = min(tainted) if i is None else i
-            raise next(iter(restrict(self.graph, s_A, start=start)[1].values()))
+            outcomes(self.net, self.graph.states[start], s_A, state_cap=self.graph.n_states)
         return labels
 
     def _eval_strategic(self, node: Strategic, i: int):

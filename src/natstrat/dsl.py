@@ -938,13 +938,11 @@ def print_network(net: Network) -> str:
         out.append(f"agent {a.name}{flag} {{")
         for v in a.local_vars:
             out.append(f"  var int[{v.lo},{v.hi}] {v.name} = {v.init};")
-        out.append(f"  init {a.initial};")
-        for loc in a.locations:
+        for loc in a.locations:  # declared in order, so init declares none
             labels = [lbl for lbl, l in a.atom_labels if l == loc]
             suffix = f" [{', '.join(labels)}]" if labels else ""
-            if loc == a.initial and not labels:
-                continue  # init already declared it
             out.append(f"  loc {loc}{suffix};")
+        out.append(f"  init {a.initial};")
         for e in a.edges:
             parts = [f"  edge {e.source} -> {e.target} on {e.action}"]
             if not isinstance(e.guard, TrueConst):

@@ -4,12 +4,15 @@ The outcome of a collective strategy from a state is the reachable graph in
 which every coalition member only takes actions its strategy prescribes
 (first-match semantics), while all other agents behave freely. `outcomes`
 explores it from one state, matching a member's rules once per projection
-of a state on the fields its edges and rules read (see `model.explore`);
-`restrict` cuts it out of an explored graph as successor lists, for every
-state at once or from one `start`, through one `strategy.strategy_filter`,
-which matches once per distinct projection on the fields the rules read
-and stored move ids. Both match by `strategy._matcher` at the same move of
-each state, so they keep the same moves and raise the same StrategyError.
+of a state on the fields its edges and rules read (see `model.explore`),
+and raises the StrategyError of the first state it expands where matching
+fails; `restrict` cuts it out of an explored graph as successor lists for
+every state at once, in one pass in index order through one
+`strategy.strategy_filter`, which matches once per distinct projection on
+the fields the rules read and stored move ids, and returns the states
+where matching fails. Both match by `strategy._matcher` at the same move
+of each state, so they keep the same moves and fail at the same states;
+the error a state's outcome raises comes from exploring that outcome.
 
 `wait` self-loops are idle transitions: path-level analyses run under a weak
 fairness assumption (no agent idles forever while a productive move is
@@ -46,53 +49,37 @@ from .strategy import CollectiveStrategy, strategy_filter
 
 def outcomes(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,
              state_cap: int = DEFAULT_STATE_CAP) -> StateGraph:
-    """Explore out(q, s_A) directly, following only the moves s_A allows."""
+    """Explore out(q, s_A) directly, following only the moves s_A allows.
+    Raises the StrategyError of the first state, in breadth-first order,
+    where matching a rule fails."""
     return explore(net, start=q, state_cap=state_cap, s_A=s_A)
 
 
-def restrict(graph: StateGraph, s_A: CollectiveStrategy, start: Optional[int] = None
-             ) -> tuple[list[Sequence[int]], dict[int, StrategyError]]:
+def restrict(graph: StateGraph, s_A: CollectiveStrategy
+             ) -> tuple[list[Sequence[int]], list[int]]:
     """Successor lists of the explored graph keeping only the moves s_A
-    allows, at every state (or at those reachable from `start` under s_A;
-    the others share one empty tuple), and the StrategyError that matching a
-    rule raises at each visited state where it does. With no coalition they
+    allows at each state, and the states where matching a rule fails, in
+    index order; those states get an empty tuple. With no coalition they
     are `graph.succ`. Strategies are memoryless, so out(q, s_A) is the part
-    reachable from q. The whole graph is walked in index order; the walk
-    from `start` is breadth-first over the stored edges in stored order, as
-    `outcomes` explores, so the first error it records is the one `outcomes`
-    from that state raises. One `strategy_filter` serves the walk, so the
+    reachable from q. One `strategy_filter` serves every state, so the
     rules are matched once per distinct (projection on the fields they
     read, stored move ids), not once per state."""
     if not s_A:
-        return graph.succ, {}
+        return graph.succ, []
     keep = strategy_filter(graph.net, s_A)
     succ: list[Sequence[int]] = [()] * graph.n_states
-    errors: dict[int, StrategyError] = {}
-    keys, offsets, move_ids, idle = graph.keys, graph.offsets, graph.move_ids, graph.idle
-
-    def visit(i: int) -> list[int]:
-        """Fill state i's successors; its kept productive targets."""
+    errors: list[int] = []
+    keys, offsets, move_ids, targets, idle = (
+        graph.keys, graph.offsets, graph.move_ids, graph.targets, graph.idle)
+    for i in range(graph.n_states):
         lo, hi = offsets[i], offsets[i + 1]
         ids = move_ids[lo:hi]
         try:  # a state's stored moves have distinct ids
             kept = keep(keys[i], ids)
-        except StrategyError as exc:
-            errors[i] = exc.with_traceback(None)  # keeps no frame alive
-            return []
-        targets = [j for m, j in zip(ids, graph.targets[lo:hi]) if m in kept and not idle[m]]
-        succ[i] = sorted(set(targets))
-        return targets
-
-    if start is None:
-        for i in range(graph.n_states):
-            visit(i)
-        return succ, errors
-    todo, seen = deque([start]), {start}
-    while todo:
-        for j in visit(todo.popleft()):
-            if j not in seen:
-                seen.add(j)
-                todo.append(j)
+        except StrategyError:
+            errors.append(i)
+            continue
+        succ[i] = sorted({j for m, j in zip(ids, targets[lo:hi]) if m in kept and not idle[m]})
     return succ, errors
 
 

@@ -20,6 +20,8 @@ from natstrat.model import DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, e
 from natstrat.outcome import backward_fixpoint, restrict
 from natstrat.strategy import CollectiveStrategy, NaturalStrategy
 
+import explore_oracle
+
 
 def eval_knows(graph, agent: str, state_set: set[int], i: int,
                classes: Optional[dict] = None) -> bool:
@@ -207,7 +209,8 @@ class FormulaEvaluator:
             s_A, _, _, labels, tainted = fixed
             if i in tainted:
                 # the StrategyError that verify_strategic raises here
-                raise next(iter(restrict(self.graph, s_A, start=i)[1].values()))
+                explore_oracle.outcomes(self.net, self.graph.states[i], s_A,
+                                        state_cap=self.graph.n_states)
             return i in labels
         sets = self._goal_sets(node)
         if sets is _UNKNOWN:

@@ -141,14 +141,15 @@ def stored_moves(space) -> list[list[tuple[int, bool, tuple]]]:
 
 
 def walk(moves, start: int, behaviour) -> tuple[list[Sequence[int]], list[int]]:
-    """Over a space's `stored_moves`, what `outcome.restrict(graph, s_A,
-    start)` gives for a candidate s_A with this behaviour: the successor
-    lists of the states reachable from `start` and the visited states where
-    matching fails, in the same breadth-first order over the stored edges,
-    unvisited states sharing one empty tuple. Stored moves are filtered as
-    `strategy.strategy_filter` does: in actor order, the first coalition
-    actor that refuses its action rejects the move, and a member's error
-    counts only where one of its moves is checked."""
+    """Over a space's `stored_moves`, the part of `outcome.restrict(graph,
+    s_A)` reachable from `start` for a candidate s_A with this behaviour:
+    the successor lists of the visited states and the visited states where
+    matching fails, in breadth-first order over the stored edges, as
+    `outcome.outcomes` explores; unvisited states share one empty tuple.
+    Stored moves are filtered as `strategy.strategy_filter` does: in actor
+    order, the first coalition actor that refuses its action rejects the
+    move, and a member's error counts only where one of its moves is
+    checked."""
     succ: list[Sequence[int]] = [()] * len(moves)
     errors: list[int] = []
     todo = deque([start])

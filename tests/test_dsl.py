@@ -236,11 +236,17 @@ def test_network_source_and_supplied_network_resolve_alike(tmp_path):
 
 # -- round trips ---------------------------------------------------------------
 
+# an agent whose initial location is not its first
+INIT_LATER_SRC = ("agent A { loc l0; init l1; "
+                  "edge l0 -> l1 on go; edge l1 -> l0 on back; }")
+
+
 @pytest.mark.parametrize("stem", [
     "voter_base", "voter_check4", "voter_full", "coercion_punisher",
-    "coercion_infector", "coercion_watchdog", "infrastructure"])
+    "coercion_infector", "coercion_watchdog", "infrastructure", "init_later"])
 def test_network_round_trip(stem):
-    net = load_bundle(DATA_DIR / f"{stem}.nsm").network
+    net = (parse_network(INIT_LATER_SRC, name=stem) if stem == "init_later"
+           else load_bundle(DATA_DIR / f"{stem}.nsm").network)
     again = parse_network(print_network(net), name=net.name)
     assert again == net
 

@@ -281,6 +281,20 @@ def test_fixed_goal_node_that_fails_to_match_raises_like_the_oracle(base):
             assert [_outcome(lambda: ev.holds(f, 0)) for _ in range(2)] == [got, got]
 
 
+def test_a_tainted_state_raises_its_strategy_error_within_the_graphs_size():
+    # the error comes from exploring the tainted state's outcome, part of
+    # the graph: here all of it, with `go` unavailable at the last state
+    # it adds, so a state cap the graph meets exactly does not fire
+    net = parse_network("agent A { init a0; loc a1; loc a2; edge a0 -> a1 on go; "
+                        "edge a1 -> a2 on go; edge a2 -> a2 on stop; }", name="chain")
+    named = {"s": parse_strategy("strategy s for A { when true do go; }", net)}
+    f = parse_formula("A G <<A:s>>^5 F a2", net)
+    cap = FormulaEvaluator(net).graph.n_states
+    got = _assert_agrees(net, f, "verify", strategies_by_name=named, state_cap=cap)
+    assert (cap, got[0]) == (3, "StrategyError")
+    assert got == _outcome(lambda: eval_formula(net, f, strategies_by_name=named))
+
+
 def test_fixed_goal_node_rejected_by_the_gate_agrees_with_the_oracle(base):
     net = base.network
     f = parse_formula("A G <<Voter:cast_verify>>^14 F end", net)

@@ -21,7 +21,7 @@ from natstrat.errors import (
 from natstrat.model import (
     TRUE, And, Edge, GlobalState, Internal, LocAtom, Not, _compiled, _CompiledNetwork, explore,
 )
-from natstrat.outcome import outcomes, restrict
+from natstrat.outcome import backward_fixpoint, outcomes, restrict
 from natstrat.strategy import NaturalStrategy, Rule, fix_strategy, strategy_filter
 
 from conftest import out_edges
@@ -64,18 +64,47 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
 
 
 def _restricted(result):
-    """`restrict`'s result with every successor list a list and every error
-    as its text; the error's type is checked on the way."""
+    """`restrict`'s result with every successor list a list."""
     succ, errors = result
-    assert all(type(exc) is StrategyError for exc in errors.values())
-    return [list(outs) for outs in succ], {i: str(exc) for i, exc in errors.items()}
+    return [list(outs) for outs in succ], errors
+
+
+def _oracle_restricted(net, ref, s_A):
+    """The oracle's `restrict` over the whole graph, with its error states,
+    in index order, in place of their texts."""
+    succ, errors = oracle.restrict(net, ref, s_A)
+    return succ, list(errors)
+
+
+def _pairs(states, succ):
+    return {(states[i], states[j]) for i, outs in enumerate(succ) for j in outs}
+
+
+def assert_outcomes_match_oracle(net, s_A, graph, ref, starts):
+    """From each state i of `starts` in graph = explore(net), out(i, s_A),
+    explored within the graph's size, against the oracle's walk from i
+    over ref = oracle.explore(net): it raises a StrategyError exactly
+    where i reaches an error state of `restrict(graph, s_A)` (the
+    evaluator's tainted states), with the text of the first error the walk
+    records, and otherwise has the states and successors the walk visits."""
+    succ, errors = restrict(graph, s_A)
+    tainted = backward_fixpoint(succ, errors, some=True)
+    for i in starts:
+        walked, walk_errors = oracle.restrict(net, ref, s_A, i)
+        got = _run(lambda: outcomes(net, graph.states[i], s_A, state_cap=graph.n_states))
+        assert bool(walk_errors) is (i in tainted), i
+        if walk_errors:
+            assert got == ("StrategyError", next(iter(walk_errors.values())), None), i
+            continue
+        assert set(got.states) == {ref.states[j] for j in {i}.union(*walked)}, i
+        assert _pairs(got.states, got.succ) == _pairs(ref.states, walked), i
 
 
 def assert_strategy_matches_oracle(net, s_A, starts=None):
     """At every state of explore(net): the moves s_A keeps (or the
     StrategyError its matching raises) and each agent's knowledge class;
-    then `outcomes` from the initial state, and `restrict` over the whole
-    graph and from each state of `starts` (default: all)."""
+    then `outcomes` from the initial state, `restrict` over the whole
+    graph, and `outcomes` from each state of `starts` (default: all)."""
     graph, ref = explore(net), oracle.explore(net)
     assert graph.states == ref.states
     keep = strategy_filter(net, s_A)
@@ -90,10 +119,9 @@ def assert_strategy_matches_oracle(net, s_A, starts=None):
             oracle.indistinguishability_classes(net, ref.states, agent.name), agent.name
     got, want = _run(lambda: outcomes(net, None, s_A)), _run(lambda: oracle.outcomes(net, None, s_A))
     assert got == want if isinstance(want, tuple) else _shape(got) == _shape(want)
-    assert _restricted(restrict(graph, s_A)) == oracle.restrict(net, ref, s_A)
-    for start in range(graph.n_states) if starts is None else starts:
-        assert _restricted(restrict(graph, s_A, start)) == \
-            oracle.restrict(net, ref, s_A, start), start
+    assert _restricted(restrict(graph, s_A)) == _oracle_restricted(net, ref, s_A)
+    assert_outcomes_match_oracle(net, s_A, graph, ref,
+                                 range(graph.n_states) if starts is None else starts)
 
 
 def _bundled_cases():
@@ -171,6 +199,19 @@ def test_packed_encoding_matches_oracle(case):
     net, s_A = case
     assert_matches_oracle(net)
     assert_matches_oracle(net, s_A)
+
+
+@settings(deadline=None)
+@given(case=_packed_network_and_strategy())
+def test_packed_outcomes_match_oracle_from_every_state(case):
+    # sync sides assigning g, members on both ends, partial strategies;
+    # _network_and_strategies gets the same check through
+    # test_random_networks_match_oracle
+    net, s_A = case
+    graph = _run(lambda: explore(net))
+    if not isinstance(graph, tuple):  # no update leaves its domain
+        assert_outcomes_match_oracle(net, s_A, graph, oracle.explore(net),
+                                     range(graph.n_states))
 
 
 def test_a_strategy_that_drops_the_only_overflowing_move_raises_nothing():
@@ -420,7 +461,7 @@ def test_states_sharing_a_memo_key_each_raise_their_own_error():
             assert texts[i].endswith(f"no rule matches at {graph.states[i]} "
                                      "(final rule's action unavailable)")
         assert texts == oracle.restrict(net, ref, s_A)[1]
-    assert _restricted(restrict(graph, s_A)) == oracle.restrict(net, ref, s_A)
+    assert _restricted(restrict(graph, s_A)) == _oracle_restricted(net, ref, s_A)
     assert_strategy_matches_oracle(net, s_A)
 
 

@@ -492,13 +492,14 @@ def test_strategy_filter_matches_per_move_filter(case):
         moves = oracle.enabled_moves(net, q)
         assert _raised(lambda: _kept(net, s_A, graph, i)) == \
             _raised(lambda: _reference_allowed(net, q, moves, s_A)), q
-    # outcomes explores out(q0, s_A); restrict cuts it out of explore(net)
+    # outcomes explores out(q0, s_A); the oracle's walk cuts it out of
+    # the oracle's explored graph, whose states are explore(net)'s
     og = _raised(lambda: outcomes(net, None, s_A))
-    succ, errors = restrict(graph, s_A, start=graph.initial)
+    succ, errors = oracle.restrict(net, oracle.explore(net), s_A, graph.initial)
     assert isinstance(og, str) == bool(errors)
     if errors:
         # outcomes raises at the first error state its breadth-first
-        # exploration expands: the first one restrict's walk records
+        # exploration expands: the first one the oracle's walk records
         assert og == f"StrategyError: {next(iter(errors.values()))}"
         return
     assert _state_pairs(graph, succ) == _state_pairs(og, og.succ)
@@ -523,7 +524,7 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
     assert _reference_allowed(net, q0, moves, s_A) == kept
 
 
-# -- the oracle's behaviour walk against restrict ------------------------------
+# -- the oracle's behaviour walk against the oracle's restrict -----------------
 
 def _option(space, m, rule, final):
     """Member m's synthesis option for a rule of a supplied strategy."""
@@ -545,10 +546,16 @@ def _walk_matches_restrict(net, s_A):
             for n, rule in enumerate(rules, start=1):
                 state = space.extend(state, m, _option(space, m, rule, n == len(rules))) or state
         assert state[0] == behaviour
-    moves = synthesis_oracle.stored_moves(space)
+    moves, ref = synthesis_oracle.stored_moves(space), oracle.explore(net)
+    whole, error_states = restrict(graph, s_A)
     for start in range(graph.n_states):
-        succ, errors = restrict(graph, s_A, start)
-        assert synthesis_oracle.walk(moves, start, behaviour) == (succ, list(errors)), start
+        succ, errors = oracle.restrict(net, ref, s_A, start)
+        walked, walk_errors = synthesis_oracle.walk(moves, start, behaviour)
+        assert ([list(outs) for outs in walked], walk_errors) == (succ, list(errors)), start
+        # restrict over the whole graph agrees at every visited state
+        visited = {start}.union(*walked)
+        assert set(walk_errors) == visited.intersection(error_states), start
+        assert all(walked[i] == whole[i] for i in visited.difference(walk_errors)), start
 
 
 @settings(max_examples=150, deadline=None)
@@ -566,7 +573,9 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
     s_A = {"A": parse_strategy("strategy sA for A { when true do wait; }", net),
            "B": parse_strategy("strategy sB for B { when true do z; }", net)}
     _walk_matches_restrict(net, s_A)
-    assert restrict(explore(net), s_A, 0)[1] == {}  # B is never matched at the start
+    # B is never matched at the start
+    assert oracle.restrict(net, oracle.explore(net), s_A, 0)[1] == {}
+    assert outcomes(net, None, s_A).n_states == 1
 
 
 # -- synthesis's decision on masks against the oracle's walk -------------------
