@@ -17,14 +17,24 @@ Bounded synthesis enumerates candidates lazily, in canonical order, and
 checks behaviours rather than candidates. On the one explored graph, a
 candidate's behaviour is, for each coalition member and action, the states
 where its matched rule allows that action, and the states where matching
-fails, all int bitsets. Strategies are memoryless, so two exact prunings
-hold: a rule other than the last that fires nowhere makes every candidate
-under its prefix equal to a cheaper one, already checked, so that subtree
-is skipped; and a candidate whose behaviour was already checked is skipped.
-A new behaviour is decided without building its outcome: one pass from the
-start over each state's move masks stops at the first state where matching
-fails, and for G at the first state outside the goal, since either fixes
-the verdict. The enumeration cap counts canonical positions, skipped ones
+fails, all int bitsets. Strategies are memoryless, so three exact
+prunings hold. A rule other than the last that fires nowhere makes every
+candidate under its prefix equal to a cheaper one, already checked, so that
+subtree is skipped. A candidate whose behaviour was already checked is
+skipped. And a prefix is skipped when an earlier one dominates it: it left
+the same state (the behaviours of the members done, and the states where
+the current member's rules fired, per action), so each completion behaves
+alike under both, and it used less cost, or as much cost and fewer rules,
+or both equal in the same (complexity, rule count) bucket. The earlier
+prefix with the same completion is then a candidate of an earlier bucket,
+or earlier in the same one, so the skipped behaviour was already seen. The
+last clause needs the same bucket: with both equal but the earlier prefix
+from an earlier bucket, that completion lands in the later bucket, and
+possibly after the skipped one (a search that allowed it reported False for
+`<<Voter>>^4 F end` on voter_base, which is True). A new behaviour is
+decided without building its outcome: one pass from the start over each
+state's move masks stops at the first state where matching fails, and for
+G at the first state outside the goal, since either fixes the verdict. The enumeration cap counts canonical positions, skipped ones
 included, so it fires where a full enumeration would.
 
 Truth values are three-valued at the result level: True, False, or None
@@ -37,7 +47,7 @@ import functools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import DefinitionError, ResourceLimitError
 from .formula import (
@@ -292,8 +302,9 @@ class _Option(NamedTuple):
 
 
 def _canonical(options: Callable[[int], Sequence[Sequence[_Option]]], k: int,
-               extend: Callable[[object, int, _Option], object],
-               root: object) -> Iterator[tuple[int, object]]:
+               extend: Callable[[object, int, _Option], object], root: object,
+               key: Optional[Callable[[object], Hashable]] = None
+               ) -> Iterator[tuple[int, object]]:
     """Collective strategies of complexity up to k, lazily, in canonical
     order: by complexity, then rule count, then the members' rule texts in
     turn (members in name order; `options(c)[m]` holds member m's options
@@ -307,16 +318,29 @@ def _canonical(options: Callable[[int], Sequence[Sequence[_Option]]], k: int,
     candidate, with its 1-based canonical position and its full state, and
     for each skipped subtree, with None and the position of its last
     candidate; so the last position yielded is the number of candidates.
-    The guards of a complexity level are built when the search reaches it."""
+    The guards of a complexity level are built when the search reaches it.
+
+    With a `key`, a prefix that is not a whole candidate is also skipped
+    when an earlier prefix dominates it: one with an equal key that used
+    less cost; or equal cost and fewer rules; or equal cost and rules in the
+    same bucket. Equal keys must mean the same next member, and equal full
+    states after every completion. The earlier prefix with the same
+    completion is then a candidate at an earlier position, so no state is
+    first seen under a dominated prefix. The memo lives for one run."""
     n = len(options(0))
     position = 0
+    # key -> (cost used, rules used, -complexity, -rule count) of the last
+    # prefix stored under it
+    memo: Optional[dict] = None if key is None else {}
     for total in range(n, k + 1):
-        position = yield from _level(options(total - n), total, extend, root, position)
+        position = yield from _level(options(total - n), total, extend, root, position,
+                                     key, memo)
 
 
 def _level(options: Sequence[Sequence[_Option]], total: int,
            extend: Callable[[object, int, _Option], object], root: object,
-           position: int):
+           position: int, key: Optional[Callable[[object], Hashable]],
+           memo: Optional[dict]):
     """`_canonical` over the candidates of complexity `total`, after the
     first `position`; returns the position of the last one."""
     n = len(options)
@@ -341,6 +365,15 @@ def _level(options: Sequence[Sequence[_Option]], total: int,
         nonlocal position
         for opt, nxt, size in slot(m, c, r):
             state2 = extend(state, m, opt)
+            if state2 is not None and memo is not None and nxt[0] < n:
+                # the stored prefix is from this bucket or an earlier one,
+                # so its value is <= this prefix's iff it dominates it
+                at, used = key(state2), (total - nxt[1], rules - nxt[2], -total, -rules)
+                stored = memo.get(at)
+                if stored is not None and stored <= used:
+                    state2 = None
+                else:
+                    memo[at] = used
             if state2 is None or nxt[0] == n:
                 position += size
                 yield position, state2
@@ -365,8 +398,6 @@ class _Behaviours:
     Natural strategies are memoryless, so candidates with equal behaviours
     restrict the graph alike. Nothing here depends on the state synthesis
     starts from, so one space serves every start (see `wins`)."""
-
-    ROOT = ((), 0, (), ())
 
     def __init__(self, graph: StateGraph, coalition: Sequence[str],
                  vocab: Optional[Sequence[GuardExpr]] = None):
@@ -394,6 +425,12 @@ class _Behaviours:
                     av[act] = av.get(act, 0) | bit
         self.acts = [sorted(av) for av in self.avail]
         index = [{a: j for j, a in enumerate(acts)} for acts in self.acts]
+        # per member: its actions' states in `acts` order, and the slots of a
+        # prefix state's fired bits, one per action and then the wildcard's
+        self.avail_bits = [[av[a] for a in acts] for av, acts in zip(self.avail, self.acts)]
+        self.slots = [{**idx, WILDCARD: len(idx)} for idx in index]
+        self.unfired = [(0,) * len(slots) for slots in self.slots] + [()]
+        self.ROOT = ((), 0, self.unfired[0], ())
         self.any = [functools.reduce(operator.or_, av.values(), 0) for av in self.avail]
         # per state: `free`, the non-idle targets of moves no member takes
         # part in, and `groups`, one (checks, targets) pair per distinct
@@ -449,25 +486,30 @@ class _Behaviours:
         return out
 
     def extend(self, state, m: int, opt: _Option):
-        """A candidate prefix's state (behaviour of the members done, states
-        covered and rules fired by member m so far, options taken) with
-        `opt` next in member m's list; None when `opt` is not final and
-        fires nowhere, as then dropping it gives a cheaper candidate with the
-        same behaviour."""
+        """A candidate prefix's state with `opt` next in member m's list:
+        the behaviour of the members done, the states covered by member m's
+        rules so far, the states where they fired, as one union per action
+        of `acts[m]` and one for the wildcard, and the options taken. None
+        when `opt` is not final and fires nowhere, as then dropping it gives
+        a cheaper candidate with the same behaviour."""
         done, covered, fired, path = state
         fire = opt.live & ~covered
+        if not fire and not opt.final:
+            return None
+        fired = list(fired)
+        if fire:
+            fired[self.slots[m][opt.rule.action]] |= fire
         if not opt.final:
-            return None if not fire else (done, covered | fire,
-                                          fired + ((opt.rule.action, fire),), path + (opt,))
-        allowed = dict.fromkeys(self.acts[m], 0)
-        for action, bits in fired + ((opt.rule.action, fire),):
-            if action is WILDCARD:
-                for a, av in self.avail[m].items():
-                    allowed[a] |= bits & av
-            elif bits:
-                allowed[action] |= bits
-        behaviour = (tuple(allowed.values()), self.any[m] & ~(covered | fire))
-        return done + (behaviour,), 0, (), path + (opt,)
+            return done, covered | fire, tuple(fired), path + (opt,)
+        wild = fired.pop()
+        if wild:
+            fired = map(operator.or_, fired, map(wild.__and__, self.avail_bits[m]))
+        behaviour = (tuple(fired), self.any[m] & ~(covered | fire))
+        return done + (behaviour,), 0, self.unfired[m + 1], path + (opt,)
+
+    # what the completions of a prefix depend on, `_canonical`'s key: its
+    # state without the options taken (its members done fix the next one)
+    key = operator.itemgetter(0, 1, 2)
 
     def wins(self, start: int, behaviour, op: str, goals: Sequence[set[int]]) -> bool:
         """Whether a candidate s_A with this behaviour wins op(goals) from
@@ -545,10 +587,12 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     Only the first candidate of each behaviour is checked, on int bitsets
     over that graph, stopping at its first error or unsafe state
     (`_Behaviours.wins`); a rule other than the last that fires nowhere
-    skips every candidate under its prefix (see the module docstring). The
-    result's `stats.strategies_enumerated` is the canonical position
-    reached, skipped candidates included, and `config.enumeration_cap` caps
-    it; `stats.strategies_checked` counts the behaviours decided.
+    skips every candidate under its prefix, and so does a prefix that an
+    earlier one dominates (the three exact prunings of the module
+    docstring). The result's `stats.strategies_enumerated` is the canonical
+    position reached, skipped candidates included, and
+    `config.enumeration_cap` caps it; `stats.strategies_checked` counts the
+    behaviours decided.
     `<<Voter>>^3 F end` on voter_base enumerates 1,192,464 candidates and
     checks 17,747."""
     t0 = time.perf_counter()
@@ -582,7 +626,8 @@ def _synthesize(space: _Behaviours, start: int, k: int, op: str,
         # every member's strategy has at least the ⊤ rule, costing 1
         return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
     decided: set = set()
-    for position, state in _canonical(space.options, k, space.extend, space.ROOT):
+    for position, state in _canonical(space.options, k, space.extend, space.ROOT,
+                                      space.key):
         stats.strategies_enumerated = position
         if position > config.enumeration_cap:
             stats.strategies_enumerated = config.enumeration_cap + 1

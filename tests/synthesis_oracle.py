@@ -1,9 +1,13 @@
-"""Two earlier forms of bounded synthesis, kept as oracles.
+"""Three earlier forms of bounded synthesis, kept as oracles.
 
 The eager candidate enumeration that synthesis used before it became a lazy
 depth-first search: every candidate of a complexity level is built, then
 the level is sorted by (rule count, text). It is the oracle of canonical
 order.
+
+The lazy search that synthesis used before it skipped dominated prefixes:
+`checker._canonical` with no key, deciding the first candidate of each
+behaviour. It is the oracle of the dominance memo.
 
 The behaviour walk that synthesis used before it decided each behaviour on
 masks (`checker._Behaviours.wins`): it builds the restricted successor
@@ -14,8 +18,10 @@ import itertools
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
+from natstrat.checker import _canonical
+from natstrat.dsl import print_strategy
 from natstrat.model import WAIT_ACTION, And, GuardExpr, Network, Not, Or, TrueConst
-from natstrat.strategy import WILDCARD, CollectiveStrategy, NaturalStrategy, Rule
+from natstrat.strategy import WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity
 
 
 def guards_of_cost(vocab: Sequence[GuardExpr], cost: int, memo: dict) -> list[GuardExpr]:
@@ -180,3 +186,41 @@ def walk(moves, start: int, behaviour) -> tuple[list[Sequence[int]], list[int]]:
                 seen.add(j)
                 todo.append(j)
     return succ, errors
+
+
+def first_seen(space, k: int, key=None) -> Iterator[tuple[int, object]]:
+    """(position, behaviour) for each behaviour of the space's candidates of
+    complexity up to k, at its first canonical position, then (the number
+    of candidates, None): `checker._canonical` with no key, or, given the
+    space's `key`, with dominated prefixes skipped."""
+    seen: set = set()
+    position = 0
+    for position, state in _canonical(space.options, k, space.extend, space.ROOT, key):
+        if state is not None and state[0] not in seen:
+            seen.add(state[0])
+            yield position, state[0]
+    yield position, None
+
+
+def synthesize(space, start: int, k: int, op: str, subgoals, cap: int) -> tuple:
+    """(verdict, reason, candidates enumerated, behaviours checked, witness
+    text) of `checker._synthesize` over the space as it was before dominated
+    prefixes were skipped: every first-seen behaviour in the unpruned order
+    is decided by `wins`. Past the cap: (None, the error's text, its
+    `partial`, behaviours checked, None)."""
+    if k < len(space.coalition):
+        return False, f"bound {k} below coalition size", 0, 0, None
+    decided: set = set()
+    for position, state in _canonical(space.options, k, space.extend, space.ROOT):
+        if position > cap:
+            return None, f"synthesis cap {cap} exceeded (verdict unknown)", cap + 1, \
+                len(decided), None
+        if state is None or state[0] in decided:
+            continue
+        decided.add(state[0])
+        if space.wins(start, state[0], op, subgoals):
+            s_A = space.strategy(state[3])
+            return (True, f"witness of complexity {complexity(s_A)}",
+                    position, len(decided),
+                    [print_strategy(s) for _, s in sorted(s_A.items())])
+    return False, "exhaustive enumeration", position, len(decided), None

@@ -9,7 +9,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 
 import explore_oracle as oracle
 from natstrat import casestudy
@@ -36,6 +36,13 @@ def _run(f):
         return type(exc).__name__, str(exc), getattr(exc, "partial", None)
 
 
+def _label(what: str, got) -> None:
+    """Label a hypothesis example by what `what` gave: the type of the error
+    it raised (BoundViolationError for an update that leaves its domain),
+    or a graph."""
+    event(f"{what}: {got[0] if isinstance(got, tuple) else 'a graph'}")
+
+
 def _shape(graph):
     return graph.states, [(t.source, t.move.label(), t.move, t.target)
                           for t in graph.transitions]
@@ -52,7 +59,7 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
     want = _run(lambda: oracle.explore(net, move_filter=ref_keep, **kwargs))
     if isinstance(want, tuple):
         assert got == want
-        return
+        return got
     assert _shape(got) == _shape(want)
     for i, q in enumerate(got.states):
         ids = got.move_ids[got.offsets[i]:got.offsets[i + 1]]
@@ -61,6 +68,7 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
             moves = oracle.allowed_moves(net, q, moves, s_A)
         assert [got.moves[m] for m in ids] == moves, q
         assert len(set(ids)) == len(ids), q
+    return got
 
 
 def _restricted(result):
@@ -197,8 +205,8 @@ def test_packed_encoding_matches_oracle(case):
     # the number of examples is the hypothesis profile's: 100 by default,
     # 300 under the `ci` profile (tests/conftest.py)
     net, s_A = case
-    assert_matches_oracle(net)
-    assert_matches_oracle(net, s_A)
+    _label("explore", assert_matches_oracle(net))
+    _label("explore under the strategy", assert_matches_oracle(net, s_A))
 
 
 @settings(deadline=None)
@@ -209,6 +217,7 @@ def test_packed_outcomes_match_oracle_from_every_state(case):
     # test_random_networks_match_oracle
     net, s_A = case
     graph = _run(lambda: explore(net))
+    _label("explore", graph)
     if not isinstance(graph, tuple):  # no update leaves its domain
         assert_outcomes_match_oracle(net, s_A, graph, oracle.explore(net),
                                      range(graph.n_states))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from natstrat.checker import _Behaviours, _Option, _canonical, label_universal
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
@@ -393,16 +393,27 @@ _PACKED_UPDATES = {
           "g := g - x, x := g + 2", "x := x + 1, x := x + 1"],
     "B": ["x := x + 1", "x := x - 1", "g := neg + 2", "g := g + x", "x := g"],
 }
+# Updates that stay in their domains from every state, over the same corners:
+# negative results, constants, and a second assignment that reads the first.
+_PACKED_SAFE_UPDATES = {
+    "A": ["g := x - 2", "x := one - 3", "x := 2 - x", "g := 1 - x", "g := x - 2, x := g + 2"],
+    "B": ["g := neg + 2", "g := x - 1", "x := 0 - x", "g := x - 1, x := g + 1"],
+}
 
 
 @st.composite
 def _packed_network_and_strategy(draw):
     """Two agents over the packed encoding's corner cases (`_PACKED_GUARDS`,
     `_PACKED_UPDATES`): A lazy, with a local x in [0,2], B with one in
-    [-1,1]; globals g in [-2,1] and `one` in [3,3]; updates that can leave
-    a domain; a channel c on which A sends and B receives, both sides
-    assigning g. A strategy for A, B or both, total or partial, over the
-    same guards."""
+    [-1,1]; globals g in [-2,1] and `one` in [3,3]; a channel c on which A
+    sends and B receives, both sides assigning g. One example in three draws
+    its other updates from `_PACKED_UPDATES`, which can leave a domain, and
+    the rest from `_PACKED_SAFE_UPDATES`, so that most examples explore
+    without overflow. A strategy for A, B or both, total or partial, over
+    the same guards."""
+    updates = _PACKED_UPDATES if draw(st.integers(0, 2)) == 0 else _PACKED_SAFE_UPDATES
+    event("updates can leave a domain" if updates is _PACKED_UPDATES
+          else "updates stay in their domains")
     agents, actions = [], {}
     for name, loc, sync, domain in (("A", "a", "c!", "[0,2] x = 0"),
                                     ("B", "b", "c?", "[-1,1] x = 1")):
@@ -418,7 +429,7 @@ def _packed_network_and_strategy(draw):
             if k == 0:
                 edge += f" sync {sync} do g := {'x - 1' if name == 'A' else 'x'}"
             elif draw(st.integers(0, 2)) == 0:
-                edge += f" do {draw(st.sampled_from(_PACKED_UPDATES[name]))}"
+                edge += f" do {draw(st.sampled_from(updates[name]))}"
             edges.append(edge + ";")
         agents.append(f"agent {name}{'(lazy)' if name == 'A' else ''} {{ var int{domain}; "
                       f"init {loc}0; loc {loc}1; loc {loc}2; " + " ".join(edges) + " }")

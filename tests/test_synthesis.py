@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from natstrat.casestudy import load, models
 from natstrat.checker import (
-    FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical, _guards_of_cost,
-    check_temporal_universal, default_vocabulary, eval_formula,
+    CheckStats, FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical, _guards_of_cost,
+    _synthesize, check_temporal_universal, default_vocabulary, eval_formula,
     synthesize_strategic, verify_strategic,
 )
 from natstrat.dsl import parse_formula, parse_guard_text, parse_network, print_strategy
@@ -18,6 +19,7 @@ from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, complexity
 
 import explore_oracle
 import synthesis_oracle as oracle
+import test_evaluator as evaluator_tests
 from conftest import (
     count_explore, out_edges, predicates_of, result_facts, trap_net, two_state_net,
 )
@@ -511,6 +513,144 @@ def test_one_check_per_behaviour(model, coalition, k, op, goal, base, infector):
     behaviours = {_matched_behaviour(space, cand) for _, cand in _lazy_candidates(
         net, coalition, k, default_vocabulary(net, coalition))}
     assert res.stats.strategies_checked == len(behaviours) < res.stats.strategies_enumerated
+
+
+# -- skipping dominated prefixes against the unpruned order ---------------------
+
+def _decided(space, start, k, op, subgoals, cap):
+    """`_synthesize`'s result, or its cap's error, as `oracle.synthesize`
+    summarizes them."""
+    stats = CheckStats()
+    try:
+        res = _synthesize(space, start, k, op, subgoals,
+                          SynthesisConfig(enumeration_cap=cap), stats)
+    except ResourceLimitError as exc:
+        return None, str(exc), exc.partial, stats.strategies_checked, None
+    return (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked, _text(res.witness_strategy))
+
+
+def _assert_prunes_exactly(space, k, problems):
+    """With dominated prefixes skipped, each behaviour is first seen at the
+    position where the unpruned order first sees it, and the last position
+    is the same; each problem (start, op, goal sets, cap) gets the unpruned
+    search's verdict, reason, counts and witness text."""
+    assert list(oracle.first_seen(space, k, space.key)) == list(oracle.first_seen(space, k))
+    verdicts = []
+    for start, op, subgoals, cap in problems:
+        got = _decided(space, start, k, op, subgoals, cap)
+        assert got == oracle.synthesize(space, start, k, op, subgoals, cap), (start, op, cap)
+        verdicts.append(got[0])
+    return verdicts
+
+
+# a goal per model of ORDER_CASES
+ORDER_GOALS = {
+    "voter_base": ("F", "end"),
+    "coercion_infector": ("G", "!(ca_v == 2)"),
+    "coercion_watchdog": ("F", "punished_v == 1 && infected == 1"),
+    "coercion_punisher": ("F", "not_show_v == 1 && punished_v == 1"),
+}
+
+
+@pytest.mark.parametrize("model,coalition,k", ORDER_CASES)
+def test_dominance_matches_unpruned_order(model, coalition, k,
+                                          base, infector, watchdog, punisher):
+    net = {"voter_base": base, "coercion_infector": infector,
+           "coercion_watchdog": watchdog, "coercion_punisher": punisher}[model].network
+    graph = explore(net)
+    space = _Behaviours(graph, coalition)
+    op, goal = ORDER_GOALS[model]
+    subgoals = [graph.satisfying(parse_guard_text(goal, net))]
+    _assert_prunes_exactly(space, k, [(start, op, subgoals, cap)
+                                      for start in range(0, graph.n_states, 7)
+                                      for cap in (10**9, 1000)])
+
+
+@pytest.mark.parametrize("make_net,goal,vocab_locs", TOYS)
+def test_dominance_matches_unpruned_order_toys(make_net, goal, vocab_locs):
+    net = make_net()
+    agent = net.agents[0].name
+    graph = explore(net)
+    subgoals = [graph.satisfying(parse_guard_text(goal, net))]
+    for vocab in ([LocAtom(agent, l) for l in vocab_locs], None):
+        space = _Behaviours(graph, [agent], vocab)
+        for k in range(0, 5):
+            _assert_prunes_exactly(space, k, [(start, op, subgoals, 10**9)
+                                              for start in range(graph.n_states)
+                                              for op in ("F", "G")])
+
+
+@st.composite
+def _synthesis_case(draw):
+    """A random two-agent network (`test_evaluator._network`), a coalition,
+    up to four atoms of its vocabulary, a bound from 2 to 4, a start, a
+    temporal operator with random goal sets, and a cap that may fire."""
+    net, _ = draw(evaluator_tests._network())
+    graph = explore(net)
+    coalition = draw(st.sampled_from(evaluator_tests.COALITIONS))
+    op = draw(st.sampled_from("XFGU"))
+    states = st.frozensets(st.integers(0, graph.n_states - 1))
+    subgoals = [set(draw(states)) for _ in range(2 if op == "U" else 1)]
+    problem = (draw(st.integers(0, graph.n_states - 1)), op, subgoals,
+               draw(st.one_of(st.just(10**9), st.integers(1, 3000))))
+    vocab = draw(st.lists(st.sampled_from(default_vocabulary(net, coalition)),
+                          min_size=1, max_size=4, unique_by=str))
+    # bounds of 3 and 4 give members more than one rule, where prefixes
+    # can dominate each other
+    return _Behaviours(graph, coalition, vocab), draw(st.sampled_from((4, 3, 2))), problem
+
+
+@settings(deadline=None)
+@given(case=_synthesis_case())
+def test_dominance_matches_unpruned_order_on_random_networks(case):
+    # the number of examples is the hypothesis profile's
+    space, k, problem = case
+    verdict, = _assert_prunes_exactly(space, k, [problem])
+    event(f"{len(space.agents)} member(s), bound {k}")
+    event("cap fired" if verdict is None else f"verdict {verdict}")
+    walks = [sum(1 for _ in _canonical(space.options, k, space.extend, space.ROOT, key))
+             for key in (None, space.key)]
+    event("a dominated prefix skipped" if walks[1] < walks[0] else "no prefix dominated")
+
+
+def test_cap_inside_a_dominated_subtree(base):
+    # a cap that fires inside a skipped subtree that the unpruned order
+    # walks fires at the same position, after the same behaviours
+    net = base.network
+    graph = explore(net)
+    space = _Behaviours(graph, ["Voter"])
+    walked = {position for position, _ in _canonical(space.options, 3, space.extend, space.ROOT)}
+    last = 0
+    for position, state in _canonical(space.options, 3, space.extend, space.ROOT, space.key):
+        if state is None and position - last > 1 and last + 1 in walked:
+            break
+        last = position
+    subgoals = [graph.satisfying(parse_guard_text("end", net))]
+    got = _decided(space, graph.initial, 3, "F", subgoals, last + 1)
+    assert got == oracle.synthesize(space, graph.initial, 3, "F", subgoals, last + 1)
+    assert got[:3] == (None, f"synthesis cap {last + 1} exceeded (verdict unknown)", last + 2)
+
+
+K4_END = ["strategy unnamed for Voter {\n  when !check1 do skip;\n"
+          "  when has_ballot do scan_ballot;\n  when true do *;\n}"]
+K4_RECEIPT = ["strategy unnamed for Voter {\n  when check2_fail do check3;\n"
+              "  when check4 do check4;\n  when has_ballot do scan_ballot;\n"
+              "  when true do *;\n}"]
+
+
+@pytest.mark.parametrize("goal,want", [
+    ("end", (True, "witness of complexity 4", 1_399_488, 18_687, K4_END)),
+    ("check4_ok || check4_fail", (True, "witness of complexity 4", 25_309_376, 67_522,
+                                  K4_RECEIPT)),
+])
+def test_pinned_bound_four_results(base, goal, want):
+    # each cap is the witness's position, so the search finds it exactly there
+    net = base.network
+    res = synthesize_strategic(net, None, ["Voter"], 4, "F", [parse_guard_text(goal, net)],
+                               config=SynthesisConfig(enumeration_cap=want[2]))
+    assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked, _text(res.witness_strategy)) == want
 
 
 def test_cap_inside_a_skipped_subtree(base):
