@@ -33,9 +33,12 @@ from an earlier bucket, that completion lands in the later bucket, and
 possibly after the skipped one (a search that allowed it reported False for
 `<<Voter>>^4 F end` on voter_base, which is True). A new behaviour is
 decided without building its outcome: one pass from the start over each
-state's move masks stops at the first state where matching fails, and for
-G at the first state outside the goal, since either fixes the verdict. The enumeration cap counts canonical positions, skipped ones
-included, so it fires where a full enumeration would.
+state's moves, stored per coalition as target lists grouped by the actions
+they check, stops at the first state where matching fails, and for G at
+the first state outside the goal, since either fixes the verdict; X, F and
+U label the visited states' successor sets. The enumeration cap counts
+canonical positions, skipped ones included, so it fires where a full
+enumeration would.
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -47,7 +50,9 @@ import functools
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Callable, Collection, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
+)
 
 from .errors import DefinitionError, ResourceLimitError
 from .formula import (
@@ -90,7 +95,7 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # Universal temporal labelling on successor lists
 
-def label_universal(succ: Sequence[Sequence[int]], op: str,
+def label_universal(succ: Sequence[Collection[int]], op: str,
                     subgoals: Sequence[set[int]]) -> set[int]:
     """States where AX/AF/AG/A(U) of the pre-labelled state sets holds over
     every maximal trace of the successor lists (`succ[i]`: the productive
@@ -386,9 +391,9 @@ def _level(options: Sequence[Sequence[_Option]], total: int,
 
 
 class _Behaviours:
-    """The candidates of one synthesis problem and what they do on one
-    explored graph, as int bitsets over its state indices (bit i for
-    state i).
+    """The candidates of one coalition and what they do on one explored
+    graph, as int bitsets over its state indices (bit i for state i), with
+    each state's moves as target lists.
 
     A member's rule fires at the states where its guard holds, its action
     (any action, for the wildcard) is available, and no earlier rule
@@ -396,8 +401,8 @@ class _Behaviours:
     a fired rule allows it, and its error set: the states where it has an
     action and no rule fired. A candidate's behaviour is its members'.
     Natural strategies are memoryless, so candidates with equal behaviours
-    restrict the graph alike. Nothing here depends on the state synthesis
-    starts from, so one space serves every start (see `wins`)."""
+    restrict the graph alike. Nothing here depends on the start or the goal,
+    so one space serves every operator of its coalition (see `wins`)."""
 
     def __init__(self, graph: StateGraph, coalition: Sequence[str],
                  vocab: Optional[Sequence[GuardExpr]] = None):
@@ -416,7 +421,7 @@ class _Behaviours:
         # per member: action -> the states where it has that action in the
         # stored moves; `acts` lists those actions in order
         self.avail: list[dict[str, int]] = [{} for _ in self.agents]
-        offsets, targets, move_ids = graph.offsets, graph.targets, graph.move_ids
+        offsets, targets, move_ids, idle = graph.offsets, graph.targets, graph.move_ids, graph.idle
         for i in range(graph.n_states):
             bit = 1 << i
             for e in range(offsets[i], offsets[i + 1]):
@@ -432,25 +437,19 @@ class _Behaviours:
         self.unfired = [(0,) * len(slots) for slots in self.slots] + [()]
         self.ROOT = ((), 0, self.unfired[0], ())
         self.any = [functools.reduce(operator.or_, av.values(), 0) for av in self.avail]
-        # per state: `free`, the non-idle targets of moves no member takes
-        # part in, and `groups`, one (checks, targets) pair per distinct
-        # checks of its other moves, in first-seen order; checks pair each
-        # coalition actor, in actor order, with its action's index, and an
-        # idle move adds no target bit but still checks its actors
+        # per state: one (checks, targets) pair per distinct checks of its
+        # stored moves, in first-seen order, with the targets of the non-idle
+        # ones; checks pair each coalition actor, in actor order, with its
+        # action's index, and are empty for a move no member takes part in
         checks = {m: tuple((a, index[a][act]) for a, act in side) for m, side in sides.items()}
-        self.free: list[int] = []
-        self.groups: list[tuple[tuple[tuple, int], ...]] = []
+        self.groups: list[tuple[tuple[tuple, tuple[int, ...]], ...]] = []
         for i in range(graph.n_states):
-            free, groups = 0, {}
+            groups: dict[tuple, list[int]] = {}
             for e in range(offsets[i], offsets[i + 1]):
-                m = move_ids[e]
-                bit = 0 if graph.idle[m] else 1 << targets[e]
-                if checks[m]:
-                    groups[checks[m]] = groups.get(checks[m], 0) | bit
-                else:
-                    free |= bit
-            self.free.append(free)
-            self.groups.append(tuple(groups.items()))
+                out = groups.setdefault(checks[move_ids[e]], [])
+                if not idle[move_ids[e]]:
+                    out.append(targets[e])
+            self.groups.append(tuple((c, tuple(out)) for c, out in groups.items()))
         self._guards: dict = {}  # the memo of _guards_of_cost
         self._options_memo: dict[int, list[list[_Option]]] = {}
 
@@ -516,24 +515,21 @@ class _Behaviours:
         `start`: no error state of `outcome.restrict(graph, s_A)` is
         reachable from `start` over its successor lists, and
         `label_universal` of those lists holds `start`. One pass over the
-        reachable states, lowest index first, reads each state's masks and
-        matches as `strategy.strategy_filter` does: in actor order, the
-        first coalition actor that refuses its action rejects the move, and
+        reachable states, in discovery order, reads each state's move groups
+        and matches as `strategy.strategy_filter` does: in actor order, the
+        first coalition actor that refuses its action rejects the group, and
         a member's error counts only where one of its moves is checked. The
         pass returns False at the first state where matching fails, and for
         G at the first state outside the goal; X, F and U then label the
-        successor lists of the visited states."""
-        free, groups = self.free, self.groups
+        successor sets of the visited states."""
+        groups = self.groups
         safe = goals[0] if op == "G" else None
-        succ: dict[int, int] = {}  # visited state -> its successors' bits
-        todo = seen = 1 << start
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            i = bit.bit_length() - 1
+        succ: dict[int, set[int]] = {start: set()}  # visited state -> its successors
+        todo = [start]  # the visited states, in discovery order
+        for i in todo:
             if safe is not None and i not in safe:
                 return False
-            out = free[i]
+            bit, out = 1 << i, succ[i]
             for checks, targets in groups[i]:
                 for m, act in checks:
                     allowed, err = behaviour[m]
@@ -542,15 +538,16 @@ class _Behaviours:
                     if not allowed[act] & bit:
                         break
                 else:
-                    out |= targets
-            succ[i] = out
-            todo |= out & ~seen
-            seen |= out
+                    out.update(targets)
+            for j in out:
+                if j not in succ:
+                    succ[j] = set()
+                    todo.append(j)
         if safe is not None:
             return True
-        lists: list[Sequence[int]] = [()] * self.graph.n_states
+        lists: list[Collection[int]] = [()] * self.graph.n_states
         for i, out in succ.items():
-            lists[i] = [j for j in range(out.bit_length()) if out >> j & 1]
+            lists[i] = out
         return start in label_universal(lists, op, goals)
 
     def strategy(self, path: Sequence[_Option]) -> CollectiveStrategy:
@@ -668,7 +665,8 @@ class FormulaEvaluator:
     state, over the explored graph restricted to that strategy, and a node
     above it that needs it at every state reads that label set whole; its
     counterexample is built only when it is the node reported. Other
-    coalition nodes are decided per state by bounded synthesis on that graph.
+    coalition nodes are decided per state by bounded synthesis on that graph,
+    over one space per coalition as written (its order is the witness's).
     In verify mode, a coalition node that names no witness strategies takes
     the first `supplied` collective strategy whose agents are its coalition.
     """
@@ -690,7 +688,7 @@ class FormulaEvaluator:
         self._nodes: dict[int, Formula] = {}  # each node keyed below, so no later node takes its id
         self._labels: dict[int, object] = {}  # id(node) -> _label_set(node)
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
-        self._spaces: dict[int, _Behaviours] = {}  # id(node) -> its synthesis space
+        self._spaces: dict[tuple[str, ...], _Behaviours] = {}  # node.coalition -> its space
         # (id(node), state) -> result of a synthesis there, None if it hit the cap
         self._synthesized: dict[tuple[int, int], Optional[CheckResult]] = {}
         self.stats = CheckStats(states_explored=self.graph.n_states)
@@ -862,10 +860,10 @@ class FormulaEvaluator:
             sets = self._goal_sets(node)
             if sets is _UNKNOWN:
                 return _UNKNOWN
-            space = self._spaces.get(id(node))
+            space = self._spaces.get(node.coalition)
             if space is None:
-                space = self._spaces[id(node)] = _Behaviours(self.graph, node.coalition)
-                self._nodes[id(node)] = node
+                space = self._spaces[node.coalition] = _Behaviours(self.graph, node.coalition)
+            self._nodes[id(node)] = node
             stats = CheckStats(states_explored=self.graph.n_states)
             try:
                 res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis, stats)

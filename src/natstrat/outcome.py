@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional, Sequence
+from typing import Collection, Container, Iterable, Optional, Sequence
 
 from .errors import StrategyError
 from .model import (
@@ -86,7 +86,7 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy
 # ---------------------------------------------------------------------------
 # The backward fixpoint behind every temporal label
 
-def backward_fixpoint(succ: Sequence[Sequence[int]], seed: Iterable[int],
+def backward_fixpoint(succ: Sequence[Collection[int]], seed: Iterable[int],
                       allowed: Optional[Container[int]] = None,
                       some: bool = False) -> set[int]:
     """Least set that contains `seed` and every state of `allowed` (default:

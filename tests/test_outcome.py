@@ -1,10 +1,12 @@
+import collections
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from natstrat.checker import _Behaviours, _Option, _canonical, label_universal
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
-from natstrat.model import Internal, LocAtom, explore, or_all
+from natstrat.model import Internal, LocAtom, Synchronized, explore, or_all
 from natstrat.outcome import backward_fixpoint, outcomes, restrict, steps_to_goal
 from natstrat.strategy import WILDCARD, strategy_filter
 from natstrat.casestudy import build_voter, symbolwise_steps
@@ -333,12 +335,30 @@ def test_steps_match_the_dfs_oracle(case):
 
 # -- the strategy filter against a per-move filter ----------------------------
 
+def _coverage(net, s_A) -> list[str]:
+    """What an example of `_network_and_strategies` reaches: one state or
+    several in the unrestricted `explore`, a sync move on one of its
+    transitions, a state where matching the strategy fails, and a partial
+    strategy."""
+    graph = explore(net)
+    labels = ["one state" if graph.n_states == 1 else "several states"]
+    if any(isinstance(graph.moves[m], Synchronized) for m in graph.move_ids):
+        labels.append("a sync move")
+    if restrict(graph, s_A)[1]:
+        labels.append("an error state")
+    if not all(s.is_total for s in s_A.values()):
+        labels.append("a partial strategy")
+    return labels
+
+
 @st.composite
 def _network_and_strategies(draw):
     """Two agents, A lazy; a global v in [0,2] that edges guard and update; a
-    channel c on which A sends and B receives. Each coalition member gets a
-    total or partial strategy over its location and variable guards, with
-    concrete actions and the wildcard."""
+    channel c on which A sends and B receives. The first edge of each is a
+    sync side that leaves its initial location, so most examples can sync
+    at the start. Each coalition member gets a total or partial strategy
+    over its location and variable guards, with concrete actions and the
+    wildcard. Each example is labelled with its `_coverage`."""
     def guard(loc):
         return draw(st.sampled_from([f"{loc}0", f"{loc}1", "v == 0", "v < 2",
                                      "!(v == 1)", f"{loc}2 || v == 2"]))
@@ -349,8 +369,9 @@ def _network_and_strategies(draw):
         for k in range(draw(st.integers(1, 5))):
             action = draw(st.sampled_from("xyz"))
             actions.setdefault(name, {"*"}).add(action)
-            edge = (f"edge {loc}{draw(st.integers(0, 2))} -> {loc}{draw(st.integers(0, 2))}"
-                    f" on {action}")
+            # the first edges, a sync pair, both leave the initial locations
+            source = 0 if k == 0 else draw(st.integers(0, 2))
+            edge = f"edge {loc}{source} -> {loc}{draw(st.integers(0, 2))} on {action}"
             if draw(st.booleans()):
                 edge += f" when {guard(loc)}"
             if k == 0 or draw(st.booleans()):
@@ -373,7 +394,31 @@ def _network_and_strategies(draw):
             rules.append(f"when true do {draw(st.sampled_from(pool))};")
         s_A[agent] = parse_strategy(f"{'' if total else 'partial '}strategy s{agent} "
                                     f"for {agent} {{ " + " ".join(rules) + " }", net)
+    for label in _coverage(net, s_A):
+        event(label)
     return net, s_A
+
+
+def test_network_and_strategies_covers_syncs_and_errors():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # 208 of its 300 examples explore several states and take a sync move,
+    # 66 stay at one state and 44 have an error state (113, 131 and 30 when
+    # the first edges could leave any location)
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_network_and_strategies())
+    def count(case):
+        labels = set(_coverage(*case))
+        counts.update(labels)
+        counts["examples"] += 1
+        counts["several states and a sync move"] += {"several states", "a sync move"} <= labels
+
+    count()
+    assert counts["examples"] == 300
+    assert counts["several states and a sync move"] >= 150, counts
+    assert counts["one state"] >= 30 and counts["an error state"] >= 30, counts
+    assert counts["a partial strategy"] >= 100, counts
 
 
 # Guards and updates per agent that reach every corner of the packed state

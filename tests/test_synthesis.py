@@ -1,9 +1,11 @@
 import itertools
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from natstrat.casestudy import load, models
+from natstrat.casestudy import DATA_DIR, load, models
 from natstrat.checker import (
     CheckStats, FormulaEvaluator, SynthesisConfig, _Behaviours, _canonical, _guards_of_cost,
     _synthesize, check_temporal_universal, default_vocabulary, eval_formula,
@@ -373,8 +375,8 @@ def test_synthesis_builds_one_state_graph(base, monkeypatch):
     assert len(calls) == 1
 
 
-def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
-    # only the walk depends on the state synthesis starts from
+def count_spaces(monkeypatch) -> list:
+    """Record the arguments of every synthesis space the checker builds."""
     import natstrat.checker as checker
     built = []
 
@@ -384,6 +386,12 @@ def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(checker, "_Behaviours", Counting)
+    return built
+
+
+def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
+    # only the walk depends on the state synthesis starts from
+    built = count_spaces(monkeypatch)
     net = base.network
     f = parse_formula("A G <<Voter>>^2 F end", net)
     res = eval_formula(net, f, mode="synthesize")
@@ -400,6 +408,39 @@ def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
         want = synthesize_strategic(net, q, ["Voter"], 2, "F", [end])
         assert _summary(ev.witness(node, i)) == _summary(want), i
     assert len(built) == 2 + ev.graph.n_states
+
+
+@pytest.mark.parametrize("model", models())
+def test_space_stores_each_non_idle_target_once(model):
+    # a space stores each state's moves as target lists, so it grows with
+    # the graph's edges, not with its states squared
+    graph = explore(load(model).network)
+    agents = [a.name for a in graph.net.agents]
+    for coalition in [*([a] for a in agents), agents]:
+        space = _Behaviours(graph, coalition)
+        stored = [[j for _, targets in groups for j in targets] for groups in space.groups]
+        assert sum(map(len, stored)) <= len(graph.targets), coalition
+        assert [sorted(set(targets)) for targets in stored] == \
+            [sorted(outs) for outs in graph.succ], coalition
+
+
+def test_space_memory_on_the_scale_graph():
+    # two renamed voter_full(7,5) copies side by side, as the scale benchmark
+    # declares them: 24,964 states and 103,016 stored edges. A bitset of
+    # targets per state peaked at 82.7 MiB here, target tuples at 9.7 MiB
+    text = (DATA_DIR / "voter_full.nsm").read_text(encoding="utf-8")
+    block = re.search(r"^agent Voter\(lazy\) \{$.*?^\}$", text, re.S | re.M).group(0)
+    copies = [block.replace("agent Voter(", f"agent Voter{k}(", 1) for k in range(2)]
+    graph = explore(parse_network("const n = 7;\nconst m = 5;\n" + "\n".join(copies),
+                                  name="voter_copies"))
+    assert (graph.n_states, len(graph.targets)) == (24_964, 103_016)
+    tracemalloc.start()
+    try:
+        _Behaviours(graph, ["Voter0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * 2**20
 
 
 # -- the lazy canonical order against the eager oracle -------------------------
@@ -649,6 +690,24 @@ def test_pinned_bound_four_results(base, goal, want):
     net = base.network
     res = synthesize_strategic(net, None, ["Voter"], 4, "F", [parse_guard_text(goal, net)],
                                config=SynthesisConfig(enumeration_cap=want[2]))
+    assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked, _text(res.witness_strategy)) == want
+
+
+@pytest.mark.parametrize("text,want", [
+    ("<<Voter>>^2 F end || <<Voter>>^3 F end",
+     (False, "exhaustive enumeration", 1_196_832, 18_530, None)),
+    ("<<Voter>>^2 F end || <<Voter>>^4 F end",
+     (True, "witness of complexity 4", 1_403_856, 19_470, K4_END)),
+])
+def test_synthesis_mode_builds_one_space_per_coalition(base, monkeypatch, text, want):
+    # both operators are synthesized at the initial state, on one space;
+    # the counts add the k=2 search's 4,368 positions and 783 behaviours
+    built = count_spaces(monkeypatch)
+    net = base.network
+    res = eval_formula(net, parse_formula(text, net), mode="synthesize",
+                       synthesis=SynthesisConfig(enumeration_cap=1_399_488))
+    assert len(built) == 1
     assert (res.verdict, res.reason, res.stats.strategies_enumerated,
             res.stats.strategies_checked, _text(res.witness_strategy)) == want
 
