@@ -17,11 +17,11 @@ Bounded synthesis enumerates candidates lazily, in canonical order, and
 checks behaviours rather than candidates. On the one explored graph, a
 candidate's behaviour is, for each coalition member and action, the states
 where its matched rule allows that action, and the states where matching
-fails, all int bitsets. Strategies are memoryless, so three exact
-prunings hold. A rule other than the last that fires nowhere makes every
-candidate under its prefix equal to a cheaper one, already checked, so that
-subtree is skipped. A candidate whose behaviour was already checked is
-skipped. And a prefix is skipped when an earlier one dominates it: it left
+fails, all int bitsets. Four exact prunings hold, the first three because
+strategies are memoryless. A rule other than the last that fires nowhere
+makes every candidate under its prefix equal to a cheaper one, already
+checked, so that subtree is skipped. A candidate whose behaviour was
+already checked is skipped. And a prefix is skipped when an earlier one dominates it: it left
 the same state (the behaviours of the members done, and the states where
 the current member's rules fired, per action), so each completion behaves
 alike under both, and it used less cost, or as much cost and fewer rules,
@@ -31,14 +31,25 @@ or earlier in the same one, so the skipped behaviour was already seen. The
 last clause needs the same bucket: with both equal but the earlier prefix
 from an earlier bucket, that completion lands in the later bucket, and
 possibly after the skipped one (a search that allowed it reported False for
-`<<Voter>>^4 F end` on voter_base, which is True). A new behaviour is
-decided without building its outcome: one pass from the start over each
-state's moves, stored per coalition as target lists grouped by the actions
-they check, stops at the first state where matching fails, and for G at
-the first state outside the goal, since either fixes the verdict; X, F and
-U label the visited states' successor sets. The enumeration cap counts
-canonical positions, skipped ones included, so it fires where a full
-enumeration would.
+`<<Voter>>^4 F end` on voter_base, which is True). And a behaviour is
+lost once it reaches a state outside the coalition's perfect-information
+winning region, for F and U before the goal: every natural strategy is a
+perfect-information one, and at a state where matching does not fail a
+candidate's moves are the union of those of the choices it allows (each
+member's last rule is ⊤, so it allows one wherever it has one), so a
+candidate that wins from a state wins the game there. The region is one
+attractor, computed once per space, operator and goal sets, over a game
+the space builds when a search first needs it.
+
+A new behaviour is decided without building its outcome: one pass from the
+start over each state's moves, stored per coalition as target lists
+grouped by the actions they check, stops at the first state where matching
+fails or that lies outside the region, which for G decides, as its region
+lies inside the goal. For F and U the pass stops at the goal, a second one
+walks past it only for matching errors, and the states of the first are
+labelled; X labels the visited states' successor sets. The enumeration cap
+counts canonical positions, skipped ones included, so it fires where a
+full enumeration would.
 
 Truth values are three-valued at the result level: True, False, or None
 ("unknown", produced only when an enumeration cap is hit inside synthesis).
@@ -47,6 +58,7 @@ Truth values are three-valued at the result level: True, False, or None
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import time
 from dataclasses import dataclass, field
@@ -109,7 +121,8 @@ def label_universal(succ: Sequence[Collection[int]], op: str,
         return backward_fixpoint(succ, subgoals[0])
     if op == "G":
         unsafe = [i for i in range(len(succ)) if i not in subgoals[0]]
-        return set(range(len(succ))) - backward_fixpoint(succ, unsafe, some=True)
+        every = range(len(succ))
+        return set(every) - backward_fixpoint(succ, unsafe, some=every)
     if op == "U":
         return backward_fixpoint(succ, subgoals[1], allowed=subgoals[0])
     raise DefinitionError(f"unknown temporal operator {op}")
@@ -452,6 +465,8 @@ class _Behaviours:
             self.groups.append(tuple((c, tuple(out)) for c, out in groups.items()))
         self._guards: dict = {}  # the memo of _guards_of_cost
         self._options_memo: dict[int, list[list[_Option]]] = {}
+        self._game: Optional[list[Collection[int]]] = None  # see `game`
+        self._regions: dict[tuple, Optional[set[int]]] = {}  # (op, *goals) -> `region`
 
     def options(self, max_cost: int) -> list[list[_Option]]:
         """Each member's options, sorted by text, with guards of cost at most
@@ -510,44 +525,144 @@ class _Behaviours:
     # state without the options taken (its members done fix the next one)
     key = operator.itemgetter(0, 1, 2)
 
-    def wins(self, start: int, behaviour, op: str, goals: Sequence[set[int]]) -> bool:
+    def game(self) -> list[Collection[int]]:
+        """The coalition's perfect-information game on the graph, as
+        successor lists: first the states, each leading to its choices, then
+        one node per (state, choice), leading to the choice's successors. A
+        choice gives each member with an action at the state one of them; a
+        group passes when each of its checks names the chosen action (the
+        group with no checks always passes), and the choice's successors
+        are the targets of the groups that pass. Built when first needed."""
+        if self._game is None:
+            states: list[Collection[int]] = []
+            choices: list[Collection[int]] = []
+            n = self.graph.n_states
+            for groups in self.groups:
+                acts: dict[int, set[int]] = {}  # member -> its actions here
+                for checks, _ in groups:
+                    for m, act in checks:
+                        acts.setdefault(m, set()).add(act)
+                index = {combo: c for c, combo in enumerate(itertools.product(*acts.values()))}
+                outs: list[set[int]] = [set() for _ in index]
+                for checks, targets in groups:  # into each choice the group passes
+                    fixed = dict(checks)
+                    for combo in itertools.product(*([fixed[m]] if m in fixed else options
+                                                     for m, options in acts.items())):
+                        outs[index[combo]].update(targets)
+                states.append(range(n + len(choices), n + len(choices) + len(outs)))
+                choices.extend(outs)
+            self._game = states + choices
+        return self._game
+
+    def region(self, op: str, goals: Sequence[set[int]]) -> Optional[set[int]]:
+        """The states from which the coalition wins op(goals) in `game`:
+        for G the goal states minus the opponent's attractor to the others,
+        where a state is lost once each of its choices has a lost
+        successor; for F and U the least attractor to the goal (goals[-1]),
+        which a state (of f, for U) joins once one of its choices has
+        successors, all inside. None for X, and where the region holds
+        every state: nothing is pruned. Computed once per op and goal sets.
+
+        Every natural strategy is a perfect-information one. A candidate's
+        member, whose last rule is ⊤, allows an action wherever it has one
+        and matching does not fail, so there the candidate's moves are the
+        union of those of the choices it allows, and a candidate that wins
+        op(goals) from a state wins the game there."""
+        key = (op, *map(frozenset, goals))
+        if key in self._regions:
+            return self._regions[key]
+        n = self.graph.n_states
+        region: Optional[set[int]] = None
+        if op == "G":
+            unsafe = [i for i in range(n) if i not in goals[0]]
+            if unsafe:
+                game = self.game()
+                lost = backward_fixpoint(game, unsafe, some=range(n, len(game)))
+                region = {i for i in range(n) if i not in lost}
+        elif op != "X":
+            game = self.game()
+            allowed = None if op == "F" else goals[0].union(range(n, len(game)))
+            region = {i for i in backward_fixpoint(game, goals[-1], allowed, some=range(n))
+                      if i < n}
+        if region is not None and len(region) == n:
+            region = None
+        self._regions[key] = region
+        return region
+
+    def _kept(self, i: int, behaviour) -> Optional[set[int]]:
+        """The targets of state i's groups that the behaviour keeps, None
+        where matching fails."""
+        bit, out = 1 << i, set()
+        for checks, targets in self.groups[i]:
+            for m, act in checks:
+                allowed, err = behaviour[m]
+                if err & bit:
+                    return None
+                if not allowed[act] & bit:
+                    break
+            else:
+                out.update(targets)
+        return out
+
+    def wins(self, start: int, behaviour, op: str, goals: Sequence[set[int]],
+             region: Optional[set[int]]) -> bool:
         """Whether a candidate s_A with this behaviour wins op(goals) from
         `start`: no error state of `outcome.restrict(graph, s_A)` is
         reachable from `start` over its successor lists, and
-        `label_universal` of those lists holds `start`. One pass over the
-        reachable states, in discovery order, reads each state's move groups
-        and matches as `strategy.strategy_filter` does: in actor order, the
-        first coalition actor that refuses its action rejects the group, and
-        a member's error counts only where one of its moves is checked. The
-        pass returns False at the first state where matching fails, and for
-        G at the first state outside the goal; X, F and U then label the
-        successor sets of the visited states."""
-        groups = self.groups
-        safe = goals[0] if op == "G" else None
-        succ: dict[int, set[int]] = {start: set()}  # visited state -> its successors
-        todo = [start]  # the visited states, in discovery order
+        `label_universal` of those lists holds `start`. `region` is None or
+        `self.region(op, goals)`, which holds every state from which such a
+        candidate wins: so it is lost at a start outside the region, and at
+        a state outside it that it reaches (for F and U, before the goal).
+
+        One pass over the reachable states, in discovery order, reads each
+        state's move groups through `_kept`, which matches as
+        `strategy.strategy_filter` does: in actor order, the first coalition
+        actor that refuses its action rejects the group, and a member's
+        error counts only where one of its moves is checked. The pass
+        returns False at the first state where matching fails or that lies
+        outside the region, which for G (whose region, or else goal, it
+        tests) decides. For F and U it stops at the goal's states; a second
+        pass walks on from them only for matching errors, and the label
+        reads the first pass's successor sets, with the goal's states as
+        sinks, which labels `start` alike.
+        X labels the successor sets of every visited state."""
+        if region is None and op == "G":
+            region = goals[0]
+        if region is not None and start not in region:
+            return False
+        kept = self._kept
+        stop = goals[-1] if op in ("F", "U") else ()
+        # visited state -> its successors, empty past the goal
+        succ: dict[int, Collection[int]] = {start: ()}
+        todo = [start]  # the states visited before the goal, in discovery order
+        later: list[int] = []  # then the goal's states reached and those past them
         for i in todo:
-            if safe is not None and i not in safe:
+            if i in stop:
+                later.append(i)
+                continue
+            if region is not None and i not in region:
                 return False
-            bit, out = 1 << i, succ[i]
-            for checks, targets in groups[i]:
-                for m, act in checks:
-                    allowed, err = behaviour[m]
-                    if err & bit:
-                        return False
-                    if not allowed[act] & bit:
-                        break
-                else:
-                    out.update(targets)
+            out = kept(i, behaviour)
+            if out is None:
+                return False
+            succ[i] = out
             for j in out:
                 if j not in succ:
-                    succ[j] = set()
+                    succ[j] = ()
                     todo.append(j)
-        if safe is not None:
+        if op == "G":
             return True
         lists: list[Collection[int]] = [()] * self.graph.n_states
         for i, out in succ.items():
             lists[i] = out
+        for i in later:  # grows as the second pass reaches new states
+            out = kept(i, behaviour)
+            if out is None:
+                return False
+            for j in out:
+                if j not in succ:
+                    succ[j] = ()
+                    later.append(j)
         return start in label_universal(lists, op, goals)
 
     def strategy(self, path: Sequence[_Option]) -> CollectiveStrategy:
@@ -582,12 +697,15 @@ def synthesize_strategic(net: Network, q: Optional[GlobalState],
     each goal, a guard or a predicate, labelled once on it (`_goal_states`).
 
     Only the first candidate of each behaviour is checked, on int bitsets
-    over that graph, stopping at its first error or unsafe state
-    (`_Behaviours.wins`); a rule other than the last that fires nowhere
-    skips every candidate under its prefix, and so does a prefix that an
-    earlier one dominates (the three exact prunings of the module
-    docstring). The result's `stats.strategies_enumerated` is the canonical
-    position reached, skipped candidates included, and
+    over that graph, stopping at its first error state or state outside
+    the coalition's perfect-information winning region, which holds every
+    state a winning candidate reaches (for F and U, before the goal), as
+    every natural strategy is a perfect-information one
+    (`_Behaviours.wins` and `region`); a rule other than the last that
+    fires nowhere skips every candidate under its prefix, and so does a
+    prefix that an earlier one dominates (the four exact prunings of the
+    module docstring). The result's `stats.strategies_enumerated` is the
+    canonical position reached, skipped candidates included, and
     `config.enumeration_cap` caps it; `stats.strategies_checked` counts the
     behaviours decided.
     `<<Voter>>^3 F end` on voter_base enumerates 1,192,464 candidates and
@@ -615,13 +733,15 @@ def _synthesize(space: _Behaviours, start: int, k: int, op: str,
     explored graph: the first candidate in canonical order whose restriction
     from `start` visits no state where matching a rule fails and labels
     `start`. Only the first candidate of each behaviour is decided, by
-    `_Behaviours.wins`, which returns at the first error state it reaches
-    and, for G, at the first state outside the goal. The search counts into
-    `stats`, which the result carries; past the cap, `stats` holds the
-    counts of the capped search."""
+    `_Behaviours.wins` with `space.region(op, subgoals)`, asked for only
+    past the bound check, which returns at the first error state it reaches
+    and at the first state outside the region (for F and U, before the
+    goal). The search counts into `stats`, which the result carries; past
+    the cap, `stats` holds the counts of the capped search."""
     if k < len(space.coalition):
         # every member's strategy has at least the ⊤ rule, costing 1
         return CheckResult(False, reason=f"bound {k} below coalition size", stats=stats)
+    region = space.region(op, subgoals)
     decided: set = set()
     for position, state in _canonical(space.options, k, space.extend, space.ROOT,
                                       space.key):
@@ -636,7 +756,7 @@ def _synthesize(space: _Behaviours, start: int, k: int, op: str,
         behaviour, _, _, path = state
         decided.add(behaviour)
         stats.strategies_checked += 1
-        if space.wins(start, behaviour, op, subgoals):
+        if space.wins(start, behaviour, op, subgoals, region):
             cand = space.strategy(path)
             return CheckResult(True, witness_strategy=cand,
                                reason=f"witness of complexity {complexity(cand)}",
@@ -666,7 +786,8 @@ class FormulaEvaluator:
     above it that needs it at every state reads that label set whole; its
     counterexample is built only when it is the node reported. Other
     coalition nodes are decided per state by bounded synthesis on that graph,
-    over one space per coalition as written (its order is the witness's).
+    over one space per set of coalition members, which computes each
+    winning region once; a witness lists the members in its node's order.
     In verify mode, a coalition node that names no witness strategies takes
     the first `supplied` collective strategy whose agents are its coalition.
     """
@@ -688,7 +809,7 @@ class FormulaEvaluator:
         self._nodes: dict[int, Formula] = {}  # each node keyed below, so no later node takes its id
         self._labels: dict[int, object] = {}  # id(node) -> _label_set(node)
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
-        self._spaces: dict[tuple[str, ...], _Behaviours] = {}  # node.coalition -> its space
+        self._spaces: dict[frozenset[str], _Behaviours] = {}  # coalition members -> space
         # (id(node), state) -> result of a synthesis there, None if it hit the cap
         self._synthesized: dict[tuple[int, int], Optional[CheckResult]] = {}
         self.stats = CheckStats(states_explored=self.graph.n_states)
@@ -824,7 +945,7 @@ class FormulaEvaluator:
         subgoals = self._goal_sets(node)
         if subgoals is _UNKNOWN:
             return _UNKNOWN
-        tainted = backward_fixpoint(succ, errors, some=True)
+        tainted = backward_fixpoint(succ, errors, some=range(len(succ)))
         return s_A, succ, subgoals, label_universal(succ, node.op, subgoals), tainted
 
     def _is_fixed(self, node: Strategic) -> bool:
@@ -860,9 +981,10 @@ class FormulaEvaluator:
             sets = self._goal_sets(node)
             if sets is _UNKNOWN:
                 return _UNKNOWN
-            space = self._spaces.get(node.coalition)
+            members = frozenset(node.coalition)
+            space = self._spaces.get(members)
             if space is None:
-                space = self._spaces[node.coalition] = _Behaviours(self.graph, node.coalition)
+                space = self._spaces[members] = _Behaviours(self.graph, node.coalition)
             self._nodes[id(node)] = node
             stats = CheckStats(states_explored=self.graph.n_states)
             try:
@@ -872,6 +994,8 @@ class FormulaEvaluator:
             finally:  # a capped search's counts are reported too
                 self.stats.strategies_enumerated += stats.strategies_enumerated
                 self.stats.strategies_checked += stats.strategies_checked
+            if res is not None and res.witness_strategy:  # in the node's member order
+                res.witness_strategy = {a: res.witness_strategy[a] for a in node.coalition}
             self._synthesized[key] = res
         res = self._synthesized[key]
         return _UNKNOWN if res is None else res.verdict

@@ -88,11 +88,13 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy
 
 def backward_fixpoint(succ: Sequence[Collection[int]], seed: Iterable[int],
                       allowed: Optional[Container[int]] = None,
-                      some: bool = False) -> set[int]:
+                      some: range = range(0)) -> set[int]:
     """Least set that contains `seed` and every state of `allowed` (default:
     every state) with a successor, all of whose successors are in it -- or,
-    with `some`, one of whose successors is. `succ[i]` lists the distinct
-    successors of state i.
+    for a state of `some`, a range of consecutive states, one of whose
+    successors is. With `some` every state, that is backward reachability;
+    with a block of a game's states and choices, an attractor. `succ[i]`
+    lists the distinct successors of state i.
 
     One backward pass: each state counts its successors not yet in the set
     and joins when the count reaches zero, so the cost is linear in the
@@ -108,7 +110,8 @@ def backward_fixpoint(succ: Sequence[Collection[int]], seed: Iterable[int],
     for i, outs in enumerate(succ):
         for j in outs:
             preds[j].append(i)
-    missing = [1 if some else len(outs) for outs in succ]
+    missing = [len(outs) for outs in succ]
+    missing[some.start:some.stop] = [1] * len(some)
     stack = list(good)
     while stack:
         j = stack.pop()
@@ -199,7 +202,7 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     start = graph.initial
     # Goal states are sinks. A reachable state outside EF goal is trapped.
     succ = [() if i in goals else outs for i, outs in enumerate(graph.succ)]
-    dead = set(range(len(succ))) - backward_fixpoint(succ, goals, some=True)
+    dead = set(range(len(succ))) - backward_fixpoint(succ, goals, some=range(len(succ)))
     trapped = shortest_path(succ, start, dead)
     if trapped:
         return StepsResult("unreachable", witness=trapped, graph=graph)

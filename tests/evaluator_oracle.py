@@ -23,6 +23,14 @@ from natstrat.strategy import CollectiveStrategy, NaturalStrategy
 import explore_oracle
 
 
+class _Unpruned(_Behaviours):
+    """A synthesis space with no winning region, so each search decides
+    every behaviour by walking it, as before the region pruned them."""
+
+    def region(self, op, goals):
+        return None
+
+
 def eval_knows(graph, agent: str, state_set: set[int], i: int,
                classes: Optional[dict] = None) -> bool:
     """True iff every state of the graph the agent cannot distinguish from
@@ -64,7 +72,7 @@ class FormulaEvaluator:
         self._memo: dict[tuple[int, int], object] = {}
         self._atoms: dict[int, Callable] = {}  # id(atom node) -> its compiled guard
         self._fixed: dict[int, object] = {}  # id(node) -> _label_fixed(node)
-        self._spaces: dict[int, _Behaviours] = {}  # id(node) -> its synthesis space
+        self._spaces: dict[int, _Unpruned] = {}  # id(node) -> its synthesis space
         # (id(node), state) -> result of a node decided by synthesis
         self._synthesized: dict[tuple[int, int], CheckResult] = {}
         self.stats = CheckStats(states_explored=self.graph.n_states)
@@ -194,7 +202,7 @@ class FormulaEvaluator:
         subgoals = self._goal_sets(node)
         if subgoals is _UNKNOWN:
             return _UNKNOWN
-        tainted = backward_fixpoint(succ, errors, some=True) if errors else errors
+        tainted = backward_fixpoint(succ, errors, some=range(len(succ))) if errors else errors
         return s_A, succ, subgoals, label_universal(succ, node.op, subgoals), tainted
 
     def _eval_strategic(self, node: Strategic, i: int):
@@ -217,8 +225,8 @@ class FormulaEvaluator:
             return _UNKNOWN
         space = self._spaces.get(id(node))
         if space is None:
-            space = self._spaces[id(node)] = _Behaviours(self.graph, node.coalition,
-                                                         self.vocabulary)
+            space = self._spaces[id(node)] = _Unpruned(self.graph, node.coalition,
+                                                       self.vocabulary)
         stats = CheckStats(states_explored=self.graph.n_states)
         try:
             res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis, stats)

@@ -52,7 +52,7 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
             stack.append((nxt, iter(succ[nxt])))
 
     region_goals = region & goal_set
-    dead = region - backward_fixpoint(succ, region_goals, some=True)
+    dead = region - backward_fixpoint(succ, region_goals, some=range(len(succ)))
     if dead:
         return StepsResult("unreachable", witness=shortest_path(succ, graph.initial, dead),
                            graph=graph)

@@ -1,4 +1,4 @@
-"""Three earlier forms of bounded synthesis, kept as oracles.
+"""Four earlier forms of bounded synthesis, kept as oracles.
 
 The eager candidate enumeration that synthesis used before it became a lazy
 depth-first search: every candidate of a complexity level is built, then
@@ -12,13 +12,18 @@ behaviour. It is the oracle of the dominance memo.
 The behaviour walk that synthesis used before it decided each behaviour on
 masks (`checker._Behaviours.wins`): it builds the restricted successor
 lists and error states in full, to be labelled afterwards. It is the oracle
-of `wins` and of `outcome.restrict`."""
+of `wins` and of `outcome.restrict`.
+
+The decision on masks that synthesis used before it pruned by the
+coalition's perfect-information winning region: one pass over the stored
+groups from the start, with no region. It is the oracle of `wins`, and the
+unpruned search decides behaviours with it."""
 
 import itertools
 from collections import deque
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
-from natstrat.checker import _canonical
+from natstrat.checker import _canonical, label_universal
 from natstrat.dsl import print_strategy
 from natstrat.model import WAIT_ACTION, And, GuardExpr, Network, Not, Or, TrueConst
 from natstrat.strategy import WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity
@@ -188,6 +193,41 @@ def walk(moves, start: int, behaviour) -> tuple[list[Sequence[int]], list[int]]:
     return succ, errors
 
 
+def wins(space, start: int, behaviour, op: str, goals: Sequence[set[int]]) -> bool:
+    """Whether a candidate with this behaviour wins op(goals) from `start`
+    over the space's groups: one pass over the reachable states, in
+    discovery order, returns False at the first state where matching fails,
+    and for G at the first state outside the goal; X, F and U then label
+    the successor sets of the visited states."""
+    groups = space.groups
+    safe = goals[0] if op == "G" else None
+    succ: dict[int, set[int]] = {start: set()}  # visited state -> its successors
+    todo = [start]  # the visited states, in discovery order
+    for i in todo:
+        if safe is not None and i not in safe:
+            return False
+        bit, out = 1 << i, succ[i]
+        for checks, targets in groups[i]:
+            for m, act in checks:
+                allowed, err = behaviour[m]
+                if err & bit:
+                    return False
+                if not allowed[act] & bit:
+                    break
+            else:
+                out.update(targets)
+        for j in out:
+            if j not in succ:
+                succ[j] = set()
+                todo.append(j)
+    if safe is not None:
+        return True
+    lists: list[Collection[int]] = [()] * space.graph.n_states
+    for i, out in succ.items():
+        lists[i] = out
+    return start in label_universal(lists, op, goals)
+
+
 def first_seen(space, k: int, key=None) -> Iterator[tuple[int, object]]:
     """(position, behaviour) for each behaviour of the space's candidates of
     complexity up to k, at its first canonical position, then (the number
@@ -205,8 +245,9 @@ def first_seen(space, k: int, key=None) -> Iterator[tuple[int, object]]:
 def synthesize(space, start: int, k: int, op: str, subgoals, cap: int) -> tuple:
     """(verdict, reason, candidates enumerated, behaviours checked, witness
     text) of `checker._synthesize` over the space as it was before dominated
-    prefixes were skipped: every first-seen behaviour in the unpruned order
-    is decided by `wins`. Past the cap: (None, the error's text, its
+    prefixes were skipped and behaviours pruned by the winning region: every
+    first-seen behaviour in the unpruned order is decided by this module's
+    `wins`. Past the cap: (None, the error's text, its
     `partial`, behaviours checked, None)."""
     if k < len(space.coalition):
         return False, f"bound {k} below coalition size", 0, 0, None
@@ -218,9 +259,87 @@ def synthesize(space, start: int, k: int, op: str, subgoals, cap: int) -> tuple:
         if state is None or state[0] in decided:
             continue
         decided.add(state[0])
-        if space.wins(start, state[0], op, subgoals):
+        if wins(space, start, state[0], op, subgoals):
             s_A = space.strategy(state[3])
             return (True, f"witness of complexity {complexity(s_A)}",
                     position, len(decided),
                     [print_strategy(s) for _, s in sorted(s_A.items())])
     return False, "exhaustive enumeration", position, len(decided), None
+
+
+def choices(space) -> list[list[set[int]]]:
+    """Per state, the successor set of each perfect-information choice of
+    the space's coalition, over its `stored_moves`: a choice gives each
+    member with a stored move at the state one of its actions there, and
+    keeps the non-idle moves whose coalition actors all take their chosen
+    action."""
+    out = []
+    for moves in stored_moves(space):
+        acts: dict[int, set[int]] = {}
+        for _, _, checks in moves:
+            for m, act in checks:
+                acts.setdefault(m, set()).add(act)
+        members = sorted(acts)
+        out.append([{target for target, idle, checks in moves
+                     if not idle and all(chosen[m] == act for m, act in checks)}
+                    for combo in itertools.product(*(sorted(acts[m]) for m in members))
+                    for chosen in [dict(zip(members, combo))]])
+    return out
+
+
+def choice_function_wins(options: list[list[set[int]]], start: int, op: str,
+                         goals: Sequence[set[int]], budget: int = 20_000) -> Optional[bool]:
+    """Whether some memoryless choice function (one of `options[i]` at each
+    state i) wins op(goals) from `start`, op being F, G or U: for G, every
+    state it reaches is in the goal; for F and U, every maximal path
+    reaches the goal, and for U every state before it is in f. The search
+    fixes a state's choice when a path from `start` (for F and U, one that
+    avoids the goal) first needs it, and stops a branch as soon as it has
+    lost. None when it would try more than `budget` partial choice
+    functions."""
+    goal = goals[-1] if op in ("F", "U") else ()
+    tried = 0
+
+    def search(fixed: dict[int, int]) -> Optional[bool]:
+        nonlocal tried
+        tried += 1
+        if tried > budget:
+            return None
+        seen, todo = {start}, [start]
+        for i in todo:
+            if i in goal:
+                continue
+            if op in ("G", "U") and i not in goals[0]:
+                return False
+            if i not in fixed:
+                for c in range(len(options[i])):
+                    got = search({**fixed, i: c})
+                    if got is not False:  # a win, or the budget ran out
+                        return got
+                return False
+            succ = options[i][fixed[i]]
+            if op != "G" and not succ:
+                return False  # a maximal path ends before the goal
+            for j in succ:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if op == "G":
+            return True
+        # the reached states before the goal must admit no cycle
+        before = [i for i in todo if i not in goal]
+        indegree = dict.fromkeys(before, 0)
+        for i in before:
+            for j in options[i][fixed[i]]:
+                if j in indegree:
+                    indegree[j] += 1
+        ready = [i for i in before if not indegree[i]]
+        for i in ready:
+            for j in options[i][fixed[i]]:
+                if j in indegree:
+                    indegree[j] -= 1
+                    if not indegree[j]:
+                        ready.append(j)
+        return len(ready) == len(before)
+
+    return search({})

@@ -96,7 +96,7 @@ def assert_outcomes_match_oracle(net, s_A, graph, ref, starts):
     evaluator's tainted states), with the text of the first error the walk
     records, and otherwise has the states and successors the walk visits."""
     succ, errors = restrict(graph, s_A)
-    tainted = backward_fixpoint(succ, errors, some=True)
+    tainted = backward_fixpoint(succ, errors, some=range(len(succ)))
     for i in starts:
         walked, walk_errors = oracle.restrict(net, ref, s_A, i)
         got = _run(lambda: outcomes(net, graph.states[i], s_A, state_cap=graph.n_states))

@@ -255,16 +255,19 @@ class _Unread(list):
     __getitem__ = __iter__
 
 
+# `some`: whether every state takes the form with one successor in the set
 @pytest.mark.parametrize("some", [False, True])
 def test_fixpoint_of_an_empty_seed_reads_no_successor(some):
-    assert backward_fixpoint(_Unread([[1], [0]]), (), some=some) == set()
-    assert backward_fixpoint([[1], [0], []], iter(()), some=some) == set()
+    assert backward_fixpoint(_Unread([[1], [0]]), (), some=range(2 if some else 0)) == set()
+    assert backward_fixpoint([[1], [0], []], iter(()), some=range(3 if some else 0)) == set()
 
 
 @pytest.mark.parametrize("some", [False, True])
 def test_fixpoint_of_a_seed_of_every_state_reads_no_successor(some):
-    assert backward_fixpoint(_Unread([[1], [0], []]), [2, 0, 1], some=some) == {0, 1, 2}
-    assert backward_fixpoint(_Unread([[1], [0]]), iter((1, 0, 1)), some=some) == {0, 1}
+    assert backward_fixpoint(_Unread([[1], [0], []]), [2, 0, 1],
+                             some=range(3 if some else 0)) == {0, 1, 2}
+    assert backward_fixpoint(_Unread([[1], [0]]), iter((1, 0, 1)),
+                             some=range(2 if some else 0)) == {0, 1}
 
 
 def test_always_of_a_goal_holding_everywhere_is_every_state():
@@ -637,28 +640,38 @@ agent B { init b0; loc b1; edge b0 -> b1 on y sync c?; edge b1 -> b0 on z; }
 # -- synthesis's decision on masks against the oracle's walk -------------------
 
 def _wins_matches_walk(net, s_A, goal_masks, positions=300):
-    """`wins` against the oracle's walk and `label_universal`, at every
-    start, for X, F, G and U, over the behaviour of the supplied strategy
-    (total or partial) and of every candidate among the first `positions`
-    canonical positions of its coalition's synthesis."""
+    """`wins` and the oracle's `wins` against the oracle's walk and
+    `label_universal`, at every start, for X, F, G and U, over the behaviour
+    of the supplied strategy (total or partial) and of every candidate
+    among the first `positions` canonical positions of its coalition's
+    synthesis. `wins` prunes by the space's winning region where every
+    member takes an action wherever it has one and matching does not fail,
+    as every candidate does (its last rule is ⊤); a partial strategy's
+    member may take none, so its behaviour is decided with no region."""
     graph = explore(net)
     space = _Behaviours(graph, list(s_A))
     moves = synthesis_oracle.stored_moves(space)
-    behaviours = {_matched_behaviour(space, s_A): None}
+    # behaviour -> whether it may be pruned by the region
+    behaviours = {_matched_behaviour(space, s_A): all(s.is_total for s in s_A.values())}
     k = len(s_A) + 3
     for position, state in _canonical(space.options, k, space.extend, space.ROOT):
         if position > positions:
             break
         if state is not None:
-            behaviours.setdefault(state[0])
+            behaviours.setdefault(state[0], True)
     goals = [{i for i in range(graph.n_states) if mask >> i & 1} for mask in goal_masks]
-    for behaviour in behaviours:
+    problems = [(op, subgoals, space.region(op, subgoals))
+                for op, subgoals in (("X", goals[:1]), ("F", goals[:1]), ("G", goals[:1]),
+                                     ("U", goals))]
+    for behaviour, total in behaviours.items():
         for start in range(graph.n_states):
             succ, errors = synthesis_oracle.walk(moves, start, behaviour)
-            for op, subgoals in (("X", goals[:1]), ("F", goals[:1]), ("G", goals[:1]),
-                                 ("U", goals)):
+            for op, subgoals, region in problems:
                 want = not errors and start in label_universal(succ, op, subgoals)
-                assert space.wins(start, behaviour, op, subgoals) is want, (op, start)
+                assert synthesis_oracle.wins(space, start, behaviour, op, subgoals) is want, \
+                    (op, start)
+                assert space.wins(start, behaviour, op, subgoals,
+                                  region if total else None) is want, (op, start, total)
 
 
 @settings(max_examples=60, deadline=None)

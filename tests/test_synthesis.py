@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 import tracemalloc
@@ -390,7 +391,8 @@ def count_spaces(monkeypatch) -> list:
 
 
 def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
-    # only the walk depends on the state synthesis starts from
+    # only the walk depends on the state synthesis starts from, so the space
+    # and the node's winning region are built once
     built = count_spaces(monkeypatch)
     net = base.network
     f = parse_formula("A G <<Voter>>^2 F end", net)
@@ -407,6 +409,9 @@ def test_synthesis_mode_builds_one_space_per_node(base, monkeypatch):
         assert ev.holds(node, i) is not None
         want = synthesize_strategic(net, q, ["Voter"], 2, "F", [end])
         assert _summary(ev.witness(node, i)) == _summary(want), i
+    [space] = ev._spaces.values()
+    assert list(space._regions) == [("F", frozenset(i for i, q in enumerate(ev.graph.states)
+                                                    if end(q)))]
     assert len(built) == 2 + ev.graph.n_states
 
 
@@ -639,7 +644,52 @@ def _synthesis_case(draw):
                           min_size=1, max_size=4, unique_by=str))
     # bounds of 3 and 4 give members more than one rule, where prefixes
     # can dominate each other
-    return _Behaviours(graph, coalition, vocab), draw(st.sampled_from((4, 3, 2))), problem
+    case = _Behaviours(graph, coalition, vocab), draw(st.sampled_from((4, 3, 2))), problem
+    for label in _region_coverage(*case):
+        event(label)
+    return case
+
+
+def _walks(space, k, problem):
+    """For each behaviour that the unpruned search decides, in its order
+    (`oracle.first_seen` up to the cap and the first win): whether it wins,
+    the states that its walk from the start reaches by paths that avoid
+    the goal, for F and U, or reaches at all, for X and G, and its error
+    states."""
+    start, op, subgoals, cap = problem
+    moves = oracle.stored_moves(space)
+    stop = subgoals[-1] if op in ("F", "U") else ()
+    for position, behaviour in oracle.first_seen(space, k):
+        if behaviour is None or position > cap:
+            return
+        succ, errors = oracle.walk(moves, start, behaviour)
+        before = [start]
+        for i in before:
+            before += [j for j in succ[i] if j not in before] if i not in stop else []
+        won = oracle.wins(space, start, behaviour, op, subgoals)
+        yield won, {i for i in before if i not in stop}, errors
+        if won:
+            return
+
+
+def _region_coverage(space, k, problem) -> list[str]:
+    """What an example of `_synthesis_case` meets: no winning region, a
+    start outside it, a behaviour whose walk reaches a state outside it
+    before the goal, and one whose walk meets a matching error only past
+    the goal, where `wins` finds it in its second pass."""
+    start, op, subgoals, _ = problem
+    region = space.region(op, subgoals)
+    if region is None:
+        return ["no region"]
+    if start not in region:
+        return ["the start outside the region"]
+    labels = set()
+    for _, before, errors in _walks(space, k, problem):
+        if not before <= region:
+            labels.add("a state before the goal outside the region")
+        elif errors and not before.intersection(errors) and op in ("F", "U"):
+            labels.add("an error past the goal")
+    return sorted(labels)
 
 
 @settings(deadline=None)
@@ -653,6 +703,98 @@ def test_dominance_matches_unpruned_order_on_random_networks(case):
     walks = [sum(1 for _ in _canonical(space.options, k, space.extend, space.ROOT, key))
              for key in (None, space.key)]
     event("a dominated prefix skipped" if walks[1] < walks[0] else "no prefix dominated")
+
+
+def test_synthesis_case_covers_the_region():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # of its 300 examples, 103 start outside the winning region, 11 decide a
+    # behaviour that reaches a state outside it before the goal, and 22 one
+    # whose only matching error lies past the goal (162 have no region)
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_synthesis_case())
+    def count(case):
+        counts.update(_region_coverage(*case))
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert counts["the start outside the region"] >= 50, counts
+    assert counts["a state before the goal outside the region"] >= 5, counts
+    assert counts["an error past the goal"] >= 10, counts
+
+
+# -- the coalition's winning region against a brute force ------------------------
+
+def _assert_region_matches_brute_force(space, problems) -> int:
+    """For each (start, op, goal sets), op being F, G or U: the start is in
+    the space's region (every state, where it is None) iff some memoryless
+    perfect-information choice function wins from it. Returns how many
+    problems the brute force decided within its budget."""
+    options = oracle.choices(space)
+    decided = 0
+    for start, op, subgoals in problems:
+        want = oracle.choice_function_wins(options, start, op, subgoals)
+        if want is not None:
+            region = space.region(op, subgoals)
+            assert (region is None or start in region) is want, (start, op)
+            decided += 1
+    return decided
+
+
+@pytest.mark.parametrize("make_net,goal,vocab_locs", TOYS)
+def test_region_matches_brute_force_toys(make_net, goal, vocab_locs):
+    # F and G of every goal, and f U goal for every f, from every start
+    net = make_net()
+    graph = explore(net)
+    space = _Behaviours(graph, [net.agents[0].name])
+    n = graph.n_states
+    subsets = [{i for i in range(n) if mask >> i & 1} for mask in range(1 << n)]
+    toy_goal = graph.satisfying(parse_guard_text(goal, net))
+    problems = [(start, op, [g]) for g in subsets for op in ("F", "G") for start in range(n)]
+    problems += [(start, "U", [f, toy_goal]) for f in subsets for start in range(n)]
+    assert _assert_region_matches_brute_force(space, problems) == len(problems)
+
+
+def test_region_matches_brute_force_two_members():
+    # a sync pair beside each member's own moves, and A's wait: each single
+    # member, and both, where a group that checks one member passes the
+    # choices of every action of the other; every goal, f and start
+    net = parse_network("""
+channel c;
+agent A(lazy) { init a0; loc a1; edge a0 -> a1 on x; edge a0 -> a0 on y sync c!; edge a1 -> a0 on z; }
+agent B { init b0; loc b1; edge b0 -> b1 on u sync c?; edge b0 -> b0 on v; edge b1 -> b0 on w; }
+""", name="pair")
+    graph = explore(net)
+    n = graph.n_states
+    subsets = [{i for i in range(n) if mask >> i & 1} for mask in range(1 << n)]
+    problems = [(start, op, [g]) for g in subsets for op in ("F", "G") for start in range(n)]
+    problems += [(start, "U", [f, g]) for f in subsets for g in subsets for start in range(n)]
+    for coalition in (["A", "B"], ["A"], ["B"]):
+        space = _Behaviours(graph, coalition)
+        assert _assert_region_matches_brute_force(space, problems) == len(problems), coalition
+
+
+@settings(deadline=None)
+@given(case=_synthesis_case())
+def test_region_matches_brute_force_on_random_networks(case):
+    # the number of examples is the hypothesis profile's
+    space, k, problem = case
+    _, op, subgoals, _ = problem
+    if op == "X":
+        assert space.region(op, subgoals) is None
+        return
+    n = space.graph.n_states
+    decided = _assert_region_matches_brute_force(
+        space, [(start, op, subgoals) for start in range(n)])
+    event("every start decided by the brute force" if decided == n
+          else "some start over the brute force's budget")
+    # a behaviour that wins reaches no state outside the region before the goal
+    region = space.region(op, subgoals)
+    for won, before, _ in _walks(space, k, problem):
+        if won and region is not None:
+            assert before <= region
 
 
 def test_cap_inside_a_dominated_subtree(base):
@@ -712,6 +854,29 @@ def test_synthesis_mode_builds_one_space_per_coalition(base, monkeypatch, text, 
             res.stats.strategies_checked, _text(res.witness_strategy)) == want
 
 
+def test_synthesis_mode_builds_one_space_per_member_set(punisher, monkeypatch):
+    # both orders of one coalition share a space; each search is counted,
+    # and each witness lists the members in its node's order
+    built = count_spaces(monkeypatch)
+    net = punisher.network
+    f = parse_formula("<<Voter,Coercer>>^3 F punished_v == 1 && "
+                      "<<Coercer,Voter>>^3 F punished_v == 1", net)
+    res = eval_formula(net, f, mode="synthesize")
+    assert len(built) == 1
+    assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+            res.stats.strategies_checked) == (True, "witness of complexity 2", 80, 80)
+    ev = FormulaEvaluator(net, mode="synthesize")
+    assert ev.holds(f, ev.graph.initial) is True
+    coercer = "strategy unnamed for Coercer {\n  when true do *;\n}"
+    voter = "strategy unnamed for Voter {\n  when true do wait;\n}"
+    for node, want in ((f.left, [voter, coercer]), (f.right, [coercer, voter])):
+        res = ev.witness(node, ev.graph.initial)
+        assert (res.verdict, res.reason, res.stats.strategies_enumerated,
+                res.stats.strategies_checked) == (True, "witness of complexity 2", 40, 40)
+        assert [print_strategy(s) for s in res.witness_strategy.values()] == want
+        assert list(res.witness_strategy) == list(node.coalition)
+
+
 def test_cap_inside_a_skipped_subtree(base):
     # the cap counts canonical positions, so it fires inside a subtree of
     # dead-rule candidates that is never generated
@@ -765,3 +930,15 @@ def test_negative_bound_is_a_definition_error(base):
             synthesize_strategic(net, None, coalition, -1, "F", [pred])
     res = synthesize_strategic(net, None, ["Voter"], 0, "F", [pred])
     assert (res.verdict, res.reason) == (False, "bound 0 below coalition size")
+
+
+def test_bound_below_coalition_size_builds_no_game(punisher):
+    # the perfect-information game grows with the product of the members'
+    # actions, so a search that the bound alone decides never builds it
+    graph = explore(punisher.network)
+    space = _Behaviours(graph, ["Voter", "Coercer"])
+    goals = [set(range(1, graph.n_states))]
+    for op in ("F", "G"):
+        res = _synthesize(space, graph.initial, 1, op, goals, SynthesisConfig(), CheckStats())
+        assert (res.verdict, res.reason) == (False, "bound 1 below coalition size")
+    assert space._game is None and not space._regions
