@@ -39,7 +39,8 @@ candidate's moves are the union of those of the choices it allows (each
 member's last rule is ⊤, so it allows one wherever it has one), so a
 candidate that wins from a state wins the game there. The region is one
 attractor, computed once per space, operator and goal sets, over a game
-the space builds when a search first needs it.
+the space builds when a search first needs it. A space is fixed by its
+graph, member set and vocabulary (by default the members', in name order).
 
 A new behaviour is decided without building its outcome: one pass from the
 start over each state's moves, stored per coalition as target lists
@@ -336,7 +337,8 @@ def _canonical(options: Callable[[int], Sequence[Sequence[_Option]]], k: int,
     candidate, with its 1-based canonical position and its full state, and
     for each skipped subtree, with None and the position of its last
     candidate; so the last position yielded is the number of candidates.
-    The guards of a complexity level are built when the search reaches it.
+    The guards of a complexity level (fixed by the space's graph, member set
+    and vocabulary) and its slot counts are built when the search reaches it.
 
     With a `key`, a prefix that is not a whole candidate is also skipped
     when an earlier prefix dominates it: one with an equal key that used
@@ -350,57 +352,47 @@ def _canonical(options: Callable[[int], Sequence[Sequence[_Option]]], k: int,
     # key -> (cost used, rules used, -complexity, -rule count) of the last
     # prefix stored under it
     memo: Optional[dict] = None if key is None else {}
-    for total in range(n, k + 1):
-        position = yield from _level(options(total - n), total, extend, root, position,
-                                     key, memo)
-
-
-def _level(options: Sequence[Sequence[_Option]], total: int,
-           extend: Callable[[object, int, _Option], object], root: object,
-           position: int, key: Optional[Callable[[object], Hashable]],
-           memo: Optional[dict]):
-    """`_canonical` over the candidates of complexity `total`, after the
-    first `position`; returns the position of the last one."""
-    n = len(options)
 
     def after(m: int, c: int, r: int, opt: _Option) -> tuple[int, int, int]:
         return (m + 1, c - 1, r - 1) if opt.final else (m, c - opt.cost, r - 1)
 
-    @functools.cache
-    def count(m: int, c: int, r: int) -> int:  # completions of a prefix
-        if m == n:
-            return int(c == r == 0)
-        if c < 1 or r < 1:
-            return 0
-        return sum(count(*after(m, c, r, opt)) for opt in options[m])
+    for total in range(n, k + 1):
+        level = options(total - n)
 
-    @functools.cache
-    def slot(m: int, c: int, r: int) -> list[tuple[_Option, tuple[int, int, int], int]]:
-        return [(opt, nxt, size) for opt in options[m]
-                for nxt in [after(m, c, r, opt)] if (size := count(*nxt))]
+        @functools.cache
+        def count(m: int, c: int, r: int) -> int:  # completions of a prefix
+            if m == n:
+                return int(c == r == 0)
+            if c < 1 or r < 1:
+                return 0
+            return sum(count(*after(m, c, r, opt)) for opt in level[m])
 
-    def search(m: int, c: int, r: int, state: object):
-        nonlocal position
-        for opt, nxt, size in slot(m, c, r):
-            state2 = extend(state, m, opt)
-            if state2 is not None and memo is not None and nxt[0] < n:
-                # the stored prefix is from this bucket or an earlier one,
-                # so its value is <= this prefix's iff it dominates it
-                at, used = key(state2), (total - nxt[1], rules - nxt[2], -total, -rules)
-                stored = memo.get(at)
-                if stored is not None and stored <= used:
-                    state2 = None
+        @functools.cache
+        def slot(m: int, c: int, r: int) -> list[tuple[_Option, tuple[int, int, int], int]]:
+            return [(opt, nxt, size) for opt in level[m]
+                    for nxt in [after(m, c, r, opt)] if (size := count(*nxt))]
+
+        def search(m: int, c: int, r: int, state: object):
+            nonlocal position
+            for opt, nxt, size in slot(m, c, r):
+                state2 = extend(state, m, opt)
+                if state2 is not None and memo is not None and nxt[0] < n:
+                    # the stored prefix is from this bucket or an earlier one,
+                    # so its value is <= this prefix's iff it dominates it
+                    at, used = key(state2), (total - nxt[1], rules - nxt[2], -total, -rules)
+                    stored = memo.get(at)
+                    if stored is not None and stored <= used:
+                        state2 = None
+                    else:
+                        memo[at] = used
+                if state2 is None or nxt[0] == n:
+                    position += size
+                    yield position, state2
                 else:
-                    memo[at] = used
-            if state2 is None or nxt[0] == n:
-                position += size
-                yield position, state2
-            else:
-                yield from search(*nxt, state2)
+                    yield from search(*nxt, state2)
 
-    for rules in range(n, total + 1):
-        yield from search(0, total, rules, root)
-    return position
+        for rules in range(n, total + 1):
+            yield from search(0, total, rules, root)
 
 
 class _Behaviours:
@@ -415,15 +407,16 @@ class _Behaviours:
     action and no rule fired. A candidate's behaviour is its members'.
     Natural strategies are memoryless, so candidates with equal behaviours
     restrict the graph alike. Nothing here depends on the start or the goal,
-    so one space serves every operator of its coalition (see `wins`)."""
+    so one space serves every operator of its coalition (see `wins`). It is
+    fixed by its graph, member set and vocabulary (by default the members',
+    in name order); `coalition` only orders a witness's members."""
 
     def __init__(self, graph: StateGraph, coalition: Sequence[str],
                  vocab: Optional[Sequence[GuardExpr]] = None):
         self.graph = graph
-        self.coalition = list(dict.fromkeys(coalition))
-        # None: the coalition's default vocabulary, built when first needed
-        self.vocab = None if vocab is None else list(vocab)
+        self.coalition = list(dict.fromkeys(coalition))  # the order of a witness
         self.agents = sorted(self.coalition)  # the order of a candidate's text
+        self.vocab = default_vocabulary(graph.net, self.agents) if vocab is None else list(vocab)
         member = {a: m for m, a in enumerate(self.agents)}
         # per stored move id: its coalition actors, in actor order, with
         # their actions
@@ -470,9 +463,8 @@ class _Behaviours:
 
     def options(self, max_cost: int) -> list[list[_Option]]:
         """Each member's options, sorted by text, with guards of cost at most
-        `max_cost`."""
-        if self.vocab is None:
-            self.vocab = default_vocabulary(self.graph.net, self.coalition)
+        `max_cost`, built once per cost; so, like the space, fixed by its
+        graph, member set and vocabulary (by default the members', by name)."""
         if max_cost not in self._options_memo:
             guards = [(cost, txt, g, truth) for cost in range(1, max_cost + 1)
                       for txt, g, truth in _guards_of_cost(self.graph, self.vocab, cost,
@@ -788,6 +780,8 @@ class FormulaEvaluator:
     coalition nodes are decided per state by bounded synthesis on that graph,
     over one space per set of coalition members, which computes each
     winning region once; a witness lists the members in its node's order.
+    A space is fixed by its graph, member set and vocabulary (the members'
+    default one, in name order), so no search depends on the written order.
     In verify mode, a coalition node that names no witness strategies takes
     the first `supplied` collective strategy whose agents are its coalition.
     """

@@ -1,5 +1,7 @@
+import collections
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from natstrat.checker import (
     FormulaEvaluator, SynthesisConfig, check_temporal_universal, eval_formula,
@@ -12,7 +14,7 @@ from natstrat.dsl import (
 from natstrat.errors import DefinitionError, StrategyError
 from natstrat.formula import FAtom, FNot, Strategic
 from natstrat.model import LocAtom, TrueConst, eval_guard, or_all
-from natstrat.outcome import outcomes
+from natstrat.outcome import outcomes, restrict
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule, fix_strategy
 
 from conftest import count_explore, out_edges
@@ -294,15 +296,66 @@ def _af_oracle_witness(succ, start, goal):
     return True
 
 
+def _edges(draw, n, n_edges):
+    """`n_edges` random edges over n locations, the first leaving s0, so
+    that most graphs reach more than their initial state."""
+    return [(0 if k == 0 else draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+            for k in range(n_edges)]
+
+
+def _states_at(og, locations):
+    """The reachable states of a `_automaton` graph at the given locations."""
+    return {i for i in range(og.n_states) if int(og.states[i].locations[0][1:]) in locations}
+
+
+def _graph_coverage(n, edges, labels, labels2) -> list[str]:
+    """What an example of `_small_graph` reaches: one state or several, a
+    state with no successor, and whether A F, A G and A U of its labels
+    hold at the start."""
+    og = outcomes(_automaton(n, edges), None, {})
+    goal, hold = _states_at(og, labels), _states_at(og, labels2)
+    out = ["one state" if og.n_states == 1 else "several states"]
+    if not all(og.succ):
+        out.append("a deadlock")
+    for op, subs in (("F", [goal]), ("G", [goal]), ("U", [hold, goal])):
+        holds = check_temporal_universal(og.succ, op, subs).verdict
+        out.append(f"A {op} {'holds' if holds else 'fails'}")
+    return out
+
+
 @st.composite
 def _small_graph(draw):
+    """A random automaton of 1 to 12 locations (`_edges`) and two random
+    sets of its locations. Each example is labelled with its
+    `_graph_coverage`."""
     n = draw(st.integers(1, 12))
-    n_edges = draw(st.integers(0, min(2 * n, 18)))
-    edges = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
-             for _ in range(n_edges)]
+    edges = _edges(draw, n, draw(st.integers(0, min(2 * n, 18))))
     labels = frozenset(i for i in range(n) if draw(st.booleans()))
     labels2 = frozenset(i for i in range(n) if draw(st.booleans()))
+    for label in _graph_coverage(n, edges, labels, labels2):
+        event(label)
     return n, edges, labels, labels2
+
+
+def test_small_graph_covers_several_states_and_both_verdicts():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # of its 300 examples, 235 reach several states, 65 one state and 191 a
+    # deadlock; A F holds in 175 and fails in 125, A G in 54 and 246, A U in
+    # 142 and 158
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_small_graph())
+    def count(case):
+        counts.update(_graph_coverage(*case))
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert counts["several states"] >= 150, counts
+    assert counts["one state"] >= 30 and counts["a deadlock"] >= 100, counts
+    for op in "FGU":
+        assert min(counts[f"A {op} holds"], counts[f"A {op} fails"]) >= 30, counts
 
 
 @settings(max_examples=120, deadline=None)
@@ -312,10 +365,7 @@ def test_temporal_matches_path_enumeration(case):
     net = _automaton(n, edges)
     og = outcomes(net, None, {})
     # hypothesis labels index locations; map to reachable state indices
-    goal = {i for i in range(og.n_states)
-            if int(og.states[i].locations[0][1:]) in labels}
-    hold = {i for i in range(og.n_states)
-            if int(og.states[i].locations[0][1:]) in labels2}
+    goal, hold = _states_at(og, labels), _states_at(og, labels2)
     succ = _adjacency(og)
     assert check_temporal_universal(og.succ, "F", [goal]).verdict == \
         _af_oracle_paths(succ, og.initial, goal)
@@ -325,18 +375,47 @@ def test_temporal_matches_path_enumeration(case):
         _au_oracle_paths(succ, og.initial, hold, goal)
 
 
+def _size(og) -> str:
+    """A graph's reachable states, bucketed."""
+    return "one state" if og.n_states == 1 else \
+        "2 to 9 states" if og.n_states < 10 else "10 or more states"
+
+
+@st.composite
+def _large_graph(draw):
+    """A random automaton of 2 to 200 locations (`_edges`) and a goal set of
+    at most a quarter of them."""
+    n = draw(st.integers(2, 200))
+    edges = _edges(draw, n, draw(st.integers(1, min(2 * n, 260))))
+    goal_locs = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 4)))
+    return n, edges, goal_locs
+
+
+def test_large_graph_covers_large_outcomes():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # of its 300 examples, 107 reach 10 or more states, 155 from 2 to 9 and
+    # 38 one state
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_large_graph())
+    def count(case):
+        counts[_size(outcomes(_automaton(*case[:2]), None, {}))] += 1
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert counts["10 or more states"] >= 60 and counts["2 to 9 states"] >= 60, counts
+
+
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_temporal_matches_witness_search_large(data):
-    n = data.draw(st.integers(2, 200))
-    n_edges = data.draw(st.integers(1, min(2 * n, 260)))
-    edges = [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-             for _ in range(n_edges)]
-    goal_locs = data.draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 4)))
+@given(case=_large_graph())
+def test_temporal_matches_witness_search_large(case):
+    n, edges, goal_locs = case
     net = _automaton(n, edges)
     og = outcomes(net, None, {})
-    goal = {i for i in range(og.n_states)
-            if int(og.states[i].locations[0][1:]) in goal_locs}
+    event(_size(og))
+    goal = _states_at(og, goal_locs)
     succ = _adjacency(og)
     assert check_temporal_universal(og.succ, "F", [goal]).verdict == \
         _af_oracle_witness(succ, og.initial, goal)
@@ -463,10 +542,30 @@ def _assert_coalition_labels_match(net, node, s_A):
     return errors
 
 
+def _strategy_coverage(net, node, s) -> list[str]:
+    """What an example of `_graph_and_strategy` reaches: a partial
+    strategy, a state where matching it fails, and a node that holds at
+    one state and fails at another where matching does not fail."""
+    ev = FormulaEvaluator(net, supplied=[{"G": s}])
+    out = [] if s.is_total else ["a partial strategy"]
+    if restrict(ev.graph, {"G": s})[1]:
+        out.append("an error state")
+    values = set()
+    for i in range(ev.graph.n_states):
+        try:
+            values.add(ev.holds(node, i))
+        except StrategyError:
+            pass
+    if values == {True, False}:
+        out.append("both values")
+    return out
+
+
 @st.composite
 def _graph_and_strategy(draw):
     """A random automaton, a total or partial strategy for it over location
-    guards (concrete actions and the wildcard), and a coalition node."""
+    guards (concrete actions and the wildcard), and a coalition node. Each
+    example is labelled with its `_strategy_coverage`."""
     n, edges, labels, labels2 = draw(_small_graph())
     actions = [f"e{k}" for k in range(len(edges))] + [WILDCARD]
     rules = [Rule(_at(draw(st.frozensets(st.integers(0, n - 1)))).guard,
@@ -477,7 +576,29 @@ def _graph_and_strategy(draw):
     op = draw(st.sampled_from("XFGU"))
     subs = (_at(labels2), _at(labels)) if op == "U" else (_at(labels),)
     node = Strategic(coalition=("G",), bound=draw(st.integers(1, 20)), op=op, subs=subs)
-    return _automaton(n, edges), node, NaturalStrategy(agent="G", rules=tuple(rules))
+    case = _automaton(n, edges), node, NaturalStrategy(agent="G", rules=tuple(rules))
+    for label in _strategy_coverage(*case):
+        event(label)
+    return case
+
+
+def test_graph_and_strategy_covers_errors_and_both_values():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # of its 300 examples, 111 have a state where matching fails, 99 a
+    # partial strategy and 42 a node that holds at one state and fails at
+    # another
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_graph_and_strategy())
+    def count(case):
+        counts.update(_strategy_coverage(*case))
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert counts["an error state"] >= 60 and counts["a partial strategy"] >= 50, counts
+    assert counts["both values"] >= 20, counts
 
 
 @settings(max_examples=150, deadline=None)

@@ -164,6 +164,20 @@ def test_semantic_errors():
                       "edge a -> b on go do k := 2; }")
 
 
+def test_loc_after_init_refines_the_initial_location():
+    # `init` declares a0; the `loc` after it gives it its atom labels
+    net = parse_network("agent A { init a0; loc a0 [start, home]; loc a1; edge a0 -> a1 on go; }")
+    tpl = net.agent("A")
+    assert tpl.locations == ("a0", "a1")
+    assert tpl.atom_labels == (("start", "a0"), ("home", "a0"))
+    assert parse_network(print_network(net)) == net
+    for label in ("start", "home"):
+        assert parse_guard_text(label, net) == LocAtom("A", "a0")
+    # only the location that `init` declared may be declared once more
+    with pytest.raises(ParseError, match="duplicate location a0"):
+        parse_network("agent A { init a0; loc a0; loc a0; }")
+
+
 def test_const_override():
     src = "const n = 7;\nagent A { var int[0,n] i = 0; init a; }"
     net = parse_network(src, consts={"n": 3})

@@ -2,14 +2,16 @@
 replaced (`evaluator_oracle`), and the counts that show each node labelled
 once."""
 
+import collections
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import natstrat.checker as checker
 from natstrat.casestudy import build_coercer, build_voter, catalog, load
 from natstrat.checker import FormulaEvaluator, SynthesisConfig, eval_formula
 from natstrat.dsl import parse_formula, parse_network, parse_strategy
+from natstrat.errors import StrategyError
 from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Knows, Strategic
 from natstrat.model import LocAtom, TrueConst, or_all
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
@@ -19,14 +21,18 @@ from test_dsl import unfold
 
 # per agent: its location names' prefix, the most locations, its action prefix
 AGENTS = {"G": ("s", 6, "e"), "H": ("t", 3, "f")}
-COALITIONS = (("G",), ("H",), ("G", "H"))
+# both orders of G and H: nodes of one member set share a synthesis space
+COALITIONS = (("G",), ("H",), ("G", "H"), ("H", "G"))
 
 
 @st.composite
 def _network(draw):
     """Two interleaved random automata, G and H, each maybe lazy, with
     every location reachable; returns
-    the network and each agent's (location count, actions)."""
+    the network and each agent's (location count, actions). Each agent has
+    a 0/1 local `x`, which one edge reads and sets (`when x == 0 do x :=
+    1`), so the coalition's vocabulary holds one `x == 0` for two
+    variables."""
     lines, shape = [], {}
     for agent, (loc, most, act) in AGENTS.items():
         n = draw(st.integers(2, most))
@@ -34,10 +40,15 @@ def _network(draw):
         edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
         edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                max_size=n))
+        # only this edge sets x, so it is enabled until it is taken
+        reads_x = draw(st.integers(0, len(edges) - 1))
         lazy = draw(st.booleans())
-        lines.append(f"agent {agent}{'(lazy)' if lazy else ''} {{ init {loc}0;")
+        lines.append(f"agent {agent}{'(lazy)' if lazy else ''} {{ var int[0,1] x = 0; "
+                     f"init {loc}0;")
         lines += [f"loc {loc}{i};" for i in range(1, n)]
-        lines += [f"edge {loc}{a} -> {loc}{b} on {act}{k};" for k, (a, b) in enumerate(edges)]
+        lines += [f"edge {loc}{a} -> {loc}{b} on {act}{k}"
+                  f"{' when x == 0 do x := 1' if k == reads_x else ''};"
+                  for k, (a, b) in enumerate(edges)]
         lines.append("}")
         shape[agent] = n, [f"{act}{k}" for k in range(len(edges))] + (["wait"] if lazy else [])
     return parse_network("\n".join(lines), name="rand2"), shape
@@ -65,7 +76,8 @@ def _formula(draw, shape, depth):
     agent = draw(st.sampled_from(sorted(AGENTS)))
     if not depth:
         return FAtom(_at(draw, agent, shape[agent][0]))
-    kind = draw(st.sampled_from(("not", "binary", "K", "A", "named", "coalition")))
+    kind = draw(st.sampled_from(("not", "binary", "K", "A", "named", "coalition",
+                                 "both orders")))
     sub = _formula(draw, shape, depth - 1)
     if kind == "not":
         return FNot(sub)
@@ -78,23 +90,54 @@ def _formula(draw, shape, depth):
     subs = (sub, other) if op == "U" else (sub,)
     if kind == "A":
         return Strategic(coalition=(), bound=0, op=op, subs=subs)
+    if kind == "both orders":  # two nodes of one member set, which share a space
+        return draw(st.sampled_from((FAnd, FOr)))(*(
+            Strategic(coalition=coalition, bound=draw(st.sampled_from(range(6))), op=op,
+                      subs=subs) for coalition in (("G", "H"), ("H", "G"))))
     coalition = draw(st.sampled_from(COALITIONS))
     witness = tuple(f"s{a}" for a in coalition) if kind == "named" else ()
     return Strategic(coalition=coalition, bound=draw(st.sampled_from(range(6))), op=op,
                      subs=subs, witness=witness)
 
 
+def _coverage(net, f, mode, named, supplied, cap) -> list[str]:
+    """What an example of `_case` meets when f is evaluated at every state:
+    a coalition node decided by synthesis, such nodes of one member set
+    written in both orders, a StrategyError, and a node that synthesis
+    leaves unknown at its cap."""
+    ev = FormulaEvaluator(net, mode=mode, supplied=supplied, strategies_by_name=named,
+                          synthesis=SynthesisConfig(enumeration_cap=cap))
+    labels = set()
+    for i in range(ev.graph.n_states):
+        try:
+            ev.holds(f, i)
+        except StrategyError:
+            labels.add("a StrategyError")
+    orders = {ev._nodes[node].coalition for node, _ in ev._synthesized}
+    if orders:
+        labels.add("a synthesized coalition node")
+    if {("G", "H"), ("H", "G")} <= orders:
+        labels.add("one member set in both orders")
+    if None in ev._synthesized.values():
+        labels.add("a capped node")
+    return sorted(labels)
+
+
 @st.composite
 def _case(draw):
     """A random network, a nested formula over it (atoms, ¬, ∧, ∨, →, K, A,
     coalition nodes whose strategy is named or supplied, and coalition
-    nodes left to synthesis), a strategy per agent and a synthesis cap."""
+    nodes left to synthesis), a mode, a strategy per agent and a synthesis
+    cap. Each example is labelled with its `_coverage`."""
     net, shape = draw(_network())
     named = {f"s{a}": _strategy(draw, a, *shape[a]) for a in AGENTS}
     f = _formula(draw, shape, draw(st.sampled_from((2, 3, 4))))
     supplied = [{a: named[f"s{a}"] for a in coalition} for coalition in COALITIONS]
     cap = draw(st.sampled_from((10, 300, 3000)))
-    return net, f, named, supplied, cap
+    case = net, f, draw(st.sampled_from(("verify", "synthesize"))), named, supplied, cap
+    for label in _coverage(*case):
+        event(label)
+    return case
 
 
 def _summary(res):
@@ -132,11 +175,31 @@ def _assert_agrees(net, f, mode, every_state=True, **kwargs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_case(), mode=st.sampled_from(("verify", "synthesize")))
-def test_evaluator_matches_oracle_on_random_formulas(case, mode):
-    net, f, named, supplied, cap = case
+@given(case=_case())
+def test_evaluator_matches_oracle_on_random_formulas(case):
+    net, f, mode, named, supplied, cap = case
     _assert_agrees(net, f, mode, supplied=supplied, strategies_by_name=named,
                    synthesis=SynthesisConfig(enumeration_cap=cap))
+
+
+def test_case_covers_synthesis_and_errors():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # of its 300 examples, 60 decide a coalition node by synthesis, 11 of
+    # them two nodes of one member set in both orders, 38 raise a
+    # StrategyError and 31 leave a node unknown at the cap
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_case())
+    def count(case):
+        counts.update(_coverage(*case))
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert counts["a synthesized coalition node"] >= 30, counts
+    assert counts["one member set in both orders"] >= 5, counts
+    assert counts["a StrategyError"] >= 15 and counts["a capped node"] >= 15, counts
 
 
 def test_evaluator_matches_oracle_on_bundled_formulas():

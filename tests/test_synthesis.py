@@ -707,9 +707,9 @@ def test_dominance_matches_unpruned_order_on_random_networks(case):
 
 def test_synthesis_case_covers_the_region():
     # the `ci` profile's sample is fixed, so what it covers can be counted:
-    # of its 300 examples, 103 start outside the winning region, 11 decide a
-    # behaviour that reaches a state outside it before the goal, and 22 one
-    # whose only matching error lies past the goal (162 have no region)
+    # of its 300 examples, 124 start outside the winning region, 10 decide a
+    # behaviour that reaches a state outside it before the goal, and 27 one
+    # whose only matching error lies past the goal (135 have no region)
     counts: collections.Counter = collections.Counter()
 
     @settings(settings.get_profile("ci"), database=None, deadline=None)
@@ -875,6 +875,40 @@ def test_synthesis_mode_builds_one_space_per_member_set(punisher, monkeypatch):
                 res.stats.strategies_checked) == (True, "witness of complexity 2", 40, 40)
         assert [print_strategy(s) for s in res.witness_strategy.values()] == want
         assert list(res.witness_strategy) == list(node.coalition)
+
+
+# two agents with a same-named local `x`: the atom `x == 0` prints alike for
+# both, so a vocabulary keeps one of them, and which one must not depend on
+# the order in which a formula names the coalition
+TWINS = ("agent A { var int[0,1] x = 0; init a0; loc a1; "
+         "edge a0 -> a0 on flip when x == 0 do x := 1; edge a0 -> a1 on go when x == 1; } "
+         "agent B { var int[0,1] x = 0; init b0; loc b1; loc bad; "
+         "edge b0 -> b0 on flip when x == 0 do x := 1; edge b0 -> b1 on go when x == 1; "
+         "edge b0 -> bad on oops when x == 0; }")
+
+
+def test_shared_space_does_not_depend_on_member_order():
+    net = parse_network(TWINS, name="twins")
+    goal = parse_guard_text("a1 && b1", net)
+    alone = [synthesize_strategic(net, None, coalition, 6, "F", [goal])
+             for coalition in (["A", "B"], ["B", "A"])]
+    assert [(r.verdict, r.stats.strategies_enumerated, r.stats.strategies_checked)
+            for r in alone] == [(True, 450, 141)] * 2
+    assert _text(alone[0].witness_strategy) == _text(alone[1].witness_strategy)
+    node = "<<{}>>^6 F (a1 && b1)"
+    runs = []
+    for first, second in (("A,B", "B,A"), ("B,A", "A,B")):
+        f = parse_formula(f"{node.format(first)} && {node.format(second)}", net)
+        res = eval_formula(net, f, mode="synthesize")
+        assert result_facts(res) == result_facts(
+            evaluator_tests.oracle.eval_formula(net, f, mode="synthesize"))
+        runs.append((res.verdict, res.reason, res.stats.strategies_enumerated,
+                     res.stats.strategies_checked))
+    # each conjunction runs both nodes' searches, each as it runs alone
+    both = (sum(r.stats.strategies_enumerated for r in alone),
+            sum(r.stats.strategies_checked for r in alone))
+    assert runs == [(True, "witness of complexity 3", *both)] * 2
+    assert both == (900, 282)
 
 
 def test_cap_inside_a_skipped_subtree(base):

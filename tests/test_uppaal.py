@@ -131,3 +131,27 @@ def test_local_variable_and_constant_queries():
     # by name
     assert export_uppaal(net, formulas=[f]).queries == (
         "A[] ((((A.x <= k || flag) && !(A.a1)) || (A.x != k && false)) || true)\n")
+
+
+def test_trackers_of_same_named_locations_get_suffixes():
+    # A and B each have a location `end`, so the second tracker is renamed
+    net = parse_network("""
+        agent A { init a0; loc end; edge a0 -> end on go when B@end; edge end -> a0 on back; }
+        agent B { init b0; loc end; edge b0 -> end on go;
+                  edge end -> b0 on back when A@end && B@end; }
+    """)
+    doc = export_uppaal(net)
+    decl = doc.root.find("declaration").text.splitlines()
+    assert "bool end = false;  // B at end" in decl
+    assert "bool end_2 = false;  // A at end" in decl
+
+    def labels(template, kind):
+        tpl = next(t for t in doc.root.iter("template") if t.find("name").text == template)
+        return [getattr(tr.find(f"label[@kind='{kind}']"), "text", None)
+                for tr in tpl.iter("transition")]
+
+    assert labels("A", "guard") == ["end", None]
+    assert labels("A", "assignment") == ["end_2 = true", "end_2 = false"]
+    assert labels("B", "guard") == [None, "end_2 && end"]
+    assert labels("B", "assignment") == ["end = true", "end = false"]
+    validate_document(doc.root)
