@@ -37,10 +37,11 @@ winning region, for F and U before the goal: every natural strategy is a
 perfect-information one, and at a state where matching does not fail a
 candidate's moves are the union of those of the choices it allows (each
 member's last rule is ⊤, so it allows one wherever it has one), so a
-candidate that wins from a state wins the game there. The region is one
-attractor, computed once per space, operator and goal sets, over a game
-the space builds when a search first needs it. A space is fixed by its
-graph, member set and vocabulary (by default the members', in name order).
+candidate that wins from a state wins the game there. The region is
+`label_universal`'s label of a game the space builds when first needed,
+with the coalition's states as its block, once per operator and goal sets.
+A space is fixed by its graph, member set and vocabulary (by default the
+members', in name order).
 
 A new behaviour is decided without building its outcome: one pass from the
 start over each state's moves, stored per coalition as target lists
@@ -109,23 +110,26 @@ class CheckResult:
 # Universal temporal labelling on successor lists
 
 def label_universal(succ: Sequence[Collection[int]], op: str,
-                    subgoals: Sequence[set[int]]) -> set[int]:
+                    subgoals: Sequence[set[int]], some: range = range(0)) -> set[int]:
     """States where AX/AF/AG/A(U) of the pre-labelled state sets holds over
     every maximal trace of the successor lists (`succ[i]`: the productive
     successors of state i), each in one backward pass: AF g = A(true U g),
     and AG g is the complement of backward reachability of the states
-    outside g. A terminal state satisfies every AX."""
+    outside g. A terminal state satisfies every AX. On a game, `some` is
+    the block of nodes where the coalition picks the successor: F and U
+    pass it to `backward_fixpoint`, and G gives the nodes after it to the
+    opponent, so the label is the coalition's winning region."""
     if op == "X":
         return {i for i, outs in enumerate(succ)
                 if all(j in subgoals[0] for j in outs)}
     if op == "F":
-        return backward_fixpoint(succ, subgoals[0])
+        return backward_fixpoint(succ, subgoals[0], some=some)
     if op == "G":
         unsafe = [i for i in range(len(succ)) if i not in subgoals[0]]
         every = range(len(succ))
-        return set(every) - backward_fixpoint(succ, unsafe, some=every)
+        return set(every) - backward_fixpoint(succ, unsafe, some=every[some.stop:])
     if op == "U":
-        return backward_fixpoint(succ, subgoals[1], allowed=subgoals[0])
+        return backward_fixpoint(succ, subgoals[1], allowed=subgoals[0], some=some)
     raise DefinitionError(f"unknown temporal operator {op}")
 
 
@@ -548,38 +552,29 @@ class _Behaviours:
 
     def region(self, op: str, goals: Sequence[set[int]]) -> Optional[set[int]]:
         """The states from which the coalition wins op(goals) in `game`:
-        for G the goal states minus the opponent's attractor to the others,
-        where a state is lost once each of its choices has a lost
-        successor; for F and U the least attractor to the goal (goals[-1]),
-        which a state (of f, for U) joins once one of its choices has
-        successors, all inside. None for X, and where the region holds
-        every state: nothing is pruned. Computed once per op and goal sets.
+        `label_universal`'s label of the game with the states as the
+        coalition's block, every goal but the F or U target (goals[-1])
+        holding the choice nodes. So a state joins F's and U's attractor
+        once one of its choices has successors, all inside, and leaves G's
+        region once each of its choices has a lost successor. None for X,
+        and where the region holds every state, as it does where goals[-1]
+        does (no game is built then): nothing is pruned. Computed once per
+        op and goal sets.
 
         Every natural strategy is a perfect-information one. A candidate's
         member, whose last rule is ⊤, allows an action wherever it has one
         and matching does not fail, so there the candidate's moves are the
         union of those of the choices it allows, and a candidate that wins
         op(goals) from a state wins the game there."""
-        key = (op, *map(frozenset, goals))
-        if key in self._regions:
-            return self._regions[key]
-        n = self.graph.n_states
-        region: Optional[set[int]] = None
-        if op == "G":
-            unsafe = [i for i in range(n) if i not in goals[0]]
-            if unsafe:
-                game = self.game()
-                lost = backward_fixpoint(game, unsafe, some=range(n, len(game)))
-                region = {i for i in range(n) if i not in lost}
-        elif op != "X":
+        n, key = self.graph.n_states, (op, *map(frozenset, goals))
+        if key not in self._regions and op != "X" and len(goals[-1]) < n:
             game = self.game()
-            allowed = None if op == "F" else goals[0].union(range(n, len(game)))
-            region = {i for i in backward_fixpoint(game, goals[-1], allowed, some=range(n))
-                      if i < n}
-        if region is not None and len(region) == n:
-            region = None
-        self._regions[key] = region
-        return region
+            lifted = [g.union(range(n, len(game))) for g in goals]
+            if op != "G":  # a choice node is never an F or U target
+                lifted[-1] = goals[-1]
+            region = {i for i in label_universal(game, op, lifted, some=range(n)) if i < n}
+            self._regions[key] = region if len(region) < n else None
+        return self._regions.get(key)
 
     def _kept(self, i: int, behaviour) -> Optional[set[int]]:
         """The targets of state i's groups that the behaviour keeps, None

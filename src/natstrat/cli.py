@@ -14,6 +14,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -265,6 +266,7 @@ def _add_enumeration_cap(parser: argparse.ArgumentParser) -> None:
                              "before it stops with 'unknown' (exit 3)")
 
 
+@functools.cache  # built once per process: each parse fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="natstrat",

@@ -28,7 +28,7 @@ from .formula import (
     FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic,
 )
 from .model import (
-    WAIT_ACTION, And, AgentTemplate, Assignment, Comparison, Edge, FalseConst,
+    CMP_OPS, WAIT_ACTION, And, AgentTemplate, Assignment, Comparison, Edge, FalseConst,
     GuardExpr, IntBin, IntExpr, IntLit, IntVar, LocAtom, Network, Not, Or,
     TrueConst, VarAtom, VarDecl, VarRef,
 )
@@ -281,7 +281,7 @@ class _BundleParser:
             self.advance()
             agent, name = name, self.ident("location name")
         nxt = self.peek()
-        if nxt.kind == "op" and nxt.text in ("==", "!=", "<", "<=", ">", ">="):
+        if nxt.kind == "op" and nxt.text in CMP_OPS:
             if agent is not None:
                 raise ParseError("comparisons apply to variables, not locations",
                                  self.span(tok))

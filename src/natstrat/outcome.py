@@ -24,9 +24,11 @@ traces are the infinite paths over these lists plus the finite ones ending
 in a state whose list is empty.
 
 `backward_fixpoint` is the one fixpoint routine: the checker's temporal
-labels and the step metric both run on it. A seed that is empty or holds
-every state is its own result, found without reading a successor. Steps
-are decided with goal states as sinks: a reachable state outside EF goal
+labels, of outcomes and of a coalition's game (its winning region), and
+the step metric all run on it, and `checker.label_universal` is the one
+place that maps F, G and U to it. A seed that is empty or holds every
+state is its own result, found without reading a successor. Steps are
+decided with goal states as sinks: a reachable state outside EF goal
 makes the goal unreachable, and a start outside AF goal makes the steps
 unbounded; their witnesses are the checker's counterexample paths.
 Otherwise the pre-goal region is acyclic, and the reached witness takes,
@@ -140,11 +142,6 @@ class StepsResult:
     @property
     def reached(self) -> bool:
         return self.kind == "reached"
-
-    def __str__(self):
-        if self.kind == "reached":
-            return str(self.value)
-        return self.kind
 
 
 def shortest_path(succ: Sequence[Sequence[int]], start: int,

@@ -4,7 +4,8 @@ atom runs its compiled guard state by state, and `K[a] g` is decided at
 each state by `eval_knows` over the whole label set of g, rebuilt from the
 memo at every state. It is kept as the oracle of
 `natstrat.checker.FormulaEvaluator` and `eval_formula`: verdicts, raised
-errors, reasons, witnesses and synthesis counts."""
+errors, reasons, witnesses and synthesis counts. Each synthesis space
+takes its atoms from `synthesis_oracle.vocabulary`, not from the checker."""
 
 import time
 from typing import Callable, Optional, Sequence
@@ -16,11 +17,12 @@ from natstrat.checker import (
 )
 from natstrat.errors import DefinitionError, ResourceLimitError
 from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Formula, Knows, Strategic
-from natstrat.model import DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network, explore
+from natstrat.model import DEFAULT_STATE_CAP, GlobalState, Network, explore
 from natstrat.outcome import backward_fixpoint, restrict
 from natstrat.strategy import CollectiveStrategy, NaturalStrategy
 
 import explore_oracle
+import synthesis_oracle
 
 
 class _Unpruned(_Behaviours):
@@ -56,7 +58,6 @@ class FormulaEvaluator:
     def __init__(self, net: Network, mode: str = "verify",
                  supplied: Sequence[CollectiveStrategy] = (),
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
-                 vocabulary: Optional[Sequence[GuardExpr]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
                  state_cap: int = DEFAULT_STATE_CAP):
         if mode not in ("verify", "synthesize"):
@@ -65,7 +66,6 @@ class FormulaEvaluator:
         self.mode = mode
         self.supplied = supplied
         self.strategies_by_name = strategies_by_name or {}
-        self.vocabulary = vocabulary
         self.synthesis = synthesis
         self.graph = explore(net, state_cap=state_cap)
         self._classes: dict[str, dict] = {}
@@ -225,8 +225,8 @@ class FormulaEvaluator:
             return _UNKNOWN
         space = self._spaces.get(id(node))
         if space is None:
-            space = self._spaces[id(node)] = _Unpruned(self.graph, node.coalition,
-                                                       self.vocabulary)
+            space = self._spaces[id(node)] = _Unpruned(
+                self.graph, node.coalition, synthesis_oracle.vocabulary(self.net, node.coalition))
         stats = CheckStats(states_explored=self.graph.n_states)
         try:
             res = _synthesize(space, i, node.bound, node.op, sets, self.synthesis, stats)
@@ -243,15 +243,13 @@ def eval_formula(net: Network, f: Formula, q: Optional[GlobalState] = None,
                  mode: str = "verify",
                  supplied: Sequence[CollectiveStrategy] = (),
                  strategies_by_name: Optional[dict[str, NaturalStrategy]] = None,
-                 vocabulary: Optional[Sequence[GuardExpr]] = None,
                  synthesis: SynthesisConfig = SynthesisConfig(),
                  state_cap: int = DEFAULT_STATE_CAP) -> CheckResult:
     """Evaluate a formula at state q (default: the initial state)."""
     t0 = time.perf_counter()
     ev = FormulaEvaluator(net, mode=mode, supplied=supplied,
                           strategies_by_name=strategies_by_name,
-                          vocabulary=vocabulary, synthesis=synthesis,
-                          state_cap=state_cap)
+                          synthesis=synthesis, state_cap=state_cap)
     q0 = net.initial_state() if q is None else q
     if q0 not in ev.graph:
         raise DefinitionError("state to check is not reachable from the initial state")

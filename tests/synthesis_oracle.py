@@ -17,7 +17,11 @@ of `wins` and of `outcome.restrict`.
 The decision on masks that synthesis used before it pruned by the
 coalition's perfect-information winning region: one pass over the stored
 groups from the start, with no region. It is the oracle of `wins`, and the
-unpruned search decides behaviours with it."""
+unpruned search decides behaviours with it.
+
+`vocabulary` builds a coalition's atoms from the rule that
+`checker.default_vocabulary` states, for oracles that must not take them
+from the code they check."""
 
 import itertools
 from collections import deque
@@ -25,8 +29,38 @@ from typing import Collection, Iterator, Optional, Sequence
 
 from natstrat.checker import _canonical, label_universal
 from natstrat.dsl import print_strategy
-from natstrat.model import WAIT_ACTION, And, GuardExpr, Network, Not, Or, TrueConst
+from natstrat.model import (
+    WAIT_ACTION, And, Comparison, GuardExpr, LocAtom, Network, Not, Or, TrueConst, VarAtom,
+)
 from natstrat.strategy import WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, complexity
+
+
+def vocabulary(net: Network, members: Collection[str]) -> list[GuardExpr]:
+    """The coalition's atoms, as `checker.default_vocabulary`'s docstring
+    states the rule, for the members taken in name order: each member's
+    location atoms, named Agent@loc where another member has the same
+    location, then the comparison and 0/1-variable atoms of its edge
+    guards, left to right. Of two atoms with the same printed text, the
+    first is kept."""
+    def atoms(g: GuardExpr) -> Iterator[GuardExpr]:
+        if isinstance(g, (Comparison, VarAtom)):
+            yield g
+        elif isinstance(g, Not):
+            yield from atoms(g.sub)
+        elif isinstance(g, (And, Or)):
+            yield from atoms(g.left)
+            yield from atoms(g.right)
+
+    names = sorted(members)
+    out: dict[str, GuardExpr] = {}
+    for agent in names:
+        tpl = net.agent(agent)
+        others = {loc for a in names if a != agent for loc in net.agent(a).locations}
+        found = [LocAtom(agent, loc, qualified=loc in others) for loc in tpl.locations]
+        found += [g for e in tpl.edges for g in atoms(e.guard)]
+        for g in found:
+            out.setdefault(str(g), g)
+    return list(out.values())
 
 
 def guards_of_cost(vocab: Sequence[GuardExpr], cost: int, memo: dict) -> list[GuardExpr]:

@@ -1,6 +1,6 @@
 import json
 
-from natstrat.cli import cli_main
+from natstrat.cli import _run, build_parser, cli_main
 from natstrat.report import (
     EXIT_OK, EXIT_PROPERTY, EXIT_RESOURCE, EXIT_USAGE, RunReport,
 )
@@ -479,3 +479,39 @@ def test_enumeration_cap_flag():
         code, _ = run("check", "--model", "voter_base", "--formula-name", "reach_end",
                       "--use", "cast_verify", "--enumeration-cap", cap)
         assert code == EXIT_USAGE
+
+
+def test_one_parser_serves_successive_commands_without_leaking_flags():
+    """The parser is built once per process; each command parses its own
+    flags, so none carries over into the next."""
+    assert build_parser() is build_parser()
+    code, report, fmt = _run(["--seed", "7", "--format", "json", "casestudy", "--list"])
+    assert (code, report.seed, fmt) == (EXIT_OK, 7, "json")
+    code, report, fmt = _run(["casestudy", "--list"])
+    assert (code, report.seed, fmt) == (EXIT_OK, None, "text")
+    argv = ["check", "--model", "voter_base", "--formula", "A F end"]
+    code, report, _ = _run(["--state-cap", "1", *argv])
+    assert code == EXIT_RESOURCE
+    code, report, _ = _run(argv)
+    assert code == EXIT_PROPERTY and report.tasks[0].value is False
+
+
+def _usage_error(*argv) -> str:
+    code, report = run(*argv)
+    assert code == EXIT_USAGE
+    return report.tasks[0].detail["error"]
+
+
+def test_unknown_names_and_a_missing_formula_are_usage_errors(tmp_path):
+    nss = str(DATA_DIR / "voter_base.nss")
+    assert _usage_error("complexity", nss, "--model", "voter_base",
+                        "--strategy", "nope") == f"no strategy nope in {nss}"
+    assert _usage_error("check", "--model", "voter_base") == \
+        "check needs --formula or --formula-name"
+    assert _usage_error("check", "--model", "voter_base", "--formula-name", "reach_end",
+                        "--use", "nope") == "unknown strategy nope"
+    assert _usage_error("check", "--model", "voter_base", "--formula",
+                        "<<Voter:nope>>^15 F end") == "unknown strategy nope"
+    export = ("export-uppaal", "--model", "voter_base", "--out", str(tmp_path))
+    assert _usage_error(*export, "--fix-strategy", "nope") == "unknown strategy nope"
+    assert _usage_error(*export, "--query", "nope") == "unknown formula nope"

@@ -5,13 +5,14 @@ once."""
 import collections
 import itertools
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import natstrat.checker as checker
 from natstrat.casestudy import build_coercer, build_voter, catalog, load
 from natstrat.checker import FormulaEvaluator, SynthesisConfig, eval_formula
 from natstrat.dsl import parse_formula, parse_network, parse_strategy
-from natstrat.errors import StrategyError
+from natstrat.errors import DefinitionError, StrategyError
 from natstrat.formula import FAnd, FAtom, FImplies, FNot, FOr, Knows, Strategic
 from natstrat.model import LocAtom, TrueConst, or_all
 from natstrat.strategy import WILDCARD, NaturalStrategy, Rule
@@ -392,3 +393,8 @@ def test_formulas_dropped_between_calls_keep_apart(base):
         want = {t: eval_formula(net, parse_formula(t, net)).verdict for t in texts}
         for t in texts * 20:
             assert ev.holds(parse_formula(t, net), i) is want[t], t
+
+
+def test_an_unknown_mode_is_a_definition_error():
+    with pytest.raises(DefinitionError, match="unknown mode bogus"):
+        FormulaEvaluator(build_voter("base").network, mode="bogus")

@@ -107,6 +107,24 @@ agent T {
     assert res.lasso_start == 0
 
 
+def test_steps_state_reached_twice_before_its_worst_case():
+    # l1 is pushed from l0 and again from l2; its worst case is set once
+    net = parse_network("""
+agent V {
+  init l0; loc l1; loc l2; loc goal;
+  edge l0 -> l1 on a;
+  edge l0 -> l2 on b;
+  edge l2 -> l1 on c;
+  edge l1 -> goal on d;
+}""")
+    s_A = {"V": parse_strategy("strategy s for V { when true do *; }", net)}
+    goal = parse_guard_text("goal", net)
+    res = steps_to_goal(net, None, s_A, goal)
+    assert (res.kind, res.value, res.witness) == ("reached", 3, (0, 2, 1, 3))
+    want = steps_oracle.steps_to_goal(net, None, s_A, goal)
+    assert (want.kind, want.value, want.witness) == (res.kind, res.value, res.witness)
+
+
 def test_steps_idle_excluded(base):
     """The wildcard makes the voter's wait loop available at `printing`;
     fairness keeps the worst case finite and waits are not counted."""

@@ -13,7 +13,7 @@ from natstrat.checker import (
     synthesize_strategic, verify_strategic,
 )
 from natstrat.dsl import parse_formula, parse_guard_text, parse_network, print_strategy
-from natstrat.errors import DefinitionError, ResourceLimitError, StrategyError
+from natstrat.errors import DefinitionError, ParseError, ResourceLimitError, StrategyError
 from natstrat.model import (
     And, LocAtom, Not, Or, TrueConst, eval_guard, explore,
 )
@@ -523,6 +523,19 @@ def test_coalition_vocabulary_atoms_parse_back(model):
                     (coalition, member, str(atom))
 
 
+@pytest.mark.parametrize("model", models())
+def test_oracle_vocabulary_matches_default_vocabulary(model):
+    """The rule of `default_vocabulary`'s docstring, written out on its own
+    in the oracle, gives the same atoms in the same order, whatever order
+    the members are written in."""
+    net = load(model).network
+    agents = [a.name for a in net.agents]
+    for size in range(1, len(agents) + 1):
+        for members in itertools.permutations(agents, size):
+            assert oracle.vocabulary(net, members) == \
+                default_vocabulary(net, sorted(members)), members
+
+
 # -- the two prunings ----------------------------------------------------------
 
 def _matched_behaviour(space, s_A):
@@ -911,6 +924,17 @@ def test_shared_space_does_not_depend_on_member_order():
     assert both == (900, 282)
 
 
+def test_twins_name_their_variable_and_start_from_a_reachable_state():
+    net = parse_network(TWINS, name="twins")
+    for text in ("x == 0", "A F x"):
+        with pytest.raises(ParseError, match=r"ambiguous variable x \(locals of A, B\)"):
+            parse_formula(text, net)
+    # A reaches a1 only once x == 1, and B's x stays 0 meanwhile
+    with pytest.raises(DefinitionError,
+                       match="state to check is not reachable from the initial state"):
+        eval_formula(net, parse_formula("A F a1", net), net.state(locations={"A": "a1"}))
+
+
 def test_cap_inside_a_skipped_subtree(base):
     # the cap counts canonical positions, so it fires inside a subtree of
     # dead-rule candidates that is never generated
@@ -976,3 +1000,14 @@ def test_bound_below_coalition_size_builds_no_game(punisher):
         res = _synthesize(space, graph.initial, 1, op, goals, SynthesisConfig(), CheckStats())
         assert (res.verdict, res.reason) == (False, "bound 1 below coalition size")
     assert space._game is None and not space._regions
+
+
+def test_a_goal_holding_everywhere_builds_no_game(punisher):
+    # the region then holds every state and prunes nothing, as for the
+    # receipt-freeness goals on coercion_punisher
+    graph = explore(punisher.network)
+    space = _Behaviours(graph, ["Voter", "Coercer"])
+    every = set(range(graph.n_states))
+    for op, goals in (("F", [every]), ("G", [every]), ("U", [{graph.initial}, every])):
+        assert space.region(op, goals) is None
+    assert space._game is None
