@@ -123,13 +123,13 @@ def label_universal(succ: Sequence[Collection[int]], op: str,
         return {i for i, outs in enumerate(succ)
                 if all(j in subgoals[0] for j in outs)}
     if op == "F":
-        return backward_fixpoint(succ, subgoals[0], some=some)
+        return set(backward_fixpoint(succ, subgoals[0], some=some))
     if op == "G":
         unsafe = [i for i in range(len(succ)) if i not in subgoals[0]]
         every = range(len(succ))
-        return set(every) - backward_fixpoint(succ, unsafe, some=every[some.stop:])
+        return set(every).difference(backward_fixpoint(succ, unsafe, some=every[some.stop:]))
     if op == "U":
-        return backward_fixpoint(succ, subgoals[1], allowed=subgoals[0], some=some)
+        return set(backward_fixpoint(succ, subgoals[1], allowed=subgoals[0], some=some))
     raise DefinitionError(f"unknown temporal operator {op}")
 
 

@@ -174,9 +174,8 @@ def _cmd_steps(args, report: RunReport) -> int:
             raise DefinitionError(f"--start expects AGENT=LOC, got {bad[0]!r}")
         start = net.state(locations=dict(item.partition("=")[::2] for item in args.start))
     res = steps_to_goal(net, start, {s.agent: s}, goal, state_cap=args.state_cap)
-    detail = {}
-    if not res.reached and res.witness:
-        detail = _trace(net, res.graph, res.witness)
+    detail = _trace(net, res.graph, res.witness) if res.witness else {}
+    if detail and not res.reached:
         detail["reason"] = ("a maximal trace never reaches the goal"
                             if res.kind == "unreachable"
                             else "a pre-goal cycle makes the worst case infinite")

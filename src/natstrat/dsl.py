@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import DefinitionError, ParseError
 from .formula import (
@@ -719,9 +719,6 @@ class _Resolver:
                     f"observable by {owner}", span)
             return LocAtom(agent, loc)
         ref = self.resolve_var(name, owner, span)
-        if strict and owner is not None and ref.owner not in (None, owner):
-            raise ParseError(f"variable {name} of agent {ref.owner} is not "
-                             f"observable by {owner}", span)
         if ref.owner is None and name in self.consts and name not in self.global_vars:
             raise ParseError(f"constant {name} cannot stand alone as an atom", span)
         return VarAtom(ref)
@@ -744,20 +741,11 @@ class _Resolver:
             return self.resolve_atom(raw[1], raw[2], owner, strict)
         if kind == "cmp":
             _, lhs, op, rhs, span = raw
+            # with an owner, a name resolves only to its own local, a global
+            # or a constant, so a guard reads nothing its owner cannot observe
             lref = self.resolve_var(lhs.name, owner, span)
-            if strict and owner is not None and lref.owner not in (None, owner):
-                raise ParseError(f"variable {lhs.name} of agent {lref.owner} "
-                                 f"is not observable by {owner}", span)
-            rhs_res: Union[int, VarRef]
-            if isinstance(rhs, int):
-                rhs_res = rhs
-            else:
-                rhs_res = self.resolve_var(rhs.name, owner, span)
-                if strict and owner is not None and rhs_res.owner not in (None, owner):
-                    raise ParseError(f"variable {rhs.name} of agent "
-                                     f"{rhs_res.owner} is not observable by "
-                                     f"{owner}", span)
-            return Comparison(lref, op, rhs_res)
+            return Comparison(lref, op, rhs if isinstance(rhs, int)
+                              else self.resolve_var(rhs.name, owner, span))
         raise AssertionError(f"bad raw guard {raw!r}")
 
     def resolve_int(self, raw, owner: Optional[str], span: SourceSpan) -> IntExpr:

@@ -27,13 +27,16 @@ in a state whose list is empty.
 labels, of outcomes and of a coalition's game (its winning region), and
 the step metric all run on it, and `checker.label_universal` is the one
 place that maps F, G and U to it. A seed that is empty or holds every
-state is its own result, found without reading a successor. Steps are
-decided with goal states as sinks: a reachable state outside EF goal
-makes the goal unreachable, and a start outside AF goal makes the steps
-unbounded; their witnesses are the checker's counterexample paths.
-Otherwise the pre-goal region is acyclic, and the reached witness takes,
-at each state, the first successor in index order with the largest worst
-case.
+state is its own result, found without reading a successor. It returns
+each member's distance to the seed: its work list is first-in-first-out,
+so a state joins on its farthest successor, or on its nearest one where
+it picks the successor, and the distance is the min-max one of a
+reachability game. Steps are decided with goal states as sinks: a
+reachable state outside EF goal makes the goal unreachable, and a start
+outside AF goal makes the steps unbounded; their witnesses are the
+checker's counterexample paths. Otherwise a state's distance in AF goal
+is its worst case, and the reached witness takes, at each state, the
+first successor in index order with the largest distance.
 """
 
 from __future__ import annotations
@@ -90,41 +93,47 @@ def restrict(graph: StateGraph, s_A: CollectiveStrategy
 
 def backward_fixpoint(succ: Sequence[Collection[int]], seed: Iterable[int],
                       allowed: Optional[Container[int]] = None,
-                      some: range = range(0)) -> set[int]:
+                      some: range = range(0)) -> dict[int, int]:
     """Least set that contains `seed` and every state of `allowed` (default:
     every state) with a successor, all of whose successors are in it -- or,
     for a state of `some`, a range of consecutive states, one of whose
     successors is. With `some` every state, that is backward reachability;
     with a block of a game's states and choices, an attractor. `succ[i]`
-    lists the distinct successors of state i.
+    lists the distinct successors of state i. Returns each member's
+    distance: 0 for a seed, else one more than the largest of its
+    successors' distances (the smallest, for a state of `some`).
 
     One backward pass: each state counts its successors not yet in the set
     and joins when the count reaches zero, so the cost is linear in the
     number of edges. Over productive successors, the `all` form is A(h U g)
-    and the `some` form is backward reachability E(h U g). An empty seed
-    gives the empty set at once: no state joins without a successor in it.
-    A seed of every state (its indices are states) is the result at once.
+    and the `some` form is backward reachability E(h U g). The work list is
+    first-in-first-out, so members are taken in order of distance: the
+    successor whose turn makes a state join is its last, farthest one (its
+    first, nearest one in `some`), and the distance is the min-max number
+    of steps to the seed of a reachability game. An empty seed is the
+    result at once, as no state joins without a successor in it, and so is
+    a seed of every state (its indices are states).
     """
-    good = set(seed)
-    if not good or len(good) == len(succ):
-        return good
+    dist = dict.fromkeys(seed, 0)
+    if not dist or len(dist) == len(succ):
+        return dist
     preds: list[list[int]] = [[] for _ in succ]
     for i, outs in enumerate(succ):
         for j in outs:
             preds[j].append(i)
     missing = [len(outs) for outs in succ]
     missing[some.start:some.stop] = [1] * len(some)
-    stack = list(good)
-    while stack:
-        j = stack.pop()
+    queue = deque(dist)
+    while queue:
+        j = queue.popleft()
         for i in preds[j]:
-            if i in good or (allowed is not None and i not in allowed):
+            if i in dist or (allowed is not None and i not in allowed):
                 continue
             missing[i] -= 1
             if missing[i] == 0:
-                good.add(i)
-                stack.append(i)
-    return good
+                dist[i] = dist[j] + 1
+                queue.append(i)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +174,10 @@ def shortest_path(succ: Sequence[Sequence[int]], start: int,
 
 
 def _bad_witness(succ: Sequence[Sequence[int]], start: int,
-                 good: set[int]) -> tuple[int, ...]:
+                 good: Collection[int]) -> tuple[int, ...]:
     """Shortest path from start into the non-`good` region; extended to a
     terminal or around a cycle so the trace is recognizably maximal."""
-    bad = set(range(len(succ))) - good
+    bad = set(range(len(succ))).difference(good)
     path = list(shortest_path(succ, start, bad))
     # extend within the bad region until a repeat or a terminal
     seen = set(path)
@@ -199,7 +208,8 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
     start = graph.initial
     # Goal states are sinks. A reachable state outside EF goal is trapped.
     succ = [() if i in goals else outs for i, outs in enumerate(graph.succ)]
-    dead = set(range(len(succ))) - backward_fixpoint(succ, goals, some=range(len(succ)))
+    dead = set(range(len(succ))).difference(
+        backward_fixpoint(succ, goals, some=range(len(succ))))
     trapped = shortest_path(succ, start, dead)
     if trapped:
         return StepsResult("unreachable", witness=trapped, graph=graph)
@@ -210,20 +220,8 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
         return StepsResult("unbounded", witness=path, lasso_start=path.index(path[-1]),
                            graph=graph)
 
-    # Within AF goal the pre-goal region is acyclic: a state's worst case is
-    # one more than its successors' largest, and a goal's is 0.
-    worst: dict[int, int] = {}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        if i in worst:
-            continue
-        todo = [j for j in succ[i] if j not in worst]
-        if todo:  # back to i once they are done
-            stack += [i, *todo]
-        else:
-            worst[i] = 1 + max(worst[j] for j in succ[i]) if succ[i] else 0
+    # A state's distance in `sure` is its worst case, as goals are sinks.
     path = [start]
     while succ[path[-1]]:
-        path.append(max(succ[path[-1]], key=worst.__getitem__))
-    return StepsResult("reached", worst[start], witness=tuple(path), graph=graph)
+        path.append(max(succ[path[-1]], key=sure.__getitem__))
+    return StepsResult("reached", sure[start], witness=tuple(path), graph=graph)

@@ -128,6 +128,19 @@ def test_steps_subcommand():
                        "--start", "Voter=has_ballot")
     assert code == EXIT_OK
     assert report.tasks[0].value == 9
+    # a reached result shows a trace that takes its worst case, and no reason
+    detail = report.tasks[0].detail
+    assert detail["witness_moves"] == [
+        "Voter.scan_ballot", "Voter.enter_vote", "Voter.check2", "Voter.move_next",
+        "Voter.move_next", "Voter.shred_ballot", "Voter.leave", "Voter.check4",
+        "Voter.finish"]
+    assert detail["witness_path"][0] == "(Voter@has_ballot)"
+    assert detail["witness_path"][-1] == "(Voter@end)"
+    assert len(detail["witness_path"]) == 10 and "reason" not in detail
+    assert RunReport.from_json(report.to_json()) == report
+    text = _text(report)
+    assert text[:2] == ["[steps] cast_verify -> end: ok (value: 9)", "    witness_path:"]
+    assert "    witness_moves:" in text and "      Voter.finish" in text
 
 
 def test_synth_subcommand():

@@ -9,7 +9,7 @@ from natstrat.dsl import (
 )
 from natstrat.errors import ParseError
 from natstrat.formula import FAnd, FAtom, FNot, FOr, Knows, Strategic, map_formula
-from natstrat.model import And, LocAtom, Not, Or, TrueConst
+from natstrat.model import And, LocAtom, Not, Or, TrueConst, VarAtom, VarRef
 from natstrat.strategy import WILDCARD
 from natstrat.casestudy import DATA_DIR
 
@@ -90,6 +90,31 @@ def test_observability_rejects_other_agents_atoms(punisher):
         parse_strategy(
             "strategy s for Coercer { when Voter@voted do punish; when true do *; }",
             net)
+
+
+# A and B each have one local; a name in A's guards resolves only to A's
+# locals, globals and constants, so B's `y` is not a variable there
+LOCALS_NET = ("agent A { var int[0,1] x = 0; init a0; edge a0 -> a0 on go; }\n"
+              "agent B { var int[0,1] y = 0; init b0; edge b0 -> b0 on stay; }")
+
+
+@pytest.mark.parametrize("guard", ["y", "y == 0", "x == y"])
+def test_another_agents_local_is_undeclared_in_a_strategy(guard):
+    net = parse_network(LOCALS_NET, name="locals")
+    with pytest.raises(ParseError) as exc:
+        parse_strategy(f"strategy s for A {{\n  when {guard} do go;\n  when true do *;\n}}",
+                       net)
+    assert (str(exc.value), exc.value.span.line, exc.value.span.column) == \
+        ("<string>:2:8: undeclared variable y", 2, 8)
+
+
+def test_another_agents_local_is_undeclared_in_an_owned_guard():
+    net = parse_network(LOCALS_NET, name="locals")
+    with pytest.raises(ParseError) as exc:
+        parse_guard_text("y", net, owner="A")
+    assert str(exc.value) == "<guard>:1:1: undeclared variable y"
+    # with no owner, the name is B's local
+    assert parse_guard_text("y", net) == VarAtom(VarRef("B", "y"))
 
 
 def test_formula_strategic_shape(base):

@@ -92,9 +92,10 @@ def _formula(draw, shape, depth):
     if kind == "A":
         return Strategic(coalition=(), bound=0, op=op, subs=subs)
     if kind == "both orders":  # two nodes of one member set, which share a space
+        first = draw(st.sampled_from((("G", "H"), ("H", "G"))))  # the one evaluated first
         return draw(st.sampled_from((FAnd, FOr)))(*(
             Strategic(coalition=coalition, bound=draw(st.sampled_from(range(6))), op=op,
-                      subs=subs) for coalition in (("G", "H"), ("H", "G"))))
+                      subs=subs) for coalition in (first, first[::-1])))
     coalition = draw(st.sampled_from(COALITIONS))
     witness = tuple(f"s{a}" for a in coalition) if kind == "named" else ()
     return Strategic(coalition=coalition, bound=draw(st.sampled_from(range(6))), op=op,
@@ -104,8 +105,9 @@ def _formula(draw, shape, depth):
 def _coverage(net, f, mode, named, supplied, cap) -> list[str]:
     """What an example of `_case` meets when f is evaluated at every state:
     a coalition node decided by synthesis, such nodes of one member set
-    written in both orders, a StrategyError, and a node that synthesis
-    leaves unknown at its cap."""
+    written in both orders, a member set whose space a node written out of
+    name order built, a StrategyError, and a node that synthesis leaves
+    unknown at its cap."""
     ev = FormulaEvaluator(net, mode=mode, supplied=supplied, strategies_by_name=named,
                           synthesis=SynthesisConfig(enumeration_cap=cap))
     labels = set()
@@ -119,6 +121,8 @@ def _coverage(net, f, mode, named, supplied, cap) -> list[str]:
         labels.add("a synthesized coalition node")
     if {("G", "H"), ("H", "G")} <= orders:
         labels.add("one member set in both orders")
+    if any(space.coalition != space.agents for space in ev._spaces.values()):
+        labels.add("a member set first synthesized in non-name order")
     if None in ev._synthesized.values():
         labels.add("a capped node")
     return sorted(labels)
@@ -185,9 +189,10 @@ def test_evaluator_matches_oracle_on_random_formulas(case):
 
 def test_case_covers_synthesis_and_errors():
     # the `ci` profile's sample is fixed, so what it covers can be counted:
-    # of its 300 examples, 60 decide a coalition node by synthesis, 11 of
-    # them two nodes of one member set in both orders, 38 raise a
-    # StrategyError and 31 leave a node unknown at the cap
+    # of its 300 examples, 61 decide a coalition node by synthesis, 21 of
+    # them two nodes of one member set in both orders and 24 a member set
+    # whose space a node written out of name order built; 24 raise a
+    # StrategyError and 28 leave a node unknown at the cap
     counts: collections.Counter = collections.Counter()
 
     @settings(settings.get_profile("ci"), database=None, deadline=None)
@@ -200,6 +205,7 @@ def test_case_covers_synthesis_and_errors():
     assert counts["examples"] == 300
     assert counts["a synthesized coalition node"] >= 30, counts
     assert counts["one member set in both orders"] >= 5, counts
+    assert counts["a member set first synthesized in non-name order"] >= 10, counts
     assert counts["a StrategyError"] >= 15 and counts["a capped node"] >= 15, counts
 
 

@@ -16,7 +16,7 @@ import steps_oracle
 import synthesis_oracle
 import test_evaluator as evaluator_tests
 from conftest import moves_at, two_state_net
-from test_synthesis import _matched_behaviour
+from test_synthesis import K4_END, K4_RECEIPT, _matched_behaviour
 
 
 def test_empty_coalition_gives_full_graph(base):
@@ -108,7 +108,8 @@ agent T {
 
 
 def test_steps_state_reached_twice_before_its_worst_case():
-    # l1 is pushed from l0 and again from l2; its worst case is set once
+    # l1 is a successor of l0 and of l2: the witness runs through l2, l0's
+    # farther successor, and then l1
     net = parse_network("""
 agent V {
   init l0; loc l1; loc l2; loc goal;
@@ -276,21 +277,179 @@ class _Unread(list):
 # `some`: whether every state takes the form with one successor in the set
 @pytest.mark.parametrize("some", [False, True])
 def test_fixpoint_of_an_empty_seed_reads_no_successor(some):
-    assert backward_fixpoint(_Unread([[1], [0]]), (), some=range(2 if some else 0)) == set()
-    assert backward_fixpoint([[1], [0], []], iter(()), some=range(3 if some else 0)) == set()
+    assert backward_fixpoint(_Unread([[1], [0]]), (), some=range(2 if some else 0)) == {}
+    assert backward_fixpoint([[1], [0], []], iter(()), some=range(3 if some else 0)) == {}
 
 
 @pytest.mark.parametrize("some", [False, True])
 def test_fixpoint_of_a_seed_of_every_state_reads_no_successor(some):
+    # every seed at distance 0
     assert backward_fixpoint(_Unread([[1], [0], []]), [2, 0, 1],
-                             some=range(3 if some else 0)) == {0, 1, 2}
+                             some=range(3 if some else 0)) == {0: 0, 1: 0, 2: 0}
     assert backward_fixpoint(_Unread([[1], [0]]), iter((1, 0, 1)),
-                             some=range(2 if some else 0)) == {0, 1}
+                             some=range(2 if some else 0)) == {0: 0, 1: 0}
 
 
 def test_always_of_a_goal_holding_everywhere_is_every_state():
     succ = [[1, 2], [0], [], [3]]
     assert label_universal(succ, "G", [set(range(4))]) == {0, 1, 2, 3}
+
+
+# -- the fixpoint's distances against a brute force --------------------------------
+
+@st.composite
+def _fixpoint_case(draw):
+    """Successor lists over 2 to 8 states (self-loops, cycles and a
+    terminal state among them), a seed of one or two states, `allowed`
+    (None, or all states but up to half of them) and a `some` range that is
+    empty, partial or every state."""
+    n = draw(st.integers(2, 8))
+    state = st.integers(0, n - 1)
+    # one to three successors below each state but the first, so that
+    # chains join; then maybe one anywhere, which may close a cycle
+    succ = [sorted({*draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=3) if i
+                          else st.just(())),
+                    *draw(st.just(()) | st.just(()) | st.tuples(state))}) for i in range(n)]
+    seed = draw(st.frozensets(state, min_size=1, max_size=2))
+    allowed = draw(st.none() | st.frozensets(state, min_size=1, max_size=n // 2).map(
+        lambda out: frozenset(range(n)) - out))
+    kind = draw(st.sampled_from(("empty", "partial", "every state")))
+    if kind == "partial":
+        lo = draw(st.integers(0, n - 1))
+        some = range(lo, draw(st.integers(lo + 1, n if lo else n - 1)))
+    else:
+        some = range(n) if kind == "every state" else range(0)
+    return succ, seed, allowed, some
+
+
+def _least_fixpoint(succ, seed, allowed, some) -> set[int]:
+    """The set `backward_fixpoint` describes, grown until nothing joins."""
+    members = set(seed)
+    while True:
+        joined = {i for i, outs in enumerate(succ)
+                  if i not in members and outs and (allowed is None or i in allowed)
+                  and (any if i in some else all)(j in members for j in outs)}
+        if not joined:
+            return members
+        members |= joined
+
+
+def _value_iteration(succ, seed, allowed, some) -> dict[int, int]:
+    """Each state's distance, iterated down from infinity: 0 on the seed,
+    else 1 + the largest successor distance, or the smallest for a state in
+    `some`; the states left at infinity are dropped."""
+    inf = float("inf")
+    dist = [0 if i in seed else inf for i in range(len(succ))]
+    for _ in range(len(succ) + 1):
+        dist = [0 if i in seed else
+                1 + (min if i in some else max)(dist[j] for j in outs)
+                if outs and (allowed is None or i in allowed) else inf
+                for i, outs in enumerate(succ)]
+    return {i: d for i, d in enumerate(dist) if d < inf}
+
+
+def _fixpoint_coverage(succ, seed, allowed, some, dist) -> list[str]:
+    """What an example of `_fixpoint_case` meets: the kind of its `some`
+    range, a member of `some` nearer than its farthest successor, a member
+    outside it whose successors' distances differ, a state `allowed` keeps
+    out, and a distance past 1."""
+    kind = "empty" if not some else "every state" if len(some) == len(succ) else "partial"
+    labels = [f"`some` {kind}"]
+    far = {i: max(dist.get(j, float("inf")) for j in succ[i]) for i in dist if i not in seed}
+    if any(i in some and dist[i] < 1 + d for i, d in far.items()):
+        labels.append("a state of `some` joins before its farthest successor")
+    if any(i not in some and min(dist[j] for j in succ[i]) < d for i, d in far.items()):
+        labels.append("a state outside `some` with successors at two distances")
+    if allowed is not None and _least_fixpoint(succ, seed, None, some) - set(dist):
+        labels.append("`allowed` keeps a state out")
+    if dist and max(dist.values()) >= 2:
+        labels.append("a distance of 2 or more")
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fixpoint_case())
+def test_fixpoint_distances_match_value_iteration(case):
+    dist = backward_fixpoint(*case)
+    assert set(dist) == _least_fixpoint(*case)
+    assert dist == _value_iteration(*case)
+    for label in _fixpoint_coverage(*case, dist):
+        event(label)
+
+
+def test_fixpoint_case_covers_min_and_max():
+    # the `ci` profile's sample is fixed, so what it covers can be counted:
+    # of its 300 examples, 135 have an empty `some`, 99 a partial one and 66
+    # every state; 70 have a state of `some` join before its farthest
+    # successor, 51 a state outside it with successors at two distances, 23
+    # a state that `allowed` keeps out and 86 a distance of 2 or more
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_fixpoint_case())
+    def count(case):
+        counts.update(_fixpoint_coverage(*case, backward_fixpoint(*case)))
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert min(counts[f"`some` {kind}"] for kind in ("empty", "partial", "every state")) >= 30
+    assert counts["a state of `some` joins before its farthest successor"] >= 35, counts
+    assert counts["a state outside `some` with successors at two distances"] >= 25, counts
+    assert counts["`allowed` keeps a state out"] >= 10, counts
+    assert counts["a distance of 2 or more"] >= 40, counts
+
+
+# -- the coalition's rank: half the start's distance in its game -------------------
+
+def _game_distance(bundle, goal: str, start=None) -> int:
+    """The start's distance to the goal in the voter's perfect-information
+    game, with the states as the block where the voter picks: each step is
+    a state and a choice, so half of it is the fewest worst-case steps a
+    strategy of the voter can guarantee (its rank)."""
+    net = bundle.network
+    graph = explore(net, start=start)
+    goals = graph.satisfying(parse_guard_text(goal, net))
+    return backward_fixpoint(_Behaviours(graph, ["Voter"]).game(), goals,
+                             some=range(graph.n_states))[graph.initial]
+
+
+@pytest.mark.parametrize("model,goal,at,distance", [
+    ("base", "end", None, 18),
+    ("base", "check4_ok || check4_fail", None, 18),
+    ("base", "checked1 && checked3 && end", None, 28),
+    ("check4", "checked4 && checked4_1 && checked4_2", None, 20),
+    ("base", "end", "has_ballot", 14),
+])
+def test_game_distances(model, goal, at, distance):
+    bundle = build_voter(model)
+    start = None if at is None else bundle.network.state(locations={"Voter": at})
+    assert _game_distance(bundle, goal, start) == distance
+
+
+@pytest.mark.parametrize("model,strategy,goal,at,steps,rank", [
+    ("base", "K4_END", "end", None, 9, 9),
+    ("base", "K4_RECEIPT", "check4_ok || check4_fail", None, 11, 9),
+    ("base", "cast_verify", "end", None, 11, 9),
+    ("base", "cast_verify", "check4_ok || check4_fail", None, 10, 9),
+    ("base", "cast_verify_extra_checks", "checked1 && checked3 && end", None, 15, 14),
+    ("check4", "cast_verify_split_check4", "checked4 && checked4_1 && checked4_2", None,
+     11, 10),
+    ("base", "cast_verify", "end", "has_ballot", 9, 7),
+    ("base", "cast_verify_extra_checks", "end", "has_ballot", 13, 7),
+])
+def test_no_strategy_takes_fewer_steps_than_the_rank(model, strategy, goal, at, steps, rank):
+    # K4_END and K4_RECEIPT are the bound-4 synthesis witnesses
+    bundle = build_voter(model)
+    net = bundle.network
+    start = None if at is None else net.state(locations={"Voter": at})
+    witnesses = {"K4_END": K4_END, "K4_RECEIPT": K4_RECEIPT}
+    s = parse_strategy(witnesses[strategy][0], net) if strategy in witnesses \
+        else bundle.strategies[strategy]
+    res = steps_to_goal(net, start, {"Voter": s}, parse_guard_text(goal, net))
+    assert (res.kind, res.value, _game_distance(bundle, goal, start)) == \
+        ("reached", steps, 2 * rank)
+    assert res.value >= rank
 
 
 def test_steps_lower_bounded_by_shortest_path(base):
