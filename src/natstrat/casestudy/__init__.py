@@ -37,7 +37,7 @@ def models() -> tuple[str, ...]:
 
 def load(stem: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
     """The bundled model `stem` with the strategies and formulas of its
-    .nss/.nsq files; `consts` overrides declared constants."""
+    .nss/.nsq files; `consts` overrides constants that the .nsm declares."""
     if stem not in models():
         raise DefinitionError(f"no bundled model {stem!r}; pick from {models()}")
     nsm = DATA_DIR / f"{stem}.nsm"
@@ -46,7 +46,7 @@ def load(stem: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
     for suffix in (".nss", ".nsq"):
         extra = nsm.with_suffix(suffix)
         if extra.exists():
-            sub = load_bundle(extra, net=net, consts=consts)
+            sub = load_bundle(extra, net=net)
             bundle.strategies.update(sub.strategies)
             bundle.formulas.update(sub.formulas)
     return bundle

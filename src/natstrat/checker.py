@@ -4,7 +4,8 @@ against a bound, and bounded brute-force strategy synthesis.
 
 AX, AF, AG and A(U) are labelled at every state of an outcome at once, each
 by one backward pass of `outcome.backward_fixpoint` over its successor
-lists; a verdict at a state reads that state's label. Natural strategies are
+lists; a verdict at a state reads that state's label, and an AG
+counterexample descends the same pass's distances. Natural strategies are
 memoryless, so a strategic operator whose strategy is fixed is labelled over
 one outcome: the explored graph's successors restricted to that strategy
 (`outcome.restrict`), the way synthesis checks each candidate from the state
@@ -76,7 +77,7 @@ from .model import (
     DEFAULT_STATE_CAP, TRUE, WAIT_ACTION, And, Comparison, GlobalState, GuardExpr,
     LocAtom, Network, Not, Or, StateGraph, VarAtom, _compiled, explore, nodes,
 )
-from .outcome import _bad_witness, backward_fixpoint, outcomes, restrict
+from .outcome import _bad_witness, _descend, backward_fixpoint, outcomes, restrict
 from .strategy import (
     WILDCARD, CollectiveStrategy, NaturalStrategy, Rule, _check_members, complexity,
 )
@@ -119,17 +120,25 @@ def label_universal(succ: Sequence[Collection[int]], op: str,
     the block of nodes where the coalition picks the successor: F and U
     pass it to `backward_fixpoint`, and G gives the nodes after it to the
     opponent, so the label is the coalition's winning region."""
+    return _labelled(succ, op, subgoals, some)[0]
+
+
+def _labelled(succ: Sequence[Collection[int]], op: str, subgoals: Sequence[set[int]],
+              some: range = range(0)) -> tuple[set[int], dict[int, int]]:
+    """`label_universal`'s label and, for G, the `backward_fixpoint` of the
+    states outside it, whose distances an AG counterexample descends to
+    the nearest state outside g ({} for X, F and U)."""
     if op == "X":
-        return {i for i, outs in enumerate(succ)
-                if all(j in subgoals[0] for j in outs)}
+        return {i for i, outs in enumerate(succ) if all(j in subgoals[0] for j in outs)}, {}
     if op == "F":
-        return set(backward_fixpoint(succ, subgoals[0], some=some))
+        return set(backward_fixpoint(succ, subgoals[0], some=some)), {}
     if op == "G":
-        unsafe = [i for i in range(len(succ)) if i not in subgoals[0]]
         every = range(len(succ))
-        return set(every).difference(backward_fixpoint(succ, unsafe, some=every[some.stop:]))
+        unsafe = backward_fixpoint(succ, [i for i in every if i not in subgoals[0]],
+                                   some=every[some.stop:])
+        return set(every).difference(unsafe), unsafe
     if op == "U":
-        return set(backward_fixpoint(succ, subgoals[1], allowed=subgoals[0], some=some))
+        return set(backward_fixpoint(succ, subgoals[1], allowed=subgoals[0], some=some)), {}
     raise DefinitionError(f"unknown temporal operator {op}")
 
 
@@ -148,21 +157,20 @@ def check_temporal_universal(succ: Sequence[Sequence[int]], op: str,
     of the successor lists from state `start`. Returns a counterexample
     path or lasso on failure; an AX one goes to the first violating
     successor in index order."""
-    return _check_at(succ, op, subgoals, label_universal(succ, op, subgoals), start)
+    return _check_at(succ, op, subgoals, *_labelled(succ, op, subgoals), start)
 
 
 def _check_at(succ: Sequence[Sequence[int]], op: str, subgoals: Sequence[set[int]],
-              good: set[int], start: int) -> CheckResult:
-    """`check_temporal_universal` given `good`, the states that
-    `label_universal(succ, op, subgoals)` labels."""
+              good: set[int], unsafe: dict[int, int], start: int) -> CheckResult:
+    """`check_temporal_universal` given `good, unsafe = _labelled(succ, op, subgoals)`."""
     if start in good:
         return CheckResult(True)
     if op == "X":
         path = (start, next(j for j in succ[start] if j not in subgoals[0]))
-    else:
-        # an AG counterexample runs to a state outside g, an AF or A(U) one
-        # stays outside the label
-        path = _bad_witness(succ, start, subgoals[0] if op == "G" else good)
+    elif op == "G":  # descend to the nearest state outside g, then stay outside g
+        path = _bad_witness(succ, _descend(succ, start, unsafe), subgoals[0])
+    else:  # an AF or A(U) counterexample stays outside the label
+        path = _bad_witness(succ, (start,), good)
     return CheckResult(False, witness_path=path, reason=_FAILURE_REASONS[op])
 
 
@@ -829,8 +837,8 @@ class FormulaEvaluator:
             return self._synthesized.get((id(f), i))
         if isinstance(fixed, CheckResult):
             return fixed
-        s_A, succ, subgoals, labels, _ = fixed
-        res = _check_at(succ, f.op, subgoals, labels, i)
+        s_A, succ, subgoals, labels, unsafe, _ = fixed
+        res = _check_at(succ, f.op, subgoals, labels, unsafe, i)
         res.witness_strategy = dict(s_A)
         return res
 
@@ -922,10 +930,10 @@ class FormulaEvaluator:
 
     def _label_fixed(self, node: Strategic):
         """Label a node whose strategy is fixed at every state at once:
-        (strategy, restricted successor lists, goal sets, label set, tainted
-        states), the gate's CheckResult when the strategy exceeds the bound,
-        or _UNKNOWN. Tainted states reach a state where matching a rule
-        fails."""
+        (strategy, restricted successor lists, goal sets, what `_labelled`
+        returns, tainted states), the gate's CheckResult when the strategy
+        exceeds the bound, or _UNKNOWN. Tainted states reach a state where
+        matching a rule fails."""
         s_A = self._strategy_for(node)
         gated = _complexity_gate(self.net, node.coalition, node.bound, s_A)
         if gated is not None:
@@ -935,7 +943,7 @@ class FormulaEvaluator:
         if subgoals is _UNKNOWN:
             return _UNKNOWN
         tainted = backward_fixpoint(succ, errors, some=range(len(succ)))
-        return s_A, succ, subgoals, label_universal(succ, node.op, subgoals), tainted
+        return s_A, succ, subgoals, *_labelled(succ, node.op, subgoals), tainted
 
     def _is_fixed(self, node: Strategic) -> bool:
         return node.is_universal or self.mode == "verify" or bool(node.witness)
@@ -955,7 +963,7 @@ class FormulaEvaluator:
             return _UNKNOWN
         if isinstance(fixed, CheckResult):
             return set()
-        s_A, _, _, labels, tainted = fixed
+        s_A, _, _, labels, _, tainted = fixed
         if tainted and (i is None or i in tainted):
             start = min(tainted) if i is None else i
             outcomes(self.net, self.graph.states[start], s_A, state_cap=self.graph.n_states)

@@ -824,12 +824,15 @@ def parse_bundle(text: str, filename: str = "<string>",
                  network_name: Optional[str] = None) -> ParsedBundle:
     """Parse one source (network and/or strategies and/or formulas).
 
-    `consts` overrides declared constant values (parameterized models).
-    `net` supplies the network context when the source has no agent blocks.
+    `consts` overrides constants that the source or an include declares,
+    others are a DefinitionError. `net` supplies the network context when
+    the source has no agent blocks.
     """
     parser = _BundleParser(_tokenize(text, filename), filename,
                            consts_override=consts)
     parser.parse_items()
+    if unknown := sorted(set(consts or ()).difference(parser.constants)):
+        raise DefinitionError(f"{filename} declares no constant {', '.join(unknown)}")
     resolver = _Resolver(parser, external_net=net)
     name = network_name or (Path(filename).stem if filename != "<string>" else "net")
     network = resolver.build_network(name)

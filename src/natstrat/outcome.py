@@ -31,12 +31,13 @@ state is its own result, found without reading a successor. It returns
 each member's distance to the seed: its work list is first-in-first-out,
 so a state joins on its farthest successor, or on its nearest one where
 it picks the successor, and the distance is the min-max one of a
-reachability game. Steps are decided with goal states as sinks: a
-reachable state outside EF goal makes the goal unreachable, and a start
-outside AF goal makes the steps unbounded; their witnesses are the
-checker's counterexample paths. Otherwise a state's distance in AF goal
-is its worst case, and the reached witness takes, at each state, the
-first successor in index order with the largest distance.
+reachability game. Every witness path descends such a distance by the
+first successor in list order one step nearer the seed (`_descend`):
+that is a breadth-first search's first shortest path, or in the `all`
+form the first successor with the largest distance. Steps are
+decided with goal states as sinks: a reachable state outside EF goal
+makes the goal unreachable, a start outside AF goal makes the steps
+unbounded, and otherwise a state's distance in AF goal is its worst case.
 """
 
 from __future__ import annotations
@@ -153,38 +154,25 @@ class StepsResult:
         return self.kind == "reached"
 
 
-def shortest_path(succ: Sequence[Sequence[int]], start: int,
-                  targets: Container[int]) -> tuple[int, ...]:
-    """Breadth-first path from `start` to the nearest target, taking
-    successors in list order; () when no target is reachable."""
-    prev: dict[int, int] = {start: start}
-    dq = deque([start])
-    while dq:
-        i = dq.popleft()
-        if i in targets:
-            path = [i]
-            while path[-1] != start:
-                path.append(prev[path[-1]])
-            return tuple(reversed(path))
-        for j in succ[i]:
-            if j not in prev:
-                prev[j] = i
-                dq.append(j)
-    return ()
+def _descend(succ: Sequence[Sequence[int]], start: int,
+             dist: dict[int, int]) -> tuple[int, ...]:
+    """The path from `start` down `dist`, a `backward_fixpoint` result, to
+    its seed: at each state, the first successor in list order one step
+    nearer. () when `start` is not a member."""
+    path = [start]
+    for d in reversed(range(dist.get(start, 0))):
+        path.append(next(j for j in succ[path[-1]] if dist.get(j) == d))
+    return tuple(path) if start in dist else ()
 
 
-def _bad_witness(succ: Sequence[Sequence[int]], start: int,
-                 good: Collection[int]) -> tuple[int, ...]:
-    """Shortest path from start into the non-`good` region; extended to a
-    terminal or around a cycle so the trace is recognizably maximal."""
-    bad = set(range(len(succ))).difference(good)
-    path = list(shortest_path(succ, start, bad))
-    # extend within the bad region until a repeat or a terminal
+def _bad_witness(succ: Sequence[Sequence[int]], path: Sequence[int],
+                 good: Container[int]) -> tuple[int, ...]:
+    """`path` extended by the first successor outside `good` to a terminal
+    or around a cycle, so the trace is recognizably maximal: from the start
+    of an AF, A(U) or unbounded counterexample, or an AG one's descent."""
+    path = list(path)
     seen = set(path)
-    while path:
-        nxt = next((j for j in succ[path[-1]] if j in bad), None)
-        if nxt is None:
-            break
+    while (nxt := next((j for j in succ[path[-1]] if j not in good), None)) is not None:
         path.append(nxt)
         if nxt in seen:
             break
@@ -201,27 +189,27 @@ def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrateg
 
     'unreachable': some maximal trace never visits the goal and cannot anymore
     (a trapped or terminal region). 'unbounded': every trace can still reach
-    the goal but a pre-goal cycle makes the worst case infinite.
+    the goal but a pre-goal cycle makes the worst case infinite. Witnesses
+    descend `backward_fixpoint` distances: the first shortest path to a
+    trapped state, or the first successor with the largest worst case.
     """
     graph = outcomes(net, q, s_A, state_cap=state_cap)
     goals = graph.satisfying(goal)
     start = graph.initial
     # Goal states are sinks. A reachable state outside EF goal is trapped.
     succ = [() if i in goals else outs for i, outs in enumerate(graph.succ)]
-    dead = set(range(len(succ))).difference(
-        backward_fixpoint(succ, goals, some=range(len(succ))))
-    trapped = shortest_path(succ, start, dead)
+    every = range(len(succ))
+    dead = set(every).difference(backward_fixpoint(succ, goals, some=every))
+    trapped = _descend(succ, start, backward_fixpoint(succ, dead, some=every))
     if trapped:
         return StepsResult("unreachable", witness=trapped, graph=graph)
     # Outside AF goal with no trap, some trace loops before the goal.
     sure = backward_fixpoint(succ, goals)
     if start not in sure:
-        path = _bad_witness(succ, start, sure)
+        path = _bad_witness(succ, (start,), sure)
         return StepsResult("unbounded", witness=path, lasso_start=path.index(path[-1]),
                            graph=graph)
 
     # A state's distance in `sure` is its worst case, as goals are sinks.
-    path = [start]
-    while succ[path[-1]]:
-        path.append(max(succ[path[-1]], key=sure.__getitem__))
-    return StepsResult("reached", sure[start], witness=tuple(path), graph=graph)
+    return StepsResult("reached", sure[start], witness=_descend(succ, start, sure),
+                       graph=graph)

@@ -1,14 +1,37 @@
 """The worst-case step metric as natstrat computed it before it was decided
 on `outcome.backward_fixpoint`: one depth-first pass from the start finds
 the pre-goal region, the first cycle and a topological order, and a forward
-longest-path pass over that order gives the value and the witness. It is
-kept as the oracle of `natstrat.outcome.steps_to_goal`."""
+longest-path pass over that order gives the value and the witness, and a
+breadth-first search the trap's path. It is kept as the oracle of
+`natstrat.outcome.steps_to_goal`, and its search as the oracle of the
+descent that reads paths off `backward_fixpoint`'s distances."""
 
-from typing import Optional
+from collections import deque
+from typing import Container, Optional, Sequence
 
 from natstrat.model import DEFAULT_STATE_CAP, GlobalState, GuardExpr, Network
-from natstrat.outcome import StepsResult, backward_fixpoint, outcomes, shortest_path
+from natstrat.outcome import StepsResult, backward_fixpoint, outcomes
 from natstrat.strategy import CollectiveStrategy
+
+
+def shortest_path(succ: Sequence[Sequence[int]], start: int,
+                  targets: Container[int]) -> tuple[int, ...]:
+    """Breadth-first path from `start` to the nearest target, taking
+    successors in list order; () when no target is reachable."""
+    prev: dict[int, int] = {start: start}
+    dq = deque([start])
+    while dq:
+        i = dq.popleft()
+        if i in targets:
+            path = [i]
+            while path[-1] != start:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for j in succ[i]:
+            if j not in prev:
+                prev[j] = i
+                dq.append(j)
+    return ()
 
 
 def steps_to_goal(net: Network, q: Optional[GlobalState], s_A: CollectiveStrategy,

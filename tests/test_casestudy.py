@@ -96,6 +96,18 @@ def test_load_without_constants_is_the_default_full_voter():
     assert explore(loaded.network).n_states == 158
 
 
+def test_load_rejects_an_override_of_no_declared_constant():
+    # voter_full declares n and m; "N" used to be ignored, building n = 7
+    with pytest.raises(DefinitionError, match="declares no constant N"):
+        load("voter_full", {"N": 3, "m": 2})
+    net = build_voter("full", 3, 2).network
+    assert (net.constant("n"), net.constant("m")) == (3, 2)
+    # every row of the table loads with its overrides
+    for row in TABLE:
+        net = load(row.model, dict(row.consts)).network
+        assert all(net.constant(name) == value for name, value in row.consts)
+
+
 def test_exploration_regression_constant(base):
     g = explore(base.network)
     productive = sum(1 for t in g.transitions if not t.move.is_idle)

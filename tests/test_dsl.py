@@ -7,7 +7,7 @@ from natstrat.dsl import (
     load_bundle, parse_bundle, parse_formula, parse_guard_text, parse_network,
     parse_strategy, print_formula, print_network, print_strategy,
 )
-from natstrat.errors import ParseError
+from natstrat.errors import DefinitionError, ParseError
 from natstrat.formula import FAnd, FAtom, FNot, FOr, Knows, Strategic, map_formula
 from natstrat.model import And, LocAtom, Not, Or, TrueConst, VarAtom, VarRef
 from natstrat.strategy import WILDCARD
@@ -208,6 +208,20 @@ def test_const_override():
     net = parse_network(src, consts={"n": 3})
     assert net.constant("n") == 3
     assert net.agent("A").local_vars[0].hi == 3
+
+
+def test_const_override_must_name_a_declared_constant(tmp_path):
+    # a misspelt name used to be dropped, leaving the declared value
+    src = "const n = 7;\nagent A { var int[0,n] i = 0; init a; }"
+    with pytest.raises(DefinitionError, match="declares no constant N, k"):
+        parse_network(src, consts={"N": 3, "k": 1, "n": 3})
+    # a constant that an include declares counts
+    (tmp_path / "consts.nsm").write_text("const n = 7;")
+    main = tmp_path / "main.nsm"
+    main.write_text('include "consts.nsm";\nagent A { var int[0,n] i = 0; init a; }')
+    assert load_bundle(main, consts={"n": 2}).network.constant("n") == 2
+    with pytest.raises(DefinitionError, match="declares no constant m"):
+        load_bundle(main, consts={"m": 2})
 
 
 def test_include(tmp_path):

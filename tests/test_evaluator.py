@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import natstrat.checker as checker
+import natstrat.outcome as outcome
 from natstrat.casestudy import build_coercer, build_voter, catalog, load
 from natstrat.checker import FormulaEvaluator, SynthesisConfig, eval_formula
 from natstrat.dsl import parse_formula, parse_network, parse_strategy
@@ -138,7 +139,8 @@ def _case(draw):
     named = {f"s{a}": _strategy(draw, a, *shape[a]) for a in AGENTS}
     f = _formula(draw, shape, draw(st.sampled_from((2, 3, 4))))
     supplied = [{a: named[f"s{a}"] for a in coalition} for coalition in COALITIONS]
-    cap = draw(st.sampled_from((10, 300, 3000)))
+    # a cap of 1 fires at any node with two candidates or more
+    cap = draw(st.sampled_from((1, 10, 300, 3000)))
     case = net, f, draw(st.sampled_from(("verify", "synthesize"))), named, supplied, cap
     for label in _coverage(*case):
         event(label)
@@ -179,26 +181,32 @@ def _assert_agrees(net, f, mode, every_state=True, **kwargs):
     return got
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_case())
-def test_evaluator_matches_oracle_on_random_formulas(case):
-    net, f, mode, named, supplied, cap = case
+def _assert_case_agrees(net, f, mode, named, supplied, cap):
+    """An example of `_case` through `_assert_agrees` at every state."""
     _assert_agrees(net, f, mode, supplied=supplied, strategies_by_name=named,
                    synthesis=SynthesisConfig(enumeration_cap=cap))
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=_case())
+def test_evaluator_matches_oracle_on_random_formulas(case):
+    _assert_case_agrees(*case)
+
+
 def test_case_covers_synthesis_and_errors():
-    # the `ci` profile's sample is fixed, so what it covers can be counted:
-    # of its 300 examples, 61 decide a coalition node by synthesis, 21 of
-    # them two nodes of one member set in both orders and 24 a member set
-    # whose space a node written out of name order built; 24 raise a
-    # StrategyError and 28 leave a node unknown at the cap
+    # the `ci` profile's sample is fixed, so what it covers can be counted,
+    # each example checked as the test above checks it: of its 300
+    # examples, 64 decide a coalition node by synthesis, 25 of them two
+    # nodes of one member set in both orders and 26 a member set whose space
+    # a node written out of name order built; 23 raise a StrategyError and
+    # 47 leave a node unknown at the cap
     counts: collections.Counter = collections.Counter()
 
     @settings(settings.get_profile("ci"), database=None, deadline=None)
     @given(case=_case())
     def count(case):
         counts.update(_coverage(*case))
+        _assert_case_agrees(*case)
         counts["examples"] += 1
 
     count()
@@ -308,12 +316,23 @@ def test_knowledge_labels_its_subformula_once_per_state(monkeypatch):
 
 def test_fixed_node_is_labelled_once_for_verdict_and_witness(base, monkeypatch):
     calls = []
-    label = checker.label_universal
-    monkeypatch.setattr(checker, "label_universal",
+    label = checker._labelled
+    monkeypatch.setattr(checker, "_labelled",
                         lambda *args: calls.append(args[1]) or label(*args))
     res = eval_formula(base.network, parse_formula("A F end", base.network))
     assert (res.verdict, res.witness_path) == (False, (0, 1, 2, 3, 5, 7, 3))
     assert calls == ["F"]
+    # an AG counterexample descends the distances of the label's own pass,
+    # so no fixpoint runs for the witness (the other pass finds no state
+    # where matching fails)
+    passes = []
+    for module in (checker, outcome):
+        monkeypatch.setattr(module, "backward_fixpoint",
+                            lambda *args, f=module.backward_fixpoint, **kw:
+                            passes.append(args[1]) or f(*args, **kw))
+    res = eval_formula(base.network, parse_formula("A G !end", base.network))
+    assert (res.verdict, res.witness_path) == (False, (0, 1, 2, 4, 6, 10, 14, 17, 22, 29))
+    assert calls == ["F", "G"] and len(passes) == 2 and not passes[0]
 
 
 def test_fixed_goal_node_is_read_as_a_whole_label_set(monkeypatch):

@@ -7,7 +7,7 @@ from natstrat.checker import _Behaviours, _Option, _canonical, label_universal
 from natstrat.dsl import parse_guard_text, parse_network, parse_strategy
 from natstrat.errors import StrategyError
 from natstrat.model import Internal, LocAtom, Synchronized, explore, or_all
-from natstrat.outcome import backward_fixpoint, outcomes, restrict, steps_to_goal
+from natstrat.outcome import _descend, backward_fixpoint, outcomes, restrict, steps_to_goal
 from natstrat.strategy import WILDCARD, strategy_filter
 from natstrat.casestudy import build_voter, symbolwise_steps
 
@@ -367,28 +367,35 @@ def _fixpoint_coverage(succ, seed, allowed, some, dist) -> list[str]:
     return labels
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_fixpoint_case())
-def test_fixpoint_distances_match_value_iteration(case):
+def _checked_fixpoint(case) -> list[str]:
+    """`backward_fixpoint` of the case against the least fixpoint and value
+    iteration; the labels of what the example meets."""
     dist = backward_fixpoint(*case)
     assert set(dist) == _least_fixpoint(*case)
     assert dist == _value_iteration(*case)
-    for label in _fixpoint_coverage(*case, dist):
+    return _fixpoint_coverage(*case, dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fixpoint_case())
+def test_fixpoint_distances_match_value_iteration(case):
+    for label in _checked_fixpoint(case):
         event(label)
 
 
 def test_fixpoint_case_covers_min_and_max():
-    # the `ci` profile's sample is fixed, so what it covers can be counted:
-    # of its 300 examples, 135 have an empty `some`, 99 a partial one and 66
-    # every state; 70 have a state of `some` join before its farthest
-    # successor, 51 a state outside it with successors at two distances, 23
-    # a state that `allowed` keeps out and 86 a distance of 2 or more
+    # the `ci` profile's sample is fixed, so what it covers can be counted,
+    # each example checked as the test above checks it: of its 300
+    # examples, 141 have an empty `some`, 97 a partial one and 62 every
+    # state; 64 have a state of `some` join before its farthest successor,
+    # 59 a state outside it with successors at two distances, 13 a state
+    # that `allowed` keeps out and 105 a distance of 2 or more
     counts: collections.Counter = collections.Counter()
 
     @settings(settings.get_profile("ci"), database=None, deadline=None)
     @given(case=_fixpoint_case())
     def count(case):
-        counts.update(_fixpoint_coverage(*case, backward_fixpoint(*case)))
+        counts.update(_checked_fixpoint(case))
         counts["examples"] += 1
 
     count()
@@ -398,6 +405,104 @@ def test_fixpoint_case_covers_min_and_max():
     assert counts["a state outside `some` with successors at two distances"] >= 25, counts
     assert counts["`allowed` keeps a state out"] >= 10, counts
     assert counts["a distance of 2 or more"] >= 40, counts
+
+
+# -- paths read off a distance: the first successor one step nearer ---------------
+
+@st.composite
+def _descent_case(draw):
+    """Successor lists over 1 to 12 states (self-loops, cycles and a
+    terminal state among them), a target set that is empty, one or two
+    states of the lower half, or every state, and the last state as the
+    start. A partial target set is drawn twice as often as each other
+    kind, as only it gives paths of more than one state."""
+    kind = draw(st.sampled_from(("empty", "partial", "partial", "every state")))
+    n = draw(st.sampled_from(range(2 if kind == "partial" else 1, 13)))
+    state = st.sampled_from(range(n))
+    # one or two successors below each state but the first, so that long
+    # chains form; then maybe one anywhere, which may close a cycle
+    succ = [sorted({*(draw(st.lists(st.sampled_from(range(i)), min_size=1, max_size=2)) if i
+                      else ()),
+                    *draw(st.just(()) | st.tuples(state))}) for i in range(n)]
+    targets = (set(draw(st.frozensets(st.sampled_from(range(n // 2)), min_size=1, max_size=2)))
+               if kind == "partial" else set(range(n)) if kind == "every state" else set())
+    return succ, targets, n - 1
+
+
+def _farthest_path(succ, start, sure) -> tuple[int, ...]:
+    """The reached steps witness as `steps_to_goal` read it before the
+    descent: from a member of `sure`, the first successor in list order
+    with the largest distance, until a state with no successor."""
+    if start not in sure:
+        return ()
+    path = [start]
+    while succ[path[-1]]:
+        path.append(max(succ[path[-1]], key=sure.__getitem__))
+    return tuple(path)
+
+
+def _tie(succ, path, dist) -> bool:
+    """Whether a state of `path` has two successors one step nearer."""
+    return any(sum(dist.get(j) == dist[i] - 1 for j in succ[i]) > 1 for i in path[:-1])
+
+
+def _checked_descent(succ, targets, start) -> list[str]:
+    """`_descend` from start in the `some` form, over every state, against
+    the breadth-first oracle's path to the nearest target; in the `all`
+    form, with targets as sinks, against `_farthest_path`. Returns the
+    labels of what the example meets."""
+    every = range(len(succ))
+    near = backward_fixpoint(succ, targets, some=every)
+    path = _descend(succ, start, near)
+    assert path == steps_oracle.shortest_path(succ, start, targets)
+    sinks = [() if i in targets else outs for i, outs in enumerate(succ)]
+    sure = backward_fixpoint(sinks, targets)
+    worst = _descend(sinks, start, sure)
+    assert worst == _farthest_path(sinks, start, sure)
+    kind = "empty" if not targets else "every state" if len(targets) == len(succ) else "partial"
+    labels = [f"targets {kind}"]
+    if not path:
+        labels.append("no target reachable")
+    elif len(path) >= 3:
+        labels.append("a path of 2 steps or more")
+    if path and not worst:
+        labels.append("a target reachable but not sure")
+    if len(worst) >= 3:
+        labels.append("a sure path of 2 steps or more")
+    if _tie(succ, path, near) or _tie(sinks, worst, sure):
+        labels.append("a tie broken by list order")
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_descent_case())
+def test_descent_matches_the_search_and_the_farthest_successor(case):
+    for label in _checked_descent(*case):
+        event(label)
+
+
+def test_descent_case_covers_ties_and_misses():
+    # the `ci` profile's sample is fixed, so what it covers can be counted,
+    # each example checked as the test above checks it: of its 300
+    # examples, 82 have no target, 134 one or two and 84 every state; 109
+    # reach no target, 36 reach one but not surely, 44 have a nearest path
+    # and 27 a sure path of 2 steps or more, and 21 break a tie by list order
+    counts: collections.Counter = collections.Counter()
+
+    @settings(settings.get_profile("ci"), database=None, deadline=None)
+    @given(case=_descent_case())
+    def count(case):
+        counts.update(_checked_descent(*case))
+        counts["examples"] += 1
+
+    count()
+    assert counts["examples"] == 300
+    assert min(counts[f"targets {kind}"] for kind in ("empty", "partial", "every state")) >= 40
+    assert counts["no target reachable"] >= 50, counts
+    assert counts["a target reachable but not sure"] >= 15, counts
+    assert counts["a path of 2 steps or more"] >= 20, counts
+    assert counts["a sure path of 2 steps or more"] >= 15, counts
+    assert counts["a tie broken by list order"] >= 10, counts
 
 
 # -- the coalition's rank: half the start's distance in its game -------------------
