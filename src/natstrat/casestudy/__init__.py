@@ -38,9 +38,9 @@ def models() -> tuple[str, ...]:
 def load(stem: str, consts: Optional[dict[str, int]] = None) -> ParsedBundle:
     """The bundled model `stem` with the strategies and formulas of its
     .nss/.nsq files; `consts` overrides constants that the .nsm declares."""
-    if stem not in models():
-        raise DefinitionError(f"no bundled model {stem!r}; pick from {models()}")
     nsm = DATA_DIR / f"{stem}.nsm"
+    if Path(stem).name != stem or not nsm.is_file():  # a stem, not a path: no glob per load
+        raise DefinitionError(f"no bundled model {stem!r}; pick from {models()}")
     bundle = load_bundle(nsm, consts=consts)
     net = bundle.network
     for suffix in (".nss", ".nsq"):

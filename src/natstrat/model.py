@@ -812,14 +812,15 @@ class _CompiledNetwork:
 
     def entry(self, net: Network, pos: int, p: int,
               match: Optional[Callable[[int, set[str]], set[str]]] = None) -> tuple:
-        """What agent `pos` can do at the projection p of a key, as (moves,
-        wait, more): its enabled internal moves as `effect` gives them, the
-        id of its `wait` (None when it has none), and None, or, when the
-        entry needs the whole state (see `complete`), its enabled
-        synchronizing sides as (channel, '!' or '?', side), whether its
-        strategy is still to be matched there, and the two as a tuple of
-        small ints, the sides' edge positions and then that flag, which
-        `complete` keys its pairings on.
+        """What agent `pos` can do at the projection p of a key, as a flat
+        record (effects, ids, wait, more): `effect`'s triple for each of its
+        enabled internal moves; the move ids stored for them, followed by
+        that of its `wait`; the id of the `wait` (None when it has none);
+        and None, or, when the entry needs the whole state (see
+        `complete`), its enabled synchronizing sides as (channel, '!' or
+        '?', side), whether its strategy is still to be matched there, and
+        the two as a tuple of small ints, the sides' edge positions and
+        then that flag, which `complete` keys its pairings on.
 
         `match` (`strategy._matcher`), given when p also holds the fields
         the agent's rules read, folds its strategy in. With no side enabled
@@ -852,73 +853,72 @@ class _CompiledNetwork:
                 if WAIT_ACTION not in allowed:
                     wait = None
         effects = tuple(self.effect(item, p) for item in items)
+        ids = tuple(m for m, _ in items) + (() if wait is None else (wait,))
         if not (sides or unmatched):
-            return effects, wait, None
+            return effects, ids, wait, None
         code = (*(item.key for _, _, item in sides), unmatched)
-        return effects, wait, (tuple(sides), unmatched, code)
+        return effects, ids, wait, (tuple(sides), unmatched, code)
 
     def effect(self, item: tuple[int, Callable], p: int) -> tuple:
-        """An internal move at the projection p, as (move id, mask of the
-        bits it keeps, bits it installs, whether it is productive): the
-        fields it writes depend on p alone. A move whose update leaves its
-        variable's domain keeps None and installs its successor function,
-        which raises only where it is taken."""
+        """An internal move (id, successor function) at the projection p, as
+        (mask of the bits it keeps, bits it installs, whether it is
+        productive): the fields it writes depend on p alone. A move whose
+        update leaves its variable's domain keeps None and installs its
+        successor function, which raises only where it is taken."""
         m, step = item
         try:
             after = step(p)
         except BoundViolationError:
-            return m, None, step, not self.idle[m]
-        return m, ~self.writes[m], after & self.writes[m], not self.idle[m]
+            return None, step, not self.idle[m]
+        return ~self.writes[m], after & self.writes[m], not self.idle[m]
 
     def complete(self, net: Network, s: int, hits: list[tuple],
                  keep: Optional[Callable[[int, Sequence[int]], Sequence[int]]],
                  pairings: dict[tuple, tuple]) -> list[tuple]:
         """The entries of every agent at the key s (`hits`, from `entry`),
-        followed by one that holds the synchronized moves their sides form
-        (see `pairing`). Which pairs form depends only on which sides are
-        enabled, so `pairings`, a memo that lives as long as one `explore`
-        call, holds them per combination of the agents' side codes: their
-        successor functions, not successors. When some entry is still to be
-        matched, each keeps only the moves `keep`, the strategy's filter,
-        keeps at s."""
-        combo = tuple(more and more[2] for _, _, more in hits)
+        followed by one record that holds the synchronized moves their sides
+        form (see `pairing`). Which pairs form depends only on which sides
+        are enabled, so `pairings`, a memo that lives as long as one
+        `explore` call, holds them per combination of the agents' side
+        codes: their successor functions, not successors. When some entry is
+        still to be matched, each record keeps only the moves `keep`, the
+        strategy's filter, keeps at s, its effects and ids alike."""
+        combo = tuple(more and more[2] for _, _, _, more in hits)
         hit = pairings.get(combo)
         if hit is None:
             hit = pairings[combo] = self.pairing(net, hits)
         pairs, unmatched = hit
-        hits = [*hits, (pairs, None, None)]
+        hits = [*hits, pairs]
         if not unmatched:
             return hits
-        ids = []
-        for moves, wait, _ in hits:
-            ids += [x[0] for x in moves]
-            if wait is not None:
-                ids.append(wait)
-        kept = set(keep(s, ids))
-        return [(tuple(x for x in moves if x[0] in kept), wait if wait in kept else None, None)
-                for moves, wait, _ in hits]
+        kept = set(keep(s, [m for _, ids, _, _ in hits for m in ids]))
+        return [(tuple(e for e, m in zip(effects, ids) if m in kept),
+                 tuple(m for m in ids if m in kept), wait if wait in kept else None, None)
+                for effects, ids, wait, _ in hits]
 
     def pairing(self, net: Network, hits: list[tuple]) -> tuple[tuple, bool]:
-        """The synchronized moves the entries' sides form, as (move id, None,
-        successor function, True): the pairs on a common channel between
+        """The synchronized moves the entries' sides form, as a record in
+        `entry`'s form whose effects are (None, successor function, True)
+        and which has no `wait`: the pairs on a common channel between
         distinct agents, channels in the order their first enabled sender
         appears; and whether some entry is still to be matched."""
         senders: dict[str, list[_Sync]] = {}
         receivers: dict[str, list[_Sync]] = {}
         unmatched = False
-        for _, _, more in hits:
+        for _, _, _, more in hits:
             if more is not None:
                 unmatched |= more[1]
                 for chan, side, item in more[0]:
                     (senders if side == "!" else receivers).setdefault(chan, []).append(item)
-        pairs = []
+        effects, ids = [], []
         for chan, snd in senders.items():
             for a in snd:
                 for b in receivers.get(chan, ()):
                     if a.agent != b.agent:
                         m, step = self.pair(net, a, b)
-                        pairs.append((m, None, step, True))
-        return tuple(pairs), unmatched
+                        effects.append((None, step, True))
+                        ids.append(m)
+        return (tuple(effects), tuple(ids), None, None), unmatched
 
 
 def _compiled(net: Network) -> _CompiledNetwork:
@@ -984,7 +984,9 @@ class StateGraph:
     `GlobalState` or build a `Transition` per item accessed. `wait`
     self-loops are included; path-level analyses read `succ`, the distinct
     productive (non-idle) successors of each state in index order, which
-    drops them.
+    drops them. `explore` fills `offsets` state by state, `targets` and
+    `move_ids` in chunks from list buffers, and `succ` with one list per
+    state.
     """
 
     net: Network
@@ -1049,6 +1051,10 @@ class StateGraph:
 
 
 DEFAULT_STATE_CAP = 200_000
+# Edges buffered in lists before they go into the array columns. Buffers of
+# 1,024 or 4,096 edges explored no faster, and raised the scale benchmark's
+# peak RSS by 0.1-0.7 MB.
+_CHUNK = 64
 
 
 def explore(net: Network, start: Optional[GlobalState] = None,
@@ -1060,11 +1066,15 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     as the state is expanded, nothing else per state or per edge (see
     `StateGraph`). Each agent's successor table, made here and dropped with
     the call, maps the projection of a key on the fields its edges read to
-    its `entry` there. A `wait` is stored as a self-loop with no successor
-    computed, and a move that leaves its state as it is targets the state
-    without a lookup. Sync pairs are formed once per distinct combination
-    of the agents' enabled sides, and kept as successor functions until
-    the call returns (see `complete`).
+    its `entry` there, a flat record: the loop applies its effects to the
+    key and copies its move ids to the `move_ids` column as they stand. A
+    `wait` is stored as a self-loop with no successor computed; any other
+    successor, the state itself included, is found with one `index` lookup.
+    Targets and move ids collect in two lists that go into their array
+    columns `_CHUNK` edges at a time, and a state with two productive
+    targets sorts them with one comparison. Sync pairs are formed once per
+    distinct combination of the agents' enabled sides, and kept as
+    successor functions until the call returns (see `complete`).
 
     With a collective strategy s_A, only the moves s_A allows are followed,
     as `strategy.strategy_filter` keeps them. A member's table is keyed also
@@ -1073,8 +1083,8 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     matches, at each state the projection serves. This explores only the
     outcome: for one strategy on two copies of voter_full(7,5), 6,320 of
     24,964 states, matched at 40 projections, in about a fifth of the time
-    of `restrict(explore(net), s_A)`, which matches 1,125 times (12.5
-    against 64.6 ms after an `explore` of 68 ms, medians of 7 runs, Python
+    of `restrict(explore(net), s_A)`, which matches 1,125 times (11.1
+    against 53.3 ms after an `explore` of 48.5 ms, medians of 7 runs, Python
     3.11, 2 CPUs).
 
     Raises ResourceLimitError past `state_cap` states, the initial one
@@ -1101,6 +1111,8 @@ def explore(net: Network, start: Optional[GlobalState] = None,
     keys = [comp.encode(net, net.initial_state() if start is None else start)]
     index = {keys[0]: 0}
     offsets, targets, move_ids = array("i", [0]), array("i"), array("i")
+    tbuf: list[int] = []  # targets and move ids not yet in their columns
+    mbuf: list[int] = []
     succ: list[list[int]] = []
     for i, s in enumerate(keys):  # it grows as states are found: discovery order
         hits, more = [], False
@@ -1110,31 +1122,38 @@ def explore(net: Network, start: Optional[GlobalState] = None,
             if hit is None:
                 hit = table[p] = entry(p)
             hits.append(hit)
-            if hit[2] is not None:
+            if hit[3] is not None:
                 more = True
         if more:
             hits = comp.complete(net, s, hits, keep, pairings)
         outs = []
-        for moves, wait, _ in hits:
-            for m, hold, put, productive in moves:
+        for effects, ids, wait, _ in hits:
+            for hold, put, productive in effects:
                 nxt = put(s) if hold is None else s & hold | put
-                if nxt == s:
-                    j = i
-                else:
-                    j = index.get(nxt)
-                    if j is None:
-                        if len(keys) >= state_cap:
-                            raise ResourceLimitError(
-                                f"state cap {state_cap} exceeded", partial=len(keys))
-                        j = index[nxt] = len(keys)
-                        keys.append(nxt)
-                targets.append(j)
-                move_ids.append(m)
+                j = index.get(nxt)  # s itself is i
+                if j is None:
+                    if len(keys) >= state_cap:
+                        raise ResourceLimitError(
+                            f"state cap {state_cap} exceeded", partial=len(keys))
+                    j = index[nxt] = len(keys)
+                    keys.append(nxt)
+                tbuf.append(j)
                 if productive:
                     outs.append(j)
             if wait is not None:
-                targets.append(i)
-                move_ids.append(wait)
-        succ.append(sorted(set(outs)) if len(outs) > 1 else outs)
-        offsets.append(len(targets))
+                tbuf.append(i)
+            mbuf += ids
+        if len(outs) == 2:
+            a, b = outs
+            succ.append([a, b] if a < b else [b, a] if b < a else [a])
+        else:
+            succ.append(sorted(set(outs)) if len(outs) > 2 else outs)
+        if len(tbuf) >= _CHUNK:
+            targets.fromlist(tbuf)
+            move_ids.fromlist(mbuf)
+            tbuf.clear()
+            mbuf.clear()
+        offsets.append(len(targets) + len(tbuf))
+    targets.fromlist(tbuf)
+    move_ids.fromlist(mbuf)
     return StateGraph(net, keys, index, offsets, targets, move_ids, succ)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from natstrat import casestudy
@@ -83,6 +85,30 @@ def test_registry_is_the_bundled_model_files():
     assert set(catalog().networks) == set(models())
     with pytest.raises(DefinitionError):
         load("no_such_model")
+
+
+@pytest.mark.parametrize("stem", ["no_such_model", "data/voter_base",
+                                  "../casestudy/data/voter_base", "", "..", "voter_base.nsm"])
+def test_load_takes_only_a_bundled_stem(stem):
+    # a path that reaches a bundled file is not a stem
+    message = f"no bundled model {stem!r}; pick from {models()}"
+    with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
+        load(stem)
+
+
+def test_load_globs_the_data_directory_only_for_its_error(monkeypatch):
+    globbed = []
+    glob = type(DATA_DIR).glob
+    monkeypatch.setattr(type(DATA_DIR), "glob",
+                        lambda self, pattern: globbed.append(pattern) or glob(self, pattern))
+    stems = models()
+    globbed.clear()
+    for stem in stems:
+        load(stem)
+    assert globbed == []
+    with pytest.raises(DefinitionError):
+        load("no_such_model")
+    assert globbed == ["*.nsm"]  # the error text names the bundled models
 
 
 def test_load_without_constants_is_the_default_full_voter():

@@ -6,7 +6,9 @@ moves kept by a strategy and knowledge classes, and the same errors at the
 same points."""
 
 import collections
+import importlib.util
 import itertools
+import pathlib
 import re
 
 import pytest
@@ -54,7 +56,8 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
     each state's moves through `allowed_moves`: the same states,
     transitions or error; at each reached state, the stored moves are the
     oracle's enabled moves, or those s_A allows, in the oracle's order,
-    each move id at most once."""
+    each move id at most once; and each state's `succ` is its distinct
+    productive targets in index order."""
     ref_keep = None if s_A is None else (lambda q, moves: oracle.allowed_moves(net, q, moves, s_A))
     got = _run(lambda: explore(net, s_A=s_A, **kwargs))
     want = _run(lambda: oracle.explore(net, move_filter=ref_keep, **kwargs))
@@ -69,6 +72,11 @@ def assert_matches_oracle(net, s_A=None, **kwargs):
             moves = oracle.allowed_moves(net, q, moves, s_A)
         assert [got.moves[m] for m in ids] == moves, q
         assert len(set(ids)) == len(ids), q
+    productive = [set() for _ in want.states]
+    for t in want.transitions:
+        if not t.move.is_idle:
+            productive[t.source].add(t.target)
+    assert got.succ == [sorted(js) for js in productive]
     return got
 
 
@@ -574,6 +582,54 @@ def test_a_repeated_edge_gives_two_transitions_that_restrict_keeps():
     assert restrict(graph, s_A)[0][0] == [1]
     s_B = {"T": parse_strategy("strategy sb for T { when true do b; }", net)}
     assert restrict(graph, s_B)[0][0] == [2]
+    # explored under sa, s0's two kept moves reach one state: a successor
+    # list of one; unrestricted, s0 has three productive moves
+    assert graph.succ[0] == [1, 2]
+    outcome = explore(net, s_A=s_A)
+    assert (outcome.succ, list(outcome.targets)) == ([[1], []], [1, 1])
+    assert_matches_oracle(net, s_A)
+
+
+# s0's two successors are found in index order, s1's in reverse order, and
+# s2's productive spin leaves it where it is, beside its wait
+ORDERS_SRC = """
+agent T(lazy) { init s0; loc s1; loc s2;
+  edge s0 -> s1 on a; edge s0 -> s2 on b;
+  edge s1 -> s2 on c; edge s1 -> s0 on d;
+  edge s2 -> s2 on spin; }
+"""
+
+
+def test_successor_lists_in_either_order_and_a_productive_self_loop():
+    net = parse_network(ORDERS_SRC, name="orders")
+    graph = explore(net)
+    assert [[t.target for t in out_edges(graph, i)] for i in range(3)] == \
+        [[1, 2, 0], [2, 0, 1], [2, 2]]
+    assert graph.succ == [[1, 2], [0, 2], [2]]
+    assert_matches_oracle(net)
+    for i in range(3):
+        assert_matches_oracle(net, start=graph.states[i])
+
+
+def _scale_model():
+    """bench/scale_model.py, which builds the scale workload's network."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "scale_model.py"
+    spec = importlib.util.spec_from_file_location("scale_model", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+def test_two_voter_copies_match_oracle(order):
+    # the scale workload's shape at voter_full(1,1): 6,084 states and 25,896
+    # stored edges, across some 400 flushes of the edge buffers
+    scale_model = _scale_model()
+    net = parse_network(scale_model.copies_text(order, 1, 1), name="voter_copies")
+    graph = assert_matches_oracle(net)
+    assert (graph.n_states, len(graph.targets)) == (6_084, 25_896)
+    s = parse_strategy(scale_model.strategy_text("cast_verify_symbolwise", "Voter0"), net)
+    assert_matches_oracle(net, {"Voter0": s})
 
 
 def test_an_interned_move_is_shared_across_states(base):
